@@ -3,9 +3,10 @@
 Blockchain participants have no addresses, only keys. The backbone
 partitions the space of leading key bytes; every node joins the backbone
 responsible for each of its keys (signed, so nobody can claim another's
-key) and messages reach the owner in at most three hops. When one
-backbone runs hot, the table is rebuilt one byte wider, cut along the
-observed load.
+key) and messages reach the owner in at most three hops while the table
+stays fixed. When one backbone runs hot, the table is rebuilt one byte
+wider, cut along the observed load; a message in flight across that
+rebuild can take one hop more.
 
 Run:  python demos/02_prefix_routing.py
 """

@@ -5,7 +5,10 @@ first ``x`` bytes of a public key) through a shared table. Regular nodes
 join the backbone responsible for each of their keys with a signed join
 message, and any message addressed to a key travels origin -> entry
 backbone -> responsible backbone -> destination endpoint, at most three
-hops over the full-mesh backbone.
+hops over the full-mesh backbone while the table stays fixed. A message
+still in flight when the table widens can take one more backbone hop,
+because the backbone it was forwarded to may no longer own the key.
+``Mesh.next_hop`` is the one routing decision every backbone makes.
 
 Widening ``x`` rebuilds the table at finer granularity. When a load
 histogram from the overloaded window is supplied, the new ranges are cut
@@ -290,6 +293,30 @@ class Mesh:
     def join(self, node_id: str, msg: JoinMessage) -> Tuple[bool, Optional[str]]:
         return self.nodes[node_id].join(msg, self.table)
 
+    def next_hop(
+        self, node_id: str, dest_pk: PublicKey, payload: object, now: int = 0
+    ) -> Tuple[str, str]:
+        """Decide what backbone ``node_id`` does with a message for dest_pk.
+
+        Returns ("forward", responsible backbone) when another backbone
+        owns dest_pk. Otherwise this node is responsible: it counts the
+        message in its traffic window and returns ("deliver", endpoint),
+        or ("drop", reason) for negotiation payloads past the offer limit
+        and for keys with no member.
+        """
+        responsible_id = self.table.owner_of(dest_pk)
+        if responsible_id != node_id:
+            return "forward", responsible_id
+        node = self.nodes[node_id]
+        node.note_traffic(dest_pk, now)
+        round_counter = negotiation_round(payload)
+        if round_counter is not None and round_counter > node.offer_limit:
+            return "drop", "offer limit exceeded"
+        endpoint = node.members.get(dest_pk)
+        if endpoint is None:
+            return "drop", "undeliverable"
+        return "deliver", endpoint
+
     def route(
         self,
         origin: str,
@@ -301,23 +328,17 @@ class Mesh:
         """Carry a payload from an origin endpoint to the owner of dest_pk.
 
         Trace is origin, entry backbone, responsible backbone (skipped if
-        identical), destination endpoint. Negotiation payloads past the
-        offer limit are dropped at the responsible backbone.
+        identical), destination endpoint.
         """
         trace = [origin, entry_node_id]
-        responsible_id = self.table.owner_of(dest_pk)
-        if responsible_id != entry_node_id:
-            trace.append(responsible_id)
-        node = self.nodes[responsible_id]
-        node.note_traffic(dest_pk, now)
-        round_counter = negotiation_round(payload)
-        if round_counter is not None and round_counter > node.offer_limit:
-            return Delivery(False, trace, reason="offer limit exceeded")
-        endpoint = node.members.get(dest_pk)
-        if endpoint is None:
-            return Delivery(False, trace, reason="undeliverable")
-        trace.append(endpoint)
-        return Delivery(True, trace, endpoint=endpoint)
+        action, target = self.next_hop(entry_node_id, dest_pk, payload, now)
+        if action == "forward":
+            trace.append(target)
+            action, target = self.next_hop(target, dest_pk, payload, now)
+        if action == "deliver":
+            trace.append(target)
+            return Delivery(True, trace, endpoint=target)
+        return Delivery(False, trace, reason=target)
 
     def widen(
         self,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from random import Random
-from typing import Optional
+from typing import Optional, Union
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -75,7 +75,7 @@ class KeyPair:
             raise ValueError("seed must be 32 bytes")
         ed_priv = Ed25519PrivateKey.from_private_bytes(seed)
         x_priv = X25519PrivateKey.from_private_bytes(_x25519_seed(seed))
-        public = _raw_public(ed_priv.public_key()) + _raw_x_public(x_priv.public_key())
+        public = _raw_public(ed_priv.public_key()) + _raw_public(x_priv.public_key())
         return KeyPair(public=public, seed=seed)
 
     def _ed_private(self) -> Ed25519PrivateKey:
@@ -89,13 +89,7 @@ def _x25519_seed(seed: bytes) -> bytes:
     return hash_bytes(seed + b"/encrypt")
 
 
-def _raw_public(key: Ed25519PublicKey) -> bytes:
-    from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
-
-    return key.public_bytes(Encoding.Raw, PublicFormat.Raw)
-
-
-def _raw_x_public(key: X25519PublicKey) -> bytes:
+def _raw_public(key: Union[Ed25519PublicKey, X25519PublicKey]) -> bytes:
     from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
     return key.public_bytes(Encoding.Raw, PublicFormat.Raw)
@@ -225,7 +219,7 @@ def asym_encrypt(
     else:
         eph_seed = rng.randbytes(32)
     eph_priv = X25519PrivateKey.from_private_bytes(eph_seed)
-    eph_pub = _raw_x_public(eph_priv.public_key())
+    eph_pub = _raw_public(eph_priv.public_key())
     recipient_x = X25519PublicKey.from_public_bytes(recipient_pk[32:])
     shared = eph_priv.exchange(recipient_x)
     key = _session_key(shared, eph_pub, recipient_pk)

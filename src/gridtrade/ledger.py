@@ -471,9 +471,13 @@ class Ledger:
             return False, "c"
         if not merkle_verify(erc.coe_root, erc.pk, erc.merkle_hashes):
             return False, "d"
-        if not verify(erc.pk, signing_digest(erc), erc.sign):
+        try:
+            digest = signing_digest(erc)
+        except ValueError:  # a field the canonical encoding cannot hold
             return False, "e"
-        if compute_t_id_safe(erc) != erc.t_id:
+        if not verify(erc.pk, digest, erc.sign):
+            return False, "e"
+        if compute_t_id(erc) != erc.t_id:
             return False, "e"
         return True, None
 
@@ -541,13 +545,6 @@ class Ledger:
             parts.append(acct.last_tx_id or b"\x00" * 32)
         parts.append(self.ctp_db.digest())
         return hash_bytes(b"".join(parts))
-
-
-def compute_t_id_safe(tx: Transaction) -> Optional[HashDigest]:
-    try:
-        return compute_t_id(tx)
-    except Exception:
-        return None
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .crypto import (
     sign,
     verify,
 )
-from .transactions import CTPTx, ContractTerms, ERCTx, make_erc
+from .transactions import CTPTx, ContractTerms, ERCTx, decode_fields, encode_fields, make_erc
 
 TAG_VERIFICATION_REQUEST = 0x30
 TAG_COE = 0x31
@@ -44,29 +44,6 @@ TAG_COE = 0x31
 
 class MeterError(Exception):
     """A meter refused an operation (incomplete delivery, spent pool, ...)."""
-
-
-def _lp(value: bytes) -> bytes:
-    return len(value).to_bytes(4, "big") + value
-
-
-def _read_fields(data: bytes, expected_tag: int, count: int):
-    if not data or data[0] != expected_tag:
-        raise ValueError(f"expected tag {expected_tag}, got {data[:1]!r}")
-    fields = []
-    off = 1
-    for _ in range(count):
-        if off + 4 > len(data):
-            raise ValueError("truncated field length")
-        n = int.from_bytes(data[off : off + 4], "big")
-        off += 4
-        if off + n > len(data):
-            raise ValueError("field runs past end")
-        fields.append(data[off : off + n])
-        off += n
-    if off != len(data):
-        raise ValueError("trailing bytes")
-    return fields
 
 
 @dataclass(frozen=True)
@@ -129,14 +106,13 @@ class CoE:
         return verify(self.vm_pk, self.root, self.vm_signature)
 
     def to_bytes(self) -> bytes:
-        return bytes([TAG_COE]) + b"".join(
-            [_lp(self.root), _lp(self.vm_signature), _lp(self.vm_pk),
-             _lp(self.vm_cert.to_bytes())]
+        return encode_fields(
+            TAG_COE, [self.root, self.vm_signature, self.vm_pk, self.vm_cert.to_bytes()]
         )
 
     @staticmethod
     def from_bytes(data: bytes) -> "CoE":
-        root, vm_signature, vm_pk, cert = _read_fields(data, TAG_COE, 4)
+        root, vm_signature, vm_pk, cert = decode_fields(data, TAG_COE, 4)
         return CoE(
             root=root,
             vm_signature=vm_signature,
@@ -161,14 +137,15 @@ class VerificationRequest:
         return verify(self.requester_mpk, self._payload(), self.sign)
 
     def to_bytes(self) -> bytes:
-        return bytes([TAG_VERIFICATION_REQUEST]) + b"".join(
-            [_lp(self.encrypted_root.to_bytes()), _lp(self.requester_mpk),
-             _lp(self.requester_cert.to_bytes()), _lp(self.sign)]
+        return encode_fields(
+            TAG_VERIFICATION_REQUEST,
+            [self.encrypted_root.to_bytes(), self.requester_mpk,
+             self.requester_cert.to_bytes(), self.sign],
         )
 
     @staticmethod
     def from_bytes(data: bytes) -> "VerificationRequest":
-        ct, mpk, cert, signature = _read_fields(data, TAG_VERIFICATION_REQUEST, 4)
+        ct, mpk, cert, signature = decode_fields(data, TAG_VERIFICATION_REQUEST, 4)
         return VerificationRequest(
             encrypted_root=AsymCiphertext.from_bytes(ct),
             requester_mpk=mpk,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from random import Random
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..arb import make_join, negotiation_round
+from ..arb import make_join
 from ..crypto import KeyPair, hash_bytes, sign
 from ..ledger import Miner, make_producer_claim
 from ..meter import CoE, MeterError, SmartMeter, VerificationRequest
@@ -59,6 +59,13 @@ class Actor:
         pass
 
 
+# the metrics counter for each reason ``Mesh.next_hop`` drops a message
+_DROP_COUNTERS = {
+    "offer limit exceeded": "dropped_offer_limit",
+    "undeliverable": "undeliverable",
+}
+
+
 class BackboneActor(Actor):
     """Wraps one backbone node; forwards envelopes hop by hop."""
 
@@ -66,13 +73,9 @@ class BackboneActor(Actor):
         super().__init__(actor_id, world)
         self.node_id = node_id
 
-    @property
-    def node(self):
-        return self.world.mesh.nodes[self.node_id]
-
     def on_message(self, payload, now: int) -> None:
         if isinstance(payload, JoinRequest):
-            ok, reason = self.node.join(payload.join, self.world.mesh.table)
+            ok, reason = self.world.mesh.join(self.node_id, payload.join)
             self.world.metrics.bump("join_accepted" if ok else "join_rejected")
             self.world.send(payload.reply_to, JoinAck(payload.join.pk, ok, reason))
             return
@@ -82,27 +85,20 @@ class BackboneActor(Actor):
     def _route(self, env: Routed, now: int) -> None:
         env.trace.append(self.node_id)
         env.hops += 1
-        responsible = self.world.mesh.table.owner_of(env.dest_pk)
-        if responsible != self.node_id:
+        action, target = self.world.mesh.next_hop(self.node_id, env.dest_pk, env.payload, now)
+        metrics = self.world.metrics
+        if action == "forward":
             if env.hops >= 4:  # cannot happen with a consistent table
-                self.world.metrics.bump("routing_loops")
+                metrics.bump("routing_loops")
                 return
-            self.world.send(self.world.backbone_actor_id(responsible), env)
-            return
-        node = self.node
-        node.note_traffic(env.dest_pk, now)
-        round_counter = negotiation_round(env.payload)
-        if round_counter is not None and round_counter > node.offer_limit:
-            self.world.metrics.bump("dropped_offer_limit")
-            return
-        endpoint = node.members.get(env.dest_pk)
-        if endpoint is None:
-            self.world.metrics.bump("undeliverable")
-            return
-        env.trace.append(endpoint)
-        self.world.metrics.bump("messages_delivered")
-        self.world.metrics.bump("trace_hops_total", env.hops + 1)
-        self.world.send(endpoint, env)
+            self.world.send(target, env)
+        elif action == "deliver":
+            env.trace.append(target)
+            metrics.bump("messages_delivered")
+            metrics.bump("trace_hops_total", env.hops + 1)
+            self.world.send(target, env)
+        else:
+            metrics.bump(_DROP_COUNTERS[target])
 
 
 class MinerActor(Actor):
@@ -211,19 +207,27 @@ class ActiveDelivery:
 
 
 class MeterMixin:
-    """Shared meter duties: joining the backbone and answering VR traffic."""
+    """Shared duties: joining the backbone, unwrapping routed envelopes, VR traffic."""
 
     meter: Optional[SmartMeter]
     owns_meter: bool
+    _meter_join_sent: bool
 
     def _meter_join_step(self, now: int) -> None:
         if not self.owns_meter or self.meter is None:
             return
-        if getattr(self, "_meter_join_sent", False):
+        if self._meter_join_sent:
             return
         self._meter_join_sent = True
         join = make_join(self.meter.identity.keypair, self.id)
         self.world.send_join(self, join)
+
+    def _on_routed(self, env: Routed, now: int) -> None:
+        inner = decode_routed_payload(env.payload)
+        if self._handle_meter_traffic(env, inner, now):
+            return
+        if isinstance(inner, NegotiationMsg):
+            self._on_negotiation(inner, now)
 
     def _handle_meter_traffic(self, env: Routed, payload, now: int) -> bool:
         if self.meter is None or env.dest_pk != self.meter.public:
@@ -291,6 +295,7 @@ class ProducerActor(Actor, MeterMixin):
         super().__init__(actor_id, world)
         self.meter = meter
         self.owns_meter = owns_meter
+        self._meter_join_sent = False
         self.rng = rng
         self.offers = offers
         self.behavior = behavior
@@ -355,11 +360,7 @@ class ProducerActor(Actor, MeterMixin):
 
     def on_message(self, payload, now: int) -> None:
         if isinstance(payload, Routed):
-            inner = decode_routed_payload(payload.payload)
-            if self._handle_meter_traffic(payload, inner, now):
-                return
-            if isinstance(inner, NegotiationMsg):
-                self._on_negotiation(inner, now)
+            self._on_routed(payload, now)
             return
         if isinstance(payload, BlockGossip):
             for tx in payload.block.txs:
@@ -513,38 +514,24 @@ class ProducerActor(Actor, MeterMixin):
         if now >= self.forge_target.expiry_time:
             return
         src = self.harvested
-        if self.forgeries_sent % 2 == 0:
-            # fresh key: the inclusion proof cannot cover it
-            erc = ERCTx(
-                t_id=b"",
-                time_stamp=now,
-                ctp_id=self.forge_target.t_id,
-                price=self.forge_target.price,
-                coe_root=src.coe_root,
-                coe_vm_sign=src.coe_vm_sign,
-                coe_vm_cert=src.coe_vm_cert,
-                coe_pk=src.coe_pk,
-                merkle_hashes=src.merkle_hashes,
-                pk=self.forge_keypair.public,
-                sign=b"",
-            )
-            erc = replace(erc, sign=sign(self.forge_keypair, signing_digest(erc)))
-        else:
-            # revealed leaf key: proof verifies but the signature cannot
-            erc = ERCTx(
-                t_id=b"",
-                time_stamp=now,
-                ctp_id=self.forge_target.t_id,
-                price=self.forge_target.price,
-                coe_root=src.coe_root,
-                coe_vm_sign=src.coe_vm_sign,
-                coe_vm_cert=src.coe_vm_cert,
-                coe_pk=src.coe_pk,
-                merkle_hashes=src.merkle_hashes,
-                pk=src.pk,
-                sign=b"",
-            )
-            erc = replace(erc, sign=sign(self.forge_keypair, signing_digest(erc)))
+        # even attempts use a fresh key, which the inclusion proof cannot
+        # cover; odd ones reuse the revealed leaf key, whose proof verifies
+        # but whose signature the forger cannot make
+        pk = self.forge_keypair.public if self.forgeries_sent % 2 == 0 else src.pk
+        erc = ERCTx(
+            t_id=b"",
+            time_stamp=now,
+            ctp_id=self.forge_target.t_id,
+            price=self.forge_target.price,
+            coe_root=src.coe_root,
+            coe_vm_sign=src.coe_vm_sign,
+            coe_vm_cert=src.coe_vm_cert,
+            coe_pk=src.coe_pk,
+            merkle_hashes=src.merkle_hashes,
+            pk=pk,
+            sign=b"",
+        )
+        erc = replace(erc, sign=sign(self.forge_keypair, signing_digest(erc)))
         erc = replace(erc, t_id=compute_t_id(erc))
         self.forgeries_sent += 1
         self.world.metrics.bump("forgeries_sent")
@@ -593,6 +580,7 @@ class ConsumerActor(Actor, MeterMixin):
         self.account = account
         self.meter = meter
         self.owns_meter = owns_meter
+        self._meter_join_sent = False
         self.rng = rng
         self.behavior = behavior
         self.max_trades = max_trades
@@ -614,6 +602,7 @@ class ConsumerActor(Actor, MeterMixin):
         self.flood_sent = 0
         self.flood_session: Optional[KeyPair] = None
         self.flood_target: Optional[tuple] = None
+        self._flood_joined = False
 
     # -- initialization: meter join, key pool, endorsement --------------------
 
@@ -852,7 +841,7 @@ class ConsumerActor(Actor, MeterMixin):
             return
         if self.flood_sent >= self.world.config.flood_offers:
             return
-        if not getattr(self, "_flood_joined", False):
+        if not self._flood_joined:
             return
         pk, _ = self.flood_target
         self.flood_sent += 1
@@ -880,11 +869,7 @@ class ConsumerActor(Actor, MeterMixin):
             self.on_join_ack(payload, now)
             return
         if isinstance(payload, Routed):
-            inner = decode_routed_payload(payload.payload)
-            if self._handle_meter_traffic(payload, inner, now):
-                return
-            if isinstance(inner, NegotiationMsg):
-                self._on_negotiation(inner, now)
+            self._on_routed(payload, now)
             return
         if isinstance(payload, BlockGossip):
             for tx in payload.block.txs:

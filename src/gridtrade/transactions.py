@@ -24,7 +24,7 @@ covers the hash of the unsigned encoding (tag plus body fields).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .crypto import (
     DIGEST_LEN,
@@ -104,6 +104,21 @@ class _Reader:
     def done(self) -> None:
         if self.off != len(self.data):
             raise DecodeError(f"{len(self.data) - self.off} trailing bytes")
+
+
+def encode_fields(tag: int, fields: List[bytes]) -> bytes:
+    """A tag byte, then each field length-prefixed as in the canonical encoding."""
+    return bytes([tag]) + b"".join(_lp(value) for value in fields)
+
+
+def decode_fields(data: bytes, tag: int, count: int) -> List[bytes]:
+    """Inverse of ``encode_fields`` for ``count`` fields; raises DecodeError."""
+    if data[:1] != bytes([tag]):
+        raise DecodeError(f"expected tag {tag}, got {data[:1]!r}")
+    r = _Reader(data[1:])
+    fields = [r.field() for _ in range(count)]
+    r.done()
+    return fields
 
 
 @dataclass(frozen=True)

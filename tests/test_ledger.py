@@ -235,6 +235,15 @@ class TestReceiptValidation:
         forged = replace(forged, t_id=compute_t_id(forged))
         assert trade.rig.ledger.validate_erc(forged) == (False, "e")
 
+    @pytest.mark.parametrize("time_stamp", [2**64, -1])
+    def test_unencodable_receipt_fails_step_e(self, trade, time_stamp):
+        # a time stamp outside u64 cannot be encoded, so nothing signs it
+        erc = replace(trade.completed_erc(), time_stamp=time_stamp)
+        assert trade.rig.ledger.validate_erc(erc) == (False, "e")
+        result = trade.rig.ledger.apply_tx(erc)
+        assert not result.accepted
+        assert result.reason == "receipt invalid at step e"
+
 
 class TestSettlement:
     def test_arithmetic(self, trade):

@@ -11,12 +11,28 @@ from gridtrade.meter import (
     SmartMeter,
     provision_meter,
 )
-from gridtrade.transactions import make_ctp
+from gridtrade.transactions import MAX_FIELD_LEN, DecodeError, make_ctp
 
 
 def fresh_meter(manufacturer, seed: int) -> SmartMeter:
     rng = Random(seed)
     return SmartMeter(provision_meter(manufacturer, rng), Random(seed + 1000))
+
+
+def _overlong_first_field(data: bytes) -> bytes:
+    n = int.from_bytes(data[1:5], "big")
+    big = MAX_FIELD_LEN + 1
+    return data[:1] + big.to_bytes(4, "big") + bytes(big) + data[5 + n :]
+
+
+# how each malformed encoding is made from a good one, and the error it gets
+MALFORMED = {
+    "wrong tag": (lambda data: bytes([data[0] ^ 0xFF]) + data[1:], "expected tag"),
+    "truncated length prefix": (lambda data: data[:3], "truncated length prefix"),
+    "field runs past end": (lambda data: data[:-3], "runs past end"),
+    "trailing bytes": (lambda data: data + b"\x00", "trailing bytes"),
+    "overlong field": (_overlong_first_field, "overlong field"),
+}
 
 
 class TestKeyPool:
@@ -256,6 +272,20 @@ class TestWireEncodings:
         vr = requester.make_verification_request(pool, verifier.public)
         with pytest.raises(ValueError):
             type(vr).from_bytes(vr.to_bytes()[:-3])
+
+    @pytest.mark.parametrize("kind", ["request", "endorsement"])
+    @pytest.mark.parametrize("defect", sorted(MALFORMED))
+    def test_malformed_encoding_rejected(self, rig, kind, defect):
+        requester = fresh_meter(rig.manufacturer, 46)
+        verifier = fresh_meter(rig.manufacturer, 47)
+        message = requester.make_verification_request(
+            requester.generate_key_pool(2), verifier.public
+        )
+        if kind == "endorsement":
+            message = verifier.process_verification_request(message, rig.manufacturer.public)
+        mangle, error = MALFORMED[defect]
+        with pytest.raises(DecodeError, match=error):
+            type(message).from_bytes(mangle(message.to_bytes()))
 
 
 class TestLedgerIntegration:

@@ -1,11 +1,15 @@
 """Simulator: configuration, scenario runs, determinism, and the CLI."""
 
+import heapq
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
+from gridtrade.arb import make_join
+from gridtrade.crypto import KeyPair
 from gridtrade.sim import (
     ScenarioConfig,
     format_config,
@@ -13,8 +17,11 @@ from gridtrade.sim import (
     preset,
     run_scenario,
 )
+from gridtrade.sim.actors import Actor
 from gridtrade.sim.cli import main as cli_main
+from gridtrade.sim.messages import Ping
 from gridtrade.sim.world import World
+from gridtrade.transactions import make_negotiation
 
 
 class TestConfig:
@@ -124,6 +131,81 @@ class TestScenarios:
         world = World(preset("none", seed=13))
         with pytest.raises(ValueError):
             world.send("miner-0", object(), delay=0)
+
+
+class Endpoint(Actor):
+    """A joined member that records the envelopes delivered to it."""
+
+    def __init__(self, actor_id: str, world):
+        super().__init__(actor_id, world)
+        self.received = []
+
+    def on_message(self, payload, now: int) -> None:
+        self.received.append(payload)
+
+
+def _deliver_all(world: World) -> None:
+    while world._queue:
+        tick, _, dest, payload = heapq.heappop(world._queue)
+        world.now = tick
+        world.actors[dest].on_message(payload, tick)
+
+
+class TestSimulatedRouting:
+    """The backbone actors route by the same decision as ``Mesh.route``."""
+
+    def _world_with_members(self, count: int):
+        world = World(preset("none", seed=5, backbones=4))
+        rng = Random(606)
+        members = []
+        for i in range(count):
+            kp = KeyPair.generate(rng)
+            endpoint = Endpoint(f"endpoint-{i}", world)
+            world.actors[endpoint.id] = endpoint
+            owner = world.mesh.table.owner_of(kp.public)
+            accepted, reason = world.mesh.join(owner, make_join(kp, endpoint.id))
+            assert accepted, reason
+            members.append((kp, endpoint))
+        return world, members, rng
+
+    def test_delivered_traces_match_mesh_route(self):
+        world, members, _ = self._world_with_members(12)
+        hops, lengths = 0, set()
+        for src_kp, src in members:
+            for dst_kp, dst in members:
+                world.send_routed(src, src_kp.public, dst_kp.public, Ping(b"audit"))
+                _deliver_all(world)
+                (env,) = dst.received
+                dst.received.clear()
+                expected = world.mesh.route(
+                    src.id, world.mesh.table.owner_of(src_kp.public), dst_kp.public, env.payload
+                )
+                assert expected.delivered and expected.endpoint == dst.id
+                assert env.trace == expected.trace
+                hops += len(env.trace) - 1
+                lengths.add(len(env.trace))
+        assert lengths == {3, 4}  # entry backbone responsible, and one forward
+        assert world.metrics.get("messages_delivered") == len(members) ** 2
+        assert world.metrics.get("trace_hops_total") == hops
+        assert world.metrics.get("routing_loops") == 0
+
+    def test_drops_bump_their_counters(self):
+        world, members, rng = self._world_with_members(2)
+        (src_kp, src), (dst_kp, dst) = members
+        entry = world.mesh.table.owner_of(src_kp.public)
+        over_limit = make_negotiation(dst_kp.public, 5, 0, world.config.offer_limit + 1, src_kp)
+        world.send_routed(src, src_kp.public, dst_kp.public, over_limit)
+        stranger = KeyPair.generate(rng).public
+        world.send_routed(src, src_kp.public, stranger, Ping(b"audit"))
+        _deliver_all(world)
+        assert dst.received == []
+        assert world.metrics.get("dropped_offer_limit") == 1
+        assert world.metrics.get("undeliverable") == 1
+        assert world.metrics.get("messages_delivered") == 0
+        assert world.mesh.route(src.id, entry, dst_kp.public, over_limit).reason == (
+            "offer limit exceeded"
+        )
+        assert world.mesh.route(src.id, entry, stranger, b"").reason == "undeliverable"
 
 
 class TestCli:
