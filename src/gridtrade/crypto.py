@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from random import Random
-from typing import Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -100,22 +100,41 @@ def sign(keypair: KeyPair, message: bytes) -> Signature:
     return keypair._ed_private().sign(message)
 
 
+# verify's process-wide memo. Its key is the whole input, so a hit returns
+# what the Ed25519 check would. The cap bounds memory in a process that
+# runs many scenarios one after another; it is a constant, not a setting.
+VERIFY_MEMO_CAP = 1024
+_verify_memo: Dict[Tuple[bytes, bytes, bytes], bool] = {}
+
+
 def verify(public: PublicKey, message: bytes, signature: Signature) -> bool:
     """True iff ``signature`` was made by the private half of ``public``.
 
-    Total: malformed keys or signatures return False, never raise.
+    Total: malformed keys, messages or signatures return False, never
+    raise. Results, True and False alike, are memoised in a FIFO memo of at
+    most ``VERIFY_MEMO_CAP`` entries keyed by the exact bytes of all three
+    inputs, so a repeated check (the same commitment verified by every
+    miner, or again when a block is applied) costs one dict lookup.
     """
     if not isinstance(public, (bytes, bytearray)) or len(public) != PUBLIC_KEY_LEN:
         return False
     if not isinstance(signature, (bytes, bytearray)) or len(signature) != SIGNATURE_LEN:
         return False
-    try:
-        Ed25519PublicKey.from_public_bytes(bytes(public[:32])).verify(
-            bytes(signature), bytes(message)
-        )
-        return True
-    except (InvalidSignature, ValueError):
+    if not isinstance(message, (bytes, bytearray)):
         return False
+    key = (bytes(public), bytes(message), bytes(signature))
+    ok = _verify_memo.get(key)
+    if ok is not None:
+        return ok
+    try:
+        Ed25519PublicKey.from_public_bytes(key[0][:32]).verify(key[2], key[1])
+        ok = True
+    except (InvalidSignature, ValueError):
+        ok = False
+    if len(_verify_memo) >= VERIFY_MEMO_CAP:
+        _verify_memo.pop(next(iter(_verify_memo)), None)
+    _verify_memo[key] = ok
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -362,16 +381,21 @@ def merkle_verify(root: HashDigest, leaf: bytes, proof: MerkleProof) -> bool:
     Total: any mismatch or malformed proof returns False.
     """
     try:
-        current = hash_bytes(leaf)
-        for digest, side in proof.siblings:
-            if not isinstance(digest, (bytes, bytearray)) or len(digest) != DIGEST_LEN:
+        siblings = proof.siblings
+        for digest, side in siblings:
+            if (
+                not isinstance(digest, (bytes, bytearray))
+                or len(digest) != DIGEST_LEN
+                or side not in (LEFT, RIGHT)
+            ):
                 return False
+        sha256 = hashlib.sha256
+        current = sha256(leaf).digest()
+        for digest, side in siblings:
             if side == RIGHT:
-                current = hash_bytes(current + digest)
-            elif side == LEFT:
-                current = hash_bytes(digest + current)
+                current = sha256(current + digest).digest()
             else:
-                return False
+                current = sha256(digest + current).digest()
         return current == root
-    except (TypeError, AttributeError):
+    except (TypeError, AttributeError, ValueError):
         return False

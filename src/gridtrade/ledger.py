@@ -82,11 +82,35 @@ class AccountState:
         return AccountState(self.coin_balance, self.energy_balance, self.last_tx_id)
 
 
+_NEVER = float("inf")  # expiry bound of an empty pending database
+
+
 class CTPDatabase:
-    """Miner-local store of pending, unmined payment commitments."""
+    """Miner-local store of pending, unmined payment commitments.
+
+    ``entries`` maps each commitment id to ``(tx, admitted_at)``. Alongside
+    it the database keeps state derived from the entries, so that reads do
+    no work proportional to the database size:
+
+    - ``_encoded``: each entry's canonical encoding, made once on insert;
+    - ``_pending``: each payer's running sum of pending prices;
+    - ``_digest``: the last computed digest, or None once anything changed;
+    - ``_next_expiry``: no entry expires before it, so a sweep at an
+      earlier tick returns at once.
+
+    Invariant: after every ``insert``, ``remove`` and ``sweep_expired``,
+    ``_encoded`` has exactly the keys of ``entries``, each ``_pending``
+    value equals the sum over ``entries`` for that payer, and a non-None
+    ``_digest`` equals the digest recomputed from ``entries``. Change the
+    database only through those methods; ``clone`` copies all of it.
+    """
 
     def __init__(self):
         self.entries: Dict[HashDigest, Tuple[CTPTx, int]] = {}
+        self._encoded: Dict[HashDigest, bytes] = {}
+        self._pending: Dict[PublicKey, int] = {}
+        self._digest: Optional[HashDigest] = None
+        self._next_expiry: float = _NEVER
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -99,37 +123,62 @@ class CTPDatabase:
         return entry[0] if entry else None
 
     def insert(self, tx: CTPTx, now: int) -> None:
+        encoded = encode_canonical(tx)
+        self.remove(tx.t_id)
         self.entries[tx.t_id] = (tx, now)
+        self._encoded[tx.t_id] = encoded
+        self._pending[tx.pk] = self._pending.get(tx.pk, 0) + tx.price
+        self._next_expiry = min(self._next_expiry, tx.expiry_time)
+        self._digest = None
 
     def remove(self, ctp_id: HashDigest) -> None:
-        self.entries.pop(ctp_id, None)
+        entry = self.entries.pop(ctp_id, None)
+        if entry is None:
+            return
+        tx = entry[0]
+        del self._encoded[ctp_id]
+        self._pending[tx.pk] -= tx.price
+        self._digest = None  # _next_expiry stays a valid lower bound
 
     def pending_total(self, pk: PublicKey) -> int:
-        return sum(tx.price for tx, _ in self.entries.values() if tx.pk == pk)
+        return self._pending.get(pk, 0)
 
     def sweep_expired(self, now: int) -> List[HashDigest]:
         """Drop every entry with expiry_time <= now; returns released ids."""
+        if now < self._next_expiry:
+            return []
         released = sorted(
             ctp_id
             for ctp_id, (tx, _) in self.entries.items()
             if tx.expiry_time <= now
         )
         for ctp_id in released:
-            del self.entries[ctp_id]
+            self.remove(ctp_id)
+        self._next_expiry = min(
+            (tx.expiry_time for tx, _ in self.entries.values()), default=_NEVER
+        )
         return released
 
     def digest(self) -> HashDigest:
-        """Deterministic digest over entries sorted by commitment id."""
-        parts = []
-        for ctp_id in sorted(self.entries):
-            tx, _ = self.entries[ctp_id]
-            parts.append(ctp_id)
-            parts.append(encode_canonical(tx))
-        return hash_bytes(b"".join(parts))
+        """Deterministic digest over entries sorted by commitment id.
+
+        The hash covers each id followed by its canonical encoding. It is
+        computed at most once per change to the database.
+        """
+        if self._digest is None:
+            encoded = self._encoded
+            self._digest = hash_bytes(
+                b"".join(ctp_id + encoded[ctp_id] for ctp_id in sorted(encoded))
+            )
+        return self._digest
 
     def clone(self) -> "CTPDatabase":
         other = CTPDatabase()
         other.entries = dict(self.entries)
+        other._encoded = dict(self._encoded)
+        other._pending = dict(self._pending)
+        other._digest = self._digest
+        other._next_expiry = self._next_expiry
         return other
 
 

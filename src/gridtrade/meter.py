@@ -36,7 +36,15 @@ from .crypto import (
     sign,
     verify,
 )
-from .transactions import CTPTx, ContractTerms, ERCTx, decode_fields, encode_fields, make_erc
+from .transactions import (
+    CTPTx,
+    ContractTerms,
+    DecodeError,
+    ERCTx,
+    decode_fields,
+    encode_fields,
+    make_erc,
+)
 
 TAG_VERIFICATION_REQUEST = 0x30
 TAG_COE = 0x31
@@ -113,12 +121,11 @@ class CoE:
     @staticmethod
     def from_bytes(data: bytes) -> "CoE":
         root, vm_signature, vm_pk, cert = decode_fields(data, TAG_COE, 4)
-        return CoE(
-            root=root,
-            vm_signature=vm_signature,
-            vm_pk=vm_pk,
-            vm_cert=Certificate.from_bytes(cert),
-        )
+        try:
+            vm_cert = Certificate.from_bytes(cert)
+        except ValueError as exc:
+            raise DecodeError(str(exc)) from exc
+        return CoE(root=root, vm_signature=vm_signature, vm_pk=vm_pk, vm_cert=vm_cert)
 
 
 @dataclass(frozen=True)
@@ -146,10 +153,15 @@ class VerificationRequest:
     @staticmethod
     def from_bytes(data: bytes) -> "VerificationRequest":
         ct, mpk, cert, signature = decode_fields(data, TAG_VERIFICATION_REQUEST, 4)
+        try:
+            encrypted_root = AsymCiphertext.from_bytes(ct)
+            requester_cert = Certificate.from_bytes(cert)
+        except ValueError as exc:
+            raise DecodeError(str(exc)) from exc
         return VerificationRequest(
-            encrypted_root=AsymCiphertext.from_bytes(ct),
+            encrypted_root=encrypted_root,
             requester_mpk=mpk,
-            requester_cert=Certificate.from_bytes(cert),
+            requester_cert=requester_cert,
             sign=signature,
         )
 

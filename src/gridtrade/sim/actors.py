@@ -21,6 +21,7 @@ from ..meter import CoE, MeterError, SmartMeter, VerificationRequest
 from ..transactions import (
     ContractTerms,
     CTPTx,
+    DecodeError,
     ERCTx,
     GenesisTx,
     GENESIS_CERTIFICATE,
@@ -223,7 +224,11 @@ class MeterMixin:
         self.world.send_join(self, join)
 
     def _on_routed(self, env: Routed, now: int) -> None:
-        inner = decode_routed_payload(env.payload)
+        try:
+            inner = decode_routed_payload(env.payload)
+        except DecodeError:  # malformed wire bytes: count and drop
+            self.world.metrics.bump("routed_malformed")
+            return
         if self._handle_meter_traffic(env, inner, now):
             return
         if isinstance(inner, NegotiationMsg):

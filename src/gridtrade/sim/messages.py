@@ -15,7 +15,7 @@ from ..arb import JoinMessage
 from ..crypto import PublicKey
 from ..ledger import Block, ProducerClaim
 from ..meter import TAG_COE, TAG_VERIFICATION_REQUEST, CoE, VerificationRequest
-from ..transactions import Transaction, decode_canonical, encode_canonical
+from ..transactions import DecodeError, Transaction, decode_canonical, encode_canonical
 
 TAG_PING = 0x32
 
@@ -69,6 +69,9 @@ def encode_routed_payload(payload: RoutablePayload) -> bytes:
 
 
 def decode_routed_payload(data: bytes) -> RoutablePayload:
+    """Inverse of ``encode_routed_payload``; raises DecodeError."""
+    if not data:
+        raise DecodeError("empty routed payload")
     tag = data[0]
     if tag == TAG_VERIFICATION_REQUEST:
         return VerificationRequest.from_bytes(data)

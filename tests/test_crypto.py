@@ -4,10 +4,14 @@ import hashlib
 from random import Random
 
 import pytest
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
+from gridtrade import crypto
 from gridtrade.crypto import (
     LEFT,
     RIGHT,
+    VERIFY_MEMO_CAP,
     AsymCiphertext,
     Certificate,
     DecryptionError,
@@ -99,6 +103,100 @@ class TestSignatures:
     def test_keypair_reproducible_from_seed(self):
         seed = bytes(range(32))
         assert KeyPair.from_seed(seed).public == KeyPair.from_seed(seed).public
+
+
+def _reference_verify(public: bytes, message: bytes, signature: bytes) -> bool:
+    """Straight Ed25519 check, with no memo, for comparison."""
+    try:
+        Ed25519PublicKey.from_public_bytes(public[:32]).verify(signature, message)
+        return True
+    except (InvalidSignature, ValueError):
+        return False
+
+
+def _flipped(data: bytes, bit: int) -> bytes:
+    out = bytearray(data)
+    out[bit >> 3] ^= 1 << (bit & 7)
+    return bytes(out)
+
+
+class TestVerifyMemo:
+    """``verify`` answers repeats from its memo; every answer stays exact."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        crypto._verify_memo.clear()
+        yield
+        crypto._verify_memo.clear()
+
+    def test_one_bit_flips_after_a_cached_true(self):
+        kp = KeyPair.generate(Random(30))
+        msg = b"commitment digest"
+        sig = sign(kp, msg)
+        assert verify(kp.public, msg, sig) and verify(kp.public, msg, sig)
+        assert crypto._verify_memo[(kp.public, msg, sig)] is True
+        for bit in range(256):  # the Ed25519 half of the key
+            assert not verify(_flipped(kp.public, bit), msg, sig)
+        for bit in range(len(msg) * 8):
+            assert not verify(kp.public, _flipped(msg, bit), sig)
+        for bit in range(len(sig) * 8):
+            assert not verify(kp.public, msg, _flipped(sig, bit))
+        # the X25519 half takes no part in signatures, with or without the memo
+        for bit in range(256, 512):
+            flipped = _flipped(kp.public, bit)
+            assert verify(flipped, msg, sig) == _reference_verify(flipped, msg, sig)
+        assert verify(kp.public, msg, sig)
+
+    def test_cached_false_stays_false(self):
+        a, b = KeyPair.generate(Random(31)), KeyPair.generate(Random(32))
+        sig = sign(a, b"m")
+        for _ in range(3):
+            assert verify(b.public, b"m", sig) is False
+        assert crypto._verify_memo[(b.public, b"m", sig)] is False
+        assert verify(a.public, b"m", sig) is True
+
+    def test_bytearray_and_bytes_agree(self):
+        kp = KeyPair.generate(Random(33))
+        msg = bytearray(b"mutable message")
+        sig = sign(kp, bytes(msg))
+        args = (bytearray(kp.public), msg, bytearray(sig))
+        assert verify(*args) is verify(kp.public, bytes(msg), sig) is True
+        # the memo keeps a copy: changing the caller's buffer changes the answer
+        msg[0] ^= 1
+        assert verify(*args) is verify(kp.public, bytes(msg), sig) is False
+
+    def test_malformed_inputs_return_false(self):
+        kp = KeyPair.generate(Random(34))
+        sig = sign(kp, b"m")
+        bad_calls = [
+            (kp.public[:-1], b"m", sig),
+            (kp.public + b"\x00", b"m", sig),
+            (kp.public, b"m", sig[:-1]),
+            (kp.public, b"m", sig + b"\x00"),
+            (None, b"m", sig),
+            (kp.public.hex(), b"m", sig),
+            (kp.public, "m", sig),
+            (kp.public, None, sig),
+            (kp.public, 1, sig),
+            (kp.public, b"m", None),
+            (kp.public, b"m", list(sig)),
+            (bytes(64), b"m", sig),
+        ]
+        for _ in range(2):  # a second round would hit any memoised entry
+            for call in bad_calls:
+                assert verify(*call) is False
+
+    def test_memo_is_bounded_and_evicts_oldest_first(self):
+        kp = KeyPair.generate(Random(35))
+        sig = sign(kp, b"m")
+        messages = [i.to_bytes(4, "big") for i in range(VERIFY_MEMO_CAP + 50)]
+        for msg in messages:
+            assert not verify(kp.public, msg, sig)
+            assert len(crypto._verify_memo) <= VERIFY_MEMO_CAP
+        assert len(crypto._verify_memo) == VERIFY_MEMO_CAP
+        assert (kp.public, messages[49], sig) not in crypto._verify_memo
+        assert (kp.public, messages[50], sig) in crypto._verify_memo
+        assert verify(kp.public, b"m", sig)
 
 
 class TestCertificates:
@@ -220,6 +318,10 @@ class TestMerkle:
         assert not merkle_verify(tree.root, b"a", junk)
         wrong_side = MerkleProof(0, ((proof.siblings[0][0], 7),))
         assert not merkle_verify(tree.root, b"a", wrong_side)
+        for siblings in [((proof.siblings[0][0],),), (None,), 5]:
+            assert not merkle_verify(tree.root, b"a", MerkleProof(0, siblings))
+        assert not merkle_verify(tree.root, "a", proof)
+        assert not merkle_verify(tree.root, b"a", None)
 
     def test_proof_wire_format(self):
         # leaf_index (4B big-endian) || count (1B) || (side 1B || digest 32B)*

@@ -1,0 +1,44 @@
+"""Golden digests: every preset's chain dump and ``metrics.kv`` stay byte-identical.
+
+The SHA-256 values below were recorded before the pending-DB and verify
+caches existed. A change that only makes the program faster must leave
+every one of them unchanged; a change that alters protocol behaviour on
+purpose re-records them and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from gridtrade.sim import preset, run_scenario
+from gridtrade.sim.scenarios import SCENARIOS
+
+# (preset, seed) -> (sha256 of chain_dump, sha256 of metrics.render_kv())
+GOLDEN = dict([
+    (("none", 1), ("acabdfcb6d7a77456a1c972798e3cc934a897965e5f4b53f1b13b8e8330dd839", "e240c335d8c508aa7c814552d2ebe3a623aae9de58e33c33da012751510723a3")),
+    (("none", 2), ("119c5e64542af205070f5797877f120ef7247f5af011bef47bacc30a2cf4c87a", "a7e374f2c09d451fc4c4627dbd9416ccec3090528351451fbcc63eca613d104c")),
+    (("malicious_producer", 1), ("dddc6d7d1338a7a09a52f702cb1d8d83f6ac6c082a5a13cb1380cf1fce1e6359", "24a242c9d74b9ebe9dd96be6a1a6ca96436e7162eb33a6dafa6c9b68552f199e")),
+    (("malicious_producer", 2), ("da6648e957cb6186f49a81d0bdfebc570b96cbb3632286dd2da5c06f0f856e33", "cc926452899daf7140c0a0987fc3212f1802d480edc0fcbeca1ab0aa45673393")),
+    (("malicious_consumer", 1), ("c00280119b31c74576ed1482cbde13741b4802b78b330422d1d1335f25a21b59", "faaa86a3e2bb9c636457bce30e778a1e7e42ec4e11ef1a55ea7757de2ecd5598")),
+    (("malicious_consumer", 2), ("0442f84138d9f0bcb62879e6f1c55bfda3a4fbd9256d453bfe9acb1d4e67ddd0", "e7b32fbfa2e86a5821a54314b27ae759f9ef0f590e25c85f7d3797bac3875773")),
+    (("coe_forgery", 1), ("0ecfd27ae075a963ac3350907bf3eaa9a5d1068f8ea85dacd45ecb5ebff23ef8", "8a5fe69696f6ee8f92b6a903fb0d8c7685721180b657ee36922eb9d93cedec37")),
+    (("coe_forgery", 2), ("86e81eae3ae6f8b6482070cb25745f43eca404db977b8dbd760a7efaff61bcd0", "8c72aceb3193a04610586bb4e3c10550a44427b8aa3ac9594134b263744fa04a")),
+    (("double_spend", 1), ("b0351a583390ccf6518dda9d36bf28d7785dec92b53f878f2adb4b8bc5bf3bc5", "4810c671353f998aad0fb31afc83b74a5fbf0bbddbf95b2967d7ef50f3aff629")),
+    (("double_spend", 2), ("b4235f660c74abcae11e8386dae1b63fbf293bd3debe70cccde20df2993e6617", "72db304df6451be2f6ebeb41a3d50f29e2d993bac0de7c2f653ab1a5ccb73d5c")),
+    (("negotiation_flood", 1), ("9db65b889699e3360e76dc9634cfeb43f83cbc8db2e34c91ef533b8e978f4e8b", "ad80d038c6292f1dd839c48cb9e33a313c6ced94c53d09892385bb6825c705be")),
+    (("negotiation_flood", 2), ("33f035c16497e9aac3e22b90bc7ef8974814a6e998965769238a27e5e5f81169", "c0beeacb9979d2f17e9ba29038a506f5cebef5d83d2286e5b8f3d3c3344c89c0")),
+    (("routing_overload", 1), ("c1935af227bf1f990ac21bc39a06954a0236d2ef31527bf5453053630982522c", "fe05cf9c4dc8a3c00995b4b6adf3f88049dd1a55914ac733c91ca8f11e99991d")),
+    (("routing_overload", 2), ("2e3d0c0b3740a413fcb725d2d229f536cbcf3f7f893d419560159ca54c417d57", "aaa5c98abd502ebc9ae5efb71c459524f392d87b7cca82ecb528eaae7d73220e")),
+])
+
+
+def test_every_preset_is_pinned():
+    assert {attack for attack, _ in GOLDEN} == set(SCENARIOS)
+
+
+@pytest.mark.parametrize("attack,seed", sorted(GOLDEN))
+def test_chain_dump_and_metrics_match_golden(attack, seed):
+    result = run_scenario(preset(attack, seed=seed))
+    dump_sha = hashlib.sha256(result.chain_dump).hexdigest()
+    kv_sha = hashlib.sha256(result.metrics.render_kv().encode()).hexdigest()
+    assert (dump_sha, kv_sha) == GOLDEN[(attack, seed)]

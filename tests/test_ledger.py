@@ -4,11 +4,14 @@ from dataclasses import replace
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridtrade.crypto import KeyPair, hash_bytes, issue_certificate, sign
 from gridtrade.ledger import (
     Block,
     Blockchain,
+    CTPDatabase,
     Ledger,
     Miner,
     ProducerClaim,
@@ -16,6 +19,7 @@ from gridtrade.ledger import (
 )
 from gridtrade.transactions import (
     GENESIS_COIN_BURN,
+    encode_canonical,
     make_ctp,
     make_genesis,
     make_supply_energy,
@@ -166,6 +170,78 @@ class TestCommitToPay:
         assert released == inserted
         assert len(rig.ledger.ctp_db) == 0
         assert _available_oracle(rig.ledger, self.consumer.public) == 10_000
+
+
+def _pool_of_ctps():
+    """Three payers with eight commitments each, expiring over ticks 1-20."""
+    rng = Random(4242)
+    payers = [KeyPair.generate(rng) for _ in range(3)]
+    pool = []
+    for payer in payers:
+        for _ in range(8):
+            expiry = rng.randrange(1, 21)
+            pool.append(make_ctp(0, expiry, rng.randrange(1, 50),
+                                 hash_bytes(rng.randbytes(8)), payer))
+    return [kp.public for kp in payers], pool
+
+
+PAYERS, CTP_POOL = _pool_of_ctps()
+
+_db_op = st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, len(CTP_POOL) - 1), st.integers(0, 25)),
+    st.tuples(st.just("remove"), st.integers(0, len(CTP_POOL) - 1)),
+    st.tuples(st.just("sweep"), st.integers(0, 25)),
+    st.tuples(st.just("clone"), st.booleans()),
+)
+
+
+def _assert_matches_recount(db: CTPDatabase) -> None:
+    """Every cached read equals a recount over ``entries``."""
+    for pk in PAYERS:
+        assert db.pending_total(pk) == sum(
+            tx.price for tx, _ in db.entries.values() if tx.pk == pk
+        )
+    assert db.digest() == hash_bytes(
+        b"".join(
+            ctp_id + encode_canonical(db.entries[ctp_id][0]) for ctp_id in sorted(db.entries)
+        )
+    )
+
+
+def _apply_op(db: CTPDatabase, op) -> None:
+    kind = op[0]
+    if kind == "insert":
+        db.insert(CTP_POOL[op[1]], op[2])
+    elif kind == "remove":
+        db.remove(CTP_POOL[op[1]].t_id)
+    elif kind == "sweep":
+        now = op[1]
+        due = sorted(c for c, (tx, _) in db.entries.items() if tx.expiry_time <= now)
+        assert db.sweep_expired(now) == due
+        assert all(tx.expiry_time > now for tx, _ in db.entries.values())
+
+
+class TestPendingDatabaseProperties:
+    """The pending DB's cached totals, digest and expiry bound never go stale."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=st.lists(_db_op, max_size=40))
+    def test_cached_state_equals_recount(self, ops):
+        db = CTPDatabase()
+        for i, op in enumerate(ops):
+            if op[0] == "clone":
+                # mutate a copy with the next op; the original must not move
+                before = (db.digest(), [db.pending_total(pk) for pk in PAYERS], dict(db.entries))
+                child = db.clone()
+                if i + 1 < len(ops) and ops[i + 1][0] != "clone":
+                    _apply_op(child, ops[i + 1])
+                assert (db.digest(), [db.pending_total(pk) for pk in PAYERS], db.entries) == before
+                _assert_matches_recount(child)
+                if op[1]:
+                    db = child
+            else:
+                _apply_op(db, op)
+            _assert_matches_recount(db)
 
 
 class TestReceiptValidation:

@@ -4,14 +4,20 @@ from random import Random
 
 import pytest
 
-from gridtrade.crypto import KeyPair, merkle_verify
+from gridtrade.crypto import CERTIFICATE_LEN, KeyPair, merkle_verify
 from gridtrade.meter import (
     CoE,
     MeterError,
     SmartMeter,
     provision_meter,
 )
-from gridtrade.transactions import MAX_FIELD_LEN, DecodeError, make_ctp
+from gridtrade.transactions import (
+    MAX_FIELD_LEN,
+    DecodeError,
+    decode_fields,
+    encode_fields,
+    make_ctp,
+)
 
 
 def fresh_meter(manufacturer, seed: int) -> SmartMeter:
@@ -25,6 +31,12 @@ def _overlong_first_field(data: bytes) -> bytes:
     return data[:1] + big.to_bytes(4, "big") + bytes(big) + data[5 + n :]
 
 
+def _replace_field(data: bytes, length: int, value: bytes) -> bytes:
+    """Re-frame a four-field meter message with each ``length``-byte field replaced."""
+    fields = decode_fields(data, data[0], 4)
+    return encode_fields(data[0], [value if len(f) == length else f for f in fields])
+
+
 # how each malformed encoding is made from a good one, and the error it gets
 MALFORMED = {
     "wrong tag": (lambda data: bytes([data[0] ^ 0xFF]) + data[1:], "expected tag"),
@@ -32,6 +44,10 @@ MALFORMED = {
     "field runs past end": (lambda data: data[:-3], "runs past end"),
     "trailing bytes": (lambda data: data + b"\x00", "trailing bytes"),
     "overlong field": (_overlong_first_field, "overlong field"),
+    "short certificate": (
+        lambda data: _replace_field(data, CERTIFICATE_LEN, bytes(10)),
+        "certificate must be 192 bytes",
+    ),
 }
 
 
@@ -286,6 +302,17 @@ class TestWireEncodings:
         mangle, error = MALFORMED[defect]
         with pytest.raises(DecodeError, match=error):
             type(message).from_bytes(mangle(message.to_bytes()))
+
+    def test_malformed_ciphertext_is_a_decode_error(self, rig):
+        requester = fresh_meter(rig.manufacturer, 48)
+        verifier = fresh_meter(rig.manufacturer, 49)
+        vr = requester.make_verification_request(
+            requester.generate_key_pool(2), verifier.public
+        )
+        ciphertext = vr.encrypted_root.to_bytes()
+        mangled = _replace_field(vr.to_bytes(), len(ciphertext), ciphertext[:-1])
+        with pytest.raises(DecodeError, match="ciphertext length mismatch"):
+            type(vr).from_bytes(mangled)
 
 
 class TestLedgerIntegration:

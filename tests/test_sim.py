@@ -19,9 +19,10 @@ from gridtrade.sim import (
 )
 from gridtrade.sim.actors import Actor
 from gridtrade.sim.cli import main as cli_main
-from gridtrade.sim.messages import Ping
+from gridtrade.meter import TAG_COE
+from gridtrade.sim.messages import Ping, Routed
 from gridtrade.sim.world import World
-from gridtrade.transactions import make_negotiation
+from gridtrade.transactions import encode_fields, make_negotiation
 
 
 class TestConfig:
@@ -206,6 +207,25 @@ class TestSimulatedRouting:
             "offer limit exceeded"
         )
         assert world.mesh.route(src.id, entry, stranger, b"").reason == "undeliverable"
+
+
+class TestMalformedRoutedPayload:
+    """A routed envelope that does not decode is counted and dropped."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"",
+            b"\x31" + bytes(3),  # endorsement tag, truncated length prefix
+            encode_fields(TAG_COE, [bytes(32), bytes(64), bytes(64), bytes(10)]),
+        ],
+        ids=["empty", "truncated-prefix", "short-certificate"],
+    )
+    def test_counted_and_dropped(self, payload):
+        world = World(preset("none", seed=5))
+        for actor in (world.producer_actors[0], world.consumer_actors[0]):
+            actor.on_message(Routed(dest_pk=bytes(64), payload=payload, origin="b0"), 0)
+        assert world.metrics.get("routed_malformed") == 2
 
 
 class TestCli:
