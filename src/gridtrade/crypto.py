@@ -287,6 +287,8 @@ class MerkleProof:
         # leaf_index (4B big-endian) || count (1B) || side (1B) + digest (32B) each
         if len(self.siblings) > 255:
             raise ValueError("proof too long to serialize")
+        if not 0 <= self.leaf_index < 1 << 32:
+            raise ValueError(f"leaf index {self.leaf_index} out of u32 range")
         out = [self.leaf_index.to_bytes(4, "big"), bytes([len(self.siblings)])]
         for digest, side in self.siblings:
             out.append(bytes([side]))

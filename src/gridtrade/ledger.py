@@ -47,11 +47,13 @@ from .transactions import (
     MINEABLE_TAGS,
     SupplyEnergyTx,
     Transaction,
+    U64Field,
+    _lp,
+    _Reader,
+    check_id_and_signature,
     check_structure,
-    compute_t_id,
     decode_canonical,
     encode_canonical,
-    signing_digest,
 )
 
 
@@ -186,6 +188,9 @@ class CTPDatabase:
 # producer claims
 
 
+_ENERGY_KWH = U64Field("energy_kwh")
+
+
 @dataclass(frozen=True)
 class ProducerClaim:
     """Signed binding of a pending commitment to the producer it pays.
@@ -202,13 +207,14 @@ class ProducerClaim:
     sign: Signature
 
     def _body(self) -> bytes:
+        """Signed bytes; ValueError when ``energy_kwh`` is outside u64."""
         return b"".join(
             [
                 b"\x20",
                 self.ctp_id,
                 self.contract_hash,
                 self.producer_pk,
-                self.energy_kwh.to_bytes(8, "big"),
+                _ENERGY_KWH.encode(self.energy_kwh),
             ]
         )
 
@@ -264,10 +270,7 @@ class Block:
             self.miner_pk,
             len(self.txs).to_bytes(4, "big"),
         ]
-        for tx in self.txs:
-            raw = encode_canonical(tx)
-            parts.append(len(raw).to_bytes(4, "big"))
-            parts.append(raw)
+        parts.extend(_lp(encode_canonical(tx)) for tx in self.txs)
         return b"".join(parts)
 
     def to_bytes(self) -> bytes:
@@ -284,17 +287,10 @@ class Block:
         timestamp = int.from_bytes(data[off : off + 8], "big"); off += 8
         miner_pk = data[off : off + PUBLIC_KEY_LEN]; off += PUBLIC_KEY_LEN
         count = int.from_bytes(data[off : off + 4], "big"); off += 4
-        txs = []
-        for _ in range(count):
-            if off + 4 > len(data):
-                raise ValueError("truncated block body")
-            n = int.from_bytes(data[off : off + 4], "big"); off += 4
-            if off + n > len(data):
-                raise ValueError("block transaction runs past end")
-            txs.append(decode_canonical(data[off : off + n]))
-            off += n
-        miner_sign = data[off : off + SIGNATURE_LEN]
-        if len(miner_sign) != SIGNATURE_LEN or off + SIGNATURE_LEN != len(data):
+        r = _Reader(data, off)
+        txs = [decode_canonical(r.field()) for _ in range(count)]
+        miner_sign = data[r.off :]
+        if len(miner_sign) != SIGNATURE_LEN:
             raise ValueError("bad block signature framing")
         return Block(
             height=height,
@@ -480,7 +476,11 @@ class Ledger:
         return released
 
     def submit_claim(self, claim: ProducerClaim) -> Result:
-        if not claim.verify_signature():
+        try:
+            signed = claim.verify_signature()
+        except ValueError as exc:
+            return Result(False, f"malformed claim: {exc}")
+        if not signed:
             return Result(False, "bad claim signature")
         ctp = self.ctp_db.get(claim.ctp_id)
         if ctp is None:
@@ -520,13 +520,7 @@ class Ledger:
             return False, "c"
         if not merkle_verify(erc.coe_root, erc.pk, erc.merkle_hashes):
             return False, "d"
-        try:
-            digest = signing_digest(erc)
-        except ValueError:  # a field the canonical encoding cannot hold
-            return False, "e"
-        if not verify(erc.pk, digest, erc.sign):
-            return False, "e"
-        if compute_t_id(erc) != erc.t_id:
+        if not check_id_and_signature(erc)[0]:
             return False, "e"
         return True, None
 
@@ -711,7 +705,8 @@ class Miner:
             if block.miner_pk < tip.miner_pk and self._last_apply_snapshot is not None:
                 saved_ledger, saved_block = self._last_apply_snapshot
                 if saved_block.block_hash() == tip.block_hash():
-                    self.ledger = saved_ledger.clone()
+                    current = self.ledger
+                    self.ledger = self._without_tip(saved_ledger, current)
                     popped = self.chain.pop()
                     outcome = self._apply(block)
                     if outcome.applied:
@@ -719,14 +714,36 @@ class Miner:
                         for tx in popped.txs:  # unmined again
                             self.add_to_mempool(tx)
                     else:
-                        # rival failed validation; restore the old tip
-                        self.ledger = saved_ledger.clone()
-                        for tx in popped.txs:
-                            self.ledger.apply_tx(tx)
+                        # rival failed validation; keep the old tip
+                        self.ledger = current
                         self.chain.append(popped)
                     return outcome
             return ApplyOutcome(False, "lost tiebreak")
         return ApplyOutcome(False, "does not extend tip")
+
+    @staticmethod
+    def _without_tip(before: Ledger, current: Ledger) -> Ledger:
+        """``current`` with the tip block's effects undone.
+
+        Starts from ``before``, the ledger the tip was applied to, so what
+        the tip settled is pending again, and drops what ``current`` swept
+        since. What ``current`` took in since is submitted again in
+        admission order; whatever no longer fits the pre-tip balances (say,
+        a commitment spending coin the tip paid) is dropped.
+        """
+        ledger = before.clone()
+        settled_by_tip = {r.ctp_id for r in current.settlements[len(before.settlements) :]}
+        for ctp_id in before.ctp_db.entries:
+            if ctp_id not in current.ctp_db and ctp_id not in settled_by_tip:
+                ledger.ctp_db.remove(ctp_id)  # swept since the tip
+                ledger.claims.pop(ctp_id, None)
+        for ctp_id, (tx, admitted_at) in current.ctp_db.entries.items():
+            if ctp_id not in before.ctp_db:
+                ledger.submit_ctp(tx, admitted_at)
+        for ctp_id, claim in current.claims.items():
+            if ctp_id not in before.claims:
+                ledger.submit_claim(claim)
+        return ledger
 
     def _apply(self, block: Block) -> ApplyOutcome:
         snapshot = self.ledger  # replaced wholesale on success, so no copy needed

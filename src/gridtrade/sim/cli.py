@@ -11,8 +11,7 @@ import sys
 from pathlib import Path
 
 from ..ledger import Blockchain, GENESIS_PREV
-from ..transactions import compute_t_id, signer_pk, signing_digest
-from ..crypto import verify
+from ..transactions import check_id_and_signature
 from .config import parse_config
 from .scenarios import SCENARIOS, run_scenario
 
@@ -79,12 +78,8 @@ def _cmd_replay(args) -> int:
             problems.append("link")
         if not block.verify_miner_signature():
             problems.append("miner-sign")
-        for tx in block.txs:
-            if compute_t_id(tx) != tx.t_id or not verify(
-                signer_pk(tx), signing_digest(tx), tx.sign
-            ):
-                problems.append("tx")
-                break
+        if not all(check_id_and_signature(tx)[0] for tx in block.txs):
+            problems.append("tx")
         kinds = {}
         for tx in block.txs:
             kinds[tx.kind] = kinds.get(tx.kind, 0) + 1

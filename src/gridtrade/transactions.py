@@ -19,14 +19,30 @@ The same bytes serve as wire format, block storage format, and signing
 input. The transaction id is the hash of the signed encoding (tag, body
 fields, signature; the id field itself is excluded), and the signature
 covers the hash of the unsigned encoding (tag plus body fields).
+
+The layout lives in one place: each message class lists its body fields
+(everything between ``t_id`` and ``sign``) in wire order in its ``wire``
+attribute, and each field's codec owns that field's value domain (fixed
+length, u64 range, allowed enum values). ``encode_canonical``,
+``signing_digest``, ``compute_t_id`` and ``decode_canonical`` all read the
+declaration, so encoding and decoding refuse the same values. Rules the
+codecs cannot express (a positive price, expiry after the time stamp) are
+each class's ``rule_fault``, shared by ``check_structure`` and the
+``make_*`` builders.
+
+Deliberately outside the declarations: ``ledger.ProducerClaim`` (tag plus
+unprefixed fields; it borrows ``U64Field`` for ``energy_kwh``) and the
+meter's ``CoE``/``VerificationRequest`` (``encode_fields``/``decode_fields``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import List, Optional, Tuple, Union
 
 from .crypto import (
+    CERTIFICATE_LEN,
     DIGEST_LEN,
     PUBLIC_KEY_LEN,
     SIGNATURE_LEN,
@@ -65,16 +81,10 @@ def _lp(value: bytes) -> bytes:
     return len(value).to_bytes(4, "big") + value
 
 
-def _u64(value: int) -> bytes:
-    if not 0 <= value < 1 << 64:
-        raise ValueError(f"integer {value} out of u64 range")
-    return value.to_bytes(8, "big")
-
-
 class _Reader:
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, off: int = 0):
         self.data = data
-        self.off = 0
+        self.off = off
 
     def field(self) -> bytes:
         if self.off + 4 > len(self.data):
@@ -89,21 +99,156 @@ class _Reader:
         self.off += n
         return out
 
-    def fixed(self, n: int, what: str) -> bytes:
-        value = self.field()
-        if len(value) != n:
-            raise DecodeError(f"{what} must be {n} bytes, got {len(value)}")
-        return value
-
-    def u64(self, what: str) -> int:
-        return int.from_bytes(self.fixed(8, what), "big")
-
-    def u8(self, what: str) -> int:
-        return self.fixed(1, what)[0]
-
     def done(self) -> None:
         if self.off != len(self.data):
             raise DecodeError(f"{len(self.data) - self.off} trailing bytes")
+
+
+# ---------------------------------------------------------------------------
+# field codecs
+
+
+class Field:
+    """One length-prefixed wire field: the attributes it carries and its codec.
+
+    A subclass defines ``encode``, which takes the attribute's value (a
+    tuple of values when the field carries several attributes) and raises
+    ValueError for a value outside the field's domain, and ``parse``, which
+    reads a value back from the field's bytes. ``decode`` accepts exactly
+    the bytes ``encode`` emits and raises DecodeError for anything else, so
+    each domain rule is stated once, in ``encode``.
+    """
+
+    size: Optional[int] = None  # fixed byte length, None when it varies
+
+    def __init__(self, *names: str):
+        self.names = names
+        self.label = "+".join(names)
+        self.get = attrgetter(*names)
+
+    def decode(self, raw: bytes):
+        if self.size is not None and len(raw) != self.size:
+            raise DecodeError(f"{self.label} must be {self.size} bytes, got {len(raw)}")
+        try:
+            value = self.parse(raw)
+            canonical = self.encode(value) == raw
+        except ValueError as exc:
+            raise DecodeError(str(exc)) from exc
+        if not canonical:
+            raise DecodeError(f"{self.label} is not canonically encoded")
+        return value
+
+
+class BytesField(Field):
+    """Raw bytes, of exactly ``size`` bytes when a size is given."""
+
+    def __init__(self, name: str, size: Optional[int] = None):
+        super().__init__(name)
+        self.size = size
+
+    def encode(self, value: bytes) -> bytes:
+        if self.size is not None and len(value) != self.size:
+            raise ValueError(f"{self.label} must be {self.size} bytes, got {len(value)}")
+        return value
+
+    def parse(self, raw: bytes) -> bytes:
+        return raw
+
+
+class U64Field(Field):
+    """Unsigned 64-bit integer, 8 bytes big-endian."""
+
+    size = 8
+
+    def encode(self, value: int) -> bytes:
+        if not 0 <= value < 1 << 64:
+            raise ValueError(f"{self.label} {value} out of u64 range")
+        return value.to_bytes(8, "big")
+
+    def parse(self, raw: bytes) -> int:
+        return int.from_bytes(raw, "big")
+
+
+class EnumField(Field):
+    """One byte holding one of ``allowed``."""
+
+    size = 1
+
+    def __init__(self, name: str, allowed: Tuple[int, ...]):
+        super().__init__(name)
+        self.allowed = allowed
+
+    def encode(self, value: int) -> bytes:
+        if value not in self.allowed:
+            raise ValueError(f"{self.label} must be one of {self.allowed}, got {value}")
+        return bytes([value])
+
+    def parse(self, raw: bytes) -> int:
+        return raw[0]
+
+
+class FlagField(EnumField):
+    """A boolean as one byte, 0 or 1."""
+
+    def __init__(self, name: str):
+        super().__init__(name, (0, 1))
+
+    def parse(self, raw: bytes) -> bool:
+        return raw[0] == 1
+
+
+class ProofField(Field):
+    """A Merkle inclusion proof in ``MerkleProof.to_bytes`` form."""
+
+    def encode(self, value: MerkleProof) -> bytes:
+        return value.to_bytes()
+
+    def parse(self, raw: bytes) -> MerkleProof:
+        return MerkleProof.from_bytes(raw)
+
+
+class AttestationField(Field):
+    """The receipt's attestation: tree root, verifier signature over it and
+    the verifier's certificate, concatenated into one field."""
+
+    size = DIGEST_LEN + SIGNATURE_LEN + CERTIFICATE_LEN
+
+    def encode(self, value: Tuple[HashDigest, Signature, Certificate]) -> bytes:
+        root, vm_sign, cert = value
+        raw = root + vm_sign + cert.to_bytes()
+        if len(root) != DIGEST_LEN or len(vm_sign) != SIGNATURE_LEN or len(raw) != self.size:
+            raise ValueError(f"malformed {self.label}")
+        return raw
+
+    def parse(self, raw: bytes) -> Tuple[HashDigest, Signature, Certificate]:
+        cut = DIGEST_LEN + SIGNATURE_LEN
+        return raw[:DIGEST_LEN], raw[DIGEST_LEN:cut], Certificate.from_bytes(raw[cut:])
+
+
+_T_ID = BytesField("t_id", DIGEST_LEN)
+_SIGN = BytesField("sign", SIGNATURE_LEN)
+
+
+class _Declared:
+    """Binds a subclass's ``tag`` and ``wire`` declaration once, at class
+    creation, so encoding builds no getters or closures per call."""
+
+    tag: int
+    wire: Tuple[Field, ...]
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._tag_byte = bytes([cls.tag])
+        cls._encoders = tuple((field.get, field.encode) for field in cls.wire)
+
+    def rule_fault(self) -> Optional[str]:
+        """Why the values break a rule the field codecs do not cover, or None."""
+        return None
+
+
+def _body(obj: _Declared) -> bytes:
+    """Tag byte, then every declared field length-prefixed."""
+    return obj._tag_byte + b"".join([_lp(encode(get(obj))) for get, encode in obj._encoders])
 
 
 def encode_fields(tag: int, fields: List[bytes]) -> bytes:
@@ -115,14 +260,14 @@ def decode_fields(data: bytes, tag: int, count: int) -> List[bytes]:
     """Inverse of ``encode_fields`` for ``count`` fields; raises DecodeError."""
     if data[:1] != bytes([tag]):
         raise DecodeError(f"expected tag {tag}, got {data[:1]!r}")
-    r = _Reader(data[1:])
+    r = _Reader(data, 1)
     fields = [r.field() for _ in range(count)]
     r.done()
     return fields
 
 
 @dataclass(frozen=True)
-class GenesisTx:
+class GenesisTx(_Declared):
     """Opens an energy account.
 
     ``method`` selects the evidence kind: a claimed coin-burn amount
@@ -137,15 +282,27 @@ class GenesisTx:
 
     kind = "genesis"
     tag = TAG_GENESIS
+    wire = (
+        EnumField("method", (GENESIS_COIN_BURN, GENESIS_CERTIFICATE)),
+        BytesField("evidence"),
+        BytesField("pk", PUBLIC_KEY_LEN),
+    )
 
-    def _body(self) -> bytes:
-        return b"".join(
-            [bytes([self.tag]), _lp(bytes([self.method])), _lp(self.evidence), _lp(self.pk)]
-        )
+    def rule_fault(self) -> Optional[str]:
+        if self.method == GENESIS_COIN_BURN and len(self.evidence) != 8:
+            return "malformed burn evidence"
+        if self.method == GENESIS_CERTIFICATE:
+            try:
+                cert = Certificate.from_bytes(self.evidence)
+            except ValueError:
+                return "malformed certificate evidence"
+            if cert.subject_pk != self.pk:
+                return "certificate subject mismatch"
+        return None
 
 
 @dataclass(frozen=True)
-class SupplyEnergyTx:
+class SupplyEnergyTx(_Declared):
     """Adds ``energy_amount`` kWh at ``energy_price`` per kWh to an account.
 
     ``p_t_id`` chains to the account's previous transaction (the genesis id
@@ -162,22 +319,22 @@ class SupplyEnergyTx:
 
     kind = "supply_energy"
     tag = TAG_SUPPLY
+    wire = (
+        BytesField("p_t_id", DIGEST_LEN),
+        U64Field("energy_amount"),
+        U64Field("energy_price"),
+        FlagField("negotiable"),
+        BytesField("pk", PUBLIC_KEY_LEN),
+    )
 
-    def _body(self) -> bytes:
-        return b"".join(
-            [
-                bytes([self.tag]),
-                _lp(self.p_t_id),
-                _lp(_u64(self.energy_amount)),
-                _lp(_u64(self.energy_price)),
-                _lp(bytes([1 if self.negotiable else 0])),
-                _lp(self.pk),
-            ]
-        )
+    def rule_fault(self) -> Optional[str]:
+        if self.energy_amount <= 0:
+            return "non-positive energy amount"
+        return None
 
 
 @dataclass(frozen=True)
-class NegotiationMsg:
+class NegotiationMsg(_Declared):
     """One step of off-chain price haggling, never stored in a block.
 
     ``status`` 1 accepts the counterparty's last price, 0 carries a new
@@ -195,22 +352,22 @@ class NegotiationMsg:
 
     kind = "negotiation"
     tag = TAG_NEGOTIATION
+    wire = (
+        BytesField("dest_energy_account_pk", PUBLIC_KEY_LEN),
+        U64Field("price"),
+        EnumField("status", (0, 1)),
+        U64Field("round"),
+        BytesField("sender_pk", PUBLIC_KEY_LEN),
+    )
 
-    def _body(self) -> bytes:
-        return b"".join(
-            [
-                bytes([self.tag]),
-                _lp(self.dest_energy_account_pk),
-                _lp(_u64(self.price)),
-                _lp(bytes([self.status])),
-                _lp(_u64(self.round)),
-                _lp(self.sender_pk),
-            ]
-        )
+    def rule_fault(self) -> Optional[str]:
+        if self.round < 1:
+            return "bad round"
+        return None
 
 
 @dataclass(frozen=True)
-class CTPTx:
+class CTPTx(_Declared):
     """Commit-to-pay: pending payment of ``price`` held until expiry.
 
     Never mined; lives in each miner's pending database. ``contract_hash``
@@ -227,28 +384,30 @@ class CTPTx:
 
     kind = "ctp"
     tag = TAG_CTP
+    wire = (
+        U64Field("time_stamp"),
+        U64Field("expiry_time"),
+        U64Field("price"),
+        BytesField("contract_hash", DIGEST_LEN),
+        BytesField("pk", PUBLIC_KEY_LEN),
+    )
 
-    def _body(self) -> bytes:
-        return b"".join(
-            [
-                bytes([self.tag]),
-                _lp(_u64(self.time_stamp)),
-                _lp(_u64(self.expiry_time)),
-                _lp(_u64(self.price)),
-                _lp(self.contract_hash),
-                _lp(self.pk),
-            ]
-        )
+    def rule_fault(self) -> Optional[str]:
+        if self.expiry_time <= self.time_stamp:
+            return "expiry not after timestamp"
+        if self.price <= 0:
+            return "non-positive price"
+        return None
 
 
 @dataclass(frozen=True)
-class ERCTx:
+class ERCTx(_Declared):
     """Energy receipt confirmation emitted by the consumer's meter.
 
     Signed with a one-time key whose public half is a leaf of the
     attestation tree committed by ``coe_root``; ``merkle_hashes`` proves the
     leaf, ``coe_vm_sign``/``coe_vm_cert`` carry the verifier meter's
-    endorsement of the root.
+    endorsement of the root. ``check_structure`` checks the proof.
     """
 
     t_id: HashDigest
@@ -265,30 +424,26 @@ class ERCTx:
 
     kind = "erc"
     tag = TAG_ERC
-
-    def _body(self) -> bytes:
-        coe_field = self.coe_root + self.coe_vm_sign + self.coe_vm_cert.to_bytes()
-        return b"".join(
-            [
-                bytes([self.tag]),
-                _lp(_u64(self.time_stamp)),
-                _lp(self.ctp_id),
-                _lp(_u64(self.price)),
-                _lp(coe_field),
-                _lp(self.coe_pk),
-                _lp(self.merkle_hashes.to_bytes()),
-                _lp(self.pk),
-            ]
-        )
+    wire = (
+        U64Field("time_stamp"),
+        BytesField("ctp_id", DIGEST_LEN),
+        U64Field("price"),
+        AttestationField("coe_root", "coe_vm_sign", "coe_vm_cert"),
+        BytesField("coe_pk", PUBLIC_KEY_LEN),
+        ProofField("merkle_hashes"),
+        BytesField("pk", PUBLIC_KEY_LEN),
+    )
 
 
 Transaction = Union[GenesisTx, SupplyEnergyTx, NegotiationMsg, CTPTx, ERCTx]
+
+_KIND_BY_TAG = {cls.tag: cls for cls in (GenesisTx, SupplyEnergyTx, NegotiationMsg, CTPTx, ERCTx)}
 
 MINEABLE_TAGS = frozenset({TAG_GENESIS, TAG_SUPPLY, TAG_ERC})
 
 
 @dataclass(frozen=True)
-class ContractTerms:
+class ContractTerms(_Declared):
     """Terms both parties hash into the contract commitment.
 
     The nonce blinds the hash: amounts and rates come from a small space,
@@ -300,9 +455,16 @@ class ContractTerms:
     total_price: int
     nonce: bytes
 
+    tag = _TAG_CONTRACT
+    wire = (
+        U64Field("energy_amount"),
+        U64Field("unit_price"),
+        U64Field("total_price"),
+        BytesField("nonce", 32),
+    )
+
     def __post_init__(self):
-        if len(self.nonce) != 32:
-            raise ValueError("nonce must be 32 bytes")
+        _body(self)  # refuses any value the contract hash cannot cover
 
 
 def compute_contract_hash(terms: ContractTerms) -> HashDigest:
@@ -312,36 +474,31 @@ def compute_contract_hash(terms: ContractTerms) -> HashDigest:
             f"total_price {terms.total_price} != "
             f"{terms.energy_amount} * {terms.unit_price}"
         )
-    payload = b"".join(
-        [
-            bytes([_TAG_CONTRACT]),
-            _lp(_u64(terms.energy_amount)),
-            _lp(_u64(terms.unit_price)),
-            _lp(_u64(terms.total_price)),
-            _lp(terms.nonce),
-        ]
-    )
-    return hash_bytes(payload)
+    return hash_bytes(_body(terms))
 
 
 # ---------------------------------------------------------------------------
 # encoding
 
 
+def _id_of(body: bytes, signature: Signature) -> HashDigest:
+    return hash_bytes(body + _lp(_SIGN.encode(signature)))
+
+
 def encode_canonical(tx: Transaction) -> bytes:
     """Full wire bytes: tag || t_id || remaining fields || signature."""
-    body = tx._body()
-    return body[:1] + _lp(tx.t_id) + body[1:] + _lp(tx.sign)
+    body = _body(tx)
+    return body[:1] + _lp(_T_ID.encode(tx.t_id)) + body[1:] + _lp(_SIGN.encode(tx.sign))
 
 
 def signing_digest(tx: Transaction) -> HashDigest:
     """Hash the signature commits to: the encoding without id or signature."""
-    return hash_bytes(tx._body())
+    return hash_bytes(_body(tx))
 
 
 def compute_t_id(tx: Transaction) -> HashDigest:
     """Transaction id: hash of the signed encoding (id field excluded)."""
-    return hash_bytes(tx._body() + _lp(tx.sign))
+    return _id_of(_body(tx), tx.sign)
 
 
 def encode_hex(tx: Transaction) -> str:
@@ -361,200 +518,63 @@ def decode_canonical(data: bytes) -> Transaction:
     """Parse wire bytes back into a transaction; raises DecodeError."""
     if not data:
         raise DecodeError("empty buffer")
-    tag = data[0]
-    r = _Reader(data[1:])
-    t_id = r.fixed(DIGEST_LEN, "t_id")
-    if tag == TAG_GENESIS:
-        method = r.u8("method")
-        if method not in (GENESIS_COIN_BURN, GENESIS_CERTIFICATE):
-            raise DecodeError(f"unknown genesis method {method}")
-        evidence = r.field()
-        pk = r.fixed(PUBLIC_KEY_LEN, "pk")
-        sig = r.fixed(SIGNATURE_LEN, "sign")
-        r.done()
-        return GenesisTx(t_id=t_id, method=method, evidence=evidence, pk=pk, sign=sig)
-    if tag == TAG_SUPPLY:
-        p_t_id = r.fixed(DIGEST_LEN, "p_t_id")
-        amount = r.u64("energy_amount")
-        price = r.u64("energy_price")
-        negotiable = r.u8("negotiable")
-        if negotiable not in (0, 1):
-            raise DecodeError(f"negotiable flag must be 0 or 1, got {negotiable}")
-        pk = r.fixed(PUBLIC_KEY_LEN, "pk")
-        sig = r.fixed(SIGNATURE_LEN, "sign")
-        r.done()
-        return SupplyEnergyTx(
-            t_id=t_id,
-            p_t_id=p_t_id,
-            energy_amount=amount,
-            energy_price=price,
-            negotiable=bool(negotiable),
-            pk=pk,
-            sign=sig,
-        )
-    if tag == TAG_NEGOTIATION:
-        dest = r.fixed(PUBLIC_KEY_LEN, "dest_energy_account_pk")
-        price = r.u64("price")
-        status = r.u8("status")
-        if status not in (0, 1):
-            raise DecodeError(f"status must be 0 or 1, got {status}")
-        rnd = r.u64("round")
-        sender = r.fixed(PUBLIC_KEY_LEN, "sender_pk")
-        sig = r.fixed(SIGNATURE_LEN, "sign")
-        r.done()
-        return NegotiationMsg(
-            t_id=t_id,
-            dest_energy_account_pk=dest,
-            price=price,
-            status=status,
-            round=rnd,
-            sender_pk=sender,
-            sign=sig,
-        )
-    if tag == TAG_CTP:
-        ts = r.u64("time_stamp")
-        expiry = r.u64("expiry_time")
-        price = r.u64("price")
-        contract_hash = r.fixed(DIGEST_LEN, "contract_hash")
-        pk = r.fixed(PUBLIC_KEY_LEN, "pk")
-        sig = r.fixed(SIGNATURE_LEN, "sign")
-        r.done()
-        return CTPTx(
-            t_id=t_id,
-            time_stamp=ts,
-            expiry_time=expiry,
-            price=price,
-            contract_hash=contract_hash,
-            pk=pk,
-            sign=sig,
-        )
-    if tag == TAG_ERC:
-        ts = r.u64("time_stamp")
-        ctp_id = r.fixed(DIGEST_LEN, "ctp_id")
-        price = r.u64("price")
-        coe_field = r.field()
-        if len(coe_field) != DIGEST_LEN + SIGNATURE_LEN + 192:
-            raise DecodeError("malformed attestation field")
-        coe_root = coe_field[:DIGEST_LEN]
-        coe_vm_sign = coe_field[DIGEST_LEN : DIGEST_LEN + SIGNATURE_LEN]
-        try:
-            coe_vm_cert = Certificate.from_bytes(coe_field[DIGEST_LEN + SIGNATURE_LEN :])
-        except ValueError as exc:
-            raise DecodeError(str(exc)) from exc
-        coe_pk = r.fixed(PUBLIC_KEY_LEN, "coe_pk")
-        try:
-            proof = MerkleProof.from_bytes(r.field())
-        except ValueError as exc:
-            raise DecodeError(str(exc)) from exc
-        pk = r.fixed(PUBLIC_KEY_LEN, "pk")
-        sig = r.fixed(SIGNATURE_LEN, "sign")
-        r.done()
-        return ERCTx(
-            t_id=t_id,
-            time_stamp=ts,
-            ctp_id=ctp_id,
-            price=price,
-            coe_root=coe_root,
-            coe_vm_sign=coe_vm_sign,
-            coe_vm_cert=coe_vm_cert,
-            coe_pk=coe_pk,
-            merkle_hashes=proof,
-            pk=pk,
-            sign=sig,
-        )
-    raise DecodeError(f"unknown transaction tag {tag}")
+    cls = _KIND_BY_TAG.get(data[0])
+    if cls is None:
+        raise DecodeError(f"unknown transaction tag {data[0]}")
+    r = _Reader(data, 1)
+    values = {"t_id": _T_ID.decode(r.field())}
+    for field in cls.wire:
+        value = field.decode(r.field())
+        if len(field.names) == 1:
+            values[field.names[0]] = value
+        else:
+            values.update(zip(field.names, value))
+    values["sign"] = _SIGN.decode(r.field())
+    r.done()
+    return cls(**values)
 
 
 # ---------------------------------------------------------------------------
 # construction
 
 
-def _finish(tx: Transaction, keypair: KeyPair) -> Transaction:
-    signature = sign(keypair, signing_digest(tx))
-    tx = replace(tx, sign=signature)
+def _signed(cls, keypair: KeyPair, *body) -> Transaction:
+    """A ``cls`` with the given body fields, signed by ``keypair``.
+
+    Raises ValueError for a value its codec or its ``rule_fault`` refuses.
+    """
+    tx = cls(b"", *body, b"")
+    fault = tx.rule_fault()
+    if fault is not None:
+        raise ValueError(fault)
+    tx = replace(tx, sign=sign(keypair, signing_digest(tx)))
     return replace(tx, t_id=compute_t_id(tx))
 
 
 def make_genesis(method: int, evidence: bytes, keypair: KeyPair) -> GenesisTx:
-    if method not in (GENESIS_COIN_BURN, GENESIS_CERTIFICATE):
-        raise ValueError(f"unknown genesis method {method}")
-    if method == GENESIS_COIN_BURN and len(evidence) != 8:
-        raise ValueError("coin-burn evidence must be an 8-byte amount")
-    if method == GENESIS_CERTIFICATE:
-        Certificate.from_bytes(evidence)  # must parse
-    tx = GenesisTx(t_id=b"", method=method, evidence=evidence, pk=keypair.public, sign=b"")
-    return _finish(tx, keypair)
+    return _signed(GenesisTx, keypair, method, evidence, keypair.public)
 
 
 def make_supply_energy(
-    p_t_id: HashDigest,
-    energy_amount: int,
-    energy_price: int,
-    negotiable: bool,
-    keypair: KeyPair,
+    p_t_id: HashDigest, energy_amount: int, energy_price: int, negotiable: bool, keypair: KeyPair
 ) -> SupplyEnergyTx:
-    if energy_amount <= 0:
-        raise ValueError("energy_amount must be positive")
-    if energy_price < 0:
-        raise ValueError("energy_price must be non-negative")
-    tx = SupplyEnergyTx(
-        t_id=b"",
-        p_t_id=p_t_id,
-        energy_amount=energy_amount,
-        energy_price=energy_price,
-        negotiable=negotiable,
-        pk=keypair.public,
-        sign=b"",
+    return _signed(
+        SupplyEnergyTx, keypair, p_t_id, energy_amount, energy_price, negotiable, keypair.public
     )
-    return _finish(tx, keypair)
 
 
 def make_negotiation(
-    dest_energy_account_pk: PublicKey,
-    price: int,
-    status: int,
-    round: int,
-    keypair: KeyPair,
+    dest_energy_account_pk: PublicKey, price: int, status: int, round: int, keypair: KeyPair
 ) -> NegotiationMsg:
-    if status not in (0, 1):
-        raise ValueError(f"status must be 0 or 1, got {status}")
-    if round < 1:
-        raise ValueError("round starts at 1")
-    tx = NegotiationMsg(
-        t_id=b"",
-        dest_energy_account_pk=dest_energy_account_pk,
-        price=price,
-        status=status,
-        round=round,
-        sender_pk=keypair.public,
-        sign=b"",
+    return _signed(
+        NegotiationMsg, keypair, dest_energy_account_pk, price, status, round, keypair.public
     )
-    return _finish(tx, keypair)
 
 
 def make_ctp(
-    time_stamp: int,
-    expiry_time: int,
-    price: int,
-    contract_hash: HashDigest,
-    keypair: KeyPair,
+    time_stamp: int, expiry_time: int, price: int, contract_hash: HashDigest, keypair: KeyPair
 ) -> CTPTx:
-    if expiry_time <= time_stamp:
-        raise ValueError(
-            f"expiry_time {expiry_time} must exceed time_stamp {time_stamp}"
-        )
-    if price <= 0:
-        raise ValueError("price must be positive")
-    tx = CTPTx(
-        t_id=b"",
-        time_stamp=time_stamp,
-        expiry_time=expiry_time,
-        price=price,
-        contract_hash=contract_hash,
-        pk=keypair.public,
-        sign=b"",
-    )
-    return _finish(tx, keypair)
+    return _signed(CTPTx, keypair, time_stamp, expiry_time, price, contract_hash, keypair.public)
 
 
 def make_erc(
@@ -568,47 +588,34 @@ def make_erc(
     merkle_hashes: MerkleProof,
     keypair: KeyPair,
 ) -> ERCTx:
-    tx = ERCTx(
-        t_id=b"",
-        time_stamp=time_stamp,
-        ctp_id=ctp_id,
-        price=price,
-        coe_root=coe_root,
-        coe_vm_sign=coe_vm_sign,
-        coe_vm_cert=coe_vm_cert,
-        coe_pk=coe_pk,
-        merkle_hashes=merkle_hashes,
-        pk=keypair.public,
-        sign=b"",
+    return _signed(
+        ERCTx, keypair, time_stamp, ctp_id, price, coe_root, coe_vm_sign, coe_vm_cert,
+        coe_pk, merkle_hashes, keypair.public,
     )
-    return _finish(tx, keypair)
-
-
-_BUILDERS = {
-    "genesis": make_genesis,
-    "supply_energy": make_supply_energy,
-    "negotiation": make_negotiation,
-    "ctp": make_ctp,
-    "erc": make_erc,
-}
-
-
-def build_and_sign(kind: str, fields: dict, keypair: KeyPair) -> Transaction:
-    """Construct and sign a transaction of ``kind`` from a field mapping."""
-    try:
-        builder = _BUILDERS[kind]
-    except KeyError:
-        raise ValueError(f"unknown transaction kind {kind!r}") from None
-    return builder(**fields, keypair=keypair)
 
 
 # ---------------------------------------------------------------------------
 # validation
 
 
-def signer_pk(tx: Transaction) -> PublicKey:
-    """The key a transaction's signature verifies under."""
-    return tx.sender_pk if isinstance(tx, NegotiationMsg) else tx.pk
+def check_id_and_signature(tx: Transaction) -> Tuple[bool, Optional[str]]:
+    """Whether ``t_id`` is the hash of the signed encoding and ``sign``
+    verifies over the unsigned one, building that encoding once.
+
+    A value outside a field's domain is a rejection, not an error; returns
+    (ok, reason).
+    """
+    try:
+        body = _body(tx)
+        t_id = _id_of(body, tx.sign)
+    except ValueError as exc:  # a value the canonical encoding cannot hold
+        return False, f"malformed: {exc}"
+    if t_id != tx.t_id:
+        return False, "t_id mismatch"
+    signer = tx.sender_pk if isinstance(tx, NegotiationMsg) else tx.pk
+    if not verify(signer, hash_bytes(body), tx.sign):
+        return False, "bad signature"
+    return True, None
 
 
 def check_structure(tx: Transaction) -> Tuple[bool, Optional[str]]:
@@ -617,38 +624,14 @@ def check_structure(tx: Transaction) -> Tuple[bool, Optional[str]]:
     Never consults the ledger and never raises; returns (ok, reason).
     """
     try:
-        if compute_t_id(tx) != tx.t_id:
-            return False, "t_id mismatch"
-        if not verify(signer_pk(tx), signing_digest(tx), tx.sign):
-            return False, "bad signature"
-        if isinstance(tx, GenesisTx):
-            if tx.method == GENESIS_COIN_BURN and len(tx.evidence) != 8:
-                return False, "malformed burn evidence"
-            if tx.method == GENESIS_CERTIFICATE:
-                try:
-                    cert = Certificate.from_bytes(tx.evidence)
-                except ValueError:
-                    return False, "malformed certificate evidence"
-                if cert.subject_pk != tx.pk:
-                    return False, "certificate subject mismatch"
-        elif isinstance(tx, SupplyEnergyTx):
-            if tx.energy_amount <= 0:
-                return False, "non-positive energy amount"
-        elif isinstance(tx, NegotiationMsg):
-            if tx.status not in (0, 1):
-                return False, "bad status"
-            if tx.round < 1:
-                return False, "bad round"
-        elif isinstance(tx, CTPTx):
-            if tx.expiry_time <= tx.time_stamp:
-                return False, "expiry not after timestamp"
-            if tx.price <= 0:
-                return False, "non-positive price"
-        elif isinstance(tx, ERCTx):
-            if not merkle_verify(tx.coe_root, tx.pk, tx.merkle_hashes):
-                return False, "bad inclusion proof"
-        else:
-            return False, "unknown transaction type"
+        ok, reason = check_id_and_signature(tx)
+        if not ok:
+            return False, reason
+        reason = tx.rule_fault()
+        if reason is not None:
+            return False, reason
+        if isinstance(tx, ERCTx) and not merkle_verify(tx.coe_root, tx.pk, tx.merkle_hashes):
+            return False, "bad inclusion proof"
         return True, None
     except Exception as exc:  # malformed field contents must not crash a validator
         return False, f"malformed: {exc}"

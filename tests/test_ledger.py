@@ -321,6 +321,14 @@ class TestReceiptValidation:
         assert result.reason == "receipt invalid at step e"
 
 
+    @pytest.mark.parametrize("leaf_index", [2**32, -1])
+    def test_unencodable_proof_fails_step_e(self, trade, leaf_index):
+        # steps a-d never read the leaf index, so only the encoding sees it
+        erc = trade.completed_erc()
+        erc = replace(erc, merkle_hashes=replace(erc.merkle_hashes, leaf_index=leaf_index))
+        assert trade.rig.ledger.validate_erc(erc) == (False, "e")
+
+
 class TestSettlement:
     def test_arithmetic(self, trade):
         ledger = trade.rig.ledger
@@ -393,6 +401,29 @@ class TestClaims:
             trade.ctp.t_id, trade.ctp.contract_hash, 999, trade.producer
         )
         assert ledger.submit_claim(greedy).reason == "insufficient energy balance"
+
+    @pytest.mark.parametrize("energy_kwh", [-1, 2**64])
+    def test_energy_outside_u64_is_rejected(self, trade, energy_kwh):
+        claim = ProducerClaim(
+            ctp_id=trade.ctp.t_id,
+            contract_hash=trade.ctp.contract_hash,
+            producer_pk=trade.producer.public,
+            energy_kwh=energy_kwh,
+            sign=bytes(64),
+        )
+        result = trade.rig.ledger.submit_claim(claim)
+        assert not result.accepted and result.reason.startswith("malformed claim")
+        with pytest.raises(ValueError):
+            make_producer_claim(
+                trade.ctp.t_id, trade.ctp.contract_hash, energy_kwh, trade.producer
+            )
+
+    def test_signed_bytes_of_an_in_range_claim(self, trade):
+        claim = trade.claim
+        kwh = (10).to_bytes(8, "big")
+        assert claim._body() == b"".join(
+            [b"\x20", claim.ctp_id, claim.contract_hash, claim.producer_pk, kwh]
+        )
 
 
 def _mk_miner(rig, seed: int) -> Miner:
@@ -511,6 +542,90 @@ class TestBlockApplication:
         observer.blocks_this_period = 0
         block_next = observer.mine(7)
         assert any(tx.t_id == genesis.t_id for tx in block_next.txs)
+
+    def _rivals(self, rig, ledger=None):
+        """Observer and two same-height blocks; the second has the lower key."""
+        a, b = _mk_miner(rig, 20), _mk_miner(rig, 21)
+        if b.keypair.public > a.keypair.public:
+            a, b = b, a
+        observer = _mk_miner(rig, 22)
+        if ledger is not None:
+            a.ledger, observer.ledger = ledger.clone(), ledger.clone()
+        return a, b, observer
+
+    def test_swap_keeps_commitments_taken_in_after_the_tip(self, rig):
+        consumer = KeyPair.generate(rig.rng)
+        a, b, observer = self._rivals(rig)
+        observer.ledger.seed_account(consumer.public, 100)
+        block_a, block_b = self._mine_one(a, 5), self._mine_one(b, 5)
+        assert observer.receive_block(block_a).applied
+        late = make_ctp(6, 100, 30, hash_bytes(b"late"), consumer)
+        assert observer.ledger.submit_ctp(late, now=6)
+        outcome = observer.receive_block(block_b)
+        assert outcome.applied and outcome.swapped
+        assert late.t_id in observer.ledger.ctp_db
+        assert observer.ledger.available_balance(consumer.public) == 70
+
+    def test_swap_restores_what_the_tip_settled(self, trade):
+        rig = trade.rig
+        erc = trade.completed_erc()
+        a, b, observer = self._rivals(rig, rig.ledger)
+        a.add_to_mempool(erc)
+        block_a, block_b = self._mine_one(a, 5), self._mine_one(b, 5)
+        assert block_a.txs == (erc,) and block_b.txs == ()
+        assert observer.receive_block(block_a).applied
+        assert trade.ctp.t_id in observer.ledger.settled
+        late = make_ctp(6, 100, 30, hash_bytes(b"late"), trade.consumer)
+        assert observer.ledger.submit_ctp(late, now=6)
+        outcome = observer.receive_block(block_b)
+        assert outcome.applied and outcome.swapped
+        expected = rig.ledger.clone()
+        assert expected.submit_ctp(late, now=6)
+        assert observer.ledger.state_digest() == expected.state_digest()
+        assert observer.ledger.claims == expected.claims
+        assert observer.ledger.settled == set() and observer.ledger.settlements == []
+        assert erc.t_id in observer._mempool_ids
+
+    def test_swap_keeps_claims_taken_in_after_the_tip(self, trade):
+        rig = trade.rig
+        a, b, observer = self._rivals(rig, rig.ledger)
+        block_a, block_b = self._mine_one(a, 5), self._mine_one(b, 5)
+        assert observer.receive_block(block_a).applied
+        late = make_ctp(6, 100, 30, hash_bytes(b"late"), trade.consumer)
+        assert observer.ledger.submit_ctp(late, now=6)
+        claim = make_producer_claim(late.t_id, late.contract_hash, 5, trade.producer)
+        assert observer.ledger.submit_claim(claim)
+        outcome = observer.receive_block(block_b)
+        assert outcome.applied and outcome.swapped
+        assert observer.ledger.claims == {trade.ctp.t_id: trade.claim, late.t_id: claim}
+
+    def test_swap_drops_commitments_paid_from_the_popped_tip(self, trade):
+        rig = trade.rig
+        erc = trade.completed_erc()
+        a, b, observer = self._rivals(rig, rig.ledger)
+        a.add_to_mempool(erc)
+        block_a, block_b = self._mine_one(a, 5), self._mine_one(b, 5)
+        assert observer.receive_block(block_a).applied
+        producer = trade.producer.public
+        assert observer.ledger.coin_balance(producer) == trade.ctp.price
+        spend = make_ctp(6, 100, 50, hash_bytes(b"spend"), trade.producer)
+        assert observer.ledger.submit_ctp(spend, now=6)
+        outcome = observer.receive_block(block_b)
+        assert outcome.applied and outcome.swapped
+        ledger = observer.ledger
+        assert spend.t_id not in ledger.ctp_db and trade.ctp.t_id in ledger.ctp_db
+        for pk in {tx.pk for tx, _ in ledger.ctp_db.entries.values()} | {producer}:
+            assert ledger.ctp_db.pending_total(pk) <= ledger.coin_balance(pk)
+
+    def test_swap_drops_commitments_swept_after_the_tip(self, trade):
+        rig = trade.rig
+        a, b, observer = self._rivals(rig, rig.ledger)
+        block_a, block_b = self._mine_one(a, 5), self._mine_one(b, 5)
+        assert observer.receive_block(block_a).applied
+        assert observer.ledger.expire_ctps(trade.ctp.expiry_time) == [trade.ctp.t_id]
+        outcome = observer.receive_block(block_b)
+        assert outcome.applied and outcome.swapped
+        assert len(observer.ledger.ctp_db) == 0 and observer.ledger.claims == {}
 
     def test_gap_block_rejected(self, rig):
         miner_a, miner_b = _mk_miner(rig, 12), _mk_miner(rig, 13)

@@ -1,5 +1,6 @@
 """Wire messages: construction, canonical encoding, structural validation."""
 
+from dataclasses import fields
 from random import Random
 
 import pytest
@@ -13,12 +14,17 @@ from gridtrade.crypto import (
     merkle_prove,
 )
 from gridtrade.transactions import (
+    CTPTx,
     ContractTerms,
     DecodeError,
+    ERCTx,
     GENESIS_CERTIFICATE,
     GENESIS_COIN_BURN,
+    GenesisTx,
+    NegotiationMsg,
+    SupplyEnergyTx,
+    TAG_GENESIS,
     TAG_NEGOTIATION,
-    build_and_sign,
     check_encoded,
     check_structure,
     compute_contract_hash,
@@ -120,18 +126,6 @@ class TestEncoding:
 
 
 class TestConstruction:
-    def test_build_and_sign_dispatch(self):
-        tx = build_and_sign(
-            "ctp",
-            dict(time_stamp=1, expiry_time=101, price=9, contract_hash=hash_bytes(b"t")),
-            KEYS[0],
-        )
-        assert check_structure(tx) == (True, None)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            build_and_sign("bogus", {}, KEYS[0])
-
     def test_ctp_expiry_must_exceed_timestamp(self):
         make_ctp(10, 110, 60, hash_bytes(b"c"), KEYS[0])
         with pytest.raises(ValueError):
@@ -153,6 +147,70 @@ class TestConstruction:
         make_genesis(GENESIS_COIN_BURN, (500).to_bytes(8, "big"), KEYS[0])
         with pytest.raises(ValueError):
             make_genesis(GENESIS_COIN_BURN, b"xx", KEYS[0])
+
+    def test_genesis_method_domain(self):
+        with pytest.raises(ValueError):
+            make_genesis(7, (500).to_bytes(8, "big"), KEYS[0])
+
+
+def _lp(value: bytes) -> bytes:
+    return len(value).to_bytes(4, "big") + value
+
+
+def _signed_by_hand(cls, tag: int, wire_fields, keypair: KeyPair, **values):
+    """A ``cls`` whose id and signature are right for the given raw field
+    bytes, built without the library's encoder (which would refuse them)."""
+    from gridtrade.crypto import sign as crypto_sign
+
+    body = bytes([tag]) + b"".join(_lp(f) for f in wire_fields)
+    signature = crypto_sign(keypair, hash_bytes(body))
+    t_id = hash_bytes(body + _lp(signature))
+    return cls(t_id=t_id, sign=signature, **values)
+
+
+class TestDomainRules:
+    """Encoding, and so check_structure, refuses what decoding refuses; the
+    builders' refusals are in TestConstruction."""
+
+    def test_genesis_method_seven_rejected(self):
+        evidence = (500).to_bytes(8, "big")
+        tx = _signed_by_hand(
+            GenesisTx, TAG_GENESIS, [bytes([7]), evidence, KEYS[0].public], KEYS[0],
+            method=7, evidence=evidence, pk=KEYS[0].public,
+        )
+        ok, reason = check_structure(tx)
+        assert not ok and reason.startswith("malformed:"), reason
+
+    def test_negotiation_status_two_rejected(self):
+        dest = KEYS[1].public
+        wire = [dest, (5).to_bytes(8, "big"), bytes([2]), (1).to_bytes(8, "big"), KEYS[0].public]
+        msg = _signed_by_hand(
+            NegotiationMsg, TAG_NEGOTIATION, wire, KEYS[0],
+            dest_energy_account_pk=dest, price=5, status=2, round=1, sender_pk=KEYS[0].public,
+        )
+        ok, reason = check_structure(msg)
+        assert not ok and reason.startswith("malformed:"), reason
+
+    def test_hand_signing_matches_library_for_valid_values(self):
+        # the helper above encodes as the library does, so only the domain
+        # rule can be what rejects the two messages
+        dest = KEYS[1].public
+        wire = [dest, (5).to_bytes(8, "big"), bytes([1]), (1).to_bytes(8, "big"), KEYS[0].public]
+        msg = _signed_by_hand(
+            NegotiationMsg, TAG_NEGOTIATION, wire, KEYS[0],
+            dest_energy_account_pk=dest, price=5, status=1, round=1, sender_pk=KEYS[0].public,
+        )
+        assert msg == make_negotiation(dest, 5, 1, 1, KEYS[0])
+        assert check_structure(msg) == (True, None)
+
+
+class TestWireDeclaration:
+    @pytest.mark.parametrize("cls", [GenesisTx, SupplyEnergyTx, NegotiationMsg, CTPTx, ERCTx])
+    def test_declaration_names_the_fields_between_id_and_signature(self, cls):
+        declared = [name for field in cls.wire for name in field.names]
+        names = [f.name for f in fields(cls)]
+        assert names[0] == "t_id" and names[-1] == "sign"
+        assert declared == names[1:-1]
 
 
 class TestCheckStructure:
@@ -248,6 +306,90 @@ class TestGoldenVectors:
         "56524dcbffe3f97b501fa6fd0d98a303a9672be6ae71a84c9da7df82d91266b6dd11be64"
         "6d686fa93b21506744f316d6e0a7899e62fbb3ccf553d4a0d75dfb0a"
     )
+
+    GENESIS_GOLDEN = (
+        "0100000020e4a0fc419536502d61258fb711b10e4902e553f746fbf0ecc3b16709c81f60"
+        "bc00000001000000000800000000000001f40000004003a107bff3ce10be1d70dd18e74b"
+        "c09967e4d6309ba50d5f1ddc8664125531b80dd8b4d9f549e18cde974086b36d057f8aa4"
+        "434b5b197c0f7a81d9e1d1575c76000000408b837fc19c470964be1141f4db140cd5b4cf"
+        "d626a0a11bf48827530b70f7ebe8325c6fcc4777c0b19c84296eda9a5b150d32c0c3ef6d"
+        "9a2f0aee24577370e30f"
+    )
+    NEGOTIATION_GOLDEN = (
+        "03000000202b88152c6a8df74e98a5713a90741979c8513563fac7846c849cd7293e6e8e"
+        "4b0000004079b5562e8fe654f94078b112e8a98ba7901f853ae695bed7e0e3910bad0496"
+        "648a773593143348aae6b26b68836ec24afe575186690694e493a81bfce4d1b519000000"
+        "08000000000000002a00000001000000000800000000000000030000004003a107bff3ce"
+        "10be1d70dd18e74bc09967e4d6309ba50d5f1ddc8664125531b80dd8b4d9f549e18cde97"
+        "4086b36d057f8aa4434b5b197c0f7a81d9e1d1575c76000000409c47e0b2698416456143"
+        "0dc28684f83810b93329b9ea4b79798f73d38c4c85ff7ee65d81fc86d3be07077983824c"
+        "0daa3764c0cedfcb1fa13b83f78e50c93102"
+    )
+    ERC_GOLDEN = (
+        "05000000209720eedb4b2b722e7f83be54cc601e013834ae1ad434f8b50c3eb29da89dad"
+        "3a00000008000000000000000a0000002006d590507964f919536fd141bc0c1c8bdea208"
+        "a28154f2ec2e705ab68478438700000008000000000000003c000001206118ec84e36f7e"
+        "94ffb23bc4c6d8b68a287cd7290689cae112d29dbe320adcc18412b70fb289f51ab6b7ad"
+        "571f8a121fb5719b776bee8061e8fe4c608d18ce3a5ad26a8c2f35e7493bc98066eb8ed4"
+        "0dba62a3677632d0cfab74efa5519c5f03481ede772da15785c9e59a086201b8c3f9c307"
+        "129e3fc6d7f34aa4dfed5814e5166802dfae883beb486b504f1699e631b2b9aa818037f8"
+        "09b62458c4029a0c0a43cdc023d22d5f9e107d1a0693457d35d1d10eb7d21c721192f56f"
+        "5de40665d3cdf0d42285a15ca9a1f5d41a638e59e705479ee75e155ecc42a0481437298a"
+        "6d3e670679359e558d40edd5ef7c792e9793ae198bbc1d21d4b5c768639dcbc74edee08f"
+        "2e93fd2ceb9fe29fae7ac6186e05f58fc6f1aac44edd27b1dabb5d470d00000040481ede"
+        "772da15785c9e59a086201b8c3f9c307129e3fc6d7f34aa4dfed5814e5166802dfae883b"
+        "eb486b504f1699e631b2b9aa818037f809b62458c4029a0c0a00000047000000010200f1"
+        "883ec62710855a46b2c37d8be3f81170360e6af7bb793b235276538841f5c20146691cab"
+        "9911b21868bac20c726c72786cb44e8b87707053c686b69d04e8f5b3000000408a88e3dd"
+        "7409f195fd52db2d3cba5d72ca6709bf1d94121bf3748801b40f6f5c09ca05383287c5ae"
+        "08b7085f2f679137bc6c009b4d11bd481de7a3505dd5cf6200000040e4cb987f9c211761"
+        "f9d50f53b6518abc40d654dd668214fee87bb413a11b3be8c5cb9323a33c5a9f891dd916"
+        "694af7c87225941d07e3c271380f1259ab8f130f"
+    )
+
+    @staticmethod
+    def _golden_erc():
+        from gridtrade.crypto import sign as crypto_sign
+
+        kp_ca = KeyPair.from_seed(bytes(range(2, 34)))
+        vm = KeyPair.from_seed(bytes(range(3, 35)))
+        pool = [KeyPair.from_seed(bytes([i]) * 32) for i in range(4)]
+        tree = merkle_build([p.public for p in pool])
+        return make_erc(
+            time_stamp=10,
+            ctp_id=hash_bytes(b"golden-ctp"),
+            price=60,
+            coe_root=tree.root,
+            coe_vm_sign=crypto_sign(vm, tree.root),
+            coe_vm_cert=issue_certificate(kp_ca, vm.public),
+            coe_pk=vm.public,
+            merkle_hashes=merkle_prove(tree, 1),
+            keypair=pool[1],
+        )
+
+    def test_genesis_golden(self):
+        from gridtrade.transactions import decode_hex, encode_hex
+
+        kp = KeyPair.from_seed(bytes(range(32)))
+        genesis = make_genesis(GENESIS_COIN_BURN, (500).to_bytes(8, "big"), kp)
+        assert encode_hex(genesis) == self.GENESIS_GOLDEN
+        assert decode_hex(self.GENESIS_GOLDEN) == genesis
+
+    def test_negotiation_golden(self):
+        from gridtrade.transactions import decode_hex, encode_hex
+
+        kp = KeyPair.from_seed(bytes(range(32)))
+        dest = KeyPair.from_seed(bytes(range(1, 33))).public
+        msg = make_negotiation(dest, 42, 0, 3, kp)
+        assert encode_hex(msg) == self.NEGOTIATION_GOLDEN
+        assert decode_hex(self.NEGOTIATION_GOLDEN) == msg
+
+    def test_erc_golden(self):
+        from gridtrade.transactions import decode_hex, encode_hex
+
+        erc = self._golden_erc()
+        assert encode_hex(erc) == self.ERC_GOLDEN
+        assert decode_hex(self.ERC_GOLDEN) == erc
 
     def test_ctp_golden(self):
         from gridtrade.transactions import decode_hex, encode_hex
