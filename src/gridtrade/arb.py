@@ -10,6 +10,11 @@ still in flight when the table widens can take one more backbone hop,
 because the backbone it was forwarded to may no longer own the key.
 ``Mesh.next_hop`` is the one routing decision every backbone makes.
 
+Each table memoizes its owner lookups by routing prefix, so each prefix
+costs one bisect per table: the memo holds at most min(distinct keys,
+256**x) entries. A table is never changed once built; widening installs a
+new table, whose memo starts empty.
+
 Widening ``x`` rebuilds the table at finer granularity. When a load
 histogram from the overloaded window is supplied, the new ranges are cut
 so observed traffic spreads evenly and the overloaded node takes the
@@ -22,8 +27,9 @@ rather than an error.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 from .crypto import KeyPair, PublicKey, Signature, sign, verify
 from .transactions import (
@@ -63,6 +69,10 @@ class DHTTable:
     bounds: Tuple[int, ...]
     owners: Tuple[str, ...]
     version: int = 0
+    # routing prefix -> owner, filled by ``owner_of``
+    _owner_memo: Dict[bytes, str] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def space(self) -> int:
@@ -73,7 +83,13 @@ class DHTTable:
         return self.owners[idx]
 
     def owner_of(self, pk: PublicKey) -> str:
-        return self.owner_of_value(routing_value(pk, self.x))
+        prefix = pk[: self.x]
+        owner = self._owner_memo.get(prefix)
+        if owner is None:
+            owner = self._owner_memo[prefix] = self.owner_of_value(
+                int.from_bytes(prefix, "big")
+            )
+        return owner
 
     def ranges(self) -> List[Tuple[int, int, str]]:
         """(first value, last value, owner) triples covering the space."""
@@ -240,7 +256,7 @@ class BackboneNode:
         self.window = window
         self.members: Dict[PublicKey, str] = {}
         self.handled: int = 0  # lifetime messages this node was responsible for
-        self.recent: List[Tuple[int, PublicKey]] = []  # (tick, dest pk) in window
+        self.recent: Deque[Tuple[int, PublicKey]] = deque()  # (tick, dest pk) in window
 
     def join(self, msg: JoinMessage, table: DHTTable) -> Tuple[bool, Optional[str]]:
         """Admit a member; forged or misrouted joins are refused."""
@@ -256,7 +272,7 @@ class BackboneNode:
         self.recent.append((now, dest_pk))
         cutoff = now - self.window
         while self.recent and self.recent[0][0] <= cutoff:
-            self.recent.pop(0)
+            self.recent.popleft()
 
     def window_load(self) -> int:
         return len(self.recent)

@@ -19,6 +19,9 @@ from random import Random
 from typing import Dict, List, Optional, Set
 
 from .crypto import (
+    DIGEST_LEN,
+    PUBLIC_KEY_LEN,
+    SIGNATURE_LEN,
     AsymCiphertext,
     Certificate,
     HashDigest,
@@ -39,10 +42,12 @@ from .crypto import (
 from .transactions import (
     CTPTx,
     ContractTerms,
-    DecodeError,
     ERCTx,
-    decode_fields,
-    encode_fields,
+    BytesField,
+    Declared,
+    ObjectField,
+    decode_declared,
+    encode_declared,
     make_erc,
 )
 
@@ -94,7 +99,7 @@ class KeyPool:
 
 
 @dataclass(frozen=True)
-class CoE:
+class CoE(Declared):
     """A verifier meter's endorsement of a key-pool root.
 
     Carries everything a validator needs: the root, the verifier's
@@ -106,6 +111,14 @@ class CoE:
     vm_pk: PublicKey
     vm_cert: Certificate
 
+    tag = TAG_COE
+    wire = (
+        BytesField("root", DIGEST_LEN),
+        BytesField("vm_signature", SIGNATURE_LEN),
+        BytesField("vm_pk", PUBLIC_KEY_LEN),
+        ObjectField("vm_cert", Certificate),
+    )
+
     def verify(self, manufacturer_ca_pk: PublicKey) -> bool:
         if not ca_verify(self.vm_cert, manufacturer_ca_pk):
             return False
@@ -114,28 +127,29 @@ class CoE:
         return verify(self.vm_pk, self.root, self.vm_signature)
 
     def to_bytes(self) -> bytes:
-        return encode_fields(
-            TAG_COE, [self.root, self.vm_signature, self.vm_pk, self.vm_cert.to_bytes()]
-        )
+        return encode_declared(self)
 
     @staticmethod
     def from_bytes(data: bytes) -> "CoE":
-        root, vm_signature, vm_pk, cert = decode_fields(data, TAG_COE, 4)
-        try:
-            vm_cert = Certificate.from_bytes(cert)
-        except ValueError as exc:
-            raise DecodeError(str(exc)) from exc
-        return CoE(root=root, vm_signature=vm_signature, vm_pk=vm_pk, vm_cert=vm_cert)
+        return decode_declared(CoE, data)
 
 
 @dataclass(frozen=True)
-class VerificationRequest:
+class VerificationRequest(Declared):
     """Root endorsement request routed to the chosen verifier meter."""
 
     encrypted_root: AsymCiphertext
     requester_mpk: PublicKey
     requester_cert: Certificate
     sign: Signature
+
+    tag = TAG_VERIFICATION_REQUEST
+    wire = (
+        ObjectField("encrypted_root", AsymCiphertext),
+        BytesField("requester_mpk", PUBLIC_KEY_LEN),
+        ObjectField("requester_cert", Certificate),
+        BytesField("sign", SIGNATURE_LEN),
+    )
 
     def _payload(self) -> bytes:
         return self.encrypted_root.to_bytes() + self.requester_mpk
@@ -144,26 +158,11 @@ class VerificationRequest:
         return verify(self.requester_mpk, self._payload(), self.sign)
 
     def to_bytes(self) -> bytes:
-        return encode_fields(
-            TAG_VERIFICATION_REQUEST,
-            [self.encrypted_root.to_bytes(), self.requester_mpk,
-             self.requester_cert.to_bytes(), self.sign],
-        )
+        return encode_declared(self)
 
     @staticmethod
     def from_bytes(data: bytes) -> "VerificationRequest":
-        ct, mpk, cert, signature = decode_fields(data, TAG_VERIFICATION_REQUEST, 4)
-        try:
-            encrypted_root = AsymCiphertext.from_bytes(ct)
-            requester_cert = Certificate.from_bytes(cert)
-        except ValueError as exc:
-            raise DecodeError(str(exc)) from exc
-        return VerificationRequest(
-            encrypted_root=encrypted_root,
-            requester_mpk=mpk,
-            requester_cert=requester_cert,
-            sign=signature,
-        )
+        return decode_declared(VerificationRequest, data)
 
 
 @dataclass

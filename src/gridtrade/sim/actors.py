@@ -407,6 +407,10 @@ class ProducerActor(Actor, MeterMixin):
             return
         self.negot_received += 1
         self.world.metrics.bump("negotiation_rounds")
+        if offer.amount * msg.price >= 1 << 64:
+            # no contract can carry a total price past u64: refuse unanswered
+            self.world.metrics.bump("negotiation_price_overflow")
+            return
         if msg.status == 1:
             # counterparty accepted our counter-offer
             reserve = self._reserve_price(offer)
@@ -749,23 +753,21 @@ class ConsumerActor(Actor, MeterMixin):
         ):
             return
         self.world.metrics.bump("negotiation_rounds")
-        if msg.status == 1:
-            self._commit(attempt, msg.price, msg.t_id, now)
-            return
-        if msg.price == 0:  # rejected outright
-            self.tried.add(attempt.offer_key)
-            self.attempt = None
-            return
-        # counter-offer: accept anything at or below the posted price
-        if msg.price <= attempt.posted_price and msg.round + 1 <= self.world.config.offer_limit:
-            accept = make_negotiation(
-                attempt.account_pk, msg.price, 1, msg.round + 1, attempt.session
-            )
-            self.world.send_routed(self, attempt.session.public, attempt.account_pk, accept)
-            self._commit(attempt, msg.price, accept.t_id, now)
-        else:
-            self.tried.add(attempt.offer_key)
-            self.attempt = None
+        # an acceptance or a counter-offer binds only at a price from 1 up to the
+        # posted one; price 0 is an outright rejection
+        if 0 < msg.price <= attempt.posted_price:
+            if msg.status == 1:
+                self._commit(attempt, msg.price, msg.t_id, now)
+                return
+            if msg.round + 1 <= self.world.config.offer_limit:
+                accept = make_negotiation(
+                    attempt.account_pk, msg.price, 1, msg.round + 1, attempt.session
+                )
+                self.world.send_routed(self, attempt.session.public, attempt.account_pk, accept)
+                self._commit(attempt, msg.price, accept.t_id, now)
+                return
+        self.tried.add(attempt.offer_key)
+        self.attempt = None
 
     def _commit(self, attempt: TradeAttempt, unit_price: int, nonce: bytes, now: int) -> None:
         """Agreement reached: derive terms and broadcast the commitment."""

@@ -1,16 +1,20 @@
 """Deterministic discrete-event world wiring all protocol actors together.
 
 Time is integer ticks; one tick is one network hop. Each tick runs fixed
-phases: consensus-period bookkeeping, expiry sweeps, message deliveries in
-(tick, send-order) priority, actor steps, mining wakeups, then end-of-tick
-digest journaling, load checks, and invariant checks. All randomness comes
-from labeled child RNGs of the scenario seed, so two runs with the same
-config are bit-identical.
+phases: consensus-period bookkeeping, expiry sweeps, message deliveries,
+actor steps, mining wakeups, then end-of-tick digest journaling, load
+checks, and invariant checks. All randomness comes from labeled child RNGs
+of the scenario seed, so two runs with the same config are bit-identical.
+
+Messages wait in one list per due tick. Every message travels at least one
+tick, so nothing a delivery sends can land in the list being delivered,
+and each tick hands its list out in append order: messages arrive in
+(due tick, send order), as a priority queue on that pair would deliver
+them, without the queue.
 """
 
 from __future__ import annotations
 
-import heapq
 from random import Random
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -51,8 +55,8 @@ class World:
         self.config = config
         self.metrics = Metrics()
         self.now = 0
-        self._seq = 0
-        self._queue: List[Tuple[int, int, str, object]] = []
+        # due tick -> (destination actor id, payload) in send order
+        self._due: Dict[int, List[Tuple[str, object]]] = {}
         self.actors: Dict[str, Actor] = {}
         self.miner_actors: List[MinerActor] = []
         self.step_actors: List[Actor] = []
@@ -125,6 +129,7 @@ class World:
         for actor in self.step_actors:
             self.actors[actor.id] = actor
 
+        self.meter_directory.sort()  # complete now; the pickers choose from it sorted
         self.initial_total_coin = self.miner_actors[0].miner.ledger.total_coin()
         self.network_actor_ids = [m.id for m in self.miner_actors] + [
             a.id for a in self.step_actors
@@ -230,8 +235,15 @@ class World:
         ):
             self.metrics.bump("messages_lost")
             return
-        self._seq += 1
-        heapq.heappush(self._queue, (self.now + delay, self._seq, dest_id, payload))
+        self._due.setdefault(self.now + delay, []).append((dest_id, payload))
+
+    def deliver_due(self, now: int) -> None:
+        """Hand every message due at tick ``now`` to its actor, in send order."""
+        actors = self.actors
+        for dest, payload in self._due.pop(now, ()):
+            target = actors.get(dest)
+            if target is not None:
+                target.on_message(payload, now)
 
     def send_join(self, actor: Actor, join) -> None:
         dest = self.mesh.table.owner_of(join.pk)
@@ -300,7 +312,7 @@ class World:
             self.contracts[contract_hash]["settled"] += 1
 
     def pick_verifier_meter(self, own_pk: PublicKey, rng: Random) -> Optional[PublicKey]:
-        candidates = sorted(pk for pk in self.meter_directory if pk != own_pk)
+        candidates = [pk for pk in self.meter_directory if pk != own_pk]
         if not candidates:
             return None
         return rng.choice(candidates)
@@ -308,10 +320,9 @@ class World:
     def pick_ping_target(self, rng: Random) -> Optional[PublicKey]:
         if not self.meter_directory:
             return None
-        targets = sorted(self.meter_directory)
         if self.config.routing_skew:
-            return targets[0]  # every ping hammers one routing value
-        return rng.choice(targets)
+            return self.meter_directory[0]  # every ping hammers one routing value
+        return rng.choice(self.meter_directory)
 
     @property
     def ledger_view(self):
@@ -330,11 +341,7 @@ class World:
                 released = actor.miner.ledger.expire_ctps(now)
                 if actor.reference and released:
                     self.metrics.bump("ctp_expired", len(released))
-            while self._queue and self._queue[0][0] <= now:
-                _, _, dest, payload = heapq.heappop(self._queue)
-                target = self.actors.get(dest)
-                if target is not None:
-                    target.on_message(payload, now)
+            self.deliver_due(now)
             for actor in self.step_actors:
                 actor.step(now)
             for actor in self.miner_actors:

@@ -30,9 +30,10 @@ codecs cannot express (a positive price, expiry after the time stamp) are
 each class's ``rule_fault``, shared by ``check_structure`` and the
 ``make_*`` builders.
 
+The meter's ``CoE`` and ``VerificationRequest`` are declared the same way
+and travel as ``encode_declared`` bytes, read back by ``decode_declared``.
 Deliberately outside the declarations: ``ledger.ProducerClaim`` (tag plus
-unprefixed fields; it borrows ``U64Field`` for ``energy_kwh``) and the
-meter's ``CoE``/``VerificationRequest`` (``encode_fields``/``decode_fields``).
+unprefixed fields; it borrows ``U64Field`` for ``energy_kwh``).
 """
 
 from __future__ import annotations
@@ -197,14 +198,18 @@ class FlagField(EnumField):
         return raw[0] == 1
 
 
-class ProofField(Field):
-    """A Merkle inclusion proof in ``MerkleProof.to_bytes`` form."""
+class ObjectField(Field):
+    """A value in its own ``to_bytes`` form, read back by ``kind.from_bytes``."""
 
-    def encode(self, value: MerkleProof) -> bytes:
+    def __init__(self, name: str, kind: type):
+        super().__init__(name)
+        self.kind = kind
+
+    def encode(self, value) -> bytes:
         return value.to_bytes()
 
-    def parse(self, raw: bytes) -> MerkleProof:
-        return MerkleProof.from_bytes(raw)
+    def parse(self, raw: bytes):
+        return self.kind.from_bytes(raw)
 
 
 class AttestationField(Field):
@@ -229,7 +234,7 @@ _T_ID = BytesField("t_id", DIGEST_LEN)
 _SIGN = BytesField("sign", SIGNATURE_LEN)
 
 
-class _Declared:
+class Declared:
     """Binds a subclass's ``tag`` and ``wire`` declaration once, at class
     creation, so encoding builds no getters or closures per call."""
 
@@ -246,9 +251,18 @@ class _Declared:
         return None
 
 
-def _body(obj: _Declared) -> bytes:
+def encode_declared(obj: Declared) -> bytes:
     """Tag byte, then every declared field length-prefixed."""
     return obj._tag_byte + b"".join([_lp(encode(get(obj))) for get, encode in obj._encoders])
+
+
+def _decode_into(values: dict, field: Field, raw: bytes) -> None:
+    """Decode one field's bytes into ``values`` under its attribute names."""
+    value = field.decode(raw)
+    if len(field.names) == 1:
+        values[field.names[0]] = value
+    else:
+        values.update(zip(field.names, value))
 
 
 def encode_fields(tag: int, fields: List[bytes]) -> bytes:
@@ -266,8 +280,17 @@ def decode_fields(data: bytes, tag: int, count: int) -> List[bytes]:
     return fields
 
 
+def decode_declared(cls, data: bytes):
+    """Inverse of ``encode_declared`` for a ``cls`` made of its declared
+    fields alone; raises DecodeError."""
+    values: dict = {}
+    for field, raw in zip(cls.wire, decode_fields(data, cls.tag, len(cls.wire))):
+        _decode_into(values, field, raw)
+    return cls(**values)
+
+
 @dataclass(frozen=True)
-class GenesisTx(_Declared):
+class GenesisTx(Declared):
     """Opens an energy account.
 
     ``method`` selects the evidence kind: a claimed coin-burn amount
@@ -302,7 +325,7 @@ class GenesisTx(_Declared):
 
 
 @dataclass(frozen=True)
-class SupplyEnergyTx(_Declared):
+class SupplyEnergyTx(Declared):
     """Adds ``energy_amount`` kWh at ``energy_price`` per kWh to an account.
 
     ``p_t_id`` chains to the account's previous transaction (the genesis id
@@ -334,7 +357,7 @@ class SupplyEnergyTx(_Declared):
 
 
 @dataclass(frozen=True)
-class NegotiationMsg(_Declared):
+class NegotiationMsg(Declared):
     """One step of off-chain price haggling, never stored in a block.
 
     ``status`` 1 accepts the counterparty's last price, 0 carries a new
@@ -367,7 +390,7 @@ class NegotiationMsg(_Declared):
 
 
 @dataclass(frozen=True)
-class CTPTx(_Declared):
+class CTPTx(Declared):
     """Commit-to-pay: pending payment of ``price`` held until expiry.
 
     Never mined; lives in each miner's pending database. ``contract_hash``
@@ -401,7 +424,7 @@ class CTPTx(_Declared):
 
 
 @dataclass(frozen=True)
-class ERCTx(_Declared):
+class ERCTx(Declared):
     """Energy receipt confirmation emitted by the consumer's meter.
 
     Signed with a one-time key whose public half is a leaf of the
@@ -430,7 +453,7 @@ class ERCTx(_Declared):
         U64Field("price"),
         AttestationField("coe_root", "coe_vm_sign", "coe_vm_cert"),
         BytesField("coe_pk", PUBLIC_KEY_LEN),
-        ProofField("merkle_hashes"),
+        ObjectField("merkle_hashes", MerkleProof),
         BytesField("pk", PUBLIC_KEY_LEN),
     )
 
@@ -443,7 +466,7 @@ MINEABLE_TAGS = frozenset({TAG_GENESIS, TAG_SUPPLY, TAG_ERC})
 
 
 @dataclass(frozen=True)
-class ContractTerms(_Declared):
+class ContractTerms(Declared):
     """Terms both parties hash into the contract commitment.
 
     The nonce blinds the hash: amounts and rates come from a small space,
@@ -464,7 +487,7 @@ class ContractTerms(_Declared):
     )
 
     def __post_init__(self):
-        _body(self)  # refuses any value the contract hash cannot cover
+        encode_declared(self)  # refuses any value the contract hash cannot cover
 
 
 def compute_contract_hash(terms: ContractTerms) -> HashDigest:
@@ -474,7 +497,7 @@ def compute_contract_hash(terms: ContractTerms) -> HashDigest:
             f"total_price {terms.total_price} != "
             f"{terms.energy_amount} * {terms.unit_price}"
         )
-    return hash_bytes(_body(terms))
+    return hash_bytes(encode_declared(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -487,18 +510,18 @@ def _id_of(body: bytes, signature: Signature) -> HashDigest:
 
 def encode_canonical(tx: Transaction) -> bytes:
     """Full wire bytes: tag || t_id || remaining fields || signature."""
-    body = _body(tx)
+    body = encode_declared(tx)
     return body[:1] + _lp(_T_ID.encode(tx.t_id)) + body[1:] + _lp(_SIGN.encode(tx.sign))
 
 
 def signing_digest(tx: Transaction) -> HashDigest:
     """Hash the signature commits to: the encoding without id or signature."""
-    return hash_bytes(_body(tx))
+    return hash_bytes(encode_declared(tx))
 
 
 def compute_t_id(tx: Transaction) -> HashDigest:
     """Transaction id: hash of the signed encoding (id field excluded)."""
-    return _id_of(_body(tx), tx.sign)
+    return _id_of(encode_declared(tx), tx.sign)
 
 
 def encode_hex(tx: Transaction) -> str:
@@ -524,11 +547,7 @@ def decode_canonical(data: bytes) -> Transaction:
     r = _Reader(data, 1)
     values = {"t_id": _T_ID.decode(r.field())}
     for field in cls.wire:
-        value = field.decode(r.field())
-        if len(field.names) == 1:
-            values[field.names[0]] = value
-        else:
-            values.update(zip(field.names, value))
+        _decode_into(values, field, r.field())
     values["sign"] = _SIGN.decode(r.field())
     r.done()
     return cls(**values)
@@ -606,7 +625,7 @@ def check_id_and_signature(tx: Transaction) -> Tuple[bool, Optional[str]]:
     (ok, reason).
     """
     try:
-        body = _body(tx)
+        body = encode_declared(tx)
         t_id = _id_of(body, tx.sign)
     except ValueError as exc:  # a value the canonical encoding cannot hold
         return False, f"malformed: {exc}"

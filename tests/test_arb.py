@@ -1,5 +1,6 @@
 """Routing backbone: table construction, joins, delivery, widening."""
 
+from bisect import bisect_right
 from random import Random
 
 import pytest
@@ -183,6 +184,49 @@ class TestRouting:
         assert mesh.route(ep_a, entry, kp_b.public, fine).delivered
         result = mesh.route(ep_a, entry, kp_b.public, over)
         assert not result.delivered and result.reason == "offer limit exceeded"
+
+
+def fresh_bisect(table: DHTTable, pk: bytes) -> str:
+    return table.owners[bisect_right(table.bounds, routing_value(pk, table.x)) - 1]
+
+
+class TestOwnerMemo:
+    """``owner_of`` memoizes by routing prefix on each table instance."""
+
+    def test_memo_matches_bisect_across_widening(self):
+        rng = Random(13)
+        mesh = Mesh([f"b{i}" for i in range(5)], 1, offer_limit=5)
+        keypairs = [KeyPair.generate(rng) for _ in range(120)]
+        for i, kp in enumerate(keypairs):
+            assert mesh.join(mesh.table.owner_of(kp.public), make_join(kp, f"n{i}"))[0]
+        members = [kp.public for kp in keypairs]
+        old = mesh.table
+        for _ in range(2):  # the second pass answers from the memo
+            for pk in members:
+                assert old.owner_of(pk) == fresh_bisect(old, pk)
+        assert set(old._owner_memo) == {pk[:1] for pk in members}
+        histogram = {}
+        for pk in members:
+            value = routing_value(pk, 2)
+            histogram[value] = histogram.get(value, 0) + 1
+        mesh.widen(2, histogram, overloaded="b0")
+        new = mesh.table
+        assert new is not old and new._owner_memo is not old._owner_memo
+        for _ in range(2):
+            for pk in members:
+                owner = new.owner_of(pk)
+                assert owner == fresh_bisect(new, pk)
+                assert pk in mesh.nodes[owner].members
+        assert set(new._owner_memo) == {pk[:2] for pk in members}
+        # lookups on the old table still answer for the old granularity
+        assert all(old.owner_of(pk) == fresh_bisect(old, pk) for pk in members)
+
+    def test_memo_leaves_equality_and_hash_alone(self):
+        table = build_dht(["b0", "b1", "b2"], 1)
+        twin = build_dht(["b0", "b1", "b2"], 1)
+        table.owner_of(bytes(64))
+        assert table == twin and hash(table) == hash(twin)
+        assert "_owner_memo" not in repr(table)
 
 
 class TestRebalance:

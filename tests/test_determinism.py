@@ -32,6 +32,22 @@ GOLDEN = dict([
 ])
 
 
+# The routing benchmark workload at seed 1, recorded before routed messages
+# moved from a heap to per-tick delivery lists and owner lookups were
+# memoized. At this scale the table widens with messages still in flight.
+ROUTING_CHATTER = dict(producers=16, chatter_nodes=32, backbones=8, ticks=6000)
+ROUTING_CHATTER_GOLDEN = (
+    "5c557eb2229a59730005a7f9c4eef5f3e42f4e2520bc754363305d366f748f7a",
+    "903628bdc150ccda7d33a6c1b6ba9cc50cdaeec7bc71cc7bf8c2a4c74a93335a",
+)
+
+
+def _digests(result):
+    dump_sha = hashlib.sha256(result.chain_dump).hexdigest()
+    kv_sha = hashlib.sha256(result.metrics.render_kv().encode()).hexdigest()
+    return dump_sha, kv_sha
+
+
 def test_every_preset_is_pinned():
     assert {attack for attack, _ in GOLDEN} == set(SCENARIOS)
 
@@ -39,6 +55,10 @@ def test_every_preset_is_pinned():
 @pytest.mark.parametrize("attack,seed", sorted(GOLDEN))
 def test_chain_dump_and_metrics_match_golden(attack, seed):
     result = run_scenario(preset(attack, seed=seed))
-    dump_sha = hashlib.sha256(result.chain_dump).hexdigest()
-    kv_sha = hashlib.sha256(result.metrics.render_kv().encode()).hexdigest()
-    assert (dump_sha, kv_sha) == GOLDEN[(attack, seed)]
+    assert _digests(result) == GOLDEN[(attack, seed)]
+
+
+def test_routing_chatter_workload_matches_golden():
+    result = run_scenario(preset("routing_overload", seed=1, **ROUTING_CHATTER))
+    assert result.metrics.get("rebalances") >= 1
+    assert _digests(result) == ROUTING_CHATTER_GOLDEN

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from gridtrade.crypto import CERTIFICATE_LEN, KeyPair, merkle_verify
+from gridtrade.crypto import CERTIFICATE_LEN, SIGNATURE_LEN, KeyPair, merkle_verify
 from gridtrade.meter import (
     CoE,
     MeterError,
@@ -47,6 +47,15 @@ MALFORMED = {
     "short certificate": (
         lambda data: _replace_field(data, CERTIFICATE_LEN, bytes(10)),
         "certificate must be 192 bytes",
+    ),
+    # both messages carry two 64-byte fields (a key and a signature)
+    "short key or signature": (
+        lambda data: _replace_field(data, SIGNATURE_LEN, bytes(10)),
+        "must be 64 bytes, got 10",
+    ),
+    "long key or signature": (
+        lambda data: _replace_field(data, SIGNATURE_LEN, bytes(65)),
+        "must be 64 bytes, got 65",
     ),
 }
 
@@ -302,6 +311,32 @@ class TestWireEncodings:
         mangle, error = MALFORMED[defect]
         with pytest.raises(DecodeError, match=error):
             type(message).from_bytes(mangle(message.to_bytes()))
+
+    @pytest.mark.parametrize(
+        "kind,index,name,size",
+        [
+            ("endorsement", 0, "root", 32),
+            ("endorsement", 1, "vm_signature", 64),
+            ("endorsement", 2, "vm_pk", 64),
+            ("request", 1, "requester_mpk", 64),
+            ("request", 3, "sign", 64),
+        ],
+    )
+    @pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+    def test_each_fixed_length_field_checked(self, rig, kind, index, name, size, delta):
+        requester = fresh_meter(rig.manufacturer, 50)
+        verifier = fresh_meter(rig.manufacturer, 51)
+        message = requester.make_verification_request(
+            requester.generate_key_pool(2), verifier.public
+        )
+        if kind == "endorsement":
+            message = verifier.process_verification_request(message, rig.manufacturer.public)
+        data = message.to_bytes()
+        fields = decode_fields(data, data[0], 4)
+        assert len(fields[index]) == size
+        fields[index] = bytes(size + delta)
+        with pytest.raises(DecodeError, match=f"{name} must be {size} bytes, got {size + delta}"):
+            type(message).from_bytes(encode_fields(data[0], fields))
 
     def test_malformed_ciphertext_is_a_decode_error(self, rig):
         requester = fresh_meter(rig.manufacturer, 48)

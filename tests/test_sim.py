@@ -3,10 +3,13 @@
 import heapq
 import subprocess
 import sys
+from itertools import count
 from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridtrade.arb import make_join
 from gridtrade.crypto import KeyPair
@@ -17,10 +20,10 @@ from gridtrade.sim import (
     preset,
     run_scenario,
 )
-from gridtrade.sim.actors import Actor
+from gridtrade.sim.actors import Actor, TradeAttempt
 from gridtrade.sim.cli import main as cli_main
 from gridtrade.meter import TAG_COE
-from gridtrade.sim.messages import Ping, Routed
+from gridtrade.sim.messages import Ping, Routed, encode_routed_payload
 from gridtrade.sim.world import World
 from gridtrade.transactions import encode_fields, make_negotiation
 
@@ -146,10 +149,57 @@ class Endpoint(Actor):
 
 
 def _deliver_all(world: World) -> None:
-    while world._queue:
-        tick, _, dest, payload = heapq.heappop(world._queue)
-        world.now = tick
-        world.actors[dest].on_message(payload, tick)
+    """Advance tick by tick through the world's own delivery until nothing is due."""
+    while world._due:
+        world.now += 1
+        world.deliver_due(world.now)
+
+
+class Relay(Actor):
+    """Logs each message id it gets, then sends the follow-ups ``plan`` names.
+
+    Message ids count sends in order, starting at 1; message k, once
+    delivered, sends ``plan[k]`` as (relay index, delay) pairs.
+    """
+
+    def __init__(self, actor_id: str, world, plan, ids, log):
+        super().__init__(actor_id, world)
+        self.plan, self.ids, self.log = plan, ids, log
+
+    def on_message(self, payload, now: int) -> None:
+        self.log.append((now, self.id, payload))
+        for relay, delay in self.plan[payload] if payload < len(self.plan) else ():
+            self.world.send(f"relay-{relay}", next(self.ids), delay)
+
+
+def _heap_order(plan):
+    """Reference: deliveries popped from a heap of (due tick, send order)."""
+    queue, log, ids = [], [], count(1)
+    for relay, delay in plan[0]:
+        heapq.heappush(queue, (delay, next(ids), f"relay-{relay}"))
+    while queue:
+        tick, msg, dest = heapq.heappop(queue)
+        log.append((tick, dest, msg))
+        for relay, delay in plan[msg] if msg < len(plan) else ():
+            heapq.heappush(queue, (tick + delay, next(ids), f"relay-{relay}"))
+    return log
+
+
+_sends = st.lists(st.tuples(st.integers(0, 2), st.integers(1, 4)), max_size=3)
+
+
+class TestDeliveryOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(plan=st.lists(_sends, min_size=1, max_size=30))
+    def test_delivery_order_is_tick_then_send_order(self, plan):
+        world = World(preset("none", seed=5))
+        ids, log = count(1), []
+        for i in range(3):
+            world.actors[f"relay-{i}"] = Relay(f"relay-{i}", world, plan, ids, log)
+        for relay, delay in plan[0]:
+            world.send(f"relay-{relay}", next(ids), delay)
+        _deliver_all(world)
+        assert log == _heap_order(plan)
 
 
 class TestSimulatedRouting:
@@ -226,6 +276,67 @@ class TestMalformedRoutedPayload:
         for actor in (world.producer_actors[0], world.consumer_actors[0]):
             actor.on_message(Routed(dest_pk=bytes(64), payload=payload, origin="b0"), 0)
         assert world.metrics.get("routed_malformed") == 2
+
+
+def _routed(msg) -> Routed:
+    return Routed(
+        dest_pk=msg.dest_energy_account_pk, payload=encode_routed_payload(msg), origin="arb-0"
+    )
+
+
+class TestNegotiationGuards:
+    """Negotiation replies that no contract may follow are refused, not raised."""
+
+    @pytest.mark.parametrize("status", [0, 1])
+    def test_offer_past_u64_total_is_refused_and_counted(self, status):
+        world = World(preset("none", seed=5))
+        producer = world.producer_actors[0]
+        offer = producer.offers[0]  # 10 kWh
+        offer_msg = make_negotiation(
+            offer.keypair.public, 2**64 - 1, status, 1, KeyPair.generate(Random(8))
+        )
+        producer.on_message(_routed(offer_msg), 20)
+        assert world.metrics.get("negotiation_price_overflow") == 1
+        assert not offer.reserved
+        assert producer.contracts == {} and world.contracts == {}
+        assert world._due == {}  # refused without a reply
+
+    def _negotiating_consumer(self):
+        world = World(preset("none", seed=5))
+        consumer = world.consumer_actors[0]
+        offer = world.producer_actors[0].offers[0]
+        consumer.attempt = TradeAttempt(
+            offer_key=b"offer",
+            account_pk=offer.keypair.public,
+            amount=offer.amount,
+            posted_price=offer.posted_price,
+            negotiable=True,
+            session=KeyPair.generate(Random(9)),
+            state="negotiating",
+            started=0,
+            round=1,
+        )
+        return world, consumer, offer
+
+    @pytest.mark.parametrize("price", [0, 11, 10**6], ids=["zero", "one-above", "far-above"])
+    def test_acceptance_outside_posted_price_drops_attempt(self, price):
+        world, consumer, offer = self._negotiating_consumer()
+        assert offer.posted_price == 10
+        accept = make_negotiation(consumer.attempt.session.public, price, 1, 2, offer.keypair)
+        consumer.on_message(_routed(accept), 20)
+        assert consumer.attempt is None and b"offer" in consumer.tried
+        assert consumer.sent_ctps == [] and world.contracts == {}
+        assert world.metrics.get("ctp_broadcast") == 0
+
+    def test_acceptance_at_posted_price_commits(self):
+        world, consumer, offer = self._negotiating_consumer()
+        accept = make_negotiation(
+            consumer.attempt.session.public, offer.posted_price, 1, 2, offer.keypair
+        )
+        consumer.on_message(_routed(accept), 20)
+        (ctp,) = consumer.sent_ctps
+        assert ctp.price == offer.amount * offer.posted_price
+        assert consumer.attempt.state == "committed"
 
 
 class TestCli:
