@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from random import Random
 from typing import Dict, Optional, Tuple, Union
 
@@ -78,6 +79,8 @@ class KeyPair:
         public = _raw_public(ed_priv.public_key()) + _raw_public(x_priv.public_key())
         return KeyPair(public=public, seed=seed)
 
+    # built on the first sign and kept; not a field, so ==, hash and repr ignore it
+    @cached_property
     def _ed_private(self) -> Ed25519PrivateKey:
         return Ed25519PrivateKey.from_private_bytes(self.seed)
 
@@ -97,7 +100,7 @@ def _raw_public(key: Union[Ed25519PublicKey, X25519PublicKey]) -> bytes:
 
 def sign(keypair: KeyPair, message: bytes) -> Signature:
     """Ed25519 signature over ``message``; deterministic per (key, message)."""
-    return keypair._ed_private().sign(message)
+    return keypair._ed_private.sign(message)
 
 
 # verify's process-wide memo. Its key is the whole input, so a hit returns

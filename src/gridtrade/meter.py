@@ -187,7 +187,7 @@ class SmartMeter:
         self.pool: Optional[KeyPool] = None
         self.coe: Optional[CoE] = None
         self.records: Dict[HashDigest, DeliveryRecord] = {}
-        self.contracts: Dict[HashDigest, tuple] = {}  # contract_hash -> (terms, ctp)
+        self.contracts: Dict[HashDigest, tuple] = {}  # hash -> (terms, ctp) awaiting a receipt
 
     @property
     def public(self) -> PublicKey:

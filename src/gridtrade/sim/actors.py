@@ -10,6 +10,7 @@ for the grid connection).
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, replace
 from random import Random
 from typing import Dict, List, Optional, Set, Tuple
@@ -259,21 +260,22 @@ class MeterMixin:
         """Tamper-resistant duty: emit a receipt once delivery completes."""
         if self.meter is None or not self.owns_meter:
             return
-        for contract_hash, (terms, ctp) in list(self.meter.contracts.items()):
+        # in registration order; a prosumer's consumer registers contracts on
+        # the meter its producer owns, so the owner's pump sees them all
+        waiting = self.meter.contracts
+        for contract_hash, (terms, ctp) in list(waiting.items()):
+            if now >= ctp.expiry_time:  # time only moves on: it can never emit
+                del waiting[contract_hash]
+                continue
             record = self.meter.records.get(contract_hash)
             if record is None or not record.complete:
                 continue
-            if contract_hash in self._erc_emitted:
-                continue
-            if now >= ctp.expiry_time:
-                continue
+            del waiting[contract_hash]
             try:
                 erc = self.meter.generate_erc(ctp, now)
             except MeterError:
                 self.world.metrics.bump("erc_refused")
-                self._erc_emitted.add(contract_hash)
                 continue
-            self._erc_emitted.add(contract_hash)
             self.world.metrics.bump("erc_emitted")
             self.world.broadcast_tx(erc)
 
@@ -309,7 +311,6 @@ class ProducerActor(Actor, MeterMixin):
         self.unmatched_ctps: List[Tuple[CTPTx, int]] = []  # (ctp, arrived at)
         self.negot_received = 0
         self.declined_mismatch = 0
-        self._erc_emitted: Set[bytes] = set()
         # forger state
         self.harvested: Optional[ERCTx] = None
         self.forge_target: Optional[CTPTx] = None
@@ -597,12 +598,12 @@ class ConsumerActor(Actor, MeterMixin):
         self.offer_preference = offer_preference
         self.sibling_pks = sibling_pks or set()
         self.offers: Dict[bytes, tuple] = {}  # supply t_id -> (pk, amount, price, negotiable)
+        self.offer_keys: List[bytes] = []  # the keys of self.offers, kept sorted
         self.tried: Set[bytes] = set()
         self.attempt: Optional[TradeAttempt] = None
         self.trades_done = 0
         self.settled_ctps: Set[bytes] = set()
         self.sent_ctps: List[CTPTx] = []
-        self._erc_emitted: Set[bytes] = set()
         self._init_state = "join_meter"
         self._vr_sent_at: Optional[int] = None
         self.ready = False
@@ -691,13 +692,16 @@ class ConsumerActor(Actor, MeterMixin):
 
     def _start_trade(self, now: int) -> None:
         candidates = []
-        for key in sorted(self.offers):
+        balance = None  # read once, and only if some offer gets that far
+        for key in self.offer_keys:
             if key in self.tried:
                 continue
             pk, amount, price, negotiable = self.offers[key]
             if pk in self.sibling_pks:
                 continue
-            if amount * price > self.world.ledger_view.available_balance(self.account.public):
+            if balance is None:
+                balance = self.world.ledger_view.available_balance(self.account.public)
+            if amount * price > balance:
                 continue
             candidates.append((key, pk, amount, price, negotiable))
         if not candidates:
@@ -837,12 +841,10 @@ class ConsumerActor(Actor, MeterMixin):
 
     def _flood_step(self, now: int) -> None:
         if self.flood_target is None:
-            for key in sorted(self.offers):
-                pk, amount, price, negotiable = self.offers[key]
-                self.flood_target = (pk, price)
-                break
-            if self.flood_target is None:
+            if not self.offer_keys:
                 return
+            pk, amount, price, negotiable = self.offers[self.offer_keys[0]]
+            self.flood_target = (pk, price)
             self.flood_session = KeyPair.generate(self.rng)
             self.world.send_join(self, make_join(self.flood_session, self.id))
             return
@@ -884,8 +886,8 @@ class ConsumerActor(Actor, MeterMixin):
 
     def _on_mined_tx(self, tx) -> None:
         if isinstance(tx, SupplyEnergyTx):
-            self.offers.setdefault(
-                tx.t_id, (tx.pk, tx.energy_amount, tx.energy_price, tx.negotiable)
-            )
+            if tx.t_id not in self.offers:  # the first sighting wins
+                self.offers[tx.t_id] = (tx.pk, tx.energy_amount, tx.energy_price, tx.negotiable)
+                insort(self.offer_keys, tx.t_id)
         elif isinstance(tx, ERCTx):
             self.settled_ctps.add(tx.ctp_id)

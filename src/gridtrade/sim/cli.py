@@ -1,7 +1,8 @@
 """Command-line interface: run scenarios, replay chain dumps, list scenarios.
 
 Exit code is 0 only when every scenario verdict passes (``run``) or the
-dump validates (``replay``).
+dump validates (``replay``). A config or dump that cannot be read or a bad
+config is reported in one line on stderr, with exit code 2.
 """
 
 from __future__ import annotations
@@ -44,11 +45,20 @@ def main(argv=None) -> int:
     return _cmd_list()
 
 
+def _usage_error(message: str) -> int:
+    """Report bad input in one line on stderr; exit code 2, as argparse uses."""
+    print(f"gridtrade: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args) -> int:
-    config = parse_config(Path(args.config).read_text())
-    if args.seed is not None:
-        config.seed = args.seed
-        config.validate()
+    try:
+        config = parse_config(Path(args.config).read_text())
+        if args.seed is not None:
+            config.seed = args.seed
+            config.validate()
+    except (OSError, ValueError) as exc:
+        return _usage_error(f"config {args.config}: {exc}")
     result = run_scenario(config)
     report = result.metrics.render_text()
     sys.stdout.write(report)
@@ -62,7 +72,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    data = Path(args.chain_dump).read_bytes()
+    try:
+        data = Path(args.chain_dump).read_bytes()
+    except OSError as exc:
+        return _usage_error(f"chain dump {args.chain_dump}: {exc}")
     try:
         chain = Blockchain.load_bytes(data)
     except ValueError as exc:

@@ -5,7 +5,10 @@ from random import Random
 
 import pytest
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
+from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+    Ed25519PrivateKey,
+    Ed25519PublicKey,
+)
 
 from gridtrade import crypto
 from gridtrade.crypto import (
@@ -103,6 +106,33 @@ class TestSignatures:
     def test_keypair_reproducible_from_seed(self):
         seed = bytes(range(32))
         assert KeyPair.from_seed(seed).public == KeyPair.from_seed(seed).public
+
+
+class TestKeptSigningKey:
+    """A KeyPair builds its Ed25519 object on the first sign and keeps it."""
+
+    SEED = bytes(range(32))
+
+    def test_kept_key_signs_like_a_fresh_one(self):
+        kept = KeyPair.from_seed(self.SEED)
+        for message in (b"", b"first", b"second" * 100, b"first"):
+            fresh = Ed25519PrivateKey.from_private_bytes(self.SEED).sign(message)
+            assert sign(kept, message) == fresh
+
+    def test_directly_built_pair_signs(self):
+        public = KeyPair.from_seed(self.SEED).public
+        direct = KeyPair(public=public, seed=self.SEED)
+        assert verify(public, b"m", sign(direct, b"m"))
+        assert verify(public, b"n", sign(direct, b"n"))
+
+    def test_equality_hash_and_repr_ignore_the_kept_key(self):
+        used, unused = KeyPair.from_seed(self.SEED), KeyPair.from_seed(self.SEED)
+        sign(used, b"m")
+        assert isinstance(vars(used).get("_ed_private"), Ed25519PrivateKey)
+        assert "_ed_private" not in vars(unused)
+        assert used == unused and hash(used) == hash(unused)
+        assert repr(used) == repr(unused)
+        assert "_ed_private" not in repr(used) and "Ed25519" not in repr(used)
 
 
 def _reference_verify(public: bytes, message: bytes, signature: bytes) -> bool:

@@ -42,6 +42,23 @@ ROUTING_CHATTER_GOLDEN = (
 )
 
 
+# The honest benchmark workload at seeds 1 and 6, recorded before the offer
+# book was kept sorted and the receipt pump walked only unreceipted contracts.
+# At this scale many consumers scan the book and several receipts fall due in
+# one tick, which the small presets above do not exercise.
+HONEST_N32 = dict(producers=32, consumers=32, miners=5, backbones=4, ticks=1500)
+HONEST_N32_GOLDEN = {
+    1: (
+        "6a92f026ad4e9c684dcbda4f74266aa666d80fd0fd71caa246ca8abbb8e70b67",
+        "b6c9783ab15942b104a54c00a7fd8a915e0259907fe2654e0e2ec89a9695f81d",
+    ),
+    6: (
+        "70aa102ef87cc1ae41f77f6934c52cb59f54137c66a3307b244719aa8ee88552",
+        "3d21639f053fb5ae358e68d96c9d4a5df0fb0ae3304e32adc3977101a0343c07",
+    ),
+}
+
+
 def _digests(result):
     dump_sha = hashlib.sha256(result.chain_dump).hexdigest()
     kv_sha = hashlib.sha256(result.metrics.render_kv().encode()).hexdigest()
@@ -62,3 +79,9 @@ def test_routing_chatter_workload_matches_golden():
     result = run_scenario(preset("routing_overload", seed=1, **ROUTING_CHATTER))
     assert result.metrics.get("rebalances") >= 1
     assert _digests(result) == ROUTING_CHATTER_GOLDEN
+
+
+@pytest.mark.parametrize("seed", sorted(HONEST_N32_GOLDEN))
+def test_honest_n32_workload_matches_golden(seed):
+    result = run_scenario(preset("none", seed=seed, **HONEST_N32))
+    assert _digests(result) == HONEST_N32_GOLDEN[seed]

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridtrade.arb import make_join
-from gridtrade.crypto import KeyPair
+from gridtrade.crypto import KeyPair, hash_bytes
 from gridtrade.sim import (
     ScenarioConfig,
     format_config,
@@ -25,7 +25,13 @@ from gridtrade.sim.cli import main as cli_main
 from gridtrade.meter import TAG_COE
 from gridtrade.sim.messages import Ping, Routed, encode_routed_payload
 from gridtrade.sim.world import World
-from gridtrade.transactions import encode_fields, make_negotiation
+from gridtrade.transactions import (
+    ContractTerms,
+    compute_contract_hash,
+    encode_fields,
+    make_ctp,
+    make_negotiation,
+)
 
 
 class TestConfig:
@@ -339,6 +345,79 @@ class TestNegotiationGuards:
         assert consumer.attempt.state == "committed"
 
 
+class TestReceiptPump:
+    """The meter owner's pump emits each receipt once, in registration order."""
+
+    def _armed_consumer(self, pool_size=4):
+        world = World(preset("none", seed=5))
+        consumer = world.consumer_actors[0]
+        meter = consumer.meter
+        meter.generate_key_pool(pool_size)
+        verifier = world.consumer_actors[1].meter
+        vr = meter.make_verification_request(meter.pool, verifier.public)
+        meter.install_coe(verifier.process_verification_request(vr, world.manufacturer_ca_pk))
+        emitted = []
+        world.broadcast_tx = emitted.append
+        return world, consumer, emitted
+
+    def _register(self, consumer, nonce: bytes, expiry=100):
+        terms = ContractTerms(energy_amount=5, unit_price=2, total_price=10, nonce=hash_bytes(nonce))
+        ctp = make_ctp(
+            time_stamp=0,
+            expiry_time=expiry,
+            price=terms.total_price,
+            contract_hash=compute_contract_hash(terms),
+            keypair=consumer.account,
+        )
+        consumer.meter.register_contract(terms, ctp)
+        return ctp
+
+    def test_completed_delivery_emits_one_receipt(self):
+        world, consumer, emitted = self._armed_consumer()
+        ctp = self._register(consumer, b"a")
+        consumer._pump_meter_receipts(10)
+        assert emitted == [] and ctp.contract_hash in consumer.meter.contracts
+        consumer.meter.record_delivery(ctp.contract_hash, 5)
+        for now in (11, 12, 13):
+            consumer._pump_meter_receipts(now)
+        assert [erc.ctp_id for erc in emitted] == [ctp.t_id]
+        assert world.metrics.get("erc_emitted") == 1
+        assert consumer.meter.contracts == {}
+
+    def test_expired_commitment_emits_nothing_and_leaves(self):
+        world, consumer, emitted = self._armed_consumer()
+        ctp = self._register(consumer, b"a", expiry=50)
+        consumer.meter.record_delivery(ctp.contract_hash, 4)
+        consumer._pump_meter_receipts(49)
+        assert ctp.contract_hash in consumer.meter.contracts
+        consumer._pump_meter_receipts(50)
+        assert consumer.meter.contracts == {}
+        consumer.meter.record_delivery(ctp.contract_hash, 1)  # completes too late
+        consumer._pump_meter_receipts(51)
+        assert emitted == [] and world.metrics.get("erc_emitted") == 0
+
+    def test_receipts_due_in_one_tick_follow_registration_order(self):
+        world, consumer, emitted = self._armed_consumer()
+        first, second = self._register(consumer, b"a"), self._register(consumer, b"b")
+        assert first.contract_hash > second.contract_hash  # not merely sorted order
+        consumer.meter.record_delivery(second.contract_hash, 5)
+        consumer.meter.record_delivery(first.contract_hash, 5)
+        consumer._pump_meter_receipts(20)
+        assert [erc.ctp_id for erc in emitted] == [first.t_id, second.t_id]
+
+    def test_pool_exhaustion_is_refused_once(self):
+        world, consumer, emitted = self._armed_consumer(pool_size=1)
+        for nonce in (b"a", b"b"):
+            ctp = self._register(consumer, nonce)
+            consumer.meter.record_delivery(ctp.contract_hash, 5)
+        for now in (20, 21, 22):
+            consumer._pump_meter_receipts(now)
+        assert len(emitted) == 1
+        assert world.metrics.get("erc_emitted") == 1
+        assert world.metrics.get("erc_refused") == 1
+        assert consumer.meter.contracts == {}
+
+
 class TestCli:
     def _write_config(self, tmp_path: Path, attack="none", **overrides) -> Path:
         config = preset(attack, **overrides)
@@ -394,6 +473,26 @@ class TestCli:
         bad = out_dir / "bad.dump"
         bad.write_bytes(bytes(dump))
         assert cli_main(["replay", "--chain-dump", str(bad)]) == 1
+
+    @pytest.mark.parametrize(
+        "argv,reason",
+        [
+            (["replay", "--chain-dump", "missing.dump"], "No such file"),
+            (["run", "--config", "missing.cfg"], "No such file"),
+            (["run", "--config", "bad_value.cfg"], "ticks wants an integer"),
+            (["run", "--config", "invalid.cfg"], "needs a producer"),
+        ],
+        ids=["missing-dump", "missing-config", "bad-value", "invalid-config"],
+    )
+    def test_bad_input_is_one_line_on_stderr(self, tmp_path, capsys, argv, reason):
+        (tmp_path / "bad_value.cfg").write_text("ticks=abc\n")
+        (tmp_path / "invalid.cfg").write_text("producers=0\n")
+        argv = [*argv[:2], str(tmp_path / argv[2])]
+        assert cli_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("gridtrade: ") and err.count("\n") == 1
+        assert argv[2] in err and reason in err
 
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run(
