@@ -17,10 +17,17 @@ The receipt itself never names the producer or the kWh (the contract hash
 hides them), so producers broadcast a signed claim binding a pending
 commitment to their account and the contracted energy. Claims, like
 commitments, are miner-local and never mined.
+
+Every change to a ledger appends its inverse to an undo journal, like
+Bitcoin Core's per-block undo data. ``rollback(mark)`` undoes everything
+after a ``mark()`` exactly, down to the order of pending entries and
+claims. Miners trial-apply the mempool and apply blocks in place this way,
+and keep the journal back to where the tip was applied, for a rival tip.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from random import Random
 from typing import Dict, List, Optional, Set, Tuple
@@ -80,11 +87,22 @@ class AccountState:
     def has_energy_account(self) -> bool:
         return self.last_tx_id is not None
 
-    def clone(self) -> "AccountState":
-        return AccountState(self.coin_balance, self.energy_balance, self.last_tx_id)
-
 
 _NEVER = float("inf")  # expiry bound of an empty pending database
+
+
+def _insert_at(d: dict, position: int, key, value) -> None:
+    """Put ``key`` back into ``d`` as its ``position``-th entry."""
+    tail = list(d.items())[position:]
+    for moved, _ in tail:
+        del d[moved]
+    d[key] = value
+    d.update(tail)
+
+
+def _restore_account(accounts: dict, pk: PublicKey, state: tuple) -> None:
+    acct = accounts[pk]
+    acct.coin_balance, acct.energy_balance, acct.last_tx_id = state
 
 
 class CTPDatabase:
@@ -100,19 +118,21 @@ class CTPDatabase:
     - ``_next_expiry``: no entry expires before it, so a sweep at an
       earlier tick returns at once.
 
-    Invariant: after every ``insert``, ``remove`` and ``sweep_expired``,
-    ``_encoded`` has exactly the keys of ``entries``, each ``_pending``
-    value equals the sum over ``entries`` for that payer, and a non-None
-    ``_digest`` equals the digest recomputed from ``entries``. Change the
-    database only through those methods; ``clone`` copies all of it.
+    Invariant: the database changes only through ``insert``, ``remove`` and
+    ``sweep_expired``; each appends its inverse, derived state included, to
+    its ledger's journal as ``ctp_db`` records. After each, ``_encoded`` has
+    exactly the keys of ``entries``, each ``_pending`` value equals the sum
+    over ``entries`` for that payer, and a non-None ``_digest`` equals the
+    digest recomputed from ``entries``. ``clone`` copies all of it.
     """
 
-    def __init__(self):
+    def __init__(self, journal: Optional[list] = None):
         self.entries: Dict[HashDigest, Tuple[CTPTx, int]] = {}
         self._encoded: Dict[HashDigest, bytes] = {}
         self._pending: Dict[PublicKey, int] = {}
         self._digest: Optional[HashDigest] = None
         self._next_expiry: float = _NEVER
+        self._journal = [] if journal is None else journal
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -127,20 +147,39 @@ class CTPDatabase:
     def insert(self, tx: CTPTx, now: int) -> None:
         encoded = encode_canonical(tx)
         self.remove(tx.t_id)
+        old = (self._pending.get(tx.pk), self._next_expiry, self._digest)
+        self._journal.append(("ctp_db", CTPDatabase._uninsert, tx, *old))
         self.entries[tx.t_id] = (tx, now)
         self._encoded[tx.t_id] = encoded
         self._pending[tx.pk] = self._pending.get(tx.pk, 0) + tx.price
         self._next_expiry = min(self._next_expiry, tx.expiry_time)
         self._digest = None
 
+    def _uninsert(self, tx: CTPTx, pending: Optional[int], next_expiry: float, digest) -> None:
+        del self.entries[tx.t_id]  # the newest entry, so the order of the rest holds
+        del self._encoded[tx.t_id]
+        self._pending[tx.pk] = pending
+        if pending is None:
+            del self._pending[tx.pk]
+        self._next_expiry, self._digest = next_expiry, digest
+
     def remove(self, ctp_id: HashDigest) -> None:
-        entry = self.entries.pop(ctp_id, None)
-        if entry is None:
+        if ctp_id not in self.entries:
             return
+        position = list(self.entries).index(ctp_id)
+        entry = self.entries.pop(ctp_id)
         tx = entry[0]
-        del self._encoded[ctp_id]
+        undo = (CTPDatabase._unremove, position, entry, self._encoded.pop(ctp_id), self._digest)
+        self._journal.append(("ctp_db", *undo))
         self._pending[tx.pk] -= tx.price
         self._digest = None  # _next_expiry stays a valid lower bound
+
+    def _unremove(self, position: int, entry, encoded: bytes, digest) -> None:
+        tx = entry[0]
+        _insert_at(self.entries, position, tx.t_id, entry)
+        self._encoded[tx.t_id] = encoded
+        self._pending[tx.pk] += tx.price
+        self._digest = digest
 
     def pending_total(self, pk: PublicKey) -> int:
         return self._pending.get(pk, 0)
@@ -156,6 +195,7 @@ class CTPDatabase:
         )
         for ctp_id in released:
             self.remove(ctp_id)
+        self._journal.append(("ctp_db", setattr, "_next_expiry", self._next_expiry))
         self._next_expiry = min(
             (tx.expiry_time for tx, _ in self.entries.values()), default=_NEVER
         )
@@ -174,8 +214,8 @@ class CTPDatabase:
             )
         return self._digest
 
-    def clone(self) -> "CTPDatabase":
-        other = CTPDatabase()
+    def clone(self, journal: Optional[list] = None) -> "CTPDatabase":
+        other = CTPDatabase(journal)
         other.entries = dict(self.entries)
         other._encoded = dict(self._encoded)
         other._pending = dict(self._pending)
@@ -383,26 +423,62 @@ class Ledger:
     def __init__(self, config: LedgerConfig):
         self.config = config
         self.accounts: Dict[PublicKey, AccountState] = {}
-        self.ctp_db = CTPDatabase()
         self.claims: Dict[HashDigest, ProducerClaim] = {}
         self.settled: Set[HashDigest] = set()
         self.settlements: List[SettlementRecord] = []
+        # undo journal, oldest first: (name, undo, *args) is undone by undo(self.name, *args)
+        self._journal: List[tuple] = []
+        self.ctp_db = CTPDatabase(self._journal)
 
     def clone(self) -> "Ledger":
         other = Ledger(self.config)
-        other.accounts = {pk: acct.clone() for pk, acct in self.accounts.items()}
-        other.ctp_db = self.ctp_db.clone()
+        other.accounts = {pk: replace(acct) for pk, acct in self.accounts.items()}
+        other._journal.extend(self._journal)  # so the copy can roll back too
+        other.ctp_db = self.ctp_db.clone(other._journal)
         other.claims = dict(self.claims)
         other.settled = set(self.settled)
         other.settlements = list(self.settlements)
         return other
 
+    # -- undo journal ----------------------------------------------------------
+
+    def mark(self) -> int:
+        """The current journal position, for ``rollback``."""
+        return len(self._journal)
+
+    def rollback(self, mark: int) -> None:
+        """Undo, newest first, every change made since ``mark``."""
+        journal = self._journal
+        while len(journal) > mark:
+            name, undo, *args = journal.pop()
+            undo(getattr(self, name), *args)
+
+    def forget_before(self, mark: int) -> None:
+        """Drop the records older than ``mark``, which becomes mark 0."""
+        del self._journal[:mark]
+
+    def _account(self, pk: PublicKey) -> AccountState:
+        """``pk``'s account, opened if missing, journaled before it changes."""
+        acct = self.accounts.get(pk)
+        if acct is None:  # undone by dropping the newest account
+            acct = self.accounts[pk] = AccountState()
+            self._journal.append(("accounts", dict.pop, pk))
+        else:
+            state = (acct.coin_balance, acct.energy_balance, acct.last_tx_id)
+            self._journal.append(("accounts", _restore_account, pk, state))
+        return acct
+
+    def _drop_claim(self, ctp_id: HashDigest) -> None:
+        if ctp_id in self.claims:
+            position = list(self.claims).index(ctp_id)
+            claim = self.claims.pop(ctp_id)
+            self._journal.append(("claims", _insert_at, position, ctp_id, claim))
+
     # -- scenario setup ----------------------------------------------------
 
     def seed_account(self, pk: PublicKey, coin: int) -> None:
         """Endow an account with starting coin (scenario initial state)."""
-        acct = self.accounts.setdefault(pk, AccountState())
-        acct.coin_balance += coin
+        self._account(pk).coin_balance += coin
 
     # -- balances ----------------------------------------------------------
 
@@ -433,8 +509,7 @@ class Ledger:
         else:
             if not ca_verify(tx.evidence, self.config.distributor_ca_pk):
                 return Result(False, "bad distributor certificate")
-        acct = self.accounts.setdefault(tx.pk, AccountState())
-        acct.last_tx_id = tx.t_id
+        self._account(tx.pk).last_tx_id = tx.t_id
         return Result(True)
 
     def submit_supply_energy(self, tx: SupplyEnergyTx) -> Result:
@@ -446,6 +521,7 @@ class Ledger:
             return Result(False, "unknown account")
         if tx.p_t_id != acct.last_tx_id:
             return Result(False, "chain break")
+        self._account(tx.pk)
         acct.energy_balance += tx.energy_amount
         acct.last_tx_id = tx.t_id
         return Result(True)
@@ -472,7 +548,7 @@ class Ledger:
         """Release every commitment past its expiry; idempotent at fixed now."""
         released = self.ctp_db.sweep_expired(now)
         for ctp_id in released:
-            self.claims.pop(ctp_id, None)
+            self._drop_claim(ctp_id)
         return released
 
     def submit_claim(self, claim: ProducerClaim) -> Result:
@@ -495,6 +571,7 @@ class Ledger:
         if claim.ctp_id in self.claims:
             return Result(False, "already claimed")
         self.claims[claim.ctp_id] = claim
+        self._journal.append(("claims", dict.pop, claim.ctp_id))  # the newest claim
         return Result(True)
 
     # -- receipt verification ------------------------------------------------
@@ -542,11 +619,11 @@ class Ledger:
             return Result(False, "payer balance underflow")
         if producer.energy_balance < claim.energy_kwh:
             return Result(False, "producer energy underflow")
-        consumer.coin_balance -= ctp.price
-        producer.coin_balance += ctp.price
+        self._account(ctp.pk).coin_balance -= ctp.price
+        self._account(producer_pk).coin_balance += ctp.price
         producer.energy_balance -= claim.energy_kwh
         self.ctp_db.remove(erc.ctp_id)
-        del self.claims[erc.ctp_id]
+        self._drop_claim(erc.ctp_id)
         self.settled.add(erc.ctp_id)
         record = SettlementRecord(
             ctp_id=erc.ctp_id,
@@ -557,6 +634,7 @@ class Ledger:
             energy_kwh=claim.energy_kwh,
         )
         self.settlements.append(record)
+        self._journal += [("settled", set.remove, erc.ctp_id), ("settlements", list.pop)]
         return Result(True)
 
     # -- block application ---------------------------------------------------
@@ -623,7 +701,8 @@ class Miner:
         self.mined_periods: List[int] = []
         # digest journal: (tick, digest) recorded at end of each changed tick
         self._digest_journal: List[Tuple[int, HashDigest]] = [(-1, CTPDatabase().digest())]
-        self._last_apply_snapshot: Optional[Tuple[Ledger, Block]] = None
+        # the tip last applied here; the ledger's journal starts just before it
+        self._applied_tip: Optional[Block] = None
 
     # -- scheduling ----------------------------------------------------------
 
@@ -655,26 +734,26 @@ class Miner:
     def mine(self, now: int) -> Optional[Block]:
         """Assemble, sign, and return a block, or None if the quota is spent.
 
-        Transactions are packed in mempool order, each validated against a
-        scratch copy of the ledger so the block applies cleanly everywhere.
-        The header's ctp_hash is the pending-DB digest at mining time; an
-        empty mempool still yields a heartbeat block.
+        Transactions are packed in mempool order, each trial-applied to the
+        ledger so the block applies cleanly everywhere; the trial is then
+        rolled back. The header's ctp_hash is the pending-DB digest at
+        mining time; an empty mempool still yields a heartbeat block.
         """
         if self.blocks_this_period >= 1:
             return None
-        scratch = self.ledger.clone()
-        packed = []
-        for tx in self.mempool:
-            if scratch.apply_tx(tx):
-                packed.append(tx)
+        ledger = self.ledger
+        ctp_hash = ledger.ctp_db.digest()
+        mark = ledger.mark()
+        packed = tuple(tx for tx in self.mempool if ledger.apply_tx(tx))
+        ledger.rollback(mark)
         block = Block(
             height=self.chain.height,
             prev_hash=self.chain.tip_hash,
-            ctp_hash=self.ledger.ctp_db.digest(),
+            ctp_hash=ctp_hash,
             timestamp=now,
             miner_pk=self.keypair.public,
             miner_sign=b"",
-            txs=tuple(packed),
+            txs=packed,
         )
         block = replace(block, miner_sign=sign(self.keypair, block.signing_digest()))
         self.blocks_this_period += 1
@@ -702,59 +781,60 @@ class Miner:
         ):
             # equal-height rival for the current tip
             tip = self.chain.blocks[-1]
-            if block.miner_pk < tip.miner_pk and self._last_apply_snapshot is not None:
-                saved_ledger, saved_block = self._last_apply_snapshot
-                if saved_block.block_hash() == tip.block_hash():
-                    current = self.ledger
-                    self.ledger = self._without_tip(saved_ledger, current)
-                    popped = self.chain.pop()
-                    outcome = self._apply(block)
-                    if outcome.applied:
-                        outcome.swapped = True
-                        for tx in popped.txs:  # unmined again
-                            self.add_to_mempool(tx)
-                    else:
-                        # rival failed validation; keep the old tip
-                        self.ledger = current
-                        self.chain.append(popped)
-                    return outcome
+            if block.miner_pk < tip.miner_pk and self._applied_tip is tip:
+                current = self.ledger
+                self.ledger = self._without_tip(current)
+                popped = self.chain.pop()
+                outcome = self._apply(block)
+                if outcome.applied:
+                    outcome.swapped = True
+                    for tx in popped.txs:  # unmined again
+                        self.add_to_mempool(tx)
+                else:
+                    # rival failed validation; keep the old tip
+                    self.ledger = current
+                    self.chain.append(popped)
+                return outcome
             return ApplyOutcome(False, "lost tiebreak")
         return ApplyOutcome(False, "does not extend tip")
 
     @staticmethod
-    def _without_tip(before: Ledger, current: Ledger) -> Ledger:
-        """``current`` with the tip block's effects undone.
+    def _without_tip(current: Ledger) -> Ledger:
+        """A copy of ``current`` with the tip block's effects undone.
 
-        Starts from ``before``, the ledger the tip was applied to, so what
-        the tip settled is pending again, and drops what ``current`` swept
-        since. What ``current`` took in since is submitted again in
-        admission order; whatever no longer fits the pre-tip balances (say,
-        a commitment spending coin the tip paid) is dropped.
+        The copy is rolled back to where the tip was applied, so what the
+        tip settled is pending again; what ``current`` swept since is dropped
+        again. What ``current`` took in since is submitted again in admission
+        order; whatever no longer fits the pre-tip balances (say, a
+        commitment spending coin the tip paid) is dropped.
         """
-        ledger = before.clone()
-        settled_by_tip = {r.ctp_id for r in current.settlements[len(before.settlements) :]}
-        for ctp_id in before.ctp_db.entries:
+        ledger = current.clone()
+        ledger.rollback(0)
+        settled_by_tip = {r.ctp_id for r in current.settlements[len(ledger.settlements) :]}
+        for ctp_id in list(ledger.ctp_db.entries):
             if ctp_id not in current.ctp_db and ctp_id not in settled_by_tip:
                 ledger.ctp_db.remove(ctp_id)  # swept since the tip
-                ledger.claims.pop(ctp_id, None)
+                ledger._drop_claim(ctp_id)
+        # what the copy lacks now, current took in after the tip
         for ctp_id, (tx, admitted_at) in current.ctp_db.entries.items():
-            if ctp_id not in before.ctp_db:
+            if ctp_id not in ledger.ctp_db:
                 ledger.submit_ctp(tx, admitted_at)
         for ctp_id, claim in current.claims.items():
-            if ctp_id not in before.claims:
+            if ctp_id not in ledger.claims:
                 ledger.submit_claim(claim)
         return ledger
 
     def _apply(self, block: Block) -> ApplyOutcome:
-        snapshot = self.ledger  # replaced wholesale on success, so no copy needed
-        trial = self.ledger.clone()
+        ledger = self.ledger
+        mark = ledger.mark()
         for tx in block.txs:
-            result = trial.apply_tx(tx)
+            result = ledger.apply_tx(tx)
             if not result:
+                ledger.rollback(mark)
                 return ApplyOutcome(False, f"invalid transaction: {result.reason}")
-        self.ledger = trial
+        ledger.forget_before(mark)
         self.chain.append(block)
-        self._last_apply_snapshot = (snapshot, block)
+        self._applied_tip = block
         self._drop_from_mempool({tx.t_id for tx in block.txs})
         matched = block.ctp_hash == self.digest_as_of(block.timestamp)
         return ApplyOutcome(True, header_matched=matched)
@@ -769,9 +849,5 @@ class Miner:
 
     def digest_as_of(self, tick: int) -> HashDigest:
         """Pending-DB digest this miner had at the end of ``tick``."""
-        result = self._digest_journal[0][1]
-        for at, digest in self._digest_journal:
-            if at > tick:
-                break
-            result = digest
-        return result
+        after = bisect_right(self._digest_journal, tick, key=lambda entry: entry[0])
+        return self._digest_journal[max(after - 1, 0)][1]

@@ -59,12 +59,16 @@ def _cmd_run(args) -> int:
             config.validate()
     except (OSError, ValueError) as exc:
         return _usage_error(f"config {args.config}: {exc}")
+    if args.out:  # before the run, so a bad directory costs no run
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            return _usage_error(f"out {args.out}: {exc}")
     result = run_scenario(config)
     report = result.metrics.render_text()
     sys.stdout.write(report)
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         (out / "metrics.txt").write_text(report)
         (out / "metrics.kv").write_text(result.metrics.render_kv())
         (out / "chain.dump").write_bytes(result.chain_dump)

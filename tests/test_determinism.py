@@ -85,3 +85,26 @@ def test_routing_chatter_workload_matches_golden():
 def test_honest_n32_workload_matches_golden(seed):
     result = run_scenario(preset("none", seed=seed, **HONEST_N32))
     assert _digests(result) == HONEST_N32_GOLDEN[seed]
+
+
+# The pending-commitment benchmark workload at seeds 1 and 11, recorded before
+# miners applied and rolled back blocks in place. About 80 commitments stay
+# pending all run, and each tip swap re-submits them in admission order, so
+# these pins see any change to the order of the pending entries.
+CTP_BURST = dict(consumers=32, double_spend_ctps=20, miners=5, ticks=1500, ctp_default_ttl=1400)
+CTP_BURST_GOLDEN = {
+    1: (
+        "5f7d416bfa8340d47b7aff9c0218a9c32523b20c100111aada43b82f89f413f6",
+        "592ebac88bd3d00260d47e233fbc27d2fa6ceafab0bf11b1c60acc6898437688",
+    ),
+    11: (
+        "c11cd675e2f3f519a544af3776ac42281c7793a6ba9911e0117882b9d9570ca6",
+        "49d38c248b12bb680ea414b09eac603dd749b2c33764775cced90d63a5b93393",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CTP_BURST_GOLDEN))
+def test_ctp_burst_workload_matches_golden(seed):
+    result = run_scenario(preset("double_spend", seed=seed, **CTP_BURST))
+    assert _digests(result) == CTP_BURST_GOLDEN[seed]

@@ -1,6 +1,7 @@
 """Ledger state machine: accounts, pending commitments, blocks, settlement."""
 
-from dataclasses import replace
+import copy
+from dataclasses import dataclass, replace
 from random import Random
 
 import pytest
@@ -13,11 +14,13 @@ from gridtrade.ledger import (
     Blockchain,
     CTPDatabase,
     Ledger,
+    LedgerConfig,
     Miner,
     ProducerClaim,
     make_producer_claim,
 )
 from gridtrade.transactions import (
+    GENESIS_CERTIFICATE,
     GENESIS_COIN_BURN,
     encode_canonical,
     make_ctp,
@@ -244,6 +247,139 @@ class TestPendingDatabaseProperties:
             _assert_matches_recount(db)
 
 
+@dataclass(frozen=True)
+class _Receipt:
+    """Stand-in for a validated receipt: ``settle`` reads only these two ids."""
+
+    ctp_id: bytes
+    t_id: bytes
+
+
+def _journal_fixture():
+    """Keys, transactions and claims for random ledger histories."""
+    rng = Random(5150)
+    distributor, manufacturer = KeyPair.generate(rng), KeyPair.generate(rng)
+    config = LedgerConfig(100, distributor.public, manufacturer.public)
+    payers = [KeyPair.generate(rng) for _ in range(3)]
+    producers = [KeyPair.generate(rng) for _ in range(2)]
+    geneses = [
+        make_genesis(GENESIS_CERTIFICATE, issue_certificate(distributor, kp.public).to_bytes(), kp)
+        for kp in producers
+    ]
+    supplies = [make_supply_energy(g.t_id, 20, 3, True, kp) for g, kp in zip(geneses, producers)]
+    ctps = [
+        make_ctp(0, rng.randrange(1, 21), rng.randrange(1, 40), hash_bytes(rng.randbytes(8)), payer)
+        for payer in payers
+        for _ in range(4)
+    ]
+    claims = {
+        ctp.t_id: make_producer_claim(
+            ctp.t_id, ctp.contract_hash, rng.randrange(1, 10), producers[i % 2]
+        )
+        for i, ctp in enumerate(ctps)
+    }
+    return config, payers, geneses, supplies, ctps, claims
+
+
+J_CONFIG, J_PAYERS, J_GENESES, J_SUPPLIES, J_CTPS, J_CLAIMS = _journal_fixture()
+
+# one producer and two payers start funded, with commitments of the two
+# payers pending and claimed, so that random histories remove entries and
+# claims from the middle and settle often; other accounts open on the way
+J_START = (
+    [("genesis", 0), ("supply", 0), ("seed", 0, 100), ("seed", 1, 100)]
+    + [("ctp", i) for i in range(8)]
+    + [("claim", k) for k in range(8)]
+)
+
+_ledger_op = st.one_of(
+    st.tuples(st.just("seed"), st.integers(0, len(J_PAYERS) - 1), st.integers(1, 60)),
+    st.tuples(st.just("genesis"), st.integers(0, len(J_GENESES) - 1)),
+    st.tuples(st.just("supply"), st.integers(0, len(J_SUPPLIES) - 1)),
+    st.tuples(st.just("ctp"), st.integers(0, len(J_CTPS) - 1)),
+    st.tuples(st.just("claim"), st.integers(0, 20)),  # the k-th pending entry's claim
+    st.tuples(st.just("sweep"), st.integers(0, 25)),
+    st.tuples(st.just("settle"), st.integers(0, 20)),  # the k-th claimed entry
+)
+
+
+def _apply_ledger_op(ledger: Ledger, op) -> None:
+    kind, index = op[0], op[1]
+    if kind == "seed":
+        ledger.seed_account(J_PAYERS[index].public, op[2])
+    elif kind == "genesis":
+        ledger.submit_genesis(J_GENESES[index])
+    elif kind == "supply":
+        ledger.submit_supply_energy(J_SUPPLIES[index])
+    elif kind == "ctp":
+        ledger.submit_ctp(J_CTPS[index], now=0)
+    elif kind == "claim" and ledger.ctp_db.entries:
+        pending = list(ledger.ctp_db.entries)
+        ledger.submit_claim(J_CLAIMS[pending[index % len(pending)]])
+    elif kind == "sweep":
+        ledger.expire_ctps(index)
+    elif kind == "settle" and ledger.claims:
+        claim = list(ledger.claims.values())[index % len(ledger.claims)]
+        receipt = _Receipt(claim.ctp_id, hash_bytes(b"receipt" + claim.ctp_id))
+        ledger.settle(receipt, claim.producer_pk)
+
+
+def _fields(ledger: Ledger):
+    """Every field rollback restores; accounts, entries and claims in order."""
+    db = ledger.ctp_db
+    return (
+        list(ledger.accounts.items()),
+        list(db.entries.items()),
+        list(ledger.claims.items()),
+        db._encoded,
+        db._pending,
+        db._digest,
+        db._next_expiry,
+        ledger.settled,
+        ledger.settlements,
+    )
+
+
+class TestUndoJournal:
+    """``rollback(mark)`` restores exactly the state the ledger had at ``mark``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        before=st.lists(_ledger_op, max_size=25),
+        after=st.lists(_ledger_op, max_size=25),
+        cache_digest=st.booleans(),
+    )
+    def test_rollback_restores_a_deep_copy_taken_at_the_mark(self, before, after, cache_digest):
+        ledger = Ledger(J_CONFIG)
+        for op in J_START + before:
+            _apply_ledger_op(ledger, op)
+        if cache_digest:
+            ledger.ctp_db.digest()
+        mark = ledger.mark()
+        at_mark = copy.deepcopy(_fields(ledger))
+        for op in after:
+            _apply_ledger_op(ledger, op)
+        now = copy.deepcopy(_fields(ledger))
+        # a copy rolls back on its own and leaves the original alone
+        other = ledger.clone()
+        other.rollback(mark)
+        assert _fields(other) == at_mark
+        assert _fields(ledger) == now
+        ledger.rollback(mark)
+        assert _fields(ledger) == at_mark
+        assert ledger.mark() == mark
+
+    def test_forget_before_makes_the_mark_the_start(self, trade):
+        ledger = trade.rig.ledger
+        mark = ledger.mark()
+        late = make_ctp(11, 100, 5, hash_bytes(b"late"), trade.consumer)
+        assert ledger.submit_ctp(late, now=11)
+        ledger.forget_before(mark)
+        assert ledger.mark() == 1
+        ledger.rollback(0)
+        assert late.t_id not in ledger.ctp_db and trade.ctp.t_id in ledger.ctp_db
+
+
 class TestReceiptValidation:
     def test_honest_receipt_valid(self, trade):
         erc = trade.completed_erc()
@@ -430,6 +566,29 @@ def _mk_miner(rig, seed: int) -> Miner:
     return Miner(KeyPair.generate(Random(seed)), rig.config, consensus_period=10)
 
 
+def _ledger_state(ledger: Ledger):
+    """What a rolled-back block or trial must leave as it was, orders included."""
+    return (
+        ledger.state_digest(),
+        list(ledger.ctp_db.entries.items()),
+        list(ledger.claims.items()),
+        set(ledger.settled),
+        list(ledger.settlements),
+    )
+
+
+def _add_later_claimed_ctps(trade) -> None:
+    """Two more claimed commitments, so the trade's one is first of three."""
+    ledger = trade.rig.ledger
+    for i in range(2):
+        late = make_ctp(11 + i, 150, 5, hash_bytes(bytes([i])), trade.consumer)
+        assert ledger.submit_ctp(late, now=11 + i)
+        assert ledger.submit_claim(
+            make_producer_claim(late.t_id, late.contract_hash, 1, trade.producer)
+        )
+    assert next(iter(ledger.ctp_db.entries)) == trade.ctp.t_id
+
+
 class TestMining:
     def test_quota_one_block_per_period(self, rig):
         miner = _mk_miner(rig, 1)
@@ -451,6 +610,21 @@ class TestMining:
         for i in range(2):
             assert len(mined[i]) == 100
             assert len(set(mined[i])) == 100  # never two in one period
+
+    def test_mining_leaves_the_ledger_as_it_was(self, trade):
+        rig = trade.rig
+        _add_later_claimed_ctps(trade)
+        miner = _mk_miner(rig, 23)
+        miner.ledger = ledger = rig.ledger.clone()
+        erc = trade.completed_erc()
+        miner.add_to_mempool(erc)
+        cached = ledger.ctp_db.digest()
+        before = _ledger_state(ledger)
+        miner.start_period(0, Random(0))
+        block = miner.mine(5)
+        assert block.txs == (erc,)  # the receipt settled in the trial
+        assert ledger.ctp_db._digest == cached  # the cached digest is back, not dropped
+        assert miner.ledger is ledger and _ledger_state(ledger) == before
 
     def test_heartbeat_block_carries_pending_digest(self, rig):
         miner = _mk_miner(rig, 2)
@@ -486,19 +660,28 @@ class TestBlockApplication:
         assert miner_a.ledger.state_digest() == miner_b.ledger.state_digest()
         assert miner_a.chain.tip_hash == miner_b.chain.tip_hash
 
-    def test_tampered_transaction_rejects_block(self, rig):
-        producer = KeyPair.generate(rig.rng)
+    def test_tampered_transaction_rejects_block(self, trade):
+        # the valid first transaction settles the first of three pending
+        # commitments; the invalid second one must undo that in place
+        rig = trade.rig
+        _add_later_claimed_ctps(trade)
         miner_a, miner_b = _mk_miner(rig, 5), _mk_miner(rig, 6)
-        genesis = rig.certified_genesis(producer)
-        miner_a.add_to_mempool(genesis)
+        miner_a.ledger, miner_b.ledger = rig.ledger.clone(), rig.ledger.clone()
+        erc = trade.completed_erc()
+        miner_a.add_to_mempool(erc)
         block = self._mine_one(miner_a, 5)
-        evil_supply = make_supply_energy(hash_bytes(b"fake"), 10, 1, True, producer)
+        assert block.txs == (erc,)
+        evil_supply = make_supply_energy(hash_bytes(b"fake"), 10, 1, True, trade.producer)
         tampered = replace(block, txs=block.txs + (evil_supply,))
         tampered = replace(
             tampered, miner_sign=sign(miner_a.keypair, tampered.signing_digest())
         )
+        ledger = miner_b.ledger
+        before = _ledger_state(ledger)
         outcome = miner_b.receive_block(tampered)
         assert not outcome.applied and "invalid transaction" in outcome.reason
+        assert miner_b.ledger is ledger and _ledger_state(ledger) == before
+        assert miner_b.chain.height == 0
 
     def test_bad_miner_signature_rejected(self, rig):
         miner_a, miner_b = _mk_miner(rig, 7), _mk_miner(rig, 8)
@@ -552,6 +735,33 @@ class TestBlockApplication:
         if ledger is not None:
             a.ledger, observer.ledger = ledger.clone(), ledger.clone()
         return a, b, observer
+
+    def test_invalid_rival_keeps_the_tip_and_a_valid_one_still_swaps(self, trade):
+        rig = trade.rig
+        erc = trade.completed_erc()
+        a, b, observer = self._rivals(rig, rig.ledger)
+        a.add_to_mempool(erc)
+        block_a, block_b = self._mine_one(a, 5), self._mine_one(b, 5)
+        assert observer.receive_block(block_a).applied
+        late = make_ctp(6, 100, 30, hash_bytes(b"late"), trade.consumer)
+        assert observer.ledger.submit_ctp(late, now=6)
+        # a lower-key rival whose first transaction is valid and second is not
+        newcomer = KeyPair.generate(rig.rng)
+        evil = make_supply_energy(hash_bytes(b"fake"), 10, 1, True, newcomer)
+        bad = replace(block_b, txs=(rig.certified_genesis(newcomer), evil))
+        bad = replace(bad, miner_sign=sign(b.keypair, bad.signing_digest()))
+        ledger = observer.ledger
+        before = _ledger_state(ledger)
+        outcome = observer.receive_block(bad)
+        assert not outcome.applied and not outcome.swapped
+        assert "invalid transaction" in outcome.reason
+        assert observer.ledger is ledger and _ledger_state(ledger) == before
+        assert observer.chain.blocks == [block_a]
+        outcome = observer.receive_block(block_b)
+        assert outcome.applied and outcome.swapped
+        assert observer.chain.blocks == [block_b]
+        assert observer.ledger.settled == set() and late.t_id in observer.ledger.ctp_db
+        assert erc.t_id in observer._mempool_ids
 
     def test_swap_keeps_commitments_taken_in_after_the_tip(self, rig):
         consumer = KeyPair.generate(rig.rng)
@@ -635,6 +845,27 @@ class TestBlockApplication:
         b2 = miner_a.mine(6)
         outcome = miner_b.receive_block(b2)  # skips height 0
         assert not outcome.applied and outcome.reason == "does not extend tip"
+
+
+class TestDigestAsOf:
+    def test_bisect_matches_a_linear_scan(self, rig):
+        miner = _mk_miner(rig, 24)
+        d = [hash_bytes(bytes([i])) for i in range(5)]
+        miner._digest_journal = [(-1, d[0]), (3, d[1]), (7, d[2]), (7, d[3]), (12, d[4])]
+
+        def linear(tick):
+            result = miner._digest_journal[0][1]
+            for at, digest in miner._digest_journal:
+                if at > tick:
+                    break
+                result = digest
+            return result
+
+        # before the first entry, equal to one, between two, two recorded
+        # at one tick, the last, and after the last
+        cases = {-5: d[0], 3: d[1], 5: d[1], 7: d[3], 12: d[4], 40: d[4]}
+        for tick, expected in cases.items():
+            assert miner.digest_as_of(tick) == linear(tick) == expected
 
 
 class TestChainDump:

@@ -14,7 +14,7 @@ import pytest
 
 from gridtrade import crypto
 from gridtrade.crypto import KeyPair
-from gridtrade.ledger import Ledger
+from gridtrade.ledger import Ledger, Miner
 from gridtrade.sim import preset, run_scenario
 from gridtrade.sim.actors import ConsumerActor
 
@@ -55,7 +55,13 @@ def counts():
                 reads, counted["most_balance_reads_in_one_start_trade"]
             )
 
+    def receive_block(miner, block):
+        outcome = original_receive_block(miner, block)
+        counted["swaps"] += outcome.swapped
+        return outcome
+
     original_start_trade = ConsumerActor._start_trade
+    original_receive_block = Miner.receive_block
     with pytest.MonkeyPatch.context() as mp:
         _wrap(
             mp, crypto.Ed25519PrivateKey, "from_private_bytes",
@@ -70,6 +76,8 @@ def counts():
                     _wrap(mp, module, "sign", note_sign)
         _wrap(mp, Ledger, "available_balance", note_balance)
         mp.setattr(ConsumerActor, "_start_trade", start_trade)
+        _wrap(mp, Ledger, "clone", lambda ledger: counted.update(["ledger_clone"]))
+        mp.setattr(Miner, "receive_block", receive_block)
         result = run_scenario(preset("none", seed=1))
     assert result.passed
     counted["signing_keys"] = len(signing_keys)
@@ -86,3 +94,9 @@ def test_start_trade_reads_the_balance_at_most_once(counts):
     assert counts["available_balance_in_start_trade"] <= counts["start_trade"]
     # the scan stays one balance read even when several offers are eligible
     assert counts["most_balance_reads_in_one_start_trade"] <= 1
+
+
+def test_ledger_is_copied_only_for_a_tip_swap(counts):
+    # mining and block application mark, apply and roll back in place
+    assert counts["swaps"] > 0
+    assert counts["ledger_clone"] <= counts["swaps"]

@@ -494,6 +494,17 @@ class TestCli:
         assert err.startswith("gridtrade: ") and err.count("\n") == 1
         assert argv[2] in err and reason in err
 
+    def test_unusable_out_is_refused_before_the_run(self, tmp_path, capsys):
+        config_path = self._write_config(tmp_path, seed=3, ticks=50)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        assert cli_main(["run", "--config", str(config_path), "--out", str(taken)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # no report: the scenario never ran
+        assert err.startswith("gridtrade: ") and err.count("\n") == 1
+        assert str(taken) in err
+        assert taken.read_text() == "not a directory"
+
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "gridtrade.sim.cli", "list-scenarios"],
