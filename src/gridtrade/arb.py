@@ -40,16 +40,19 @@ from .transactions import (
 )
 
 
+_NEGOTIATION_PREFIX = bytes([TAG_NEGOTIATION])
+
+
 def negotiation_round(payload) -> Optional[int]:
     """Round counter of a negotiation payload (object or canonical bytes)."""
-    if isinstance(payload, NegotiationMsg):
-        return payload.round
-    if isinstance(payload, (bytes, bytearray)) and payload[:1] == bytes([TAG_NEGOTIATION]):
+    if isinstance(payload, (bytes, bytearray)):
+        if payload[:1] != _NEGOTIATION_PREFIX:
+            return None
         try:
             return decode_canonical(bytes(payload)).round
         except DecodeError:
             return None
-    return None
+    return payload.round if isinstance(payload, NegotiationMsg) else None
 
 
 def routing_value(pk: PublicKey, x: int) -> int:
@@ -224,6 +227,9 @@ class JoinMessage:
         return self.pk + self.endpoint.encode()
 
     def verify_signature(self) -> bool:
+        """Total: a ``pk`` that is not bytes or an ``endpoint`` not a str fails."""
+        if not isinstance(self.pk, bytes) or not isinstance(self.endpoint, str):
+            return False
         return verify(self.pk, self._payload(), self.sign)
 
 
@@ -269,10 +275,11 @@ class BackboneNode:
 
     def note_traffic(self, dest_pk: PublicKey, now: int) -> None:
         self.handled += 1
-        self.recent.append((now, dest_pk))
+        recent = self.recent
+        recent.append((now, dest_pk))
         cutoff = now - self.window
-        while self.recent and self.recent[0][0] <= cutoff:
-            self.recent.popleft()
+        while recent and recent[0][0] <= cutoff:
+            recent.popleft()
 
     def window_load(self) -> int:
         return len(self.recent)

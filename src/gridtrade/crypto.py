@@ -77,9 +77,11 @@ class KeyPair:
         ed_priv = Ed25519PrivateKey.from_private_bytes(seed)
         x_priv = X25519PrivateKey.from_private_bytes(_x25519_seed(seed))
         public = _raw_public(ed_priv.public_key()) + _raw_public(x_priv.public_key())
-        return KeyPair(public=public, seed=seed)
+        pair = KeyPair(public=public, seed=seed)
+        vars(pair)["_ed_private"] = ed_priv  # the key just built fills the cache
+        return pair
 
-    # built on the first sign and kept; not a field, so ==, hash and repr ignore it
+    # filled by from_seed or the first sign; not a field, so ==, hash and repr ignore it
     @cached_property
     def _ed_private(self) -> Ed25519PrivateKey:
         return Ed25519PrivateKey.from_private_bytes(self.seed)

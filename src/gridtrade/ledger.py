@@ -247,16 +247,12 @@ class ProducerClaim:
     sign: Signature
 
     def _body(self) -> bytes:
-        """Signed bytes; ValueError when ``energy_kwh`` is outside u64."""
-        return b"".join(
-            [
-                b"\x20",
-                self.ctp_id,
-                self.contract_hash,
-                self.producer_pk,
-                _ENERGY_KWH.encode(self.energy_kwh),
-            ]
-        )
+        """Signed bytes; ValueError when a field has the wrong type or
+        ``energy_kwh`` is outside u64."""
+        keys = (self.ctp_id, self.contract_hash, self.producer_pk)
+        if not all(isinstance(k, bytes) for k in keys) or not isinstance(self.energy_kwh, int):
+            raise ValueError("claim field of the wrong type")
+        return b"".join([b"\x20", *keys, _ENERGY_KWH.encode(self.energy_kwh)])
 
     def verify_signature(self) -> bool:
         return verify(self.producer_pk, hash_bytes(self._body()), self.sign)
@@ -584,7 +580,7 @@ class Ledger:
         (d) the signing key is proven inside the attestation tree,
         (e) the receipt signature verifies under that key.
         """
-        ctp = self.ctp_db.get(erc.ctp_id)
+        ctp = self.ctp_db.get(erc.ctp_id) if isinstance(erc.ctp_id, bytes) else None
         if ctp is None:
             return False, "a"
         if erc.price != ctp.price:

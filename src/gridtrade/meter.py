@@ -183,15 +183,12 @@ class SmartMeter:
 
     def __init__(self, identity: MeterIdentity, rng: Random):
         self.identity = identity
+        self.public: PublicKey = identity.public  # the identity is frozen
         self.rng = rng
         self.pool: Optional[KeyPool] = None
         self.coe: Optional[CoE] = None
         self.records: Dict[HashDigest, DeliveryRecord] = {}
         self.contracts: Dict[HashDigest, tuple] = {}  # hash -> (terms, ctp) awaiting a receipt
-
-    @property
-    def public(self) -> PublicKey:
-        return self.identity.public
 
     # -- key pool and endorsement -------------------------------------------
 

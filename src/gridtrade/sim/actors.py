@@ -76,31 +76,31 @@ class BackboneActor(Actor):
         self.node_id = node_id
 
     def on_message(self, payload, now: int) -> None:
-        if isinstance(payload, JoinRequest):
+        if isinstance(payload, Routed):
+            self._route(payload, now)
+        elif isinstance(payload, JoinRequest):
             ok, reason = self.world.mesh.join(self.node_id, payload.join)
             self.world.metrics.bump("join_accepted" if ok else "join_rejected")
             self.world.send(payload.reply_to, JoinAck(payload.join.pk, ok, reason))
-            return
-        if isinstance(payload, Routed):
-            self._route(payload, now)
 
     def _route(self, env: Routed, now: int) -> None:
+        world = self.world
         env.trace.append(self.node_id)
         env.hops += 1
-        action, target = self.world.mesh.next_hop(self.node_id, env.dest_pk, env.payload, now)
-        metrics = self.world.metrics
+        action, target = world.mesh.next_hop(self.node_id, env.dest_pk, env.payload, now)
         if action == "forward":
             if env.hops >= 4:  # cannot happen with a consistent table
-                metrics.bump("routing_loops")
+                world.metrics.bump("routing_loops")
                 return
-            self.world.send(target, env)
+            world.send(target, env)
         elif action == "deliver":
             env.trace.append(target)
-            metrics.bump("messages_delivered")
-            metrics.bump("trace_hops_total", env.hops + 1)
-            self.world.send(target, env)
+            counters = world.metrics.counters  # the hot path skips Metrics.bump
+            counters["messages_delivered"] = counters.get("messages_delivered", 0) + 1
+            counters["trace_hops_total"] = counters.get("trace_hops_total", 0) + env.hops + 1
+            world.send(target, env)
         else:
-            metrics.bump(_DROP_COUNTERS[target])
+            world.metrics.bump(_DROP_COUNTERS[target])
 
 
 class MinerActor(Actor):
@@ -225,36 +225,29 @@ class MeterMixin:
         self.world.send_join(self, join)
 
     def _on_routed(self, env: Routed, now: int) -> None:
+        """Negotiations count for any key; endorsement traffic only for the
+        meter's own key; pings and anything else are dropped."""
         try:
             inner = decode_routed_payload(env.payload)
         except DecodeError:  # malformed wire bytes: count and drop
             self.world.metrics.bump("routed_malformed")
             return
-        if self._handle_meter_traffic(env, inner, now):
-            return
         if isinstance(inner, NegotiationMsg):
             self._on_negotiation(inner, now)
-
-    def _handle_meter_traffic(self, env: Routed, payload, now: int) -> bool:
-        if self.meter is None or env.dest_pk != self.meter.public:
-            return False
-        if isinstance(payload, Ping):
-            return True
-        if isinstance(payload, VerificationRequest):
+        elif self.meter is None or env.dest_pk != self.meter.public:
+            return
+        elif isinstance(inner, VerificationRequest):
             try:
                 coe = self.meter.process_verification_request(
-                    payload, self.world.manufacturer_ca_pk
+                    inner, self.world.manufacturer_ca_pk
                 )
             except MeterError:
                 self.world.metrics.bump("vr_rejected")
-                return True
+                return
             self.world.metrics.bump("vr_served")
-            self.world.send_routed(self, self.meter.public, payload.requester_mpk, coe)
-            return True
-        if isinstance(payload, CoE):
-            self.meter.install_coe(payload)
-            return True
-        return False
+            self.world.send_routed(self, self.meter.public, inner.requester_mpk, coe)
+        elif isinstance(inner, CoE):
+            self.meter.install_coe(inner)
 
     def _pump_meter_receipts(self, now: int) -> None:
         """Tamper-resistant duty: emit a receipt once delivery completes."""
@@ -600,6 +593,9 @@ class ConsumerActor(Actor, MeterMixin):
         self.offers: Dict[bytes, tuple] = {}  # supply t_id -> (pk, amount, price, negotiable)
         self.offer_keys: List[bytes] = []  # the keys of self.offers, kept sorted
         self.tried: Set[bytes] = set()
+        # (len(offer_keys), len(tried)) at the last scan that found no untried
+        # offer: both only grow, so the scan cannot succeed while they hold
+        self._idle_book: Optional[Tuple[int, int]] = None
         self.attempt: Optional[TradeAttempt] = None
         self.trades_done = 0
         self.settled_ctps: Set[bytes] = set()
@@ -691,6 +687,9 @@ class ConsumerActor(Actor, MeterMixin):
             self.attempt = None
 
     def _start_trade(self, now: int) -> None:
+        book = (len(self.offer_keys), len(self.tried))
+        if book == self._idle_book:
+            return
         candidates = []
         balance = None  # read once, and only if some offer gets that far
         for key in self.offer_keys:
@@ -704,6 +703,8 @@ class ConsumerActor(Actor, MeterMixin):
             if amount * price > balance:
                 continue
             candidates.append((key, pk, amount, price, negotiable))
+        if balance is None:
+            self._idle_book = book
         if not candidates:
             return
         # spread concurrent buyers over the book so they rarely chase one offer
@@ -870,17 +871,15 @@ class ConsumerActor(Actor, MeterMixin):
     # -- messages -------------------------------------------------------------------
 
     def on_message(self, payload, now: int) -> None:
-        if isinstance(payload, JoinAck):
+        if isinstance(payload, Routed):
+            self._on_routed(payload, now)
+        elif isinstance(payload, JoinAck):
             if self.behavior == "flood" and self.flood_session is not None:
                 if payload.pk == self.flood_session.public and payload.accepted:
                     self._flood_joined = True
                 return
             self.on_join_ack(payload, now)
-            return
-        if isinstance(payload, Routed):
-            self._on_routed(payload, now)
-            return
-        if isinstance(payload, BlockGossip):
+        elif isinstance(payload, BlockGossip):
             for tx in payload.block.txs:
                 self._on_mined_tx(tx)
 

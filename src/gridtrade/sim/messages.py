@@ -18,6 +18,7 @@ from ..meter import TAG_COE, TAG_VERIFICATION_REQUEST, CoE, VerificationRequest
 from ..transactions import DecodeError, Transaction, decode_canonical, encode_canonical
 
 TAG_PING = 0x32
+_PING_PREFIX = bytes([TAG_PING])
 
 
 @dataclass
@@ -50,7 +51,7 @@ class JoinAck:
     reason: Optional[str] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Ping:
     """Opaque routed traffic used by load scenarios."""
 
@@ -61,10 +62,10 @@ RoutablePayload = Union[Transaction, VerificationRequest, CoE, Ping]
 
 
 def encode_routed_payload(payload: RoutablePayload) -> bytes:
+    if isinstance(payload, Ping):  # load traffic: by far the most common payload
+        return _PING_PREFIX + payload.data
     if isinstance(payload, (VerificationRequest, CoE)):
         return payload.to_bytes()
-    if isinstance(payload, Ping):
-        return bytes([TAG_PING]) + payload.data
     return encode_canonical(payload)
 
 
@@ -73,16 +74,16 @@ def decode_routed_payload(data: bytes) -> RoutablePayload:
     if not data:
         raise DecodeError("empty routed payload")
     tag = data[0]
+    if tag == TAG_PING:
+        return Ping(data[1:])
     if tag == TAG_VERIFICATION_REQUEST:
         return VerificationRequest.from_bytes(data)
     if tag == TAG_COE:
         return CoE.from_bytes(data)
-    if tag == TAG_PING:
-        return Ping(data[1:])
     return decode_canonical(data)
 
 
-@dataclass
+@dataclass(slots=True)
 class Routed:
     """Envelope moving hop by hop across the backbone toward a public key."""
 

@@ -627,7 +627,7 @@ def check_id_and_signature(tx: Transaction) -> Tuple[bool, Optional[str]]:
     try:
         body = encode_declared(tx)
         t_id = _id_of(body, tx.sign)
-    except ValueError as exc:  # a value the canonical encoding cannot hold
+    except (ValueError, TypeError, AttributeError) as exc:  # a wrong-typed or out-of-range field
         return False, f"malformed: {exc}"
     if t_id != tx.t_id:
         return False, "t_id mismatch"

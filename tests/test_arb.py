@@ -1,6 +1,7 @@
 """Routing backbone: table construction, joins, delivery, widening."""
 
 from bisect import bisect_right
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -102,6 +103,21 @@ class TestJoin:
         )
         ok, reason = mesh.join(mesh.table.owner_of(victim.public), forged)
         assert not ok and reason == "impersonation"
+
+    JOINER = KeyPair.generate(Random(5))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("pk", v) for v in (None, 1.5, "s", [], {}, bytearray(JOINER.public))]
+        + [("endpoint", v) for v in (None, 1.5, b"node-1", [], {}, bytearray(b"node-1"))],
+        ids=repr,
+    )
+    def test_wrong_typed_field_is_impersonation(self, field, value):
+        mesh = Mesh(["b0", "b1"], 1, offer_limit=5)
+        forged = replace(make_join(self.JOINER, "node-1"), **{field: value})
+        for node_id in mesh.nodes:
+            assert mesh.join(node_id, forged) == (False, "impersonation")
+        assert not any(node.members for node in mesh.nodes.values())
 
     def test_misrouted_join_rejected(self):
         rng = Random(4)

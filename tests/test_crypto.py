@@ -109,7 +109,8 @@ class TestSignatures:
 
 
 class TestKeptSigningKey:
-    """A KeyPair builds its Ed25519 object on the first sign and keeps it."""
+    """A KeyPair keeps its Ed25519 object: ``from_seed`` keeps the one it
+    builds, and a directly built pair builds one on its first sign."""
 
     SEED = bytes(range(32))
 
@@ -129,9 +130,12 @@ class TestKeptSigningKey:
         used, unused = KeyPair.from_seed(self.SEED), KeyPair.from_seed(self.SEED)
         sign(used, b"m")
         assert isinstance(vars(used).get("_ed_private"), Ed25519PrivateKey)
-        assert "_ed_private" not in vars(unused)
+        assert isinstance(vars(unused).get("_ed_private"), Ed25519PrivateKey)
+        direct = KeyPair(public=used.public, seed=self.SEED)
+        assert "_ed_private" not in vars(direct)
         assert used == unused and hash(used) == hash(unused)
-        assert repr(used) == repr(unused)
+        assert used == direct and hash(used) == hash(direct)
+        assert repr(used) == repr(unused) == repr(direct)
         assert "_ed_private" not in repr(used) and "Ed25519" not in repr(used)
 
 

@@ -1,7 +1,7 @@
 """Ledger state machine: accounts, pending commitments, blocks, settlement."""
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from random import Random
 
 import pytest
@@ -22,6 +22,7 @@ from gridtrade.ledger import (
 from gridtrade.transactions import (
     GENESIS_CERTIFICATE,
     GENESIS_COIN_BURN,
+    ERCTx,
     encode_canonical,
     make_ctp,
     make_genesis,
@@ -457,6 +458,15 @@ class TestReceiptValidation:
         assert result.reason == "receipt invalid at step e"
 
 
+    @pytest.mark.parametrize("value", [None, 1.5, "s", [], {}], ids=repr)
+    @pytest.mark.parametrize("name", [f.name for f in fields(ERCTx)])
+    def test_wrong_typed_field_is_a_rejection(self, trade, name, value):
+        erc = replace(trade.completed_erc(), **{name: value})
+        valid, step = trade.rig.ledger.validate_erc(erc)
+        assert not valid and step in ("a", "b", "c", "d", "e")
+        if name == "ctp_id":
+            assert step == "a"
+
     @pytest.mark.parametrize("leaf_index", [2**32, -1])
     def test_unencodable_proof_fails_step_e(self, trade, leaf_index):
         # steps a-d never read the leaf index, so only the encoding sees it
@@ -553,6 +563,15 @@ class TestClaims:
             make_producer_claim(
                 trade.ctp.t_id, trade.ctp.contract_hash, energy_kwh, trade.producer
             )
+
+    @pytest.mark.parametrize("value", [None, 1.5, "s", [], {}], ids=repr)
+    @pytest.mark.parametrize(
+        "name", ["ctp_id", "contract_hash", "producer_pk", "energy_kwh", "sign"]
+    )
+    def test_wrong_typed_field_is_rejected(self, trade, name, value):
+        result = trade.rig.ledger.submit_claim(replace(trade.claim, **{name: value}))
+        expected = "bad claim signature" if name == "sign" else "malformed claim"
+        assert not result.accepted and result.reason.startswith(expected)
 
     def test_signed_bytes_of_an_in_range_claim(self, trade):
         claim = trade.claim

@@ -3,6 +3,7 @@
 import heapq
 import subprocess
 import sys
+from dataclasses import replace
 from itertools import count
 from pathlib import Path
 from random import Random
@@ -23,7 +24,7 @@ from gridtrade.sim import (
 from gridtrade.sim.actors import Actor, TradeAttempt
 from gridtrade.sim.cli import main as cli_main
 from gridtrade.meter import TAG_COE
-from gridtrade.sim.messages import Ping, Routed, encode_routed_payload
+from gridtrade.sim.messages import JoinAck, JoinRequest, Ping, Routed, encode_routed_payload
 from gridtrade.sim.world import World
 from gridtrade.transactions import (
     ContractTerms,
@@ -31,6 +32,7 @@ from gridtrade.transactions import (
     encode_fields,
     make_ctp,
     make_negotiation,
+    make_supply_energy,
 )
 
 
@@ -265,6 +267,18 @@ class TestSimulatedRouting:
         assert world.mesh.route(src.id, entry, stranger, b"").reason == "undeliverable"
 
 
+class TestJoinAdmission:
+    """A backbone actor refuses a join whose fields have the wrong type."""
+
+    @pytest.mark.parametrize("field, value", [("pk", None), ("pk", "s"), ("endpoint", None)])
+    def test_wrong_typed_join_is_refused(self, field, value):
+        world = World(preset("none", seed=5))
+        join = replace(make_join(KeyPair.generate(Random(7)), "consumer-0"), **{field: value})
+        world.actors["arb-0"].on_message(JoinRequest(join=join, reply_to="consumer-0"), 0)
+        assert world.metrics.get("join_rejected") == 1
+        assert world._due[1] == [("consumer-0", JoinAck(join.pk, False, "impersonation"))]
+
+
 class TestMalformedRoutedPayload:
     """A routed envelope that does not decode is counted and dropped."""
 
@@ -343,6 +357,38 @@ class TestNegotiationGuards:
         (ctp,) = consumer.sent_ctps
         assert ctp.price == offer.amount * offer.posted_price
         assert consumer.attempt.state == "committed"
+
+
+class TestIdleOfferScan:
+    """A consumer that has tried every offer scans the book again only after
+    the book or its tried set grows."""
+
+    def test_rescans_only_after_a_new_offer(self):
+        world = World(preset("none", seed=5))
+        consumer = world.consumer_actors[0]
+        scans = []
+
+        class Book(list):
+            def __iter__(self):
+                scans.append(len(self))
+                return super().__iter__()
+
+        consumer.offer_keys = Book()
+        rng = Random(11)
+        supplies = [
+            make_supply_energy(hash_bytes(bytes([i])), 10, 10, True, KeyPair.generate(rng))
+            for i in range(3)
+        ]
+        for tx in supplies[:2]:
+            consumer._on_mined_tx(tx)
+        consumer.tried.update(consumer.offers)
+        consumer._start_trade(20)
+        consumer._start_trade(21)
+        assert scans == [2] and consumer.attempt is None
+        consumer._on_mined_tx(supplies[2])
+        consumer._start_trade(22)
+        assert scans == [2, 3]
+        assert consumer.attempt.offer_key == supplies[2].t_id
 
 
 class TestReceiptPump:
