@@ -307,12 +307,6 @@ class Mesh:
             for node_id in backbone_ids
         }
 
-    def node(self, node_id: str) -> BackboneNode:
-        return self.nodes[node_id]
-
-    def responsible(self, pk: PublicKey) -> BackboneNode:
-        return self.nodes[self.table.owner_of(pk)]
-
     def join(self, node_id: str, msg: JoinMessage) -> Tuple[bool, Optional[str]]:
         return self.nodes[node_id].join(msg, self.table)
 

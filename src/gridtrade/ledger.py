@@ -23,6 +23,9 @@ Bitcoin Core's per-block undo data. ``rollback(mark)`` undoes everything
 after a ``mark()`` exactly, down to the order of pending entries and
 claims. Miners trial-apply the mempool and apply blocks in place this way,
 and keep the journal back to where the tip was applied, for a rival tip.
+The journal also counts the records it takes and gives back
+(``Ledger.changes``), so a reader can tell that a ledger has not changed
+since it last looked without reading the state again.
 """
 
 from __future__ import annotations
@@ -105,6 +108,33 @@ def _restore_account(accounts: dict, pk: PublicKey, state: tuple) -> None:
     acct.coin_balance, acct.energy_balance, acct.last_tx_id = state
 
 
+class Journal(list):
+    """An undo journal, oldest record first, that counts its changes.
+
+    ``changes`` grows by one for each record appended and each record
+    popped, and never falls. Dropping old records with ``del`` changes no
+    state and is not counted.
+    """
+
+    __slots__ = ("changes",)
+
+    def __init__(self, records=(), changes: int = 0):
+        super().__init__(records)
+        self.changes = changes
+
+    def append(self, record: tuple) -> None:
+        self.changes += 1
+        list.append(self, record)
+
+    def __iadd__(self, records: list) -> "Journal":
+        self.changes += len(records)
+        return list.__iadd__(self, records)
+
+    def pop(self) -> tuple:
+        self.changes += 1
+        return list.pop(self)
+
+
 class CTPDatabase:
     """Miner-local store of pending, unmined payment commitments.
 
@@ -120,19 +150,20 @@ class CTPDatabase:
 
     Invariant: the database changes only through ``insert``, ``remove`` and
     ``sweep_expired``; each appends its inverse, derived state included, to
-    its ledger's journal as ``ctp_db`` records. After each, ``_encoded`` has
-    exactly the keys of ``entries``, each ``_pending`` value equals the sum
-    over ``entries`` for that payer, and a non-None ``_digest`` equals the
+    its ledger's ``Journal`` as ``ctp_db`` records, so every change moves
+    the journal's ``changes`` count. After each, ``_encoded`` has exactly
+    the keys of ``entries``, each ``_pending`` value equals the sum over
+    ``entries`` for that payer, and a non-None ``_digest`` equals the
     digest recomputed from ``entries``. ``clone`` copies all of it.
     """
 
-    def __init__(self, journal: Optional[list] = None):
+    def __init__(self, journal: Optional[Journal] = None):
         self.entries: Dict[HashDigest, Tuple[CTPTx, int]] = {}
         self._encoded: Dict[HashDigest, bytes] = {}
         self._pending: Dict[PublicKey, int] = {}
         self._digest: Optional[HashDigest] = None
         self._next_expiry: float = _NEVER
-        self._journal = [] if journal is None else journal
+        self._journal = Journal() if journal is None else journal
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -214,7 +245,7 @@ class CTPDatabase:
             )
         return self._digest
 
-    def clone(self, journal: Optional[list] = None) -> "CTPDatabase":
+    def clone(self, journal: Optional[Journal] = None) -> "CTPDatabase":
         other = CTPDatabase(journal)
         other.entries = dict(self.entries)
         other._encoded = dict(self._encoded)
@@ -414,7 +445,12 @@ VALIDATE_ERC_STEPS = ("a", "b", "c", "d", "e")
 
 
 class Ledger:
-    """Deterministic account + pending-commitment state every miner runs."""
+    """Deterministic account + pending-commitment state every miner runs.
+
+    Every change to the accounts, the pending database, the claims,
+    ``settled`` and ``settlements`` is journaled, so ``changes`` moves on
+    each of them.
+    """
 
     def __init__(self, config: LedgerConfig):
         self.config = config
@@ -423,13 +459,14 @@ class Ledger:
         self.settled: Set[HashDigest] = set()
         self.settlements: List[SettlementRecord] = []
         # undo journal, oldest first: (name, undo, *args) is undone by undo(self.name, *args)
-        self._journal: List[tuple] = []
+        self._journal = Journal()
         self.ctp_db = CTPDatabase(self._journal)
 
     def clone(self) -> "Ledger":
         other = Ledger(self.config)
         other.accounts = {pk: replace(acct) for pk, acct in self.accounts.items()}
-        other._journal.extend(self._journal)  # so the copy can roll back too
+        # so the copy can roll back too, and counts on from the same history
+        other._journal = Journal(self._journal, self._journal.changes)
         other.ctp_db = self.ctp_db.clone(other._journal)
         other.claims = dict(self.claims)
         other.settled = set(self.settled)
@@ -437,6 +474,11 @@ class Ledger:
         return other
 
     # -- undo journal ----------------------------------------------------------
+
+    @property
+    def changes(self) -> int:
+        """Journal records made and undone so far; moves on every change."""
+        return self._journal.changes
 
     def mark(self) -> int:
         """The current journal position, for ``rollback``."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from random import Random
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..arb import make_join
+from ..arb import JoinMessage, make_join
 from ..crypto import KeyPair, hash_bytes, sign
 from ..ledger import Miner, make_producer_claim
 from ..meter import CoE, MeterError, SmartMeter, VerificationRequest
@@ -79,15 +79,23 @@ class BackboneActor(Actor):
         if isinstance(payload, Routed):
             self._route(payload, now)
         elif isinstance(payload, JoinRequest):
-            ok, reason = self.world.mesh.join(self.node_id, payload.join)
+            join = payload.join
+            if not isinstance(join, JoinMessage):  # nothing to answer: count and drop
+                self.world.metrics.bump("join_rejected")
+                return
+            ok, reason = self.world.mesh.join(self.node_id, join)
             self.world.metrics.bump("join_accepted" if ok else "join_rejected")
-            self.world.send(payload.reply_to, JoinAck(payload.join.pk, ok, reason))
+            self.world.send(payload.reply_to, JoinAck(join.pk, ok, reason))
 
     def _route(self, env: Routed, now: int) -> None:
         world = self.world
         env.trace.append(self.node_id)
         env.hops += 1
-        action, target = world.mesh.next_hop(self.node_id, env.dest_pk, env.payload, now)
+        try:
+            action, target = world.mesh.next_hop(self.node_id, env.dest_pk, env.payload, now)
+        except TypeError:  # a dest_pk that is not bytes: count and drop
+            world.metrics.bump("routed_malformed")
+            return
         if action == "forward":
             if env.hops >= 4:  # cannot happen with a consistent table
                 world.metrics.bump("routing_loops")

@@ -6,6 +6,13 @@ actor steps, mining wakeups, then end-of-tick digest journaling, load
 checks, and invariant checks. All randomness comes from labeled child RNGs
 of the scenario seed, so two runs with the same config are bit-identical.
 
+The invariant checks recount a miner's pending commitments from
+``entries`` on each tick that miner's ledger changed: a new ledger object
+(a tip swap), or a move in its journal's change count. Every ledger change
+is journaled, so on any other tick the state is the one last recounted,
+and the kept result is counted again. The counters therefore grow exactly
+as a recount on every tick would make them grow.
+
 Messages wait in one list per due tick. Every message travels at least one
 tick, so nothing a delivery sends can land in the list being delivered,
 and each tick hands its list out in append order: messages arrive in
@@ -21,7 +28,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..arb import Mesh
 from ..crypto import Certificate, KeyPair, PublicKey, hash_bytes, issue_certificate
-from ..ledger import LedgerConfig, Miner
+from ..ledger import Ledger, LedgerConfig, Miner
 from ..meter import SmartMeter, provision_meter
 from ..transactions import CTPTx, ERCTx
 from .actors import (
@@ -69,6 +76,9 @@ class World:
         self.rebalance_events: List[dict] = []
         self.initial_balances: Dict[PublicKey, int] = {}
         self._build()
+        # per miner: (ledger, its change count, coin not conserved?, unsafe payers)
+        # as last recounted by _tick_checks
+        self._recounted = [(None, None, False, 0)] * len(self.miner_actors)
 
     # -- construction --------------------------------------------------------
 
@@ -386,16 +396,37 @@ class World:
         )
 
     def _tick_checks(self, now: int) -> None:
-        if self.miner_actors[0].miner.ledger.total_coin() != self.initial_total_coin:
-            self.metrics.bump("conservation_violations")
-        for actor in self.miner_actors:
+        """Count invariant breaches at tick end: one ``safety_violations``
+        per payer whose pending total exceeds its coin, on each miner, and
+        one ``conservation_violations`` when miner 0's coin total moved.
+
+        A miner's ledger is recounted only when it is a different object
+        or its change count moved since the last recount. Every change is
+        journaled and counted, so otherwise its state is the one last
+        recounted, and the kept result is the one a recount would give.
+        """
+        recounted = self._recounted
+        metrics = self.metrics
+        for index, actor in enumerate(self.miner_actors):
             ledger = actor.miner.ledger
-            per_pk: Dict[PublicKey, int] = {}
-            for tx, _ in ledger.ctp_db.entries.values():
-                per_pk[tx.pk] = per_pk.get(tx.pk, 0) + tx.price
-            for pk, pending in per_pk.items():
-                if pending > ledger.coin_balance(pk):
-                    self.metrics.bump("safety_violations")
+            kept = recounted[index]
+            if kept[0] is not ledger or kept[1] != ledger.changes:
+                kept = recounted[index] = (ledger, ledger.changes, *self._recount(ledger))
+            _, _, coin_moved, unsafe = kept
+            if index == 0 and coin_moved:
+                metrics.bump("conservation_violations")
+            if unsafe:
+                metrics.bump("safety_violations", unsafe)
+
+    def _recount(self, ledger: Ledger) -> Tuple[bool, int]:
+        """(coin total differs from the start?, payers committed past their
+        coin), counted afresh from the pending ``entries``, not from the
+        database's running totals, which this checks."""
+        per_pk: Dict[PublicKey, int] = {}
+        for tx, _ in ledger.ctp_db.entries.values():
+            per_pk[tx.pk] = per_pk.get(tx.pk, 0) + tx.price
+        unsafe = sum(pending > ledger.coin_balance(pk) for pk, pending in per_pk.items())
+        return ledger.total_coin() != self.initial_total_coin, unsafe
 
     def _finalize(self) -> None:
         reference = self.miner_actors[0]

@@ -370,6 +370,31 @@ class TestUndoJournal:
         assert _fields(ledger) == at_mark
         assert ledger.mark() == mark
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(
+            st.one_of(_ledger_op, st.tuples(st.just("rollback"), st.integers(0, 12))),
+            max_size=40,
+        )
+    )
+    def test_changes_count_every_change_and_every_undo(self, steps):
+        def observed(ledger):
+            claims, settled = list(ledger.claims.items()), set(ledger.settled)
+            return ledger.state_digest(), claims, settled, list(ledger.settlements)
+
+        ledger = Ledger(J_CONFIG)
+        for step in J_START + steps:
+            before, changes, records = observed(ledger), ledger.changes, ledger.mark()
+            if step[0] == "rollback":
+                ledger.rollback(max(records - step[1], 0))
+            else:
+                _apply_ledger_op(ledger, step)
+            # one count per record made or undone
+            assert ledger.changes - changes == abs(ledger.mark() - records)
+            if observed(ledger) != before:
+                assert ledger.changes > changes
+        assert ledger.clone().changes == ledger.changes
+
     def test_forget_before_makes_the_mark_the_start(self, trade):
         ledger = trade.rig.ledger
         mark = ledger.mark()

@@ -1,9 +1,9 @@
 """Operation counts that do not depend on the machine, pinned as upper bounds.
 
-Most counts come from wrapping a function for the length of one run of
-``preset("none", seed=1)``, the way ``bench/tracer.py`` traces layers from
-outside the program; the calls per routed message come from a profile
-hook. Nothing under ``src/`` counts for these tests.
+Most counts come from wrapping a function for the length of one scenario
+run, mostly of ``preset("none", seed=1)``, the way ``bench/tracer.py``
+traces layers from outside the program; the calls per routed message come
+from a profile hook. Nothing under ``src/`` counts for these tests.
 """
 
 from __future__ import annotations
@@ -94,6 +94,7 @@ def counts():
         mp.setattr(ConsumerActor, "__init__", init_consumer)
         _wrap(mp, Ledger, "clone", lambda ledger: counted.update(["ledger_clone"]))
         mp.setattr(Miner, "receive_block", receive_block)
+        _wrap(mp, World, "_recount", lambda world, ledger: counted.update(["recounts"]))
         result = run_scenario(preset("none", seed=1))
     assert result.passed
     counted["signing_keys"] = len(signing_keys)
@@ -124,6 +125,35 @@ def test_idle_consumers_do_not_rescan_the_offer_book(counts):
     # the tried set grows; every call used to scan (1,338 calls)
     assert counts["start_trade"] > 1000
     assert counts["book_scans"] <= 11
+
+
+def test_ledgers_are_recounted_only_on_ticks_they_changed(counts):
+    # of 2,700 miner-ticks, every one of which was recounted before
+    assert 0 < counts["recounts"] <= 63
+
+
+@pytest.mark.parametrize(
+    "config, most",
+    [
+        (preset("double_spend", seed=1), 6),  # of 600 miner-ticks
+        # the benchmark's ctp-burst workload: ~80 commitments stay pending on
+        # each miner all run, while the ledgers change on few ticks
+        (
+            preset(
+                "double_spend", seed=1, consumers=32, double_spend_ctps=20, miners=5,
+                ticks=1500, ctp_default_ttl=1400,
+            ),
+            100,  # of 7,500 miner-ticks
+        ),
+    ],
+    ids=["double_spend", "ctp-burst"],
+)
+def test_recounts_on_a_commitment_burst(config, most):
+    recounts = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        _wrap(mp, World, "_recount", lambda world, ledger: recounts.update(["ledger"]))
+        assert run_scenario(config).passed
+    assert 0 < recounts["ledger"] <= most
 
 
 def test_calls_per_routed_message():

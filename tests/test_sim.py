@@ -278,6 +278,84 @@ class TestJoinAdmission:
         assert world.metrics.get("join_rejected") == 1
         assert world._due[1] == [("consumer-0", JoinAck(join.pk, False, "impersonation"))]
 
+    @pytest.mark.parametrize("join", [None, b"join", ("pk", "consumer-0", b"")], ids=repr)
+    def test_request_without_a_join_message_is_dropped(self, join):
+        world = World(preset("none", seed=5))
+        world.actors["arb-0"].on_message(JoinRequest(join=join, reply_to="consumer-0"), 0)
+        assert world.metrics.get("join_rejected") == 1
+        assert not world._due  # no ack: there is no key to answer for
+
+
+def _recount_every_tick(world: World):
+    """The invariant checks as they ran before they were gated: every
+    ledger recounted from ``entries`` on every tick. Returns the
+    (conservation_violations, safety_violations) one tick adds."""
+    reference = world.miner_actors[0].miner.ledger
+    conservation = int(reference.total_coin() != world.initial_total_coin)
+    safety = 0
+    for actor in world.miner_actors:
+        ledger = actor.miner.ledger
+        per_pk = {}
+        for tx, _ in ledger.ctp_db.entries.values():
+            per_pk[tx.pk] = per_pk.get(tx.pk, 0) + tx.price
+        for pk, pending in per_pk.items():
+            if pending > ledger.coin_balance(pk):
+                safety += 1
+    return conservation, safety
+
+
+class TestGatedTickChecks:
+    """Recounting a ledger only when its journal moved counts what a
+    recount on every tick counts, through violations, rollbacks and a
+    ledger swapped for a clone."""
+
+    def test_counters_match_a_recount_on_every_tick(self, monkeypatch):
+        world = World(preset("double_spend", seed=1))
+        miner0, miner1 = (actor.miner for actor in world.miner_actors[:2])
+        payer = world.consumer_actors[0].account
+        balance = miner1.ledger.coin_balance(payer.public)
+        overspend = make_ctp(0, 10_000, balance + 1, hash_bytes(b"overspend"), payer)
+        state = {}
+
+        def break_safety(now):  # one payer committed past its coin on miner 1
+            state["mark"] = miner1.ledger.mark()
+            miner1.ledger.ctp_db.insert(overspend, now)
+
+        def undo_safety(now):
+            ledger = miner1.ledger
+            assert ledger.changes == state["kept"], "miner 1 changed this tick"
+            ledger.rollback(state["mark"])
+            assert overspend.t_id not in ledger.ctp_db
+
+        def break_conservation(now):
+            # a clone taken before miner 0 loses a coin, touched once so that
+            # its change count equals the broken ledger's
+            state["clone"] = miner0.ledger.clone()
+            miner0.ledger._account(payer.public).coin_balance -= 1
+            state["clone"]._account(payer.public)
+            assert state["clone"].changes == miner0.ledger.changes
+
+        def swap_in_clone(now):
+            miner0.ledger = state["clone"]
+
+        script = {150: break_safety, 151: undo_safety, 170: break_conservation, 171: swap_in_clone}
+        gated = world._tick_checks
+        expected = [0, 0]
+
+        def checks(now):
+            if now in script:
+                script[now](now)
+            gated(now)
+            state["kept"] = miner1.ledger.changes
+            for i, added in enumerate(_recount_every_tick(world)):
+                expected[i] += added
+            names = ("conservation_violations", "safety_violations")
+            assert [world.metrics.get(name) for name in names] == expected, f"tick {now}"
+
+        monkeypatch.setattr(world, "_tick_checks", checks)
+        world.run()
+        assert expected == [1, 1]
+
 
 class TestMalformedRoutedPayload:
     """A routed envelope that does not decode is counted and dropped."""
@@ -296,6 +374,14 @@ class TestMalformedRoutedPayload:
         for actor in (world.producer_actors[0], world.consumer_actors[0]):
             actor.on_message(Routed(dest_pk=bytes(64), payload=payload, origin="b0"), 0)
         assert world.metrics.get("routed_malformed") == 2
+
+    @pytest.mark.parametrize("dest_pk", [None, "s" * 64, 7, [0] * 64, bytearray(64)], ids=repr)
+    def test_wrong_typed_destination_at_a_backbone(self, dest_pk):
+        world = World(preset("none", seed=5))
+        env = Routed(dest_pk=dest_pk, payload=encode_routed_payload(Ping(b"x")), origin="b0")
+        world.actors["arb-0"].on_message(env, 0)
+        assert world.metrics.get("routed_malformed") == 1
+        assert not world._due
 
 
 def _routed(msg) -> Routed:
