@@ -61,7 +61,7 @@ def load_per_node(tbl):
 before = load_per_node(table4)
 hot = max(sorted(before), key=lambda key: before[key])
 print(f"load before: {dict(sorted(before.items()))} (hot: {hot})")
-wider, _ = rebalance(table4, 2, load_by_value=histogram, overloaded=hot)
+wider = rebalance(table4, 2, load_by_value=histogram, overloaded=hot)
 after = load_per_node(wider)
 print(f"load after two-byte split: {dict(sorted(after.items()))}")
 print("a skewed key population can still defeat this; the table only cuts")

@@ -15,13 +15,11 @@ costs one bisect per table: the memo holds at most min(distinct keys,
 256**x) entries. A table is never changed once built; widening installs a
 new table, whose memo starts empty.
 
-Widening ``x`` rebuilds the table at finer granularity. When a load
-histogram from the overloaded window is supplied, the new ranges are cut
-so observed traffic spreads evenly and the overloaded node takes the
-slimmest slice; without one the space is split evenly by value. Either
-way the result is a total, disjoint partition, and skewed key
-populations can defeat the balancing, which callers surface as a metric
-rather than an error.
+Widening ``x`` rebuilds the table at finer granularity, cut along the
+load histogram of the overloaded window: observed traffic spreads evenly
+and the overloaded node takes the slimmest slice. The result is a total,
+disjoint partition, and skewed key populations can defeat the balancing,
+which callers surface as a metric rather than an error.
 """
 
 from __future__ import annotations
@@ -71,7 +69,6 @@ class DHTTable:
     x: int
     bounds: Tuple[int, ...]
     owners: Tuple[str, ...]
-    version: int = 0
     # routing prefix -> owner, filled by ``owner_of``
     _owner_memo: Dict[bytes, str] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -127,36 +124,25 @@ def build_dht(backbone_ids: List[str], x: int) -> DHTTable:
     for i in range(n):
         bounds.append(cursor)
         cursor += base + (1 if i < extra else 0)
-    return DHTTable(x=x, bounds=tuple(bounds), owners=tuple(ids), version=0)
+    return DHTTable(x=x, bounds=tuple(bounds), owners=tuple(ids))
 
 
 def rebalance(
-    table: DHTTable,
-    new_x: int,
-    load_by_value: Optional[Mapping[int, int]] = None,
-    overloaded: Optional[str] = None,
-) -> Tuple[DHTTable, List[Tuple[int, int, str, str]]]:
-    """Widen the routing prefix and return (new table, ownership diff).
+    table: DHTTable, new_x: int, load_by_value: Mapping[int, int], overloaded: str
+) -> DHTTable:
+    """Widen the routing prefix to ``new_x`` bytes and return the new table.
 
     ``load_by_value`` maps observed new-granularity values to message
-    counts; when given, range cuts equalize observed load and the
-    ``overloaded`` node is handed the range owning the fewest values.
-    The diff lists (lo, hi, old_owner, new_owner) for every stretch of
-    values that changed hands.
+    counts; range cuts equalize that load, and the ``overloaded`` node is
+    handed the range owning the fewest values.
     """
     if new_x <= table.x:
         raise ValueError(f"new_x {new_x} must exceed current x {table.x}")
     ids = sorted(table.owners)
+    if overloaded not in ids:
+        raise ValueError(f"overloaded node {overloaded!r} is not in the table")
     n = len(ids)
     space = 1 << (8 * new_x)
-    if not load_by_value:
-        new_table = build_dht(ids, new_x)
-        new_table = DHTTable(
-            x=new_x, bounds=new_table.bounds, owners=new_table.owners,
-            version=table.version + 1,
-        )
-        return new_table, _ownership_diff(table, new_table)
-
     total = sum(load_by_value.values())
     hot_values = sorted(load_by_value)
     bounds = [0]
@@ -178,37 +164,10 @@ def rebalance(
     for i in range(n):
         hi = bounds[i + 1] if i + 1 < n else space
         sizes.append((hi - bounds[i], i))
-    owners: List[Optional[str]] = [None] * n
-    remaining = list(ids)
-    if overloaded is not None and overloaded in remaining:
-        slim = min(sizes)[1]
-        owners[slim] = overloaded
-        remaining.remove(overloaded)
-    for i in range(n):
-        if owners[i] is None:
-            owners[i] = remaining.pop(0)
-    new_table = DHTTable(
-        x=new_x, bounds=tuple(bounds), owners=tuple(owners),
-        version=table.version + 1,
-    )
-    return new_table, _ownership_diff(table, new_table)
-
-
-def _ownership_diff(old: DHTTable, new: DHTTable) -> List[Tuple[int, int, str, str]]:
-    """Stretches of new-granularity values whose owner changed."""
-    shift = 8 * (new.x - old.x)
-    edges = sorted(
-        {0, new.space}
-        | set(new.bounds)
-        | {b << shift for b in old.bounds}
-    )
-    moved = []
-    for lo, hi in zip(edges, edges[1:]):
-        before = old.owner_of_value(lo >> shift)
-        after = new.owner_of_value(lo)
-        if before != after:
-            moved.append((lo, hi - 1, before, after))
-    return moved
+    slim = min(sizes)[1]
+    others = (node_id for node_id in ids if node_id != overloaded)
+    owners = tuple(overloaded if i == slim else next(others) for i in range(n))
+    return DHTTable(x=new_x, bounds=tuple(bounds), owners=owners)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +253,7 @@ class BackboneNode:
 
 
 class Mesh:
-    """Full mesh of backbone nodes sharing one table version.
+    """Full mesh of backbone nodes sharing one table.
 
     Stands in for conventional inter-router protocols: any backbone
     reaches any other in a single hop.
@@ -357,14 +316,9 @@ class Mesh:
             return Delivery(True, trace, endpoint=target)
         return Delivery(False, trace, reason=target)
 
-    def widen(
-        self,
-        new_x: int,
-        load_by_value: Optional[Mapping[int, int]] = None,
-        overloaded: Optional[str] = None,
-    ) -> List[Tuple[PublicKey, str, str]]:
-        """Install a wider table and re-home members; returns the move plan."""
-        new_table, _ = rebalance(self.table, new_x, load_by_value, overloaded)
+    def widen(self, new_x: int, load_by_value: Mapping[int, int], overloaded: str) -> None:
+        """Install the table ``rebalance`` cuts and re-home the members it moves."""
+        new_table = rebalance(self.table, new_x, load_by_value, overloaded)
         plan = []
         for node_id in sorted(self.nodes):
             node = self.nodes[node_id]
@@ -376,4 +330,3 @@ class Mesh:
             endpoint = self.nodes[old_id].members.pop(pk)
             self.nodes[new_id].members[pk] = endpoint
         self.table = new_table
-        return plan

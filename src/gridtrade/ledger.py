@@ -735,7 +735,6 @@ class Miner:
         self._mempool_ids: Set[HashDigest] = set()
         self.next_mine_at: Optional[int] = None
         self.blocks_this_period = 0
-        self.blocks_mined = 0
         self.mined_periods: List[int] = []
         # digest journal: (tick, digest) recorded at end of each changed tick
         self._digest_journal: List[Tuple[int, HashDigest]] = [(-1, CTPDatabase().digest())]
@@ -795,7 +794,6 @@ class Miner:
         )
         block = replace(block, miner_sign=sign(self.keypair, block.signing_digest()))
         self.blocks_this_period += 1
-        self.blocks_mined += 1
         self.mined_periods.append(now // self.consensus_period)
         return block
 

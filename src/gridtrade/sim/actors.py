@@ -89,23 +89,23 @@ class BackboneActor(Actor):
 
     def _route(self, env: Routed, now: int) -> None:
         world = self.world
-        env.trace.append(self.node_id)
-        env.hops += 1
+        trace = env.trace
+        trace.append(self.node_id)
         try:
             action, target = world.mesh.next_hop(self.node_id, env.dest_pk, env.payload, now)
         except TypeError:  # a dest_pk that is not bytes: count and drop
             world.metrics.bump("routed_malformed")
             return
         if action == "forward":
-            if env.hops >= 4:  # cannot happen with a consistent table
+            if len(trace) >= 5:  # sender and four backbones: needs an inconsistent table
                 world.metrics.bump("routing_loops")
                 return
             world.send(target, env)
         elif action == "deliver":
-            env.trace.append(target)
+            trace.append(target)
             counters = world.metrics.counters  # the hot path skips Metrics.bump
             counters["messages_delivered"] = counters.get("messages_delivered", 0) + 1
-            counters["trace_hops_total"] = counters.get("trace_hops_total", 0) + env.hops + 1
+            counters["trace_hops_total"] = counters.get("trace_hops_total", 0) + len(trace) - 1
             world.send(target, env)
         else:
             world.metrics.bump(_DROP_COUNTERS[target])
@@ -197,7 +197,6 @@ class OfferState:
     stage: str = "new"  # new -> awaiting_genesis -> awaiting_supply -> live
     genesis_id: Optional[bytes] = None
     supply_id: Optional[bytes] = None
-    joined: bool = False
     reserved: bool = False
 
 
@@ -311,7 +310,6 @@ class ProducerActor(Actor, MeterMixin):
         self.deliveries: List[ActiveDelivery] = []
         self.unmatched_ctps: List[Tuple[CTPTx, int]] = []  # (ctp, arrived at)
         self.negot_received = 0
-        self.declined_mismatch = 0
         # forger state
         self.harvested: Optional[ERCTx] = None
         self.forge_target: Optional[CTPTx] = None
@@ -329,9 +327,7 @@ class ProducerActor(Actor, MeterMixin):
                 offer.genesis_id = genesis.t_id
                 offer.stage = "awaiting_genesis"
                 self.world.broadcast_tx(genesis)
-                if not offer.joined:
-                    offer.joined = True
-                    self.world.send_join(self, make_join(offer.keypair, self.id))
+                self.world.send_join(self, make_join(offer.keypair, self.id))
             elif offer.stage == "genesis_mined":
                 supply = make_supply_energy(
                     offer.genesis_id,
@@ -489,7 +485,6 @@ class ProducerActor(Actor, MeterMixin):
                 not c.claimed and c.terms.total_price == ctp.price
                 for c in self.contracts.values()
             ):
-                self.declined_mismatch += 1
                 self.world.metrics.bump("ctp_declined_mismatch")
         self.unmatched_ctps = still
 

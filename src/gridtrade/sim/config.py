@@ -20,6 +20,8 @@ ATTACKS = (
     "routing_overload",
 )
 
+_U64_LIMIT = 1 << 64  # supply amounts, prices and expiry ticks are u64 on the wire
+
 
 @dataclass
 class ScenarioConfig:
@@ -71,6 +73,18 @@ class ScenarioConfig:
             raise ValueError("consensus_period must be positive")
         if not 0.0 <= self.message_loss_rate < 1.0:
             raise ValueError("message_loss_rate must be in [0, 1)")
+        if self.overload_threshold < 0:
+            raise ValueError("overload_threshold must be non-negative")
+        if self.key_pool_size < 1:
+            raise ValueError("key_pool_size must be positive")
+        if not 1 <= self.ctp_default_ttl <= _U64_LIMIT - self.ticks:
+            raise ValueError("ctp_default_ttl must be positive and keep expiries within u64")
+        if not 1 <= self.supply_kwh < _U64_LIMIT:
+            raise ValueError("supply_kwh must be in [1, 2**64)")
+        if not 0 <= self.supply_unit_price < _U64_LIMIT:
+            raise ValueError("supply_unit_price must be in [0, 2**64)")
+        if self.kwh_per_tick < 1:
+            raise ValueError("kwh_per_tick must be positive")
         trading = self.attack in (
             "none",
             "malicious_producer",
@@ -83,6 +97,8 @@ class ScenarioConfig:
             raise ValueError("coe_forgery needs an honest producer plus the forger")
         if self.attack == "double_spend" and self.consumers < 1:
             raise ValueError("double_spend needs a consumer to play the spender")
+        if self.attack == "double_spend" and self.double_spend_ctps < 1:
+            raise ValueError("double_spend needs double_spend_ctps >= 1")
         if self.attack == "negotiation_flood" and (self.producers < 1 or self.consumers < 1):
             raise ValueError("negotiation_flood needs a target producer and a flooding consumer")
         if self.attack == "routing_overload" and self.chatter_nodes < 1:

@@ -8,7 +8,7 @@ and pings get a one-byte tag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Union
 
 from ..arb import JoinMessage
@@ -85,10 +85,12 @@ def decode_routed_payload(data: bytes) -> RoutablePayload:
 
 @dataclass(slots=True)
 class Routed:
-    """Envelope moving hop by hop across the backbone toward a public key."""
+    """Envelope moving hop by hop across the backbone toward a public key.
+
+    ``trace`` lists the sender, then every backbone and endpoint the
+    envelope reached, so it has taken ``len(trace) - 1`` hops.
+    """
 
     dest_pk: PublicKey
     payload: bytes
-    origin: str
-    trace: List[str] = field(default_factory=list)
-    hops: int = 0
+    trace: List[str]

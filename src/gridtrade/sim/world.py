@@ -13,16 +13,14 @@ is journaled, so on any other tick the state is the one last recounted,
 and the kept result is counted again. The counters therefore grow exactly
 as a recount on every tick would make them grow.
 
-Messages wait in one list per due tick. Every message travels at least one
-tick, so nothing a delivery sends can land in the list being delivered,
-and each tick hands its list out in append order: messages arrive in
-(due tick, send order), as a priority queue on that pair would deliver
-them, without the queue.
+Every message travels exactly one tick. Sends append to one outbox, and
+each tick's delivery phase swaps it for an empty one before handing the
+old one out in append order. So whatever a delivery sends lands in the
+next tick, and messages arrive in (send tick, send order).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from random import Random
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -63,8 +61,8 @@ class World:
         self.config = config
         self.metrics = Metrics()
         self.now = 0
-        # due tick -> (destination actor id, payload) in send order
-        self._due: Dict[int, List[Tuple[str, object]]] = defaultdict(list)
+        # (destination actor id, payload) in send order, delivered next tick
+        self._outbox: List[Tuple[str, object]] = []
         self.actors: Dict[str, Actor] = {}
         self.miner_actors: List[MinerActor] = []
         self.step_actors: List[Actor] = []
@@ -237,19 +235,19 @@ class World:
 
     # -- messaging ------------------------------------------------------------
 
-    def send(self, dest_id: str, payload: object, delay: int = 1) -> None:
-        if delay < 1:
-            raise ValueError("messages travel at least one tick")
+    def send(self, dest_id: str, payload: object) -> None:
         loss_rate = self.config.message_loss_rate
         if loss_rate > 0.0 and self._loss_rng.random() < loss_rate:
             self.metrics.bump("messages_lost")
             return
-        self._due[self.now + delay].append((dest_id, payload))
+        self._outbox.append((dest_id, payload))
 
     def deliver_due(self, now: int) -> None:
-        """Hand every message due at tick ``now`` to its actor, in send order."""
+        """Hand every message sent before this call to its actor, in send
+        order; what they send in turn waits for the next call."""
+        due, self._outbox = self._outbox, []
         actors = self.actors
-        for dest, payload in self._due.pop(now, ()):
+        for dest, payload in due:
             target = actors.get(dest)
             if target is not None:
                 target.on_message(payload, now)
@@ -262,7 +260,7 @@ class World:
         entry = self.mesh.table.owner_of(from_pk)
         counters = self.metrics.counters  # the hot path skips Metrics.bump
         counters["messages_routed"] = counters.get("messages_routed", 0) + 1
-        env = Routed(dest_pk, encode_routed_payload(payload), actor.id, [actor.id])
+        env = Routed(dest_pk, encode_routed_payload(payload), [actor.id])
         self.send(entry, env)
 
     def broadcast_tx(self, tx) -> None:

@@ -249,7 +249,12 @@ class TestRebalance:
     def test_widen_requires_larger_x(self):
         table = build_dht(["a", "b"], 1)
         with pytest.raises(ValueError):
-            rebalance(table, 1)
+            rebalance(table, 1, {0: 1}, "a")
+
+    def test_widen_requires_a_known_overloaded_node(self):
+        table = build_dht(["a", "b"], 1)
+        with pytest.raises(ValueError, match="not in the table"):
+            rebalance(table, 2, {0: 1}, "c")
 
     def test_members_land_on_new_owners(self):
         rng = Random(10)
@@ -259,7 +264,11 @@ class TestRebalance:
             kp = KeyPair.generate(rng)
             assert mesh.join(mesh.table.owner_of(kp.public), make_join(kp, f"n{i}"))[0]
             members.append(kp)
-        mesh.widen(2)
+        histogram = {}
+        for kp in members:
+            value = routing_value(kp.public, 2)
+            histogram[value] = histogram.get(value, 0) + 1
+        mesh.widen(2, histogram, overloaded="b2")
         assert mesh.table.x == 2
         for kp in members:
             owner = mesh.table.owner_of(kp.public)
@@ -267,15 +276,14 @@ class TestRebalance:
 
     def test_single_backbone_unchanged_in_effect(self):
         table = build_dht(["solo"], 1)
-        wider, moved = rebalance(table, 2)
+        wider = rebalance(table, 2, {0x1234: 3}, "solo")
         assert wider.ranges() == [(0, 65535, "solo")]
-        assert moved == []
 
     def test_load_aware_gives_overloaded_node_fewest_values(self):
         table = build_dht([f"b{i}" for i in range(4)], 1)
         rng = Random(11)
         load = {rng.randrange(65536): rng.randrange(1, 5) for _ in range(2000)}
-        wider, _ = rebalance(table, 2, load_by_value=load, overloaded="b1")
+        wider = rebalance(table, 2, load_by_value=load, overloaded="b1")
         shares = {f"b{i}": wider.value_share(f"b{i}") for i in range(4)}
         assert sum(shares.values()) == 65536
         assert shares["b1"] == min(shares.values())
@@ -297,7 +305,7 @@ class TestRebalance:
 
         before = max_over_mean(table)
         load = {routing_value(pk, 2): 1 for pk in pks}
-        wider, _ = rebalance(table, 2, load_by_value=load, overloaded="b0")
+        wider = rebalance(table, 2, load_by_value=load, overloaded="b0")
         after = max_over_mean(wider)
         assert before == pytest.approx(4.0)  # one node carries everything
         assert after == pytest.approx(4.0)  # and still does after widening
@@ -327,7 +335,7 @@ class TestRebalanceMonteCarlo:
             for pk in traffic:
                 value = routing_value(pk, 2)
                 histogram[value] = histogram.get(value, 0) + 1
-            wider, _ = rebalance(table, 2, load_by_value=histogram, overloaded=hot)
+            wider = rebalance(table, 2, load_by_value=histogram, overloaded=hot)
             after = loads(wider)
             if max(after.values()) < max(before.values()):
                 improved += 1

@@ -1,8 +1,8 @@
 """Simulator: configuration, scenario runs, determinism, and the CLI."""
 
-import heapq
 import subprocess
 import sys
+from collections import deque
 from dataclasses import replace
 from itertools import count
 from pathlib import Path
@@ -139,11 +139,6 @@ class TestScenarios:
         metrics = world.run()
         assert metrics.get("conservation_violations") == 0
 
-    def test_send_rejects_instant_delivery(self):
-        world = World(preset("none", seed=13))
-        with pytest.raises(ValueError):
-            world.send("miner-0", object(), delay=0)
-
 
 class Endpoint(Actor):
     """A joined member that records the envelopes delivered to it."""
@@ -158,7 +153,7 @@ class Endpoint(Actor):
 
 def _deliver_all(world: World) -> None:
     """Advance tick by tick through the world's own delivery until nothing is due."""
-    while world._due:
+    while world._outbox:
         world.now += 1
         world.deliver_due(world.now)
 
@@ -167,7 +162,7 @@ class Relay(Actor):
     """Logs each message id it gets, then sends the follow-ups ``plan`` names.
 
     Message ids count sends in order, starting at 1; message k, once
-    delivered, sends ``plan[k]`` as (relay index, delay) pairs.
+    delivered, sends one message to each relay index in ``plan[k]``.
     """
 
     def __init__(self, actor_id: str, world, plan, ids, log):
@@ -176,24 +171,24 @@ class Relay(Actor):
 
     def on_message(self, payload, now: int) -> None:
         self.log.append((now, self.id, payload))
-        for relay, delay in self.plan[payload] if payload < len(self.plan) else ():
-            self.world.send(f"relay-{relay}", next(self.ids), delay)
+        for relay in self.plan[payload] if payload < len(self.plan) else ():
+            self.world.send(f"relay-{relay}", next(self.ids))
 
 
-def _heap_order(plan):
-    """Reference: deliveries popped from a heap of (due tick, send order)."""
-    queue, log, ids = [], [], count(1)
-    for relay, delay in plan[0]:
-        heapq.heappush(queue, (delay, next(ids), f"relay-{relay}"))
+def _fifo_order(plan):
+    """Reference: one FIFO queue, where a message sent on tick t arrives
+    on tick t + 1, so messages arrive tick by tick, in send order."""
+    ids, log = count(1), []
+    queue = deque((1, next(ids), f"relay-{relay}") for relay in plan[0])
     while queue:
-        tick, msg, dest = heapq.heappop(queue)
+        tick, msg, dest = queue.popleft()
         log.append((tick, dest, msg))
-        for relay, delay in plan[msg] if msg < len(plan) else ():
-            heapq.heappush(queue, (tick + delay, next(ids), f"relay-{relay}"))
+        for relay in plan[msg] if msg < len(plan) else ():
+            queue.append((tick + 1, next(ids), f"relay-{relay}"))
     return log
 
 
-_sends = st.lists(st.tuples(st.integers(0, 2), st.integers(1, 4)), max_size=3)
+_sends = st.lists(st.integers(0, 2), max_size=3)
 
 
 class TestDeliveryOrder:
@@ -204,10 +199,10 @@ class TestDeliveryOrder:
         ids, log = count(1), []
         for i in range(3):
             world.actors[f"relay-{i}"] = Relay(f"relay-{i}", world, plan, ids, log)
-        for relay, delay in plan[0]:
-            world.send(f"relay-{relay}", next(ids), delay)
+        for relay in plan[0]:
+            world.send(f"relay-{relay}", next(ids))
         _deliver_all(world)
-        assert log == _heap_order(plan)
+        assert log == _fifo_order(plan)
 
 
 class TestSimulatedRouting:
@@ -276,14 +271,14 @@ class TestJoinAdmission:
         join = replace(make_join(KeyPair.generate(Random(7)), "consumer-0"), **{field: value})
         world.actors["arb-0"].on_message(JoinRequest(join=join, reply_to="consumer-0"), 0)
         assert world.metrics.get("join_rejected") == 1
-        assert world._due[1] == [("consumer-0", JoinAck(join.pk, False, "impersonation"))]
+        assert world._outbox == [("consumer-0", JoinAck(join.pk, False, "impersonation"))]
 
     @pytest.mark.parametrize("join", [None, b"join", ("pk", "consumer-0", b"")], ids=repr)
     def test_request_without_a_join_message_is_dropped(self, join):
         world = World(preset("none", seed=5))
         world.actors["arb-0"].on_message(JoinRequest(join=join, reply_to="consumer-0"), 0)
         assert world.metrics.get("join_rejected") == 1
-        assert not world._due  # no ack: there is no key to answer for
+        assert not world._outbox  # no ack: there is no key to answer for
 
 
 def _recount_every_tick(world: World):
@@ -372,21 +367,21 @@ class TestMalformedRoutedPayload:
     def test_counted_and_dropped(self, payload):
         world = World(preset("none", seed=5))
         for actor in (world.producer_actors[0], world.consumer_actors[0]):
-            actor.on_message(Routed(dest_pk=bytes(64), payload=payload, origin="b0"), 0)
+            actor.on_message(Routed(dest_pk=bytes(64), payload=payload, trace=["b0"]), 0)
         assert world.metrics.get("routed_malformed") == 2
 
     @pytest.mark.parametrize("dest_pk", [None, "s" * 64, 7, [0] * 64, bytearray(64)], ids=repr)
     def test_wrong_typed_destination_at_a_backbone(self, dest_pk):
         world = World(preset("none", seed=5))
-        env = Routed(dest_pk=dest_pk, payload=encode_routed_payload(Ping(b"x")), origin="b0")
+        env = Routed(dest_pk=dest_pk, payload=encode_routed_payload(Ping(b"x")), trace=["b0"])
         world.actors["arb-0"].on_message(env, 0)
         assert world.metrics.get("routed_malformed") == 1
-        assert not world._due
+        assert not world._outbox
 
 
 def _routed(msg) -> Routed:
     return Routed(
-        dest_pk=msg.dest_energy_account_pk, payload=encode_routed_payload(msg), origin="arb-0"
+        dest_pk=msg.dest_energy_account_pk, payload=encode_routed_payload(msg), trace=["arb-0"]
     )
 
 
@@ -405,7 +400,7 @@ class TestNegotiationGuards:
         assert world.metrics.get("negotiation_price_overflow") == 1
         assert not offer.reserved
         assert producer.contracts == {} and world.contracts == {}
-        assert world._due == {}  # refused without a reply
+        assert world._outbox == []  # refused without a reply
 
     def _negotiating_consumer(self):
         world = World(preset("none", seed=5))
@@ -625,6 +620,32 @@ class TestCli:
         assert out == ""
         assert err.startswith("gridtrade: ") and err.count("\n") == 1
         assert argv[2] in err and reason in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "key_pool_size=0",
+            "key_pool_size=-1",
+            "ctp_default_ttl=0",
+            f"ctp_default_ttl={2**64}",
+            "supply_kwh=0",
+            f"supply_kwh={2**64}",
+            "supply_unit_price=-1",
+            f"supply_unit_price={2**64}",
+            "kwh_per_tick=-1",
+            "attack=double_spend\ndouble_spend_ctps=0",
+            "overload_threshold=-1",
+        ],
+    )
+    def test_out_of_range_config_is_one_line_on_stderr(self, tmp_path, capsys, text):
+        path = tmp_path / "range.cfg"
+        path.write_text(text + "\n")
+        assert cli_main(["run", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # refused before the run
+        assert err.startswith(f"gridtrade: config {path}: ") and err.count("\n") == 1
+        key = text.splitlines()[-1].partition("=")[0]
+        assert key in err
 
     def test_unusable_out_is_refused_before_the_run(self, tmp_path, capsys):
         config_path = self._write_config(tmp_path, seed=3, ticks=50)
