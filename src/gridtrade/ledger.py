@@ -738,8 +738,6 @@ class Miner:
         self.mined_periods: List[int] = []
         # digest journal: (tick, digest) recorded at end of each changed tick
         self._digest_journal: List[Tuple[int, HashDigest]] = [(-1, CTPDatabase().digest())]
-        # the tip last applied here; the ledger's journal starts just before it
-        self._applied_tip: Optional[Block] = None
 
     # -- scheduling ----------------------------------------------------------
 
@@ -817,7 +815,7 @@ class Miner:
         ):
             # equal-height rival for the current tip
             tip = self.chain.blocks[-1]
-            if block.miner_pk < tip.miner_pk and self._applied_tip is tip:
+            if block.miner_pk < tip.miner_pk:
                 current = self.ledger
                 self.ledger = self._without_tip(current)
                 popped = self.chain.pop()
@@ -838,11 +836,13 @@ class Miner:
     def _without_tip(current: Ledger) -> Ledger:
         """A copy of ``current`` with the tip block's effects undone.
 
-        The copy is rolled back to where the tip was applied, so what the
-        tip settled is pending again; what ``current`` swept since is dropped
-        again. What ``current`` took in since is submitted again in admission
-        order; whatever no longer fits the pre-tip balances (say, a
-        commitment spending coin the tip paid) is dropped.
+        Each ``_apply`` calls ``forget_before(mark)``, so ``rollback(0)``
+        undoes exactly the tip and what came after it. The copy is rolled
+        back that far, so what the tip settled is pending again; what
+        ``current`` swept since is dropped again. What ``current`` took in
+        since is submitted again in admission order; whatever no longer fits
+        the pre-tip balances (say, a commitment spending coin the tip paid)
+        is dropped.
         """
         ledger = current.clone()
         ledger.rollback(0)
@@ -861,6 +861,12 @@ class Miner:
         return ledger
 
     def _apply(self, block: Block) -> ApplyOutcome:
+        """Append ``block`` if all its transactions apply, else change nothing.
+
+        Every block on the chain was applied here, and ``forget_before(mark)``
+        makes the point just before it mark 0 of the journal: ``rollback(0)``
+        undoes exactly the tip and what came after it (see ``_without_tip``).
+        """
         ledger = self.ledger
         mark = ledger.mark()
         for tx in block.txs:
@@ -870,7 +876,6 @@ class Miner:
                 return ApplyOutcome(False, f"invalid transaction: {result.reason}")
         ledger.forget_before(mark)
         self.chain.append(block)
-        self._applied_tip = block
         self._drop_from_mempool({tx.t_id for tx in block.txs})
         matched = block.ctp_hash == self.digest_as_of(block.timestamp)
         return ApplyOutcome(True, header_matched=matched)

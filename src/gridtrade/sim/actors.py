@@ -194,9 +194,10 @@ class OfferState:
     posted_price: int
     negotiable: bool
     start_tick: int
-    stage: str = "new"  # new -> awaiting_genesis -> awaiting_supply -> live
+    # new -> awaiting_genesis -> genesis_mined -> posted; "posted" is final,
+    # since consumers read the offer off the mined supply transaction
+    stage: str = "new"
     genesis_id: Optional[bytes] = None
-    supply_id: Optional[bytes] = None
     reserved: bool = False
 
 
@@ -204,7 +205,6 @@ class OfferState:
 class PendingContract:
     terms: ContractTerms
     offer: OfferState
-    agreed_at: int
     claimed: bool = False
 
 
@@ -303,7 +303,6 @@ class ProducerActor(Actor, MeterMixin):
         self.meter = meter
         self.owns_meter = owns_meter
         self._meter_join_sent = False
-        self.rng = rng
         self.offers = offers
         self.behavior = behavior
         self.contracts: Dict[bytes, PendingContract] = {}
@@ -314,7 +313,7 @@ class ProducerActor(Actor, MeterMixin):
         self.harvested: Optional[ERCTx] = None
         self.forge_target: Optional[CTPTx] = None
         self.forgeries_sent = 0
-        self.forge_keypair = KeyPair.generate(self.rng)
+        self.forge_keypair = KeyPair.generate(rng) if behavior == "forger" else None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -336,8 +335,7 @@ class ProducerActor(Actor, MeterMixin):
                     offer.negotiable,
                     offer.keypair,
                 )
-                offer.supply_id = supply.t_id
-                offer.stage = "awaiting_supply"
+                offer.stage = "posted"
                 self.world.metrics.bump("offers_posted")
                 self.world.broadcast_tx(supply)
         self._match_ctps(now)
@@ -377,10 +375,6 @@ class ProducerActor(Actor, MeterMixin):
             for offer in self.offers:
                 if offer.stage == "awaiting_genesis" and offer.genesis_id == tx.t_id:
                     offer.stage = "genesis_mined"
-        elif isinstance(tx, SupplyEnergyTx):
-            for offer in self.offers:
-                if offer.stage == "awaiting_supply" and offer.supply_id == tx.t_id:
-                    offer.stage = "live"
         elif isinstance(tx, ERCTx) and self.behavior == "forger":
             if self.harvested is None and tx.pk != self.forge_keypair.public:
                 self.harvested = tx
@@ -409,40 +403,26 @@ class ProducerActor(Actor, MeterMixin):
             # no contract can carry a total price past u64: refuse unanswered
             self.world.metrics.bump("negotiation_price_overflow")
             return
-        if msg.status == 1:
-            # counterparty accepted our counter-offer
-            reserve = self._reserve_price(offer)
-            if offer.reserved or msg.price < reserve:
-                return
-            self._agree(offer, msg.price, msg.t_id, msg.sender_pk, now)
-            return
         reserve = self._reserve_price(offer)
+        if msg.status == 1:
+            # counterparty accepted our counter-offer: agree without a reply
+            if not offer.reserved and msg.price >= reserve:
+                self._agree(offer, msg.price, msg.t_id, msg.sender_pk)
+            return
         if offer.reserved:
-            reply = make_negotiation(msg.sender_pk, 0, 0, msg.round + 1, offer.keypair)
-            self._reply(offer, msg.sender_pk, reply)
-            return
-        if msg.price >= reserve:
-            accept = make_negotiation(
-                msg.sender_pk, msg.price, 1, msg.round + 1, offer.keypair
-            )
-            self._reply(offer, msg.sender_pk, accept)
-            self._agree(offer, msg.price, accept.t_id, msg.sender_pk, now)
-            return
-        if msg.round + 2 <= self.world.config.offer_limit:
-            counter = make_negotiation(
-                msg.sender_pk, reserve, 0, msg.round + 1, offer.keypair
-            )
-            self._reply(offer, msg.sender_pk, counter)
+            price, status = 0, 0  # refuse
+        elif msg.price >= reserve:
+            price, status = msg.price, 1  # accept
+        elif msg.round + 2 <= self.world.config.offer_limit:
+            price, status = reserve, 0  # counter, leaving the peer a round to accept
         else:
-            reply = make_negotiation(msg.sender_pk, 0, 0, msg.round + 1, offer.keypair)
-            self._reply(offer, msg.sender_pk, reply)
+            price, status = 0, 0  # refuse
+        reply = make_negotiation(msg.sender_pk, price, status, msg.round + 1, offer.keypair)
+        self.world.send_routed(self, offer.keypair.public, msg.sender_pk, reply)
+        if status == 1:
+            self._agree(offer, price, reply.t_id, msg.sender_pk)
 
-    def _reply(self, offer: OfferState, dest_pk: bytes, msg: NegotiationMsg) -> None:
-        self.world.send_routed(self, offer.keypair.public, dest_pk, msg)
-
-    def _agree(
-        self, offer: OfferState, unit_price: int, nonce: bytes, peer_pk: bytes, now: int
-    ) -> None:
+    def _agree(self, offer: OfferState, unit_price: int, nonce: bytes, peer_pk: bytes) -> None:
         terms = ContractTerms(
             energy_amount=offer.amount,
             unit_price=unit_price,
@@ -451,7 +431,7 @@ class ProducerActor(Actor, MeterMixin):
         )
         contract_hash = compute_contract_hash(terms)
         offer.reserved = True
-        self.contracts[contract_hash] = PendingContract(terms=terms, offer=offer, agreed_at=now)
+        self.contracts[contract_hash] = PendingContract(terms=terms, offer=offer)
         self.world.register_agreement(
             contract_hash,
             producer_actor=self.id,
@@ -554,7 +534,6 @@ class TradeAttempt:
     session: KeyPair
     state: str  # joining -> negotiating -> committed
     started: int
-    round: int = 0
     ctp: Optional[CTPTx] = None
 
 
@@ -603,9 +582,10 @@ class ConsumerActor(Actor, MeterMixin):
         self.trades_done = 0
         self.settled_ctps: Set[bytes] = set()
         self.sent_ctps: List[CTPTx] = []
-        self._init_state = "join_meter"
+        # join_meter -> make_pool -> request_coe <-> await_coe -> done; a
+        # consumer without a meter has nothing to set up
+        self._init_state = "join_meter" if meter is not None else "done"
         self._vr_sent_at: Optional[int] = None
-        self.ready = False
         # attack state
         self.burst_fired = False
         self.flood_sent = 0
@@ -616,12 +596,6 @@ class ConsumerActor(Actor, MeterMixin):
     # -- initialization: meter join, key pool, endorsement --------------------
 
     def _init_step(self, now: int) -> None:
-        if self.behavior in ("double_spend", "chatter"):
-            self.ready = True
-            return
-        if self.meter is None:
-            self.ready = True
-            return
         if self._init_state == "join_meter":
             self._meter_join_step(now)
             self._init_state = "make_pool"
@@ -635,8 +609,7 @@ class ConsumerActor(Actor, MeterMixin):
             if now < 3:
                 return
             vm_pk = self.world.pick_verifier_meter(self.meter.public, self.rng)
-            if vm_pk is None:
-                self.ready = True  # nobody to endorse us; trade cannot proceed
+            if vm_pk is None:  # nobody to endorse us; trade cannot proceed
                 self._init_state = "done"
                 return
             vr = self.meter.make_verification_request(self.meter.pool, vm_pk)
@@ -647,7 +620,6 @@ class ConsumerActor(Actor, MeterMixin):
             return
         if self._init_state == "await_coe":
             if self.meter.coe is not None:
-                self.ready = True
                 self._init_state = "done"
             elif now - self._vr_sent_at > 30:
                 self._init_state = "request_coe"  # retry with another verifier
@@ -655,9 +627,9 @@ class ConsumerActor(Actor, MeterMixin):
     # -- main loop ----------------------------------------------------------------
 
     def step(self, now: int) -> None:
-        if not self.ready:
+        if self._init_state != "done":
             self._init_step(now)
-            if not self.ready:
+            if self._init_state != "done":
                 return
         if self.behavior == "double_spend":
             self._double_spend_step(now)
@@ -686,7 +658,6 @@ class ConsumerActor(Actor, MeterMixin):
                 self.trades_done += 1
             return
         if now - attempt.started > self.world.config.negotiation_timeout:
-            self.tried.add(attempt.offer_key)
             self.attempt = None
 
     def _start_trade(self, now: int) -> None:
@@ -715,6 +686,7 @@ class ConsumerActor(Actor, MeterMixin):
             self.offer_preference % len(candidates)
         ]
         session = KeyPair.generate(self.rng)
+        self.tried.add(key)  # each offer gets one attempt, however it ends
         self.attempt = TradeAttempt(
             offer_key=key,
             account_pk=pk,
@@ -738,13 +710,11 @@ class ConsumerActor(Actor, MeterMixin):
         if attempt is None or attempt.state != "joining" or ack.pk != attempt.session.public:
             return
         if not ack.accepted:
-            self.tried.add(attempt.offer_key)
             self.attempt = None
             return
         price = self._first_offer_price()
         msg = make_negotiation(attempt.account_pk, price, 0, 1, attempt.session)
         attempt.state = "negotiating"
-        attempt.round = 1
         self.world.metrics.bump("negotiations_started")
         self.world.send_routed(self, attempt.session.public, attempt.account_pk, msg)
 
@@ -774,7 +744,6 @@ class ConsumerActor(Actor, MeterMixin):
                 self.world.send_routed(self, attempt.session.public, attempt.account_pk, accept)
                 self._commit(attempt, msg.price, accept.t_id, now)
                 return
-        self.tried.add(attempt.offer_key)
         self.attempt = None
 
     def _commit(self, attempt: TradeAttempt, unit_price: int, nonce: bytes, now: int) -> None:
@@ -795,7 +764,6 @@ class ConsumerActor(Actor, MeterMixin):
             meter=self.meter,
         )
         attempt.state = "committed"
-        self.tried.add(attempt.offer_key)
         if self.behavior == "no_ctp":
             self.world.metrics.bump("agreements_without_commit")
             return

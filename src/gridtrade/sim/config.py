@@ -85,6 +85,10 @@ class ScenarioConfig:
             raise ValueError("supply_unit_price must be in [0, 2**64)")
         if self.kwh_per_tick < 1:
             raise ValueError("kwh_per_tick must be positive")
+        counts = ("producers", "consumers", "prosumers", "chatter_nodes", "supplies_per_producer")
+        for key in counts:
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be non-negative")
         trading = self.attack in (
             "none",
             "malicious_producer",

@@ -76,7 +76,6 @@ class ScenarioResult:
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    config.validate()
     world = World(config)
     metrics = world.run()
     _common_verdicts(world, metrics)

@@ -182,3 +182,27 @@ def test_calls_per_routed_message():
     # 34.84 while each hop called Metrics.bump, meter traffic was unwrapped in
     # two methods and meter keys were read through two properties
     assert calls / routed <= 27.87
+
+
+@pytest.mark.parametrize(
+    "config, builds",
+    [
+        (preset("none", seed=1), 15),  # 17 while every producer built a forge key
+        (preset("coe_forgery", seed=1), 11),  # 12: the honest producer built one too
+        # the benchmark's honest-n32 workload
+        (
+            preset("none", seed=1, producers=32, consumers=32, miners=5, backbones=4, ticks=1500),
+            167,  # 199 while every producer built one
+        ),
+    ],
+    ids=["none", "coe_forgery", "honest-n32"],
+)
+def test_key_builds_to_set_up_a_world(config, builds):
+    counted = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        _wrap(mp, KeyPair, "generate", lambda *rng: counted.update(["generate"]), static=True)
+        world = World(config)
+    assert counted["generate"] == builds
+    # only the coe_forgery attacker signs with a key of its own making
+    for producer in world.producer_actors:
+        assert (producer.forge_keypair is not None) == (producer.behavior == "forger")

@@ -24,7 +24,14 @@ from gridtrade.sim import (
 from gridtrade.sim.actors import Actor, TradeAttempt
 from gridtrade.sim.cli import main as cli_main
 from gridtrade.meter import TAG_COE
-from gridtrade.sim.messages import JoinAck, JoinRequest, Ping, Routed, encode_routed_payload
+from gridtrade.sim.messages import (
+    JoinAck,
+    JoinRequest,
+    Ping,
+    Routed,
+    decode_routed_payload,
+    encode_routed_payload,
+)
 from gridtrade.sim.world import World
 from gridtrade.transactions import (
     ContractTerms,
@@ -415,8 +422,8 @@ class TestNegotiationGuards:
             session=KeyPair.generate(Random(9)),
             state="negotiating",
             started=0,
-            round=1,
         )
+        consumer.tried.add(b"offer")  # as _start_trade does on creating the attempt
         return world, consumer, offer
 
     @pytest.mark.parametrize("price", [0, 11, 10**6], ids=["zero", "one-above", "far-above"])
@@ -438,6 +445,60 @@ class TestNegotiationGuards:
         (ctp,) = consumer.sent_ctps
         assert ctp.price == offer.amount * offer.posted_price
         assert consumer.attempt.state == "committed"
+
+
+class TestProducerReply:
+    """The producer's reply to each negotiation message: a table over the
+    offer being reserved, the status, the price against the reserve, and
+    whether the round leaves room for a counter under ``offer_limit``."""
+
+    @pytest.mark.parametrize("reserved", [False, True], ids=["open", "reserved"])
+    @pytest.mark.parametrize("status", [0, 1])
+    @pytest.mark.parametrize("below", [True, False], ids=["below-reserve", "at-reserve"])
+    @pytest.mark.parametrize("room", [True, False], ids=["room", "no-room"])
+    def test_reply_rule(self, reserved, status, below, room):
+        world = World(preset("none", seed=5))
+        producer = world.producer_actors[0]
+        offer = producer.offers[0]
+        offer.reserved = reserved
+        reserve = (offer.posted_price * 9 + 9) // 10  # a negotiable offer's floor
+        assert offer.negotiable and reserve == 9
+        price = reserve - 1 if below else reserve
+        limit = world.config.offer_limit
+        round_ = limit - 2 if room else limit - 1
+        peer = KeyPair.generate(Random(8))
+        msg = make_negotiation(offer.keypair.public, price, status, round_, peer)
+        producer.on_message(_routed(msg), 20)
+
+        if status == 1:
+            expected_reply = None  # agreeing to our counter needs no answer
+            agrees = not reserved and not below
+        elif reserved:
+            expected_reply, agrees = (0, 0), False
+        elif not below:
+            expected_reply, agrees = (price, 1), True
+        elif room:
+            expected_reply, agrees = (reserve, 0), False
+        else:
+            expected_reply, agrees = (0, 0), False
+
+        replies = [decode_routed_payload(env.payload) for _, env in world._outbox]
+        if expected_reply is None:
+            assert replies == []
+        else:
+            (reply,) = replies
+            assert (reply.price, reply.status, reply.round) == (*expected_reply, round_ + 1)
+            assert reply.dest_energy_account_pk == peer.public
+            assert reply.sender_pk == offer.keypair.public
+        if agrees:
+            (record,) = world.contracts.values()
+            assert record["producer_pk"] == offer.keypair.public
+            assert record["price"] == offer.amount * price
+            assert record["peer_session_pk"] == peer.public
+            assert offer.reserved
+        else:
+            assert world.contracts == {} and producer.contracts == {}
+            assert offer.reserved == reserved
 
 
 class TestIdleOfferScan:
@@ -635,6 +696,11 @@ class TestCli:
             "kwh_per_tick=-1",
             "attack=double_spend\ndouble_spend_ctps=0",
             "overload_threshold=-1",
+            "prosumers=2\nproducers=-1",
+            "prosumers=2\nconsumers=-1",
+            "prosumers=-1",
+            "chatter_nodes=-1",
+            "supplies_per_producer=-1",
         ],
     )
     def test_out_of_range_config_is_one_line_on_stderr(self, tmp_path, capsys, text):
