@@ -16,7 +16,7 @@ kWh, and the commitment leaves the pending database for good.
 The receipt itself never names the producer or the kWh (the contract hash
 hides them), so producers broadcast a signed claim binding a pending
 commitment to their account and the contracted energy. Claims, like
-commitments, are miner-local and never mined.
+commitments, are never mined: each miner keeps them in its own ledger.
 
 Every change to a ledger appends its inverse to an undo journal, like
 Bitcoin Core's per-block undo data. ``rollback(mark)`` undoes everything
@@ -266,9 +266,10 @@ _ENERGY_KWH = U64Field("energy_kwh")
 class ProducerClaim:
     """Signed binding of a pending commitment to the producer it pays.
 
-    Broadcast by the producer when it starts delivering; kept miner-local
-    (never mined) so miners can execute settlement with the right payee and
-    energy amount.
+    Broadcast to every participant by the producer when it starts
+    delivering, and never mined. Miners keep it to execute settlement with
+    the right payee and energy amount; buyers read it as the news that the
+    offer account ``producer_pk`` has sold.
     """
 
     ctp_id: HashDigest
@@ -300,6 +301,20 @@ def make_producer_claim(
         sign=b"",
     )
     return replace(claim, sign=sign(keypair, hash_bytes(claim._body())))
+
+
+def check_claim_signature(claim) -> Result:
+    """Accepted iff ``claim`` is a ProducerClaim signed by the key it names.
+
+    Total: any other value, or a field of the wrong type, is a rejection.
+    """
+    if not isinstance(claim, ProducerClaim):
+        return Result(False, "malformed claim: not a producer claim")
+    try:
+        signed = claim.verify_signature()
+    except ValueError as exc:
+        return Result(False, f"malformed claim: {exc}")
+    return Result(True) if signed else Result(False, "bad claim signature")
 
 
 @dataclass(frozen=True)
@@ -590,12 +605,9 @@ class Ledger:
         return released
 
     def submit_claim(self, claim: ProducerClaim) -> Result:
-        try:
-            signed = claim.verify_signature()
-        except ValueError as exc:
-            return Result(False, f"malformed claim: {exc}")
-        if not signed:
-            return Result(False, "bad claim signature")
+        checked = check_claim_signature(claim)
+        if not checked:
+            return checked
         ctp = self.ctp_db.get(claim.ctp_id)
         if ctp is None:
             return Result(False, "unknown commitment")

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..arb import JoinMessage, make_join
 from ..crypto import KeyPair, hash_bytes, sign
-from ..ledger import Miner, make_producer_claim
+from ..ledger import Miner, check_claim_signature, make_producer_claim
 from ..meter import CoE, MeterError, SmartMeter, VerificationRequest
 from ..transactions import (
     ContractTerms,
@@ -308,7 +308,8 @@ class ProducerActor(Actor, MeterMixin):
         self.contracts: Dict[bytes, PendingContract] = {}
         self.deliveries: List[ActiveDelivery] = []
         self.unmatched_ctps: List[Tuple[CTPTx, int]] = []  # (ctp, arrived at)
-        self.negot_received = 0
+        # (offer account pk, sender pk) -> negotiation messages received
+        self.negot_received: Dict[Tuple[bytes, bytes], int] = {}
         # forger state
         self.harvested: Optional[ERCTx] = None
         self.forge_target: Optional[CTPTx] = None
@@ -397,7 +398,8 @@ class ProducerActor(Actor, MeterMixin):
         offer = self._find_offer(msg.dest_energy_account_pk)
         if offer is None:
             return
-        self.negot_received += 1
+        pair = (msg.dest_energy_account_pk, msg.sender_pk)
+        self.negot_received[pair] = self.negot_received.get(pair, 0) + 1
         self.world.metrics.bump("negotiation_rounds")
         if offer.amount * msg.price >= 1 << 64:
             # no contract can carry a total price past u64: refuse unanswered
@@ -575,8 +577,11 @@ class ConsumerActor(Actor, MeterMixin):
         self.offers: Dict[bytes, tuple] = {}  # supply t_id -> (pk, amount, price, negotiable)
         self.offer_keys: List[bytes] = []  # the keys of self.offers, kept sorted
         self.tried: Set[bytes] = set()
+        # offer account keys named by a verified producer claim: sold offers
+        self.sold: Set[bytes] = set()
         # (len(offer_keys), len(tried)) at the last scan that found no untried
-        # offer: both only grow, so the scan cannot succeed while they hold
+        # offer: both only grow, and so does sold, which only removes offers,
+        # so the scan cannot succeed while they hold
         self._idle_book: Optional[Tuple[int, int]] = None
         self.attempt: Optional[TradeAttempt] = None
         self.trades_done = 0
@@ -670,7 +675,7 @@ class ConsumerActor(Actor, MeterMixin):
             if key in self.tried:
                 continue
             pk, amount, price, negotiable = self.offers[key]
-            if pk in self.sibling_pks:
+            if pk in self.sibling_pks or pk in self.sold:
                 continue
             if balance is None:
                 balance = self.world.ledger_view.available_balance(self.account.public)
@@ -853,6 +858,11 @@ class ConsumerActor(Actor, MeterMixin):
         elif isinstance(payload, BlockGossip):
             for tx in payload.block.txs:
                 self._on_mined_tx(tx)
+        elif isinstance(payload, ClaimGossip):
+            # a claim follows a commitment to the offer, so the offer has sold;
+            # only its account key can sign one, and anything else is dropped
+            if check_claim_signature(payload.claim):
+                self.sold.add(payload.claim.producer_pk)
 
     def _on_mined_tx(self, tx) -> None:
         if isinstance(tx, SupplyEnergyTx):

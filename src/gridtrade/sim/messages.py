@@ -30,6 +30,8 @@ class TxGossip:
 
 @dataclass
 class ClaimGossip:
+    """A producer's claim, broadcast to every network participant."""
+
     claim: ProducerClaim
 
 

@@ -292,13 +292,23 @@ def _verdict_double_spend(world: World, m: Metrics) -> None:
     )
 
 
+def flooded_rounds(world: World) -> int:
+    """Negotiation messages the flooded offer received from the flooder's
+    session: rounds from honest buyers, or to other offers, do not count."""
+    flooder = next(c for c in world.consumer_actors if c.behavior == "flood")
+    if flooder.flood_target is None:
+        return 0
+    pair = (flooder.flood_target[0], flooder.flood_session.public)
+    return sum(p.negot_received.get(pair, 0) for p in world.producer_actors)
+
+
 def _verdict_negotiation_flood(world: World, m: Metrics) -> None:
-    target = world.producer_actors[0]
+    received = flooded_rounds(world)
     expected = world.config.offer_limit
     m.add_verdict(
         "destination_sees_offer_limit",
-        target.negot_received == expected,
-        f"received={target.negot_received} limit={expected}",
+        received == expected,
+        f"received={received} limit={expected}",
     )
     dropped = m.get("dropped_offer_limit")
     sent = m.get("flood_offers_sent")

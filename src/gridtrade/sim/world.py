@@ -271,9 +271,11 @@ class World:
             self.send(dest, gossip)
 
     def broadcast_claim(self, claim) -> None:
+        """Send a producer's claim to every participant: miners settle by
+        it, and buyers stop trying for the offer it names."""
         gossip = ClaimGossip(claim)
-        for miner in self.miner_actors:
-            self.send(miner.id, gossip)
+        for dest in self.network_actor_ids:
+            self.send(dest, gossip)
 
     def broadcast_block(self, block) -> None:
         gossip = BlockGossip(block)

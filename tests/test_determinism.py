@@ -1,7 +1,9 @@
 """Golden digests: every preset's chain dump and ``metrics.kv`` stay byte-identical.
 
 The SHA-256 values below were recorded before the pending-DB and verify
-caches existed. A change that only makes the program faster must leave
+caches existed; the honest ones (``none`` and the honest workload) were
+re-recorded when buyers began to drop an offer once they hear its
+producer's claim. A change that only makes the program faster must leave
 every one of them unchanged; a change that alters protocol behaviour on
 purpose re-records them and says why.
 """
@@ -15,8 +17,8 @@ from gridtrade.sim.scenarios import SCENARIOS
 
 # (preset, seed) -> (sha256 of chain_dump, sha256 of metrics.render_kv())
 GOLDEN = dict([
-    (("none", 1), ("acabdfcb6d7a77456a1c972798e3cc934a897965e5f4b53f1b13b8e8330dd839", "e240c335d8c508aa7c814552d2ebe3a623aae9de58e33c33da012751510723a3")),
-    (("none", 2), ("119c5e64542af205070f5797877f120ef7247f5af011bef47bacc30a2cf4c87a", "a7e374f2c09d451fc4c4627dbd9416ccec3090528351451fbcc63eca613d104c")),
+    (("none", 1), ("526c83369b7f69e1e48a965e449a6175270b8fd116a3d6e7d7735467850c20ca", "2c9bd4f25eaf67012bb7dd2bcf1d16cbfe4be2b458589075354c90ad10c59b97")),
+    (("none", 2), ("5d84db7e4a5dcd171367b46586f35b2fe8540a26da6742033cc50c275a892302", "8ce0e3757767f48adaee926e295ca2994161240afd67fba66b78b5ff4bae03a2")),
     (("malicious_producer", 1), ("dddc6d7d1338a7a09a52f702cb1d8d83f6ac6c082a5a13cb1380cf1fce1e6359", "24a242c9d74b9ebe9dd96be6a1a6ca96436e7162eb33a6dafa6c9b68552f199e")),
     (("malicious_producer", 2), ("da6648e957cb6186f49a81d0bdfebc570b96cbb3632286dd2da5c06f0f856e33", "cc926452899daf7140c0a0987fc3212f1802d480edc0fcbeca1ab0aa45673393")),
     (("malicious_consumer", 1), ("c00280119b31c74576ed1482cbde13741b4802b78b330422d1d1335f25a21b59", "faaa86a3e2bb9c636457bce30e778a1e7e42ec4e11ef1a55ea7757de2ecd5598")),
@@ -42,19 +44,19 @@ ROUTING_CHATTER_GOLDEN = (
 )
 
 
-# The honest benchmark workload at seeds 1 and 6, recorded before the offer
-# book was kept sorted and the receipt pump walked only unreceipted contracts.
-# At this scale many consumers scan the book and several receipts fall due in
-# one tick, which the small presets above do not exercise.
+# The honest benchmark workload at seeds 1 and 6, recorded once buyers dropped
+# offers named by a producer's claim. At this scale many consumers scan the
+# book and several receipts fall due in one tick, which the small presets
+# above do not exercise.
 HONEST_N32 = dict(producers=32, consumers=32, miners=5, backbones=4, ticks=1500)
 HONEST_N32_GOLDEN = {
     1: (
-        "6a92f026ad4e9c684dcbda4f74266aa666d80fd0fd71caa246ca8abbb8e70b67",
-        "b6c9783ab15942b104a54c00a7fd8a915e0259907fe2654e0e2ec89a9695f81d",
+        "695465874a691656c92de75617d893500edbb9466d07e3470a21db495e55c0b2",
+        "1e93f9fd2a07ac2552f068d013829063f0181718a6c477654a1055e6d42be341",
     ),
     6: (
-        "70aa102ef87cc1ae41f77f6934c52cb59f54137c66a3307b244719aa8ee88552",
-        "3d21639f053fb5ae358e68d96c9d4a5df0fb0ae3304e32adc3977101a0343c07",
+        "9f7ef63946238db3044ec74addf82f68573112232b9d50456f4e9e1a061272d4",
+        "8946ec24d495f36f7d4ea9ad7610f982b298f6d91129a647c72441193c1a3d11",
     ),
 }
 

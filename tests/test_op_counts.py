@@ -206,3 +206,13 @@ def test_key_builds_to_set_up_a_world(config, builds):
     # only the coe_forgery attacker signs with a key of its own making
     for producer in world.producer_actors:
         assert (producer.forge_keypair is not None) == (producer.behavior == "forger")
+
+
+def test_trade_attempts_on_honest_n32():
+    # the benchmark's honest-n32 workload; 1,994 attempts for the same 64
+    # settlements while buyers never heard that an offer had sold
+    config = preset("none", seed=1, producers=32, consumers=32, miners=5, backbones=4, ticks=1500)
+    result = run_scenario(config)
+    assert result.passed
+    assert result.metrics.get("settlements") == 64
+    assert result.metrics.get("negotiations_started") <= 82

@@ -7,6 +7,7 @@ from dataclasses import replace
 from itertools import count
 from pathlib import Path
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from gridtrade.arb import make_join
 from gridtrade.crypto import KeyPair, hash_bytes
+from gridtrade.ledger import ProducerClaim, make_producer_claim
 from gridtrade.sim import (
     ScenarioConfig,
     format_config,
@@ -25,6 +27,7 @@ from gridtrade.sim.actors import Actor, TradeAttempt
 from gridtrade.sim.cli import main as cli_main
 from gridtrade.meter import TAG_COE
 from gridtrade.sim.messages import (
+    ClaimGossip,
     JoinAck,
     JoinRequest,
     Ping,
@@ -138,6 +141,31 @@ class TestScenarios:
         result = run_scenario(config)
         assert result.passed, [v.line() for v in result.metrics.verdicts if not v.passed]
         assert "skew_share_before" in result.metrics.notes
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_flood_at_four_times_the_population(self, seed):
+        # the flooded offer may belong to any producer, and honest buyers
+        # negotiate with the same producers; only the flooder's rounds count
+        config = preset(
+            "negotiation_flood", seed=seed, producers=4, consumers=4, miners=5, backbones=4
+        )
+        result = run_scenario(config)
+        assert result.passed, [v.line() for v in result.metrics.verdicts if not v.passed]
+        (verdict,) = [
+            v for v in result.metrics.verdicts if v.name == "destination_sees_offer_limit"
+        ]
+        assert verdict.detail == "received=5 limit=5"
+
+    def test_every_offer_sells_at_n128(self):
+        # before buyers heard the producers' claims, 122 of 256 offers sold
+        # and the contract agreed last was never settled
+        config = preset(
+            "none", producers=128, consumers=128, miners=5, backbones=4, ticks=1500, seed=1
+        )
+        result = run_scenario(config)
+        assert result.passed, [v.line() for v in result.metrics.verdicts if not v.passed]
+        assert result.metrics.get("offers_posted") == 256
+        assert result.metrics.get("settlements") == 256
 
     def test_lossy_network_does_not_crash(self):
         config = preset("none", seed=12)
@@ -531,6 +559,90 @@ class TestIdleOfferScan:
         consumer._start_trade(22)
         assert scans == [2, 3]
         assert consumer.attempt.offer_key == supplies[2].t_id
+
+
+# values in a claim's place that are no producer claim at all; the last one
+# looks like a signed claim but carries an unhashable commitment id
+NOT_CLAIMS = [
+    None,
+    b"claim",
+    7,
+    SimpleNamespace(
+        ctp_id=[], contract_hash=b"", producer_pk=b"", energy_kwh=1, sign=b"",
+        verify_signature=lambda: True,
+    ),
+]
+NOT_CLAIM_IDS = ["none", "bytes", "int", "look-alike"]
+
+
+class TestClaimGossip:
+    """Every participant hears a producer's claim. A miner rejects one that
+    is not a signed producer claim; a buyer drops the offer a verified claim
+    names, and ignores any other claim."""
+
+    @pytest.mark.parametrize("claim", NOT_CLAIMS, ids=NOT_CLAIM_IDS)
+    def test_miner_rejects_what_is_not_a_claim(self, claim):
+        world = World(preset("none", seed=1))
+        for miner in world.miner_actors:
+            miner.on_message(ClaimGossip(claim), 0)
+            assert miner.miner.ledger.claims == {}
+        assert world.metrics.get("claims_rejected") == 1  # the reference miner counts
+
+    def _buyer_with_offer(self):
+        world = World(preset("none", seed=1))
+        consumer = world.consumer_actors[0]
+        offer = world.producer_actors[0].offers[0]
+        supply = make_supply_energy(
+            hash_bytes(b"genesis"), offer.amount, offer.posted_price, True, offer.keypair
+        )
+        consumer._on_mined_tx(supply)
+        claim = make_producer_claim(
+            hash_bytes(b"ctp"), hash_bytes(b"contract"), offer.amount, offer.keypair
+        )
+        return consumer, offer, supply.t_id, claim
+
+    def _still_trades(self, consumer, offer_key) -> bool:
+        consumer._start_trade(20)
+        return consumer.attempt is not None and consumer.attempt.offer_key == offer_key
+
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            lambda claim, offer: claim,
+            lambda claim, offer: replace(
+                make_producer_claim(
+                    claim.ctp_id, claim.contract_hash, claim.energy_kwh,
+                    KeyPair.generate(Random(3)),
+                ),
+                producer_pk=offer.keypair.public,
+            ),
+            lambda claim, offer: replace(claim, sign=bytes([claim.sign[0] ^ 1]) + claim.sign[1:]),
+        ],
+        ids=["genuine", "rival-signed", "bit-flipped"],
+    )
+    def test_only_a_genuine_claim_closes_the_offer(self, forge):
+        consumer, offer, offer_key, genuine = self._buyer_with_offer()
+        claim = forge(genuine, offer)
+        assert claim.producer_pk == offer.keypair.public
+        consumer.on_message(ClaimGossip(claim), 20)
+        assert self._still_trades(consumer, offer_key) == (claim is not genuine)
+
+    @pytest.mark.parametrize(
+        "claim",
+        [
+            *NOT_CLAIMS,
+            ProducerClaim(bytes(32), bytes(32), [1], 10, bytes(64)),
+            ProducerClaim(None, bytes(32), bytes(64), 10, bytes(64)),
+            ProducerClaim(bytes(32), bytes(32), bytes(64), 1.5, bytes(64)),
+            ProducerClaim(bytes(32), bytes(32), bytes(64), 10, "s"),
+        ],
+        ids=[*NOT_CLAIM_IDS, "list-key", "none-ctp-id", "float-kwh", "str-sign"],
+    )
+    def test_buyer_drops_what_is_not_a_claim(self, claim):
+        consumer, offer, offer_key, _ = self._buyer_with_offer()
+        consumer.on_message(ClaimGossip(claim), 20)
+        assert consumer.sold == set()
+        assert self._still_trades(consumer, offer_key)
 
 
 class TestReceiptPump:
