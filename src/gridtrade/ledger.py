@@ -60,6 +60,7 @@ from .transactions import (
     U64Field,
     _lp,
     _Reader,
+    check_id,
     check_id_and_signature,
     check_structure,
     decode_canonical,
@@ -584,9 +585,18 @@ class Ledger:
 
         Accepted commitments enter the pending database only; chain state
         never changes and the commitment is never mined.
+
+        Check order: id, stale, duplicate, balance, and only then
+        ``check_structure`` with its signature check, the one costly step.
+        Every step must pass for admission, so the order changes no
+        decision, only the reason given for a commitment that fails two
+        steps. The id check comes first, so the later steps read fields the
+        id binds. A duplicate is refused before its signature is checked:
+        its matching id makes it byte-identical to a commitment admitted
+        before, whose signature was checked then.
         """
-        ok, reason = check_structure(tx)
-        if not ok:
+        body, reason = check_id(tx)
+        if body is None:
             return Result(False, reason)
         if tx.expiry_time <= now:
             return Result(False, "stale")
@@ -594,6 +604,9 @@ class Ledger:
             return Result(False, "duplicate")
         if tx.price > self.available_balance(tx.pk):
             return Result(False, "would double-spend")
+        ok, reason = check_structure(tx)
+        if not ok:
+            return Result(False, reason)
         self.ctp_db.insert(tx, now)
         return Result(True)
 
@@ -814,35 +827,49 @@ class Miner:
 
         Fork choice is longest chain; between two blocks at the same height
         on the same parent the lower miner key wins. Anything else (gaps,
-        unknown parents) is rejected and surfaces as a fork metric.
+        unknown parents) is rejected and surfaces as a fork metric. A value
+        whose header or transactions cannot be encoded is a malformed block.
+
+        Check order: the encoding, then height, parent and tiebreak, and the
+        miner signature last, only for a block that would be applied or
+        swapped in. A block refused by a header check is refused whatever
+        its signature, so the order changes no decision, only the reason
+        given for a block with a bad signature that also fails a header check.
         """
-        if not block.verify_miner_signature():
+        chain = self.chain
+        try:
+            unsigned = block._unsigned()
+            extends = block.height == chain.height and block.prev_hash == chain.tip_hash
+            rival = (
+                not extends
+                and chain.blocks
+                and block.height == chain.height - 1
+                and block.prev_hash == chain.blocks[-1].prev_hash
+            )
+            if rival and not block.miner_pk < chain.blocks[-1].miner_pk:
+                return ApplyOutcome(False, "lost tiebreak")
+        except Exception as exc:  # a field or transaction that cannot be encoded or compared
+            return ApplyOutcome(False, f"malformed block: {exc}")
+        if not (extends or rival):
+            return ApplyOutcome(False, "does not extend tip")
+        if not verify(block.miner_pk, hash_bytes(unsigned), block.miner_sign):
             return ApplyOutcome(False, "bad miner signature")
-        if block.height == self.chain.height and block.prev_hash == self.chain.tip_hash:
+        if extends:
             return self._apply(block)
-        if (
-            self.chain.blocks
-            and block.height == self.chain.height - 1
-            and block.prev_hash == self.chain.blocks[-1].prev_hash
-        ):
-            # equal-height rival for the current tip
-            tip = self.chain.blocks[-1]
-            if block.miner_pk < tip.miner_pk:
-                current = self.ledger
-                self.ledger = self._without_tip(current)
-                popped = self.chain.pop()
-                outcome = self._apply(block)
-                if outcome.applied:
-                    outcome.swapped = True
-                    for tx in popped.txs:  # unmined again
-                        self.add_to_mempool(tx)
-                else:
-                    # rival failed validation; keep the old tip
-                    self.ledger = current
-                    self.chain.append(popped)
-                return outcome
-            return ApplyOutcome(False, "lost tiebreak")
-        return ApplyOutcome(False, "does not extend tip")
+        # an equal-height rival with the lower key replaces the tip
+        current = self.ledger
+        self.ledger = self._without_tip(current)
+        popped = chain.pop()
+        outcome = self._apply(block)
+        if outcome.applied:
+            outcome.swapped = True
+            for tx in popped.txs:  # unmined again
+                self.add_to_mempool(tx)
+        else:
+            # rival failed validation; keep the old tip
+            self.ledger = current
+            chain.append(popped)
+        return outcome
 
     @staticmethod
     def _without_tip(current: Ledger) -> Ledger:

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..arb import JoinMessage, make_join
 from ..crypto import KeyPair, hash_bytes, sign
-from ..ledger import Miner, check_claim_signature, make_producer_claim
+from ..ledger import Block, Miner, check_claim_signature, make_producer_claim
 from ..meter import CoE, MeterError, SmartMeter, VerificationRequest
 from ..transactions import (
     ContractTerms,
@@ -28,6 +28,7 @@ from ..transactions import (
     GENESIS_CERTIFICATE,
     NegotiationMsg,
     SupplyEnergyTx,
+    check_id,
     check_structure,
     compute_contract_hash,
     compute_t_id,
@@ -215,6 +216,16 @@ class ActiveDelivery:
     remaining: int
 
 
+def _mined_txs(gossip: BlockGossip) -> tuple:
+    """The transactions of a gossiped block, or none when the value is not
+    a block with a tuple of them. Traders read mined transactions without
+    validating blocks, which is the miners' work; this keeps a malformed
+    value from raising, and ``_on_mined_tx`` ignores what is not a
+    transaction."""
+    block = gossip.block
+    return block.txs if isinstance(block, Block) and isinstance(block.txs, tuple) else ()
+
+
 class MeterMixin:
     """Shared duties: joining the backbone, unwrapping routed envelopes, VR traffic."""
 
@@ -365,7 +376,7 @@ class ProducerActor(Actor, MeterMixin):
             self._on_routed(payload, now)
             return
         if isinstance(payload, BlockGossip):
-            for tx in payload.block.txs:
+            for tx in _mined_txs(payload):
                 self._on_mined_tx(tx)
             return
         if isinstance(payload, TxGossip) and isinstance(payload.tx, CTPTx):
@@ -444,19 +455,36 @@ class ProducerActor(Actor, MeterMixin):
         )
 
     def _on_ctp(self, ctp: CTPTx, now: int) -> None:
-        ok, _ = check_structure(ctp)
-        if not ok:
+        """Hold a commitment whose id checks out for ``_match_ctps``.
+
+        Only ``check_id`` runs on arrival: most commitments a producer hears
+        match none of its contracts, so their signatures are never needed.
+        """
+        if check_id(ctp)[0] is None:
             return
         # agreements travel over the backbone and may land a couple of ticks
         # after the commitment gossip, so unmatched commitments wait briefly
         self.unmatched_ctps.append((ctp, now))
 
     def _match_ctps(self, now: int) -> None:
+        """Claim each commitment that matches an unclaimed contract; after
+        10 ticks, decline one that never matched.
+
+        Check order: contract, price, and ``check_structure`` last, just
+        before a claim or a declined count. No decision changes from
+        checking on arrival: a commitment is acted on only when
+        ``check_structure`` accepts it, and one not acted on is dropped
+        either way, now without a signature check.
+        """
         still: List[Tuple[CTPTx, int]] = []
         for ctp, arrived in self.unmatched_ctps:
             pending = self.contracts.get(ctp.contract_hash)
             if pending is not None:
-                if not pending.claimed and ctp.price == pending.terms.total_price:
+                if (
+                    not pending.claimed
+                    and ctp.price == pending.terms.total_price
+                    and check_structure(ctp)[0]
+                ):
                     self._accept_commitment(ctp, pending)
                 continue
             if now - arrived < 10:
@@ -466,7 +494,7 @@ class ProducerActor(Actor, MeterMixin):
             if any(
                 not c.claimed and c.terms.total_price == ctp.price
                 for c in self.contracts.values()
-            ):
+            ) and check_structure(ctp)[0]:
                 self.world.metrics.bump("ctp_declined_mismatch")
         self.unmatched_ctps = still
 
@@ -856,7 +884,7 @@ class ConsumerActor(Actor, MeterMixin):
                 return
             self.on_join_ack(payload, now)
         elif isinstance(payload, BlockGossip):
-            for tx in payload.block.txs:
+            for tx in _mined_txs(payload):
                 self._on_mined_tx(tx)
         elif isinstance(payload, ClaimGossip):
             # a claim follows a commitment to the offer, so the offer has sold;

@@ -141,19 +141,26 @@ class Field:
 
 
 class BytesField(Field):
-    """Raw bytes, of exactly ``size`` bytes when a size is given."""
+    """Raw bytes, of exactly ``size`` bytes when a size is given.
+
+    Only ``bytes`` is in the domain: a mutable or view value (bytearray,
+    memoryview) would encode alike but cannot key a dict, as ids, keys and
+    contract hashes do once a transaction is admitted.
+    """
 
     def __init__(self, name: str, size: Optional[int] = None):
         super().__init__(name)
         self.size = size
 
     def encode(self, value: bytes) -> bytes:
+        if not isinstance(value, bytes):
+            raise ValueError(f"{self.label} must be bytes, got {type(value).__name__}")
         if self.size is not None and len(value) != self.size:
             raise ValueError(f"{self.label} must be {self.size} bytes, got {len(value)}")
         return value
 
     def parse(self, raw: bytes) -> bytes:
-        return raw
+        return bytes(raw)
 
 
 class U64Field(Field):
@@ -617,20 +624,30 @@ def make_erc(
 # validation
 
 
-def check_id_and_signature(tx: Transaction) -> Tuple[bool, Optional[str]]:
-    """Whether ``t_id`` is the hash of the signed encoding and ``sign``
-    verifies over the unsigned one, building that encoding once.
+def check_id(tx: Transaction) -> Tuple[Optional[bytes], Optional[str]]:
+    """Whether every field is in its domain and ``t_id`` is the hash of the
+    signed encoding; the signature itself is not checked.
 
-    A value outside a field's domain is a rejection, not an error; returns
-    (ok, reason).
+    Returns (the unsigned encoding, None), or (None, reason). A matching id
+    binds every field and the signature bytes, so a caller can settle what
+    depends on the fields alone before it pays for ``check_id_and_signature``.
+    Never raises.
     """
     try:
         body = encode_declared(tx)
-        t_id = _id_of(body, tx.sign)
-    except (ValueError, TypeError, AttributeError) as exc:  # a wrong-typed or out-of-range field
-        return False, f"malformed: {exc}"
-    if t_id != tx.t_id:
-        return False, "t_id mismatch"
+        if _id_of(body, tx.sign) != _T_ID.encode(tx.t_id):
+            return None, "t_id mismatch"
+    except Exception as exc:  # a wrong-typed or out-of-range field
+        return None, f"malformed: {exc}"
+    return body, None
+
+
+def check_id_and_signature(tx: Transaction) -> Tuple[bool, Optional[str]]:
+    """``check_id``, then whether ``sign`` verifies over the unsigned
+    encoding, building that encoding once; returns (ok, reason)."""
+    body, reason = check_id(tx)
+    if body is None:
+        return False, reason
     signer = tx.sender_pk if isinstance(tx, NegotiationMsg) else tx.pk
     if not verify(signer, hash_bytes(body), tx.sign):
         return False, "bad signature"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridtrade.crypto import KeyPair, hash_bytes, issue_certificate, sign
+from gridtrade.crypto import KeyPair, hash_bytes, issue_certificate, sign, verify
 from gridtrade.ledger import (
     Block,
     Blockchain,
@@ -17,16 +17,20 @@ from gridtrade.ledger import (
     LedgerConfig,
     Miner,
     ProducerClaim,
+    Result,
     make_producer_claim,
 )
 from gridtrade.transactions import (
     GENESIS_CERTIFICATE,
     GENESIS_COIN_BURN,
     ERCTx,
+    check_structure,
+    compute_t_id,
     encode_canonical,
     make_ctp,
     make_genesis,
     make_supply_energy,
+    signing_digest,
 )
 
 
@@ -246,6 +250,115 @@ class TestPendingDatabaseProperties:
             else:
                 _apply_op(db, op)
             _assert_matches_recount(db)
+
+
+def _submit_ctp_signature_first(ledger: Ledger, tx, now: int) -> Result:
+    """``Ledger.submit_ctp`` in its earlier order, ``check_structure`` first."""
+    ok, reason = check_structure(tx)
+    if not ok:
+        return Result(False, reason)
+    if tx.expiry_time <= now:
+        return Result(False, "stale")
+    if tx.t_id in ledger.ctp_db or tx.t_id in ledger.settled:
+        return Result(False, "duplicate")
+    if tx.price > ledger.available_balance(tx.pk):
+        return Result(False, "would double-spend")
+    ledger.ctp_db.insert(tx, now)
+    return Result(True)
+
+
+def _flip(value: bytes) -> bytes:
+    return bytes([value[0] ^ 1]) + value[1:]
+
+
+def _forged(tx):
+    """``tx`` with one signature bit flipped and its id recomputed, as a
+    forger can send it: only the signature check refuses it."""
+    tx = replace(tx, sign=_flip(tx.sign))
+    return replace(tx, t_id=compute_t_id(tx))
+
+
+def _resigned(tx, keypair, **changes):
+    """``tx`` with ``changes``, signed again by ``keypair`` and with its id
+    recomputed, as a payer may sign values no builder makes."""
+    tx = replace(tx, **changes)
+    tx = replace(tx, sign=sign(keypair, signing_digest(tx)))
+    return replace(tx, t_id=compute_t_id(tx))
+
+
+# each makes a variant of a valid commitment signed by the given payer
+CTP_VARIANTS = {
+    "valid": lambda tx, kp: tx,
+    "signature-bit-flipped": lambda tx, kp: _forged(tx),
+    "t_id-mismatch": lambda tx, kp: replace(tx, t_id=_flip(tx.t_id)),
+    "str-price": lambda tx, kp: replace(tx, price=str(tx.price)),
+    "float-price": lambda tx, kp: replace(tx, price=float(tx.price)),
+    "none-contract-hash": lambda tx, kp: replace(tx, contract_hash=None),
+    "bytearray-contract-hash": lambda tx, kp: replace(
+        tx, contract_hash=bytearray(tx.contract_hash)
+    ),
+    "bytearray-pk": lambda tx, kp: replace(tx, pk=bytearray(tx.pk)),
+    "bytearray-t_id": lambda tx, kp: replace(tx, t_id=bytearray(tx.t_id)),
+    "negative-time-stamp": lambda tx, kp: replace(tx, time_stamp=-1),
+    "over-balance": lambda tx, kp: _resigned(tx, kp, price=1000),
+    "zero-price": lambda tx, kp: _resigned(tx, kp, price=0),
+    "expiry-not-after-time-stamp": lambda tx, kp: _resigned(tx, kp, expiry_time=0),
+}
+
+_payers = [KeyPair.generate(Random(900 + i)) for i in range(2)]
+_commitments = [
+    (make_ctp(0, expiry, price, hash_bytes(bytes([i])), _payers[i % 2]), _payers[i % 2])
+    for i, (expiry, price) in enumerate(
+        [(5, 30), (12, 45), (20, 20), (8, 60), (25, 35), (15, 10), (30, 50), (18, 25)]
+    )
+]
+
+_ctp_op = st.one_of(
+    st.tuples(
+        st.just("submit"),
+        st.integers(0, len(_commitments) - 1),
+        st.sampled_from(sorted(CTP_VARIANTS)),
+        st.integers(0, 30),
+    ),
+    st.tuples(st.just("expire"), st.integers(0, 30)),
+)
+
+
+class TestCommitmentCheckOrder:
+    """``submit_ctp`` checks the signature last, after the balance, and
+    decides every input as the signature-first order did."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=st.lists(_ctp_op, max_size=12))
+    def test_same_decisions_as_signature_first(self, ops):
+        config = LedgerConfig(100, bytes(32), bytes(32))
+        ledger, reference = Ledger(config), Ledger(config)
+        for kp in _payers:
+            ledger.seed_account(kp.public, 100)
+            reference.seed_account(kp.public, 100)
+        for op in ops:
+            if op[0] == "expire":
+                assert ledger.expire_ctps(op[1]) == reference.expire_ctps(op[1])
+                continue
+            _, index, variant, now = op
+            valid, payer = _commitments[index]
+            tx = CTP_VARIANTS[variant](valid, payer)
+            result = ledger.submit_ctp(tx, now)
+            expected = _submit_ctp_signature_first(reference, tx, now)
+            assert result.accepted == expected.accepted, (variant, result, expected)
+            if check_structure(tx)[0]:  # fails no check the order moved
+                assert result.reason == expected.reason
+            assert ledger.state_digest() == reference.state_digest()
+            assert ledger.ctp_db.digest() == reference.ctp_db.digest()
+
+    @pytest.mark.parametrize("variant", sorted(set(CTP_VARIANTS) - {"valid"}))
+    def test_every_variant_but_the_valid_one_is_refused(self, variant):
+        ledger = Ledger(LedgerConfig(100, bytes(32), bytes(32)))
+        valid, payer = _commitments[1]
+        ledger.seed_account(payer.public, 100)
+        assert not ledger.submit_ctp(CTP_VARIANTS[variant](valid, payer), now=1)
+        assert len(ledger.ctp_db) == 0
+        assert ledger.submit_ctp(valid, now=1)
 
 
 @dataclass(frozen=True)
@@ -880,6 +993,51 @@ class TestBlockApplication:
         outcome = observer.receive_block(block_b)
         assert outcome.applied and outcome.swapped
         assert len(observer.ledger.ctp_db) == 0 and observer.ledger.claims == {}
+
+    @pytest.mark.parametrize("signed", [True, False], ids=["signed", "bad-signature"])
+    @pytest.mark.parametrize(
+        "place, refusal",
+        [
+            ("extends-the-tip", None),
+            ("lower-key-rival", None),
+            ("higher-key-rival", "lost tiebreak"),
+            ("gap", "does not extend tip"),
+        ],
+    )
+    def test_signature_is_checked_last(self, rig, monkeypatch, place, refusal, signed):
+        low, mid, high = sorted((_mk_miner(rig, s) for s in (30, 31, 32)),
+                                key=lambda m: m.keypair.public)
+        observer = _mk_miner(rig, 33)
+        tip = self._mine_one(mid, 5)
+        assert observer.receive_block(tip).applied and mid.receive_block(tip).applied
+        if place == "lower-key-rival":
+            block = self._mine_one(low, 5)
+        elif place == "higher-key-rival":
+            block = self._mine_one(high, 5)
+        else:
+            block = self._mine_one(mid, 15)
+            if place == "gap":
+                assert mid.receive_block(block).applied
+                block = self._mine_one(mid, 25)
+        if not signed:
+            block = replace(block, miner_sign=_flip(block.miner_sign))
+        verified = []
+        monkeypatch.setattr(
+            "gridtrade.ledger.verify", lambda *args: verified.append(args) or verify(*args)
+        )
+        before = _ledger_state(observer.ledger)
+        outcome = observer.receive_block(block)
+        # a block the header checks refuse is refused whatever its signature,
+        # so only a block that would be applied has its signature checked
+        assert len(verified) == (refusal is None)
+        assert outcome.applied == (signed and refusal is None)
+        if outcome.applied:
+            assert observer.chain.blocks[-1] == block
+            assert outcome.swapped == (place == "lower-key-rival")
+        else:
+            assert outcome.reason == (refusal or "bad miner signature")
+            assert observer.chain.blocks == [tip]
+            assert _ledger_state(observer.ledger) == before
 
     def test_gap_block_rejected(self, rig):
         miner_a, miner_b = _mk_miner(rig, 12), _mk_miner(rig, 13)

@@ -216,3 +216,33 @@ def test_trade_attempts_on_honest_n32():
     assert result.passed
     assert result.metrics.get("settlements") == 64
     assert result.metrics.get("negotiations_started") <= 82
+
+
+@pytest.mark.parametrize(
+    "config, most",
+    [
+        (preset("none", seed=1), 185),  # 191 while every check verified first
+        # the benchmark's ctp-burst workload: 1,015 while miners verified each
+        # commitment before its balance check, and producers on arrival
+        (
+            preset(
+                "double_spend", seed=1, consumers=32, double_spend_ctps=20, miners=5,
+                ticks=1500, ctp_default_ttl=1400,
+            ),
+            422,
+        ),
+    ],
+    ids=["none", "ctp-burst"],
+)
+def test_real_signature_verifies(config, most):
+    # the verify memo answers a repeated check, so count its misses: each
+    # builds an Ed25519 public key and runs the real check
+    counted = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crypto, "_verify_memo", {})
+        _wrap(
+            mp, crypto.Ed25519PublicKey, "from_public_bytes",
+            lambda key: counted.update(["verify"]), static=True,
+        )
+        assert run_scenario(config).passed
+    assert 0 < counted["verify"] <= most

@@ -27,11 +27,13 @@ from gridtrade.sim.actors import Actor, TradeAttempt
 from gridtrade.sim.cli import main as cli_main
 from gridtrade.meter import TAG_COE
 from gridtrade.sim.messages import (
+    BlockGossip,
     ClaimGossip,
     JoinAck,
     JoinRequest,
     Ping,
     Routed,
+    TxGossip,
     decode_routed_payload,
     encode_routed_payload,
 )
@@ -39,6 +41,7 @@ from gridtrade.sim.world import World
 from gridtrade.transactions import (
     ContractTerms,
     compute_contract_hash,
+    compute_t_id,
     encode_fields,
     make_ctp,
     make_negotiation,
@@ -643,6 +646,121 @@ class TestClaimGossip:
         consumer.on_message(ClaimGossip(claim), 20)
         assert consumer.sold == set()
         assert self._still_trades(consumer, offer_key)
+
+
+MALFORMED_BLOCKS = [
+    lambda b: replace(b, height="x"),
+    lambda b: replace(b, txs=None),
+    lambda b: replace(b, txs=(1,)),
+    lambda b: replace(b, miner_pk=None),
+    lambda b: replace(b, prev_hash=None),
+    lambda b: None,
+]
+MALFORMED_BLOCK_IDS = ["str-height", "none-txs", "int-tx", "none-miner-pk", "none-prev", "none"]
+
+
+class TestMalformedBlock:
+    """A gossiped value that is not a well-formed block is refused by every
+    miner and skipped by every trader; none of them raises."""
+
+    def _malformed(self, make):
+        world = World(preset("none", seed=1))
+        miner = world.miner_actors[1].miner
+        miner.start_period(0, Random(0))
+        block = miner.mine(0)
+        return world, block, make(block)
+
+    @pytest.mark.parametrize("make", MALFORMED_BLOCKS, ids=MALFORMED_BLOCK_IDS)
+    def test_miner_refuses_and_counts(self, make):
+        world, block, bad = self._malformed(make)
+        for actor in world.miner_actors:
+            outcome = actor.miner.receive_block(bad)
+            assert not outcome.applied and outcome.reason.startswith("malformed block: ")
+            actor.on_message(BlockGossip(bad), 1)
+            assert actor.miner.chain.height == 0
+        assert world.metrics.get("blocks_not_applied") == len(world.miner_actors)
+        # the block it was made from extends every miner's tip
+        assert all(actor.miner.receive_block(block).applied for actor in world.miner_actors)
+
+    @pytest.mark.parametrize("make", MALFORMED_BLOCKS, ids=MALFORMED_BLOCK_IDS)
+    def test_traders_skip_it(self, make):
+        world, _, bad = self._malformed(make)
+        for actor in world.producer_actors + world.consumer_actors:
+            actor.on_message(BlockGossip(bad), 1)
+        assert world.consumer_actors[0].offers == {}
+
+
+class TestProducerIntake:
+    """A producer checks a commitment's id on arrival and its signature only
+    before it claims the commitment or counts it as declined."""
+
+    def _producer_with_contract(self):
+        world = World(preset("none", seed=1))
+        producer = world.producer_actors[0]
+        offer = producer.offers[0]
+        producer._agree(offer, offer.posted_price, hash_bytes(b"nonce"), bytes(32))
+        (contract_hash, pending), = producer.contracts.items()
+        claims = []
+        world.broadcast_claim = claims.append
+        payer = world.consumer_actors[0].account
+        return world, producer, pending, claims, payer, contract_hash
+
+    @staticmethod
+    def _forged(ctp):
+        ctp = replace(ctp, sign=bytes([ctp.sign[0] ^ 1]) + ctp.sign[1:])
+        return replace(ctp, t_id=compute_t_id(ctp))
+
+    def test_forged_commitment_is_never_claimed(self):
+        world, producer, pending, claims, payer, contract_hash = self._producer_with_contract()
+        genuine = make_ctp(1, 500, pending.terms.total_price, contract_hash, payer)
+        producer.on_message(TxGossip(self._forged(genuine)), 1)
+        producer._match_ctps(2)
+        assert claims == [] and not pending.claimed
+        producer.on_message(TxGossip(genuine), 3)
+        producer._match_ctps(4)
+        assert [claim.ctp_id for claim in claims] == [genuine.t_id] and pending.claimed
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("contract_hash", None),
+            ("contract_hash", "h" * 32),
+            ("contract_hash", [0] * 32),
+            ("contract_hash", bytearray(32)),
+            ("price", "60"),
+            ("price", None),
+            ("price", 1.5),
+            ("price", -1),
+            ("pk", None),
+            ("pk", "k" * 32),
+            ("pk", bytearray(32)),
+        ],
+        ids=[
+            "none-hash", "str-hash", "list-hash", "bytearray-hash", "str-price", "none-price",
+            "float-price", "negative-price", "none-pk", "str-pk", "bytearray-pk",
+        ],
+    )
+    def test_wrong_typed_commitment_is_dropped(self, field, value):
+        world, producer, pending, claims, payer, contract_hash = self._producer_with_contract()
+        genuine = make_ctp(1, 500, pending.terms.total_price, contract_hash, payer)
+        if field == "contract_hash" and isinstance(value, bytearray):
+            value = bytearray(contract_hash)  # names the pending contract byte for byte
+        producer.on_message(TxGossip(replace(genuine, **{field: value})), 1)
+        for now in (2, 12, 20):
+            producer._match_ctps(now)
+        assert producer.unmatched_ctps == [] and claims == [] and not pending.claimed
+        assert world.metrics.get("ctp_declined_mismatch") == 0
+
+    @pytest.mark.parametrize("forged", [False, True], ids=["genuine", "forged"])
+    def test_unmatched_commitment_is_declined_after_ten_ticks(self, forged):
+        world, producer, pending, claims, payer, _ = self._producer_with_contract()
+        ctp = make_ctp(1, 500, pending.terms.total_price, hash_bytes(b"other"), payer)
+        producer.on_message(TxGossip(self._forged(ctp) if forged else ctp), 1)
+        producer._match_ctps(10)
+        assert world.metrics.get("ctp_declined_mismatch") == 0  # still waiting
+        producer._match_ctps(11)
+        assert producer.unmatched_ctps == [] and claims == []
+        assert world.metrics.get("ctp_declined_mismatch") == (0 if forged else 1)
 
 
 class TestReceiptPump:

@@ -1,6 +1,6 @@
 """Wire messages: construction, canonical encoding, structural validation."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 from random import Random
 
 import pytest
@@ -26,8 +26,11 @@ from gridtrade.transactions import (
     TAG_GENESIS,
     TAG_NEGOTIATION,
     check_encoded,
+    check_id,
+    check_id_and_signature,
     check_structure,
     compute_contract_hash,
+    compute_t_id,
     decode_canonical,
     encode_canonical,
     make_ctp,
@@ -35,6 +38,7 @@ from gridtrade.transactions import (
     make_genesis,
     make_negotiation,
     make_supply_energy,
+    signing_digest,
 )
 
 RNG = Random(0xACE)
@@ -211,6 +215,50 @@ class TestWireDeclaration:
         names = [f.name for f in fields(cls)]
         assert names[0] == "t_id" and names[-1] == "sign"
         assert declared == names[1:-1]
+
+
+class TestCheckId:
+    """``check_id`` is the id half of ``check_id_and_signature``: it refuses
+    what that refuses before the signature check, and never raises."""
+
+    def test_returns_the_unsigned_encoding_of_every_kind(self):
+        for tx in sample_txs(Random(6), KEYS[0]):
+            body, reason = check_id(tx)
+            assert reason is None and hash_bytes(body) == signing_digest(tx)
+            assert check_id_and_signature(tx) == (True, None)
+
+    def test_a_forged_signature_passes_only_the_id_half(self):
+        ctp = make_ctp(10, 110, 60, hash_bytes(b"c"), KEYS[0])
+        forged = replace(ctp, sign=bytes([ctp.sign[0] ^ 1]) + ctp.sign[1:])
+        forged = replace(forged, t_id=compute_t_id(forged))
+        assert check_id(forged)[0] is not None
+        assert check_id_and_signature(forged) == (False, "bad signature")
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"price": 61},
+            {"t_id": None},
+            {"t_id": b"short"},
+            {"sign": None},
+            {"price": "60"},
+            {"price": -1},
+            {"contract_hash": bytearray(32)},
+            {"pk": memoryview(bytes(32))},
+        ],
+        ids=["tampered", "none-id", "short-id", "none-sign", "str-price", "negative-price",
+             "bytearray-hash", "memoryview-pk"],
+    )
+    def test_refuses_without_raising(self, changes):
+        tx = replace(make_ctp(10, 110, 60, hash_bytes(b"c"), KEYS[0]), **changes)
+        body, reason = check_id(tx)
+        assert body is None and reason is not None
+        assert check_id_and_signature(tx) == (False, reason)
+
+    def test_refuses_what_is_not_a_transaction(self):
+        for value in (None, 7, b"bytes", ContractTerms(1, 1, 1, bytes(32))):
+            body, reason = check_id(value)
+            assert body is None and reason.startswith("malformed:")
 
 
 class TestCheckStructure:
