@@ -45,6 +45,7 @@ from .messages import (
     JoinRequest,
     Ping,
     Routed,
+    TAG_PING,
     TxGossip,
     decode_routed_payload,
 )
@@ -244,9 +245,20 @@ class MeterMixin:
 
     def _on_routed(self, env: Routed, now: int) -> None:
         """Negotiations count for any key; endorsement traffic only for the
-        meter's own key; pings and anything else are dropped."""
+        meter's own key; pings and anything else are dropped.
+
+        Checks run in order: a payload that is not ``bytes`` is counted as
+        malformed, a ping is dropped on its tag byte without being decoded,
+        and only then is the payload decoded.
+        """
+        payload = env.payload
+        if not isinstance(payload, bytes):
+            self.world.metrics.bump("routed_malformed")
+            return
+        if payload and payload[0] == TAG_PING:  # load traffic, read by nobody
+            return
         try:
-            inner = decode_routed_payload(env.payload)
+            inner = decode_routed_payload(payload)
         except DecodeError:  # malformed wire bytes: count and drop
             self.world.metrics.bump("routed_malformed")
             return
@@ -350,11 +362,15 @@ class ProducerActor(Actor, MeterMixin):
                 offer.stage = "posted"
                 self.world.metrics.bump("offers_posted")
                 self.world.broadcast_tx(supply)
-        self._match_ctps(now)
-        self._deliver(now)
+        # each duty runs only when it has something to loop over
+        if self.unmatched_ctps:
+            self._match_ctps(now)
+        if self.deliveries:
+            self._deliver(now)
         if self.behavior == "forger":
             self._forge_step(now)
-        self._pump_meter_receipts(now)
+        if self.meter is not None and self.meter.contracts:
+            self._pump_meter_receipts(now)
 
     def _deliver(self, now: int) -> None:
         if self.behavior != "honest":
@@ -554,6 +570,19 @@ class ProducerActor(Actor, MeterMixin):
         self.world.broadcast_tx(erc)
 
 
+# a consumer's duty once set up, by behaviour: bound once in ``__init__``,
+# so ``step`` does not compare the behaviour string on every tick
+_CONSUMER_STEPS = {
+    "honest": "_trade_step",
+    "no_ctp": "_trade_step",
+    "bad_hash": "_trade_step",
+    "silent": "_trade_step",
+    "double_spend": "_double_spend_step",
+    "flood": "_flood_step",
+    "chatter": "_chatter_step",
+}
+
+
 @dataclass
 class TradeAttempt:
     offer_key: bytes  # supply t_id
@@ -602,6 +631,7 @@ class ConsumerActor(Actor, MeterMixin):
         self.start_delay = start_delay
         self.offer_preference = offer_preference
         self.sibling_pks = sibling_pks or set()
+        self._behavior_step = getattr(self, _CONSUMER_STEPS[behavior])
         self.offers: Dict[bytes, tuple] = {}  # supply t_id -> (pk, amount, price, negotiable)
         self.offer_keys: List[bytes] = []  # the keys of self.offers, kept sorted
         self.tried: Set[bytes] = set()
@@ -664,15 +694,9 @@ class ConsumerActor(Actor, MeterMixin):
             self._init_step(now)
             if self._init_state != "done":
                 return
-        if self.behavior == "double_spend":
-            self._double_spend_step(now)
-        elif self.behavior == "flood":
-            self._flood_step(now)
-        elif self.behavior == "chatter":
-            self._chatter_step(now)
-        else:
-            self._trade_step(now)
-        self._pump_meter_receipts(now)
+        self._behavior_step(now)
+        if self.meter is not None and self.meter.contracts:
+            self._pump_meter_receipts(now)
 
     # -- honest (and near-honest) trading -----------------------------------------
 

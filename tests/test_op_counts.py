@@ -156,32 +156,48 @@ def test_recounts_on_a_commitment_burst(config, most):
     assert 0 < recounts["ledger"] <= most
 
 
-def test_calls_per_routed_message():
-    """Calls into gridtrade's own functions per routed message, on the
-    chatter load of the benchmark's routing workload, 600 ticks long."""
+@pytest.fixture(scope="module")
+def chatter_calls():
+    """Calls into gridtrade's own functions by name, and the routed message
+    count, on the chatter load of the benchmark's routing workload, 600
+    ticks long."""
     world = World(
         preset(
             "routing_overload", seed=1, producers=16, chatter_nodes=32, backbones=8, ticks=600
         )
     )
     package = os.path.dirname(gridtrade.__file__) + os.sep
-    calls = 0
+    calls = Counter()
 
     def profile(frame, event, arg):
-        nonlocal calls
         if event == "call" and frame.f_code.co_filename.startswith(package):
-            calls += 1
+            calls[frame.f_code.co_name] += 1
 
     sys.setprofile(profile)
     try:
         world.run()
     finally:
         sys.setprofile(None)
-    routed = world.metrics.get("messages_routed")
+    return calls, world.metrics.get("messages_routed")
+
+
+def test_calls_per_routed_message(chatter_calls):
+    calls, routed = chatter_calls
     assert routed == 19040
     # 34.84 while each hop called Metrics.bump, meter traffic was unwrapped in
-    # two methods and meter keys were read through two properties
-    assert calls / routed <= 27.87
+    # two methods and meter keys were read through two properties; 27.00
+    # while endpoints decoded each ping and idle actors ran empty duties
+    assert sum(calls.values()) / routed <= 23.49
+
+
+def test_chatter_skips_ping_decoding_and_empty_duties(chatter_calls):
+    # each delivered ping was decoded, and every producer and consumer step
+    # ran these duties over an empty list or dict; the names are unique in
+    # the package
+    calls, _ = chatter_calls
+    assert calls["_on_routed"] > 10000
+    for name in ("decode_routed_payload", "_match_ctps", "_deliver", "_pump_meter_receipts"):
+        assert calls[name] == 0, name
 
 
 @pytest.mark.parametrize(

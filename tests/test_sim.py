@@ -399,8 +399,17 @@ class TestMalformedRoutedPayload:
             b"",
             b"\x31" + bytes(3),  # endorsement tag, truncated length prefix
             encode_fields(TAG_COE, [bytes(32), bytes(64), bytes(64), bytes(10)]),
+            # not bytes: refused before the ping tag is read or anything decoded
+            7,
+            1.5,
+            [0x32],
+            (0x32,),
+            bytearray(encode_routed_payload(Ping(b"x"))),
         ],
-        ids=["empty", "truncated-prefix", "short-certificate"],
+        ids=[
+            "empty", "truncated-prefix", "short-certificate",
+            "int", "float", "list", "tuple", "bytearray",
+        ],
     )
     def test_counted_and_dropped(self, payload):
         world = World(preset("none", seed=5))
