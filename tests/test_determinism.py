@@ -83,8 +83,8 @@ def test_routing_chatter_workload_matches_golden():
     assert _digests(result) == ROUTING_CHATTER_GOLDEN
 
 
-# The same workload at seed 11, recorded before endpoints dropped pings on
-# their tag byte, at a seed that change was not tuned against.
+# The same workload at held-out seed 11, recorded before endpoints began to
+# drop pings on their tag byte.
 ROUTING_CHATTER_SEED_11_GOLDEN = (
     "9e83bed6f2405e2e9ab082092fc73c770a175e9f268375c78a30798734095784",
     "6c8f5d67705a1bec6ccb92913d5dfae6a86fc7922b76bdc84f77afa36169e91f",
