@@ -863,8 +863,10 @@ class Miner:
         outcome = self._apply(block)
         if outcome.applied:
             outcome.swapped = True
-            for tx in popped.txs:  # unmined again
-                self.add_to_mempool(tx)
+            mined = {tx.t_id for tx in block.txs}
+            for tx in popped.txs:  # unmined again, unless the rival mined it too
+                if tx.t_id not in mined:
+                    self.add_to_mempool(tx)
         else:
             # rival failed validation; keep the old tip
             self.ledger = current

@@ -51,6 +51,11 @@ from .messages import (
 )
 
 
+NEGOTIATION_TIMEOUT = 40  # ticks a buyer gives an attempt to reach a commitment
+FLOOD_OFFERS = 50  # negotiation messages the flooding consumer sends
+FORGERY_ATTEMPTS = 50  # forged receipts the forger sends
+
+
 class Actor:
     def __init__(self, actor_id: str, world):
         self.id = actor_id
@@ -228,20 +233,10 @@ def _mined_txs(gossip: BlockGossip) -> tuple:
 
 
 class MeterMixin:
-    """Shared duties: joining the backbone, unwrapping routed envelopes, VR traffic."""
+    """Shared duties: unwrapping routed envelopes, VR traffic, receipts."""
 
     meter: Optional[SmartMeter]
     owns_meter: bool
-    _meter_join_sent: bool
-
-    def _meter_join_step(self, now: int) -> None:
-        if not self.owns_meter or self.meter is None:
-            return
-        if self._meter_join_sent:
-            return
-        self._meter_join_sent = True
-        join = make_join(self.meter.identity.keypair, self.id)
-        self.world.send_join(self, join)
 
     def _on_routed(self, env: Routed, now: int) -> None:
         """Negotiations count for any key; endorsement traffic only for the
@@ -325,7 +320,6 @@ class ProducerActor(Actor, MeterMixin):
         super().__init__(actor_id, world)
         self.meter = meter
         self.owns_meter = owns_meter
-        self._meter_join_sent = False
         self.offers = offers
         self.behavior = behavior
         self.contracts: Dict[bytes, PendingContract] = {}
@@ -342,7 +336,6 @@ class ProducerActor(Actor, MeterMixin):
     # -- lifecycle ---------------------------------------------------------
 
     def step(self, now: int) -> None:
-        self._meter_join_step(now)
         for offer in self.offers:
             if offer.stage == "new" and now >= offer.start_tick:
                 cert = self.world.distributor_certificate(offer.keypair.public)
@@ -376,11 +369,10 @@ class ProducerActor(Actor, MeterMixin):
         if self.behavior != "honest":
             return
         still: List[ActiveDelivery] = []
-        for job in self.deliveries:
-            pulse = min(self.world.config.kwh_per_tick, job.remaining)
-            job.meter.record_delivery(job.contract_hash, pulse)
-            job.remaining -= pulse
-            self.world.metrics.bump("kwh_delivered", pulse)
+        for job in self.deliveries:  # one kWh per tick
+            job.meter.record_delivery(job.contract_hash, 1)
+            job.remaining -= 1
+            self.world.metrics.bump("kwh_delivered")
             if job.remaining > 0:
                 still.append(job)
         self.deliveries = still
@@ -541,7 +533,7 @@ class ProducerActor(Actor, MeterMixin):
         """Replay a genuine endorsement with keys the forger does not own."""
         if self.harvested is None or self.forge_target is None:
             return
-        if self.forgeries_sent >= self.world.config.forgery_attempts:
+        if self.forgeries_sent >= FORGERY_ATTEMPTS:
             return
         if now >= self.forge_target.expiry_time:
             return
@@ -624,7 +616,6 @@ class ConsumerActor(Actor, MeterMixin):
         self.account = account
         self.meter = meter
         self.owns_meter = owns_meter
-        self._meter_join_sent = False
         self.rng = rng
         self.behavior = behavior
         self.max_trades = max_trades
@@ -645,9 +636,9 @@ class ConsumerActor(Actor, MeterMixin):
         self.trades_done = 0
         self.settled_ctps: Set[bytes] = set()
         self.sent_ctps: List[CTPTx] = []
-        # join_meter -> make_pool -> request_coe <-> await_coe -> done; a
-        # consumer without a meter has nothing to set up
-        self._init_state = "join_meter" if meter is not None else "done"
+        # make_pool -> request_coe <-> await_coe -> done; a consumer without
+        # a meter has nothing to set up
+        self._init_state = "make_pool" if meter is not None else "done"
         self._vr_sent_at: Optional[int] = None
         # attack state
         self.burst_fired = False
@@ -656,13 +647,9 @@ class ConsumerActor(Actor, MeterMixin):
         self.flood_target: Optional[tuple] = None
         self._flood_joined = False
 
-    # -- initialization: meter join, key pool, endorsement --------------------
+    # -- initialization: key pool, endorsement --------------------------------
 
     def _init_step(self, now: int) -> None:
-        if self._init_state == "join_meter":
-            self._meter_join_step(now)
-            self._init_state = "make_pool"
-            return
         if self._init_state == "make_pool":
             if self.meter.pool is None:
                 self.meter.generate_key_pool(self.world.config.key_pool_size)
@@ -714,7 +701,7 @@ class ConsumerActor(Actor, MeterMixin):
                 self.attempt = None
                 self.trades_done += 1
             return
-        if now - attempt.started > self.world.config.negotiation_timeout:
+        if now - attempt.started > NEGOTIATION_TIMEOUT:
             self.attempt = None
 
     def _start_trade(self, now: int) -> None:
@@ -877,7 +864,7 @@ class ConsumerActor(Actor, MeterMixin):
             self.flood_session = KeyPair.generate(self.rng)
             self.world.send_join(self, make_join(self.flood_session, self.id))
             return
-        if self.flood_sent >= self.world.config.flood_offers:
+        if self.flood_sent >= FLOOD_OFFERS:
             return
         if not self._flood_joined:
             return

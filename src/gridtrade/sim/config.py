@@ -20,12 +20,17 @@ ATTACKS = (
     "routing_overload",
 )
 
-_U64_LIMIT = 1 << 64  # supply amounts, prices and expiry ticks are u64 on the wire
+_U64_LIMIT = 1 << 64  # expiry ticks are u64 on the wire
 
 
 @dataclass
 class ScenarioConfig:
-    """Everything a run needs; defaults give a small honest scenario."""
+    """Everything a run needs; defaults give a small honest scenario.
+
+    Every key is a setting that some preset, test, benchmark workload or
+    open experiment varies. Values that nothing varies are constants in the
+    module that reads them (``world.py`` and ``actors.py``).
+    """
 
     seed: int = 1
     ticks: int = 600
@@ -36,29 +41,17 @@ class ScenarioConfig:
     miners: int = 2
     backbones: int = 2
     # protocol parameters
-    x_initial: int = 1
     offer_limit: int = 5
     consensus_period: int = 20
-    burn_threshold: int = 100
     ctp_default_ttl: int = 300
-    overload_threshold: int = 60
-    overload_window: int = 50
     key_pool_size: int = 8
     attack: str = "none"
     # scenario plumbing
-    initial_balance: int = 1000
     supplies_per_producer: int = 2
-    supply_kwh: int = 10
-    supply_unit_price: int = 10
-    kwh_per_tick: int = 1
-    negotiation_timeout: int = 40
     message_loss_rate: float = 0.0
-    flood_offers: int = 50
     double_spend_ctps: int = 6
-    forgery_attempts: int = 50
     chatter_nodes: int = 6
     routing_skew: bool = False
-    max_x: int = 2
 
     def validate(self) -> None:
         if self.attack not in ATTACKS:
@@ -67,24 +60,14 @@ class ScenarioConfig:
             raise ValueError("ticks must be positive")
         if self.miners < 1 or self.backbones < 1:
             raise ValueError("need at least one miner and one backbone")
-        if self.x_initial < 1 or self.max_x < self.x_initial:
-            raise ValueError("need 1 <= x_initial <= max_x")
         if self.consensus_period < 1:
             raise ValueError("consensus_period must be positive")
         if not 0.0 <= self.message_loss_rate < 1.0:
             raise ValueError("message_loss_rate must be in [0, 1)")
-        if self.overload_threshold < 0:
-            raise ValueError("overload_threshold must be non-negative")
         if self.key_pool_size < 1:
             raise ValueError("key_pool_size must be positive")
         if not 1 <= self.ctp_default_ttl <= _U64_LIMIT - self.ticks:
             raise ValueError("ctp_default_ttl must be positive and keep expiries within u64")
-        if not 1 <= self.supply_kwh < _U64_LIMIT:
-            raise ValueError("supply_kwh must be in [1, 2**64)")
-        if not 0 <= self.supply_unit_price < _U64_LIMIT:
-            raise ValueError("supply_unit_price must be in [0, 2**64)")
-        if self.kwh_per_tick < 1:
-            raise ValueError("kwh_per_tick must be positive")
         counts = ("producers", "consumers", "prosumers", "chatter_nodes", "supplies_per_producer")
         for key in counts:
             if getattr(self, key) < 0:

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..transactions import MINEABLE_TAGS
+from .actors import FORGERY_ATTEMPTS
 from .config import ScenarioConfig
 from .metrics import Metrics
-from .world import World
+from .world import X_INITIAL, World
 
 SCENARIOS: Dict[str, str] = {
     "none": "honest end-to-end trading: offers, negotiation, commitment, delivery, settlement",
@@ -54,8 +55,7 @@ def preset(attack: str, **overrides) -> ScenarioConfig:
     elif attack == "routing_overload":
         base.update(
             producers=6, consumers=0, miners=2, backbones=4,
-            ticks=300, chatter_nodes=6, overload_threshold=60,
-            supplies_per_producer=0,
+            ticks=300, chatter_nodes=6, supplies_per_producer=0,
         )
     else:
         raise ValueError(f"unknown scenario {attack!r}")
@@ -247,8 +247,8 @@ def _verdict_coe_forgery(world: World, m: Metrics) -> None:
     sent = m.get("forgeries_sent")
     m.add_verdict(
         "forgeries_attempted",
-        sent == world.config.forgery_attempts,
-        f"sent={sent} want={world.config.forgery_attempts}",
+        sent == FORGERY_ATTEMPTS,
+        f"sent={sent} want={FORGERY_ATTEMPTS}",
     )
     reference = world.miner_actors[0]
     forged_ids = set()
@@ -325,7 +325,7 @@ def _verdict_routing_overload(world: World, m: Metrics) -> None:
     x_final = world.mesh.table.x
     m.add_verdict(
         "prefix_widened",
-        x_final == world.config.x_initial + m.get("rebalances"),
+        x_final == X_INITIAL + m.get("rebalances"),
         f"x={x_final}",
     )
     if world.rebalance_events:

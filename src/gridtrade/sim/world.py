@@ -2,9 +2,10 @@
 
 Time is integer ticks; one tick is one network hop. Each tick runs fixed
 phases: consensus-period bookkeeping, expiry sweeps, message deliveries,
-actor steps, mining wakeups, then end-of-tick digest journaling, load
-checks, and invariant checks. All randomness comes from labeled child RNGs
-of the scenario seed, so two runs with the same config are bit-identical.
+meter joins (tick 0 only), actor steps, mining wakeups, then end-of-tick
+digest journaling, load checks, and invariant checks. All randomness comes
+from labeled child RNGs of the scenario seed, so two runs with the same
+config are bit-identical.
 
 The invariant checks recount a miner's pending commitments from
 ``entries`` on each tick that miner's ledger changed: a new ledger object
@@ -24,7 +25,7 @@ from __future__ import annotations
 from random import Random
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..arb import Mesh
+from ..arb import Mesh, make_join
 from ..crypto import Certificate, KeyPair, PublicKey, hash_bytes, issue_certificate
 from ..ledger import Ledger, LedgerConfig, Miner
 from ..meter import SmartMeter, provision_meter
@@ -47,6 +48,15 @@ from .messages import (
     encode_routed_payload,
 )
 from .metrics import Metrics
+
+
+X_INITIAL = 1  # routing-prefix bits the mesh starts with
+MAX_X = 2  # the widest prefix rebalancing may reach
+OVERLOAD_THRESHOLD = 60  # a backbone's window load past which the prefix widens
+BURN_THRESHOLD = 100  # least coin a coin-burn genesis must burn
+INITIAL_BALANCE = 1000  # coin each consumer account starts with
+SUPPLY_KWH = 10  # energy in each supply offer
+SUPPLY_UNIT_PRICE = 10  # posted price per kWh of each supply offer
 
 
 def child_rng(seed: int, label: str) -> Random:
@@ -86,15 +96,13 @@ class World:
         self.distributor_ca = KeyPair.generate(child_rng(cfg.seed, "distributor"))
         self.manufacturer_ca_pk = self.manufacturer_ca.public
         ledger_config = LedgerConfig(
-            burn_threshold=cfg.burn_threshold,
+            burn_threshold=BURN_THRESHOLD,
             distributor_ca_pk=self.distributor_ca.public,
             manufacturer_ca_pk=self.manufacturer_ca.public,
         )
 
         backbone_ids = [f"arb-{i}" for i in range(cfg.backbones)]
-        self.mesh = Mesh(
-            backbone_ids, cfg.x_initial, cfg.offer_limit, window=cfg.overload_window
-        )
+        self.mesh = Mesh(backbone_ids, X_INITIAL, cfg.offer_limit)
         for node_id in backbone_ids:
             self.actors[node_id] = BackboneActor(node_id, self, node_id)
 
@@ -180,8 +188,8 @@ class World:
             offers.append(
                 OfferState(
                     keypair=KeyPair.generate(rng),
-                    amount=cfg.supply_kwh,
-                    posted_price=cfg.supply_unit_price,
+                    amount=SUPPLY_KWH,
+                    posted_price=SUPPLY_UNIT_PRICE,
                     negotiable=True,
                     start_tick=base_tick + 2 * k,
                 )
@@ -217,8 +225,8 @@ class World:
         if behavior in ("no_ctp", "bad_hash", "silent"):
             max_trades = 1
         for miner in self.miner_actors:
-            miner.miner.ledger.seed_account(account.public, cfg.initial_balance)
-        self.initial_balances[account.public] = cfg.initial_balance
+            miner.miner.ledger.seed_account(account.public, INITIAL_BALANCE)
+        self.initial_balances[account.public] = INITIAL_BALANCE
         return ConsumerActor(
             actor_id,
             self,
@@ -346,6 +354,10 @@ class World:
                 if actor.reference and released:
                     self.metrics.bump("ctp_expired", len(released))
             self.deliver_due(now)
+            if now == 0:  # each owned meter joins once; a prosumer's two roles share one
+                for actor in self.step_actors:
+                    if actor.owns_meter:
+                        self.send_join(actor, make_join(actor.meter.identity.keypair, actor.id))
             for actor in self.step_actors:
                 actor.step(now)
             for actor in self.miner_actors:
@@ -361,15 +373,14 @@ class World:
     # -- end-of-tick work ---------------------------------------------------------
 
     def _maybe_rebalance(self, now: int) -> None:
-        cfg = self.config
-        if self.mesh.table.x >= cfg.max_x:
+        if self.mesh.table.x >= MAX_X:
             return
         hot_id, hot_load = None, -1
         for node_id in sorted(self.mesh.nodes):
             load = self.mesh.nodes[node_id].window_load()
             if load > hot_load:
                 hot_id, hot_load = node_id, load
-        if hot_load <= cfg.overload_threshold:
+        if hot_load <= OVERLOAD_THRESHOLD:
             return
         new_x = self.mesh.table.x + 1
         histogram: Dict[int, int] = {}

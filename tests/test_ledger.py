@@ -883,6 +883,25 @@ class TestBlockApplication:
         block_next = observer.mine(7)
         assert any(tx.t_id == genesis.t_id for tx in block_next.txs)
 
+    def test_swap_to_a_rival_holding_the_same_tx_leaves_the_mempool_empty(self, rig):
+        # the popped tip's transaction is on the chain again through the
+        # rival, so putting it back would only make mining trial-apply it
+        producer = KeyPair.generate(rig.rng)
+        genesis = rig.certified_genesis(producer)
+        a, b = _mk_miner(rig, 20), _mk_miner(rig, 21)
+        if b.keypair.public > a.keypair.public:
+            a, b = b, a  # ensure b has the winning (lower) key
+        observer = _mk_miner(rig, 22)
+        for miner in (a, b):
+            miner.add_to_mempool(genesis)
+        block_a, block_b = self._mine_one(a, 5), self._mine_one(b, 5)
+        assert [tx.t_id for tx in block_b.txs] == [genesis.t_id]
+        assert observer.receive_block(block_a).applied
+        outcome = observer.receive_block(block_b)
+        assert outcome.applied and outcome.swapped
+        assert producer.public in observer.ledger.accounts  # applied by the rival
+        assert observer.mempool == [] and not observer._mempool_ids
+
     def _rivals(self, rig, ledger=None):
         """Observer and two same-height blocks; the second has the lower key."""
         a, b = _mk_miner(rig, 20), _mk_miner(rig, 21)

@@ -227,11 +227,23 @@ def test_key_builds_to_set_up_a_world(config, builds):
 def test_trade_attempts_on_honest_n32():
     # the benchmark's honest-n32 workload; 1,994 attempts for the same 64
     # settlements while buyers never heard that an offer had sold
+    stale = Counter()
+
+    def count_stale(miner, now):
+        # mine trial-applies the whole mempool unless the period's block is out
+        if miner.blocks_this_period < 1:
+            on_chain = {tx.t_id for block in miner.chain.blocks for tx in block.txs}
+            stale["trial_applies"] += sum(tx.t_id in on_chain for tx in miner.mempool)
+
     config = preset("none", seed=1, producers=32, consumers=32, miners=5, backbones=4, ticks=1500)
-    result = run_scenario(config)
+    with pytest.MonkeyPatch.context() as mp:
+        _wrap(mp, Miner, "mine", count_stale)
+        result = run_scenario(config)
     assert result.passed
     assert result.metrics.get("settlements") == 64
     assert result.metrics.get("negotiations_started") <= 82
+    # 353 while a tip swap put back what the rival block had mined too
+    assert stale["trial_applies"] == 0
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
 """Simulator: configuration, scenario runs, determinism, and the CLI."""
 
+import os
 import subprocess
 import sys
 from collections import deque
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import count
 from pathlib import Path
 from random import Random
@@ -60,9 +61,50 @@ class TestConfig:
         config = parse_config(text)
         assert config.seed == 4 and config.ticks == 50
 
-    def test_unknown_key_rejected(self):
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "bogus",
+            # fixed values, now constants in sim/world.py and sim/actors.py
+            "x_initial",
+            "max_x",
+            "overload_threshold",
+            "overload_window",
+            "burn_threshold",
+            "initial_balance",
+            "supply_kwh",
+            "supply_unit_price",
+            "kwh_per_tick",
+            "negotiation_timeout",
+            "flood_offers",
+            "forgery_attempts",
+        ],
+    )
+    def test_unknown_key_rejected(self, key):
         with pytest.raises(ValueError, match="unknown key"):
-            parse_config("bogus=1\n")
+            parse_config(f"{key}=1\n")
+
+    def test_keys_are_the_settings_something_varies(self):
+        # adding a key is a reviewed change: extend this list with it
+        assert [f.name for f in fields(ScenarioConfig)] == [
+            "seed",
+            "ticks",
+            "producers",
+            "consumers",
+            "prosumers",
+            "miners",
+            "backbones",
+            "offer_limit",
+            "consensus_period",
+            "ctp_default_ttl",
+            "key_pool_size",
+            "attack",
+            "supplies_per_producer",
+            "message_loss_rate",
+            "double_spend_ctps",
+            "chatter_nodes",
+            "routing_skew",
+        ]
 
     def test_bad_value_rejected(self):
         with pytest.raises(ValueError, match="integer"):
@@ -964,9 +1006,13 @@ class TestCli:
         assert taken.read_text() == "not a directory"
 
     def test_console_entry_point(self, tmp_path):
+        # the child finds the package under src/ whether or not it is installed
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
         proc = subprocess.run(
             [sys.executable, "-m", "gridtrade.sim.cli", "list-scenarios"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
         )
         assert proc.returncode == 0 and "routing_overload" in proc.stdout
