@@ -2,7 +2,8 @@
 
 Provides SHA-256 hashing, deterministic Ed25519 signatures, issuer
 certificates, hybrid public-key encryption (X25519 + ChaCha20-Poly1305),
-and Merkle trees with inclusion proofs.
+Merkle trees with inclusion proofs, and the length-prefix framing
+(``_lp``, ``_Reader``) every byte layout of the protocol is read through.
 
 Key layout: a public key is 64 bytes, the Ed25519 verify key (32 bytes,
 used for signatures and as the routing identity) followed by an X25519
@@ -50,6 +51,59 @@ class DecryptionError(Exception):
 def hash_bytes(data: bytes) -> HashDigest:
     """SHA-256 digest of ``data`` (32 bytes, deterministic)."""
     return hashlib.sha256(data).digest()
+
+
+# ---------------------------------------------------------------------------
+# framing
+
+MAX_FIELD_LEN = 1 << 20  # 1 MiB; anything bigger is a malformed message
+
+
+class DecodeError(ValueError):
+    """Raised when bytes cannot be parsed back into the value they encode."""
+
+
+def _lp(value: bytes) -> bytes:
+    if len(value) > MAX_FIELD_LEN:
+        raise ValueError(f"field of {len(value)} bytes exceeds the {MAX_FIELD_LEN} limit")
+    return len(value).to_bytes(4, "big") + value
+
+
+class _Reader:
+    """Reads length-prefixed fields and fixed-width values off ``data``."""
+
+    def __init__(self, data: bytes, off: int = 0):
+        self.data = data
+        self.off = off
+
+    def field(self) -> bytes:
+        if self.off + 4 > len(self.data):
+            raise DecodeError("truncated length prefix")
+        n = int.from_bytes(self.data[self.off : self.off + 4], "big")
+        if n > MAX_FIELD_LEN:
+            raise DecodeError("overlong field")
+        self.off += 4
+        if self.off + n > len(self.data):
+            raise DecodeError("field runs past end of buffer")
+        out = self.data[self.off : self.off + n]
+        self.off += n
+        return out
+
+    def take(self, n: int) -> bytes:
+        end = self.off + n
+        if end > len(self.data):
+            raise DecodeError(f"truncated: {n} bytes wanted, {len(self.data) - self.off} left")
+        out = self.data[self.off : end]
+        self.off = end
+        return out
+
+    def uint(self, n: int) -> int:
+        """An ``n``-byte big-endian unsigned integer."""
+        return int.from_bytes(self.take(n), "big")
+
+    def done(self) -> None:
+        if self.off != len(self.data):
+            raise DecodeError(f"{len(self.data) - self.off} trailing bytes")
 
 
 @dataclass(frozen=True)
@@ -160,10 +214,9 @@ class Certificate:
     @staticmethod
     def from_bytes(data: bytes) -> "Certificate":
         if len(data) != CERTIFICATE_LEN:
-            raise ValueError(f"certificate must be {CERTIFICATE_LEN} bytes, got {len(data)}")
-        return Certificate(
-            subject_pk=data[:64], issuer_pk=data[64:128], signature=data[128:192]
-        )
+            raise DecodeError(f"certificate must be {CERTIFICATE_LEN} bytes, got {len(data)}")
+        r = _Reader(data)
+        return Certificate(r.take(PUBLIC_KEY_LEN), r.take(PUBLIC_KEY_LEN), r.take(SIGNATURE_LEN))
 
 
 def issue_certificate(issuer: KeyPair, subject_pk: PublicKey) -> Certificate:
@@ -204,21 +257,17 @@ class AsymCiphertext:
     payload: bytes  # ephemeral X25519 public key (32B) + sealed box
 
     def to_bytes(self) -> bytes:
-        return (
-            self.recipient_pk
-            + len(self.payload).to_bytes(4, "big")
-            + self.payload
-        )
+        return self.recipient_pk + _lp(self.payload)
 
     @staticmethod
     def from_bytes(data: bytes) -> "AsymCiphertext":
-        if len(data) < PUBLIC_KEY_LEN + 4:
-            raise ValueError("truncated ciphertext")
-        recipient = data[:PUBLIC_KEY_LEN]
-        n = int.from_bytes(data[PUBLIC_KEY_LEN : PUBLIC_KEY_LEN + 4], "big")
-        payload = data[PUBLIC_KEY_LEN + 4 :]
-        if len(payload) != n:
-            raise ValueError("ciphertext length mismatch")
+        r = _Reader(data)
+        recipient = r.take(PUBLIC_KEY_LEN)
+        try:
+            payload = r.field()
+            r.done()
+        except DecodeError as exc:
+            raise DecodeError(f"ciphertext length mismatch: {exc}") from exc
         return AsymCiphertext(recipient_pk=recipient, payload=payload)
 
 
@@ -302,21 +351,15 @@ class MerkleProof:
 
     @staticmethod
     def from_bytes(data: bytes) -> "MerkleProof":
-        if len(data) < 5:
-            raise ValueError("truncated proof")
-        leaf_index = int.from_bytes(data[:4], "big")
-        count = data[4]
-        expected = 5 + count * 33
-        if len(data) != expected:
-            raise ValueError(f"proof length mismatch: want {expected}, got {len(data)}")
+        r = _Reader(data)
+        leaf_index = r.uint(4)
         siblings = []
-        off = 5
-        for _ in range(count):
-            side = data[off]
+        for _ in range(r.uint(1)):
+            side = r.uint(1)
             if side not in (LEFT, RIGHT):
-                raise ValueError(f"bad side byte {side}")
-            siblings.append((data[off + 1 : off + 33], side))
-            off += 33
+                raise DecodeError(f"bad side byte {side}")
+            siblings.append((r.take(DIGEST_LEN), side))
+        r.done()
         return MerkleProof(leaf_index=leaf_index, siblings=tuple(siblings))
 
 

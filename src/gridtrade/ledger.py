@@ -39,10 +39,13 @@ from .crypto import (
     DIGEST_LEN,
     PUBLIC_KEY_LEN,
     SIGNATURE_LEN,
+    DecodeError,
     HashDigest,
     KeyPair,
     PublicKey,
     Signature,
+    _lp,
+    _Reader,
     ca_verify,
     hash_bytes,
     merkle_verify,
@@ -58,8 +61,6 @@ from .transactions import (
     SupplyEnergyTx,
     Transaction,
     U64Field,
-    _lp,
-    _Reader,
     check_id,
     check_id_and_signature,
     check_structure,
@@ -361,29 +362,13 @@ class Block:
 
     @staticmethod
     def from_bytes(data: bytes) -> "Block":
-        if len(data) < 8 + 32 + 32 + 8 + PUBLIC_KEY_LEN + 4 + SIGNATURE_LEN:
-            raise ValueError("truncated block")
-        off = 0
-        height = int.from_bytes(data[off : off + 8], "big"); off += 8
-        prev_hash = data[off : off + 32]; off += 32
-        ctp_hash = data[off : off + 32]; off += 32
-        timestamp = int.from_bytes(data[off : off + 8], "big"); off += 8
-        miner_pk = data[off : off + PUBLIC_KEY_LEN]; off += PUBLIC_KEY_LEN
-        count = int.from_bytes(data[off : off + 4], "big"); off += 4
-        r = _Reader(data, off)
-        txs = [decode_canonical(r.field()) for _ in range(count)]
-        miner_sign = data[r.off :]
-        if len(miner_sign) != SIGNATURE_LEN:
-            raise ValueError("bad block signature framing")
-        return Block(
-            height=height,
-            prev_hash=prev_hash,
-            ctp_hash=ctp_hash,
-            timestamp=timestamp,
-            miner_pk=miner_pk,
-            miner_sign=miner_sign,
-            txs=tuple(txs),
-        )
+        r = _Reader(data)
+        height, prev_hash, ctp_hash = r.uint(8), r.take(DIGEST_LEN), r.take(DIGEST_LEN)
+        timestamp, miner_pk = r.uint(8), r.take(PUBLIC_KEY_LEN)
+        txs = tuple(decode_canonical(r.field()) for _ in range(r.uint(4)))
+        miner_sign = r.take(SIGNATURE_LEN)
+        r.done()
+        return Block(height, prev_hash, ctp_hash, timestamp, miner_pk, miner_sign, txs)
 
     def signing_digest(self) -> HashDigest:
         return hash_bytes(self._unsigned())
@@ -424,25 +409,19 @@ class Blockchain:
 
     def dump_bytes(self) -> bytes:
         parts = [CHAIN_DUMP_MAGIC, len(self.blocks).to_bytes(4, "big")]
-        for block in self.blocks:
-            raw = block.to_bytes()
-            parts.append(len(raw).to_bytes(4, "big"))
-            parts.append(raw)
+        parts.extend(_lp(block.to_bytes()) for block in self.blocks)
         return b"".join(parts)
 
     @staticmethod
     def load_bytes(data: bytes) -> "Blockchain":
-        if data[:8] != CHAIN_DUMP_MAGIC:
-            raise ValueError("not a chain dump")
-        count = int.from_bytes(data[8:12], "big")
-        off = 12
+        """Inverse of ``dump_bytes``; raises DecodeError."""
+        if not data.startswith(CHAIN_DUMP_MAGIC):
+            raise DecodeError("not a chain dump")
+        r = _Reader(data, len(CHAIN_DUMP_MAGIC))
         chain = Blockchain()
-        for _ in range(count):
-            n = int.from_bytes(data[off : off + 4], "big"); off += 4
-            chain.append(Block.from_bytes(data[off : off + n]))
-            off += n
-        if off != len(data):
-            raise ValueError("trailing bytes in chain dump")
+        for _ in range(r.uint(4)):
+            chain.append(Block.from_bytes(r.field()))
+        r.done()
         return chain
 
 

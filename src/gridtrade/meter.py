@@ -14,7 +14,7 @@ amount has fully arrived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Dict, List, Optional, Set
 
@@ -210,20 +210,13 @@ class SmartMeter:
         self, pool: KeyPool, vm_pk: PublicKey
     ) -> VerificationRequest:
         """Encrypt the pool root to the verifier and sign the request."""
-        ct = asym_encrypt(vm_pk, pool.root, self.rng)
         vr = VerificationRequest(
-            encrypted_root=ct,
+            encrypted_root=asym_encrypt(vm_pk, pool.root, self.rng),
             requester_mpk=self.identity.public,
             requester_cert=self.identity.manufacturer_cert,
             sign=b"",
         )
-        signature = sign(self.identity.keypair, vr._payload())
-        return VerificationRequest(
-            encrypted_root=ct,
-            requester_mpk=self.identity.public,
-            requester_cert=self.identity.manufacturer_cert,
-            sign=signature,
-        )
+        return replace(vr, sign=sign(self.identity.keypair, vr._payload()))
 
     def process_verification_request(
         self, vr: VerificationRequest, manufacturer_ca_pk: PublicKey

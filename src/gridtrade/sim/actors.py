@@ -366,8 +366,6 @@ class ProducerActor(Actor, MeterMixin):
             self._pump_meter_receipts(now)
 
     def _deliver(self, now: int) -> None:
-        if self.behavior != "honest":
-            return
         still: List[ActiveDelivery] = []
         for job in self.deliveries:  # one kWh per tick
             job.meter.record_delivery(job.contract_hash, 1)

@@ -50,7 +50,7 @@ from .messages import (
 from .metrics import Metrics
 
 
-X_INITIAL = 1  # routing-prefix bits the mesh starts with
+X_INITIAL = 1  # routing-prefix bytes the mesh starts with
 MAX_X = 2  # the widest prefix rebalancing may reach
 OVERLOAD_THRESHOLD = 60  # a backbone's window load past which the prefix widens
 BURN_THRESHOLD = 100  # least coin a coin-burn genesis must burn

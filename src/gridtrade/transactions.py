@@ -34,6 +34,11 @@ The meter's ``CoE`` and ``VerificationRequest`` are declared the same way
 and travel as ``encode_declared`` bytes, read back by ``decode_declared``.
 Deliberately outside the declarations: ``ledger.ProducerClaim`` (tag plus
 unprefixed fields; it borrows ``U64Field`` for ``energy_kwh``).
+
+The framing lives in ``crypto`` (re-exported here): ``_lp`` writes a
+field, ``_Reader`` reads fields and fixed-width values and raises
+``DecodeError``. Blocks and chain dumps (``ledger``) and ciphertexts also
+frame with ``_lp``; they, Merkle proofs and certificates read via ``_Reader``.
 """
 
 from __future__ import annotations
@@ -45,14 +50,18 @@ from typing import List, Optional, Tuple, Union
 from .crypto import (
     CERTIFICATE_LEN,
     DIGEST_LEN,
+    MAX_FIELD_LEN,
     PUBLIC_KEY_LEN,
     SIGNATURE_LEN,
     Certificate,
+    DecodeError,
     HashDigest,
     KeyPair,
     MerkleProof,
     PublicKey,
     Signature,
+    _lp,
+    _Reader,
     hash_bytes,
     merkle_verify,
     sign,
@@ -68,41 +77,6 @@ _TAG_CONTRACT = 16  # internal, only ever hashed
 
 GENESIS_COIN_BURN = 0
 GENESIS_CERTIFICATE = 1
-
-MAX_FIELD_LEN = 1 << 20  # 1 MiB; anything bigger is a malformed message
-
-
-class DecodeError(ValueError):
-    """Raised when bytes cannot be parsed back into a transaction."""
-
-
-def _lp(value: bytes) -> bytes:
-    if len(value) > MAX_FIELD_LEN:
-        raise ValueError(f"field of {len(value)} bytes exceeds the {MAX_FIELD_LEN} limit")
-    return len(value).to_bytes(4, "big") + value
-
-
-class _Reader:
-    def __init__(self, data: bytes, off: int = 0):
-        self.data = data
-        self.off = off
-
-    def field(self) -> bytes:
-        if self.off + 4 > len(self.data):
-            raise DecodeError("truncated length prefix")
-        n = int.from_bytes(self.data[self.off : self.off + 4], "big")
-        if n > MAX_FIELD_LEN:
-            raise DecodeError("overlong field")
-        self.off += 4
-        if self.off + n > len(self.data):
-            raise DecodeError("field runs past end of buffer")
-        out = self.data[self.off : self.off + n]
-        self.off += n
-        return out
-
-    def done(self) -> None:
-        if self.off != len(self.data):
-            raise DecodeError(f"{len(self.data) - self.off} trailing bytes")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Ledger state machine: accounts, pending commitments, blocks, settlement."""
 
 import copy
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from random import Random
 
@@ -8,7 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridtrade.crypto import KeyPair, hash_bytes, issue_certificate, sign, verify
+from gridtrade.crypto import (
+    AsymCiphertext,
+    Certificate,
+    KeyPair,
+    MerkleProof,
+    asym_encrypt,
+    hash_bytes,
+    issue_certificate,
+    sign,
+    verify,
+)
 from gridtrade.ledger import (
     Block,
     Blockchain,
@@ -20,9 +31,11 @@ from gridtrade.ledger import (
     Result,
     make_producer_claim,
 )
+from gridtrade.sim import preset, run_scenario
 from gridtrade.transactions import (
     GENESIS_CERTIFICATE,
     GENESIS_COIN_BURN,
+    DecodeError,
     ERCTx,
     check_structure,
     compute_t_id,
@@ -1106,6 +1119,45 @@ class TestChainDump:
             Blockchain.load_bytes(b"garbage")
         with pytest.raises(ValueError):
             Blockchain.load_bytes(data + b"\x00")
+
+
+@pytest.fixture(scope="module")
+def encodings():
+    """A decoder and one encoding for each byte layout, taken from
+    ``preset("none", seed=1)``'s chain."""
+    chain = Blockchain.load_bytes(run_scenario(preset("none", seed=1)).chain_dump)
+    block = max(chain.blocks, key=lambda b: len(b.to_bytes()))  # holds transactions
+    erc = next(tx for b in chain.blocks for tx in b.txs if isinstance(tx, ERCTx))
+    dump = Blockchain()
+    for b in chain.blocks[:3]:
+        dump.append(b)
+    ciphertext = asym_encrypt(erc.pk, erc.coe_root, Random(1))
+    return {
+        "block": (Block.from_bytes, block.to_bytes()),
+        "dump": (Blockchain.load_bytes, dump.dump_bytes()),
+        "ciphertext": (AsymCiphertext.from_bytes, ciphertext.to_bytes()),
+        "proof": (MerkleProof.from_bytes, erc.merkle_hashes.to_bytes()),
+        "certificate": (Certificate.from_bytes, erc.coe_vm_cert.to_bytes()),
+    }
+
+
+@pytest.mark.parametrize("layout", ["block", "dump", "ciphertext", "proof", "certificate"])
+def test_decoders_refuse_bad_bytes_with_decode_error(encodings, layout):
+    # every strict prefix (the dump's shorter than its magic too) and the
+    # value plus one trailing byte
+    decode, data = encodings[layout]
+    value = decode(data)
+    assert (value.dump_bytes() if layout == "dump" else value.to_bytes()) == data
+    outcomes = Counter()
+    for bad in [data[:n] for n in range(len(data))] + [data + b"\x00"]:
+        try:
+            decode(bad)
+            outcomes["accepted"] += 1
+        except DecodeError:
+            outcomes["DecodeError"] += 1
+        except Exception as exc:
+            outcomes[type(exc).__name__] += 1
+    assert outcomes == {"DecodeError": len(data) + 1}
 
 
 class TestReplayDeterminism:

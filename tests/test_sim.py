@@ -3,7 +3,7 @@
 import os
 import subprocess
 import sys
-from collections import deque
+from collections import Counter, deque
 from dataclasses import fields, replace
 from itertools import count
 from pathlib import Path
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from gridtrade.arb import make_join
 from gridtrade.crypto import KeyPair, hash_bytes
-from gridtrade.ledger import ProducerClaim, make_producer_claim
+from gridtrade.ledger import Miner, ProducerClaim, make_producer_claim
 from gridtrade.sim import (
     ScenarioConfig,
     format_config,
@@ -201,9 +201,21 @@ class TestScenarios:
         ]
         assert verdict.detail == "received=5 limit=5"
 
-    def test_every_offer_sells_at_n128(self):
+    def test_every_offer_sells_at_n128(self, monkeypatch):
         # before buyers heard the producers' claims, 122 of 256 offers sold
         # and the contract agreed last was never settled
+        trials = Counter()
+        mine = Miner.mine
+
+        def counting_mine(miner, now):
+            # mine trial-applies the whole mempool unless the period's block is out
+            if miner.blocks_this_period < 1 and miner.mempool:
+                on_chain = {tx.t_id for block in miner.chain.blocks for tx in block.txs}
+                trials["entries"] += len(miner.mempool)
+                trials["stale"] += sum(tx.t_id in on_chain for tx in miner.mempool)
+            return mine(miner, now)
+
+        monkeypatch.setattr(Miner, "mine", counting_mine)
         config = preset(
             "none", producers=128, consumers=128, miners=5, backbones=4, ticks=1500, seed=1
         )
@@ -211,6 +223,11 @@ class TestScenarios:
         assert result.passed, [v.line() for v in result.metrics.verdicts if not v.passed]
         assert result.metrics.get("offers_posted") == 256
         assert result.metrics.get("settlements") == 256
+        # 22,032 stale trial-applies while a tip swap put back what the rival
+        # block had mined too; every mined transaction leaves every mempool
+        assert trials["entries"] > 0
+        assert trials["stale"] == 0
+        assert all(not actor.miner.mempool for actor in result.world.miner_actors)
 
     def test_lossy_network_does_not_crash(self):
         config = preset("none", seed=12)
@@ -937,11 +954,17 @@ class TestCli:
         out_dir = tmp_path / "out"
         cli_main(["run", "--config", str(config_path), "--out", str(out_dir)])
         capsys.readouterr()
-        dump = bytearray((out_dir / "chain.dump").read_bytes())
-        dump[len(dump) // 2] ^= 0xFF
+        dump = (out_dir / "chain.dump").read_bytes()
+        flipped = bytearray(dump)
+        flipped[len(dump) // 2] ^= 0xFF
         bad = out_dir / "bad.dump"
-        bad.write_bytes(bytes(dump))
+        bad.write_bytes(bytes(flipped))
         assert cli_main(["replay", "--chain-dump", str(bad)]) == 1
+        capsys.readouterr()
+        bad.write_bytes(dump[:-1])  # cut one byte short
+        assert cli_main(["replay", "--chain-dump", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("invalid dump: ") and out.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv,reason",
