@@ -268,7 +268,7 @@ _ENERGY_KWH = U64Field("energy_kwh")
 class ProducerClaim:
     """Signed binding of a pending commitment to the producer it pays.
 
-    Broadcast to every participant by the producer when it starts
+    Gossiped to the miners and the buyers by the producer when it starts
     delivering, and never mined. Miners keep it to execute settlement with
     the right payee and energy amount; buyers read it as the news that the
     offer account ``producer_pk`` has sold.

@@ -28,7 +28,6 @@ from ..transactions import (
     GENESIS_CERTIFICATE,
     NegotiationMsg,
     SupplyEnergyTx,
-    check_id,
     check_structure,
     compute_contract_hash,
     compute_t_id,
@@ -239,8 +238,9 @@ class MeterMixin:
     owns_meter: bool
 
     def _on_routed(self, env: Routed, now: int) -> None:
-        """Negotiations count for any key; endorsement traffic only for the
-        meter's own key; pings and anything else are dropped.
+        """Negotiations and commitments count for any key; endorsement
+        traffic only for the meter's own key; pings and anything else are
+        dropped.
 
         Checks run in order: a payload that is not ``bytes`` is counted as
         malformed, a ping is dropped on its tag byte without being decoded,
@@ -259,6 +259,8 @@ class MeterMixin:
             return
         if isinstance(inner, NegotiationMsg):
             self._on_negotiation(inner, now)
+        elif isinstance(inner, CTPTx):
+            self._on_ctp(inner, env.dest_pk)
         elif self.meter is None or env.dest_pk != self.meter.public:
             return
         elif isinstance(inner, VerificationRequest):
@@ -273,6 +275,9 @@ class MeterMixin:
             self.world.send_routed(self, self.meter.public, inner.requester_mpk, coe)
         elif isinstance(inner, CoE):
             self.meter.install_coe(inner)
+
+    def _on_ctp(self, ctp: CTPTx, dest_pk: bytes) -> None:
+        """Only a producer takes commitments; anyone else drops them."""
 
     def _pump_meter_receipts(self, now: int) -> None:
         """Tamper-resistant duty: emit a receipt once delivery completes."""
@@ -301,6 +306,10 @@ class MeterMixin:
 class ProducerActor(Actor, MeterMixin):
     """Posts supply offers, negotiates, claims commitments, delivers energy.
 
+    A commitment reaches the producer routed to the offer's account key,
+    behind the buyer's acceptance on the same backbone path, so it is
+    matched or declined the moment it lands; no commitment waits.
+
     ``behavior`` selects the adversarial variant: "honest" delivers,
     "silent" never claims nor delivers after the commitment arrives, and
     "forger" claims, skips delivery, and floods forged receipts built from
@@ -324,7 +333,6 @@ class ProducerActor(Actor, MeterMixin):
         self.behavior = behavior
         self.contracts: Dict[bytes, PendingContract] = {}
         self.deliveries: List[ActiveDelivery] = []
-        self.unmatched_ctps: List[Tuple[CTPTx, int]] = []  # (ctp, arrived at)
         # (offer account pk, sender pk) -> negotiation messages received
         self.negot_received: Dict[Tuple[bytes, bytes], int] = {}
         # forger state
@@ -356,8 +364,6 @@ class ProducerActor(Actor, MeterMixin):
                 self.world.metrics.bump("offers_posted")
                 self.world.broadcast_tx(supply)
         # each duty runs only when it has something to loop over
-        if self.unmatched_ctps:
-            self._match_ctps(now)
         if self.deliveries:
             self._deliver(now)
         if self.behavior == "forger":
@@ -380,13 +386,9 @@ class ProducerActor(Actor, MeterMixin):
     def on_message(self, payload, now: int) -> None:
         if isinstance(payload, Routed):
             self._on_routed(payload, now)
-            return
-        if isinstance(payload, BlockGossip):
+        elif isinstance(payload, BlockGossip):
             for tx in _mined_txs(payload):
                 self._on_mined_tx(tx)
-            return
-        if isinstance(payload, TxGossip) and isinstance(payload.tx, CTPTx):
-            self._on_ctp(payload.tx, now)
 
     def _on_mined_tx(self, tx) -> None:
         if isinstance(tx, GenesisTx):
@@ -460,49 +462,28 @@ class ProducerActor(Actor, MeterMixin):
             peer_session_pk=peer_pk,
         )
 
-    def _on_ctp(self, ctp: CTPTx, now: int) -> None:
-        """Hold a commitment whose id checks out for ``_match_ctps``.
+    def _on_ctp(self, ctp: CTPTx, dest_pk: bytes) -> None:
+        """Claim a commitment that matches an unclaimed contract; decline
+        any other at once, and count it as a mismatch only when the offer it
+        is addressed to holds an unclaimed contract at its price.
 
-        Only ``check_id`` runs on arrival: most commitments a producer hears
-        match none of its contracts, so their signatures are never needed.
+        ``check_structure`` runs last, just before a claim or a count.
         """
-        if check_id(ctp)[0] is None:
+        pending = self.contracts.get(ctp.contract_hash)
+        if pending is not None:
+            if (
+                not pending.claimed
+                and ctp.price == pending.terms.total_price
+                and check_structure(ctp)[0]
+            ):
+                self._accept_commitment(ctp, pending)
             return
-        # agreements travel over the backbone and may land a couple of ticks
-        # after the commitment gossip, so unmatched commitments wait briefly
-        self.unmatched_ctps.append((ctp, now))
-
-    def _match_ctps(self, now: int) -> None:
-        """Claim each commitment that matches an unclaimed contract; after
-        10 ticks, decline one that never matched.
-
-        Check order: contract, price, and ``check_structure`` last, just
-        before a claim or a declined count. No decision changes from
-        checking on arrival: a commitment is acted on only when
-        ``check_structure`` accepts it, and one not acted on is dropped
-        either way, now without a signature check.
-        """
-        still: List[Tuple[CTPTx, int]] = []
-        for ctp, arrived in self.unmatched_ctps:
-            pending = self.contracts.get(ctp.contract_hash)
-            if pending is not None:
-                if (
-                    not pending.claimed
-                    and ctp.price == pending.terms.total_price
-                    and check_structure(ctp)[0]
-                ):
-                    self._accept_commitment(ctp, pending)
-                continue
-            if now - arrived < 10:
-                still.append((ctp, arrived))
-                continue
-            # never matched: decline; flag it when the price points at us
-            if any(
-                not c.claimed and c.terms.total_price == ctp.price
-                for c in self.contracts.values()
-            ) and check_structure(ctp)[0]:
-                self.world.metrics.bump("ctp_declined_mismatch")
-        self.unmatched_ctps = still
+        if any(
+            not c.claimed and c.terms.total_price == ctp.price
+            and c.offer.keypair.public == dest_pk
+            for c in self.contracts.values()
+        ) and check_structure(ctp)[0]:
+            self.world.metrics.bump("ctp_declined_mismatch")
 
     def _accept_commitment(self, ctp: CTPTx, pending: PendingContract) -> None:
         pending.claimed = True
@@ -789,7 +770,8 @@ class ConsumerActor(Actor, MeterMixin):
         self.attempt = None
 
     def _commit(self, attempt: TradeAttempt, unit_price: int, nonce: bytes, now: int) -> None:
-        """Agreement reached: derive terms and broadcast the commitment."""
+        """Agreement reached: derive terms, route the commitment to the
+        offer, and gossip it to the miners."""
         terms = ContractTerms(
             energy_amount=attempt.amount,
             unit_price=unit_price,
@@ -824,6 +806,9 @@ class ConsumerActor(Actor, MeterMixin):
         if self.behavior != "bad_hash" and self.meter is not None:
             self.meter.register_contract(terms, ctp)
         self.world.metrics.bump("ctp_broadcast")
+        # it follows the acceptance along the same path, so the producer has
+        # agreed by the time it lands
+        self.world.send_routed(self, attempt.session.public, attempt.account_pk, ctp)
         self.world.broadcast_tx(ctp)
 
     # -- adversarial behaviors ---------------------------------------------------

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from ..ledger import Blockchain, GENESIS_PREV
-from ..transactions import check_id_and_signature
+from ..transactions import MINEABLE_TAGS, check_id_and_signature
 from .config import parse_config
 from .scenarios import SCENARIOS, run_scenario
 
@@ -97,6 +97,8 @@ def _cmd_replay(args) -> int:
             problems.append("miner-sign")
         if not all(check_id_and_signature(tx)[0] for tx in block.txs):
             problems.append("tx")
+        if any(tx.tag not in MINEABLE_TAGS for tx in block.txs):
+            problems.append("kind")  # negotiations and commitments are never mined
         kinds = {}
         for tx in block.txs:
             kinds[tx.kind] = kinds.get(tx.kind, 0) + 1

@@ -23,14 +23,15 @@ _PING_PREFIX = bytes([TAG_PING])
 
 @dataclass
 class TxGossip:
-    """A transaction broadcast to every network participant."""
+    """A transaction gossiped to the miners, which admit it to their
+    mempools or, for a commitment, to their pending databases."""
 
     tx: Transaction
 
 
 @dataclass
 class ClaimGossip:
-    """A producer's claim, broadcast to every network participant."""
+    """A producer's claim, gossiped to the miners and the buyers."""
 
     claim: ProducerClaim
 

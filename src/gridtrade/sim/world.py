@@ -272,18 +272,21 @@ class World:
         self.send(entry, env)
 
     def broadcast_tx(self, tx) -> None:
+        """Send a transaction to every miner. Traders read mined
+        transactions from blocks, and a commitment reaches its producer
+        routed to the offer."""
         if isinstance(tx, CTPTx):
             self.ctp_contract[tx.t_id] = tx.contract_hash
         gossip = TxGossip(tx)
-        for dest in self.network_actor_ids:
-            self.send(dest, gossip)
+        for actor in self.miner_actors:
+            self.send(actor.id, gossip)
 
     def broadcast_claim(self, claim) -> None:
-        """Send a producer's claim to every participant: miners settle by
-        it, and buyers stop trying for the offer it names."""
+        """Send a producer's claim to miners, which settle by it, and to
+        buyers, which stop trying for the offer it names."""
         gossip = ClaimGossip(claim)
-        for dest in self.network_actor_ids:
-            self.send(dest, gossip)
+        for actor in (*self.miner_actors, *self.consumer_actors):
+            self.send(actor.id, gossip)
 
     def broadcast_block(self, block) -> None:
         gossip = BlockGossip(block)

@@ -124,8 +124,12 @@ def test_criterion_03_malicious_consumer_defense():
         delivered = sum(
             rec.delivered for meter in cheat_meters for rec in meter.records.values()
         )
-        if delivered != 0 or not result.passed:
-            bad_trials.append((seed, delivered))
+        # each bad-hash buyer's commitment is declined once, by the offer it
+        # names; 2-4 while every producer guessed a mismatch by price alone
+        bad_hash = sum(c.behavior == "bad_hash" for c in result.world.consumer_actors)
+        declined = result.metrics.get("ctp_declined_mismatch")
+        if delivered != 0 or declined != bad_hash or not result.passed:
+            bad_trials.append((seed, delivered, declined))
     _report(
         3,
         "malicious_consumer_defense",

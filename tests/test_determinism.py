@@ -3,9 +3,17 @@
 The SHA-256 values below were recorded before the pending-DB and verify
 caches existed; the honest ones (``none`` and the honest workload) were
 re-recorded when buyers began to drop an offer once they hear its
-producer's claim. A change that only makes the program faster must leave
-every one of them unchanged; a change that alters protocol behaviour on
-purpose re-records them and says why.
+producer's claim. The ``metrics.kv`` halves of ``none``,
+``malicious_producer``, ``malicious_consumer``, ``coe_forgery`` and the
+honest workload were re-recorded again when each commitment began to
+travel routed to its offer: every routed commitment adds one envelope to
+``messages_routed``, ``messages_delivered``, ``naive_broadcast_messages``,
+``trace_hops_total`` and the ``load.*`` lines, and
+``ctp_declined_mismatch`` now counts only a commitment that names no
+contract of the offer it is addressed to while that offer holds an
+unclaimed one at its price. No chain dump moved. A change that only makes
+the program faster must leave every one of them unchanged; a change that
+alters protocol behaviour on purpose re-records them and says why.
 """
 
 import hashlib
@@ -17,14 +25,14 @@ from gridtrade.sim.scenarios import SCENARIOS
 
 # (preset, seed) -> (sha256 of chain_dump, sha256 of metrics.render_kv())
 GOLDEN = dict([
-    (("none", 1), ("526c83369b7f69e1e48a965e449a6175270b8fd116a3d6e7d7735467850c20ca", "2c9bd4f25eaf67012bb7dd2bcf1d16cbfe4be2b458589075354c90ad10c59b97")),
-    (("none", 2), ("5d84db7e4a5dcd171367b46586f35b2fe8540a26da6742033cc50c275a892302", "8ce0e3757767f48adaee926e295ca2994161240afd67fba66b78b5ff4bae03a2")),
-    (("malicious_producer", 1), ("dddc6d7d1338a7a09a52f702cb1d8d83f6ac6c082a5a13cb1380cf1fce1e6359", "24a242c9d74b9ebe9dd96be6a1a6ca96436e7162eb33a6dafa6c9b68552f199e")),
-    (("malicious_producer", 2), ("da6648e957cb6186f49a81d0bdfebc570b96cbb3632286dd2da5c06f0f856e33", "cc926452899daf7140c0a0987fc3212f1802d480edc0fcbeca1ab0aa45673393")),
-    (("malicious_consumer", 1), ("c00280119b31c74576ed1482cbde13741b4802b78b330422d1d1335f25a21b59", "faaa86a3e2bb9c636457bce30e778a1e7e42ec4e11ef1a55ea7757de2ecd5598")),
-    (("malicious_consumer", 2), ("0442f84138d9f0bcb62879e6f1c55bfda3a4fbd9256d453bfe9acb1d4e67ddd0", "e7b32fbfa2e86a5821a54314b27ae759f9ef0f590e25c85f7d3797bac3875773")),
-    (("coe_forgery", 1), ("0ecfd27ae075a963ac3350907bf3eaa9a5d1068f8ea85dacd45ecb5ebff23ef8", "8a5fe69696f6ee8f92b6a903fb0d8c7685721180b657ee36922eb9d93cedec37")),
-    (("coe_forgery", 2), ("86e81eae3ae6f8b6482070cb25745f43eca404db977b8dbd760a7efaff61bcd0", "8c72aceb3193a04610586bb4e3c10550a44427b8aa3ac9594134b263744fa04a")),
+    (("none", 1), ("526c83369b7f69e1e48a965e449a6175270b8fd116a3d6e7d7735467850c20ca", "072e69f26b441ada662fc50513b187bc919582954d9fb14e223aa2884ba53905")),
+    (("none", 2), ("5d84db7e4a5dcd171367b46586f35b2fe8540a26da6742033cc50c275a892302", "8362ccd020ca5b623aae6d71d6c5e1728cad2debc98a8275c77ac8fe2b479d20")),
+    (("malicious_producer", 1), ("dddc6d7d1338a7a09a52f702cb1d8d83f6ac6c082a5a13cb1380cf1fce1e6359", "c99bb72a291f5ac56ba3d82b68876c4d2624a98eac90e897780c4cff152f7185")),
+    (("malicious_producer", 2), ("da6648e957cb6186f49a81d0bdfebc570b96cbb3632286dd2da5c06f0f856e33", "2068e674ec795254eed053eb1166b8fd1c61362958561f02e3a57f57afa15d14")),
+    (("malicious_consumer", 1), ("c00280119b31c74576ed1482cbde13741b4802b78b330422d1d1335f25a21b59", "900cf9a2d3f1fed9e13df7cec801eac35d7690ffe7249f3add8953cc952ea76f")),
+    (("malicious_consumer", 2), ("0442f84138d9f0bcb62879e6f1c55bfda3a4fbd9256d453bfe9acb1d4e67ddd0", "806af997a3bd6c07d6ebc250d6ff022fd578091b6abc5f8314bc0794919795ca")),
+    (("coe_forgery", 1), ("0ecfd27ae075a963ac3350907bf3eaa9a5d1068f8ea85dacd45ecb5ebff23ef8", "a2fc7afc48f10c98a663b3768a6b6c11189177d8107331d934aa6348f26db86b")),
+    (("coe_forgery", 2), ("86e81eae3ae6f8b6482070cb25745f43eca404db977b8dbd760a7efaff61bcd0", "3ef7e5620703e5f883b71690282415b924c2fc1af0db8ee479cd25cb2111632c")),
     (("double_spend", 1), ("b0351a583390ccf6518dda9d36bf28d7785dec92b53f878f2adb4b8bc5bf3bc5", "4810c671353f998aad0fb31afc83b74a5fbf0bbddbf95b2967d7ef50f3aff629")),
     (("double_spend", 2), ("b4235f660c74abcae11e8386dae1b63fbf293bd3debe70cccde20df2993e6617", "72db304df6451be2f6ebeb41a3d50f29e2d993bac0de7c2f653ab1a5ccb73d5c")),
     (("negotiation_flood", 1), ("9db65b889699e3360e76dc9634cfeb43f83cbc8db2e34c91ef533b8e978f4e8b", "ad80d038c6292f1dd839c48cb9e33a313c6ced94c53d09892385bb6825c705be")),
@@ -45,18 +53,19 @@ ROUTING_CHATTER_GOLDEN = (
 
 
 # The honest benchmark workload at seeds 1 and 6, recorded once buyers dropped
-# offers named by a producer's claim. At this scale many consumers scan the
+# offers named by a producer's claim, the metrics half again once commitments
+# were routed to their offers. At this scale many consumers scan the
 # book and several receipts fall due in one tick, which the small presets
 # above do not exercise.
 HONEST_N32 = dict(producers=32, consumers=32, miners=5, backbones=4, ticks=1500)
 HONEST_N32_GOLDEN = {
     1: (
         "695465874a691656c92de75617d893500edbb9466d07e3470a21db495e55c0b2",
-        "1e93f9fd2a07ac2552f068d013829063f0181718a6c477654a1055e6d42be341",
+        "b554cf92ade26d556355aebb3645f0bca3f35a464f1f6a7b86ff3110a82680a4",
     ),
     6: (
         "9f7ef63946238db3044ec74addf82f68573112232b9d50456f4e9e1a061272d4",
-        "8946ec24d495f36f7d4ea9ad7610f982b298f6d91129a647c72441193c1a3d11",
+        "25429ce5a30d667a1a2e99483ce30f7a49a9782716b1c42487a7ce5fe1f5d6d9",
     ),
 }
 

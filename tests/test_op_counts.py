@@ -196,7 +196,7 @@ def test_chatter_skips_ping_decoding_and_empty_duties(chatter_calls):
     # the package
     calls, _ = chatter_calls
     assert calls["_on_routed"] > 10000
-    for name in ("decode_routed_payload", "_match_ctps", "_deliver", "_pump_meter_receipts"):
+    for name in ("decode_routed_payload", "_deliver", "_pump_meter_receipts"):
         assert calls[name] == 0, name
 
 
@@ -242,6 +242,8 @@ def test_trade_attempts_on_honest_n32():
     assert result.passed
     assert result.metrics.get("settlements") == 64
     assert result.metrics.get("negotiations_started") <= 82
+    # 18 while producers heard every commitment and declined by price alone
+    assert result.metrics.get("ctp_declined_mismatch") == 0
     # 353 while a tip swap put back what the rival block had mined too
     assert stale["trial_applies"] == 0
 

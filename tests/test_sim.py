@@ -15,8 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridtrade.arb import make_join
-from gridtrade.crypto import KeyPair, hash_bytes
-from gridtrade.ledger import Miner, ProducerClaim, make_producer_claim
+from gridtrade.crypto import KeyPair, hash_bytes, sign
+from gridtrade.ledger import (
+    GENESIS_PREV,
+    Block,
+    Blockchain,
+    Miner,
+    ProducerClaim,
+    make_producer_claim,
+)
 from gridtrade.sim import (
     ScenarioConfig,
     format_config,
@@ -215,7 +222,18 @@ class TestScenarios:
                 trials["stale"] += sum(tx.t_id in on_chain for tx in miner.mempool)
             return mine(miner, now)
 
+        sends = Counter()
+        send = World.send
+
+        def counting_send(world, dest_id, payload):
+            sends["all"] += 1
+            reader = type(world.actors.get(dest_id)).__name__
+            if isinstance(payload, (TxGossip, ClaimGossip)):
+                sends[type(payload).__name__, reader] += 1
+            return send(world, dest_id, payload)
+
         monkeypatch.setattr(Miner, "mine", counting_mine)
+        monkeypatch.setattr(World, "send", counting_send)
         config = preset(
             "none", producers=128, consumers=128, miners=5, backbones=4, ticks=1500, seed=1
         )
@@ -223,6 +241,13 @@ class TestScenarios:
         assert result.passed, [v.line() for v in result.metrics.verdicts if not v.passed]
         assert result.metrics.get("offers_posted") == 256
         assert result.metrics.get("settlements") == 256
+        # 1,720 sends per settlement while every transaction and claim went to
+        # every participant; now gossip reaches only the actors that read it
+        assert sends["all"] / 256 <= 557
+        assert sends["TxGossip", "MinerActor"] > 0 and sends["ClaimGossip", "ConsumerActor"] > 0
+        for reader in ("ProducerActor", "ConsumerActor"):
+            assert sends["TxGossip", reader] == 0, reader
+        assert sends["ClaimGossip", "ProducerActor"] == 0
         # 22,032 stale trial-applies while a tip swap put back what the rival
         # block had mined too; every mined transaction leaves every mempool
         assert trials["entries"] > 0
@@ -759,8 +784,9 @@ class TestMalformedBlock:
 
 
 class TestProducerIntake:
-    """A producer checks a commitment's id on arrival and its signature only
-    before it claims the commitment or counts it as declined."""
+    """A commitment reaches its producer routed to the offer's account key,
+    behind the agreement, so it is claimed or declined on arrival; its
+    signature is checked only before a claim or a declined count."""
 
     def _producer_with_contract(self):
         world = World(preset("none", seed=1))
@@ -778,14 +804,18 @@ class TestProducerIntake:
         ctp = replace(ctp, sign=bytes([ctp.sign[0] ^ 1]) + ctp.sign[1:])
         return replace(ctp, t_id=compute_t_id(ctp))
 
+    @staticmethod
+    def _route(actor, ctp, dest_pk, now):
+        env = Routed(dest_pk=dest_pk, payload=encode_routed_payload(ctp), trace=["arb-0"])
+        actor.on_message(env, now)
+
     def test_forged_commitment_is_never_claimed(self):
         world, producer, pending, claims, payer, contract_hash = self._producer_with_contract()
+        offer_pk = pending.offer.keypair.public
         genuine = make_ctp(1, 500, pending.terms.total_price, contract_hash, payer)
-        producer.on_message(TxGossip(self._forged(genuine)), 1)
-        producer._match_ctps(2)
+        self._route(producer, self._forged(genuine), offer_pk, 1)
         assert claims == [] and not pending.claimed
-        producer.on_message(TxGossip(genuine), 3)
-        producer._match_ctps(4)
+        self._route(producer, genuine, offer_pk, 2)
         assert [claim.ctp_id for claim in claims] == [genuine.t_id] and pending.claimed
 
     @pytest.mark.parametrize(
@@ -813,22 +843,40 @@ class TestProducerIntake:
         genuine = make_ctp(1, 500, pending.terms.total_price, contract_hash, payer)
         if field == "contract_hash" and isinstance(value, bytearray):
             value = bytearray(contract_hash)  # names the pending contract byte for byte
-        producer.on_message(TxGossip(replace(genuine, **{field: value})), 1)
-        for now in (2, 12, 20):
-            producer._match_ctps(now)
-        assert producer.unmatched_ctps == [] and claims == [] and not pending.claimed
+        bad = replace(genuine, **{field: value})
+        with pytest.raises((ValueError, TypeError, AttributeError)):
+            encode_routed_payload(bad)  # so it cannot travel to the producer
+        producer.on_message(TxGossip(bad), 1)  # a producer reads no gossiped transaction
+        assert claims == [] and not pending.claimed and world._outbox == []
         assert world.metrics.get("ctp_declined_mismatch") == 0
 
+    def test_commitment_routed_to_a_consumer_is_dropped(self):
+        world, _, pending, claims, payer, contract_hash = self._producer_with_contract()
+        consumer = world.consumer_actors[1]
+        counters = dict(world.metrics.counters)
+        ctp = make_ctp(1, 500, pending.terms.total_price, contract_hash, payer)
+        self._route(consumer, ctp, consumer.account.public, 1)
+        assert world.metrics.counters == counters and world._outbox == [] and claims == []
+
     @pytest.mark.parametrize("forged", [False, True], ids=["genuine", "forged"])
-    def test_unmatched_commitment_is_declined_after_ten_ticks(self, forged):
+    def test_unmatched_commitment_is_declined_on_arrival(self, forged):
         world, producer, pending, claims, payer, _ = self._producer_with_contract()
         ctp = make_ctp(1, 500, pending.terms.total_price, hash_bytes(b"other"), payer)
-        producer.on_message(TxGossip(self._forged(ctp) if forged else ctp), 1)
-        producer._match_ctps(10)
-        assert world.metrics.get("ctp_declined_mismatch") == 0  # still waiting
-        producer._match_ctps(11)
-        assert producer.unmatched_ctps == [] and claims == []
+        self._route(producer, self._forged(ctp) if forged else ctp, pending.offer.keypair.public, 1)
+        assert claims == [] and not pending.claimed
         assert world.metrics.get("ctp_declined_mismatch") == (0 if forged else 1)
+
+    def test_declined_commitment_counts_only_for_the_offer_it_names(self):
+        world, producer, pending, claims, payer, _ = self._producer_with_contract()
+        other_offer = producer.offers[1]
+        assert other_offer is not pending.offer and not other_offer.reserved
+        ctp = make_ctp(1, 500, pending.terms.total_price, hash_bytes(b"other"), payer)
+        # the producer's other offer holds no contract, whatever its sibling holds
+        self._route(producer, ctp, other_offer.keypair.public, 1)
+        assert world.metrics.get("ctp_declined_mismatch") == 0
+        self._route(producer, ctp, pending.offer.keypair.public, 2)
+        assert world.metrics.get("ctp_declined_mismatch") == 1
+        assert claims == [] and not pending.claimed
 
 
 class TestReceiptPump:
@@ -965,6 +1013,23 @@ class TestCli:
         assert cli_main(["replay", "--chain-dump", str(bad)]) == 1
         out = capsys.readouterr().out
         assert out.startswith("invalid dump: ") and out.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["negotiation", "ctp"])
+    def test_replay_refuses_a_kind_that_is_never_mined(self, tmp_path, capsys, kind):
+        keypair = KeyPair.generate(Random(4))
+        tx = {
+            "negotiation": lambda: make_negotiation(keypair.public, 10, 0, 1, keypair),
+            "ctp": lambda: make_ctp(1, 500, 100, hash_bytes(b"contract"), keypair),
+        }[kind]()
+        block = Block(0, GENESIS_PREV, bytes(32), 0, keypair.public, b"", (tx,))
+        block = replace(block, miner_sign=sign(keypair, block.signing_digest()))
+        chain = Blockchain()
+        chain.append(block)
+        path = tmp_path / f"{kind}.dump"
+        path.write_bytes(chain.dump_bytes())
+        assert cli_main(["replay", "--chain-dump", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert f"[{kind}=1] BAD:kind" in out and "1 blocks: INVALID" in out
 
     @pytest.mark.parametrize(
         "argv,reason",
