@@ -19,7 +19,9 @@ Widening ``x`` rebuilds the table at finer granularity, cut along the
 load histogram of the overloaded window: observed traffic spreads evenly
 and the overloaded node takes the slimmest slice. The result is a total,
 disjoint partition, and skewed key populations can defeat the balancing,
-which callers surface as a metric rather than an error.
+which callers surface as a metric rather than an error. Callers widen
+``x`` at most to ``MAX_X``, and the traffic window feeds nothing but
+widening, so a backbone keeps it only while the table is narrower.
 """
 
 from __future__ import annotations
@@ -252,6 +254,9 @@ class BackboneNode:
         return hist
 
 
+MAX_X = 2  # the widest routing prefix, in bytes, the table may widen to
+
+
 class Mesh:
     """Full mesh of backbone nodes sharing one table.
 
@@ -276,15 +281,20 @@ class Mesh:
 
         Returns ("forward", responsible backbone) when another backbone
         owns dest_pk. Otherwise this node is responsible: it counts the
-        message in its traffic window and returns ("deliver", endpoint),
-        or ("drop", reason) for negotiation payloads past the offer limit
-        and for keys with no member.
+        message in ``handled`` (and, while the table is narrower than
+        ``MAX_X``, in its traffic window) and returns ("deliver",
+        endpoint), or ("drop", reason) for negotiation payloads past the
+        offer limit and for keys with no member.
         """
-        responsible_id = self.table.owner_of(dest_pk)
+        table = self.table
+        responsible_id = table.owner_of(dest_pk)
         if responsible_id != node_id:
             return "forward", responsible_id
         node = self.nodes[node_id]
-        node.note_traffic(dest_pk, now)
+        if table.x < MAX_X:  # the window is read only to decide a widening
+            node.note_traffic(dest_pk, now)
+        else:
+            node.handled += 1
         round_counter = negotiation_round(payload)
         if round_counter is not None and round_counter > node.offer_limit:
             return "drop", "offer limit exceeded"

@@ -53,6 +53,7 @@ from .messages import (
 NEGOTIATION_TIMEOUT = 40  # ticks a buyer gives an attempt to reach a commitment
 FLOOD_OFFERS = 50  # negotiation messages the flooding consumer sends
 FORGERY_ATTEMPTS = 50  # forged receipts the forger sends
+_LOAD_PING = Ping(b"load")  # every chatter ping; a Ping is immutable, so one is shared
 
 
 class Actor:
@@ -82,39 +83,38 @@ class BackboneActor(Actor):
         self.node_id = node_id
 
     def on_message(self, payload, now: int) -> None:
-        if isinstance(payload, Routed):
-            self._route(payload, now)
+        world = self.world
+        if isinstance(payload, Routed):  # one backbone hop
+            trace = payload.trace
+            trace.append(self.node_id)
+            try:
+                action, target = world.mesh.next_hop(
+                    self.node_id, payload.dest_pk, payload.payload, now
+                )
+            except TypeError:  # a dest_pk that is not bytes: count and drop
+                world.metrics.bump("routed_malformed")
+                return
+            if action == "forward":
+                if len(trace) >= 5:  # sender and four backbones: needs an inconsistent table
+                    world.metrics.bump("routing_loops")
+                    return
+                world.send(target, payload)
+            elif action == "deliver":
+                trace.append(target)
+                counters = world.metrics.counters  # the hot path skips Metrics.bump
+                counters["messages_delivered"] = counters.get("messages_delivered", 0) + 1
+                counters["trace_hops_total"] = counters.get("trace_hops_total", 0) + len(trace) - 1
+                world.send(target, payload)
+            else:
+                world.metrics.bump(_DROP_COUNTERS[target])
         elif isinstance(payload, JoinRequest):
             join = payload.join
             if not isinstance(join, JoinMessage):  # nothing to answer: count and drop
-                self.world.metrics.bump("join_rejected")
+                world.metrics.bump("join_rejected")
                 return
-            ok, reason = self.world.mesh.join(self.node_id, join)
-            self.world.metrics.bump("join_accepted" if ok else "join_rejected")
-            self.world.send(payload.reply_to, JoinAck(join.pk, ok, reason))
-
-    def _route(self, env: Routed, now: int) -> None:
-        world = self.world
-        trace = env.trace
-        trace.append(self.node_id)
-        try:
-            action, target = world.mesh.next_hop(self.node_id, env.dest_pk, env.payload, now)
-        except TypeError:  # a dest_pk that is not bytes: count and drop
-            world.metrics.bump("routed_malformed")
-            return
-        if action == "forward":
-            if len(trace) >= 5:  # sender and four backbones: needs an inconsistent table
-                world.metrics.bump("routing_loops")
-                return
-            world.send(target, env)
-        elif action == "deliver":
-            trace.append(target)
-            counters = world.metrics.counters  # the hot path skips Metrics.bump
-            counters["messages_delivered"] = counters.get("messages_delivered", 0) + 1
-            counters["trace_hops_total"] = counters.get("trace_hops_total", 0) + len(trace) - 1
-            world.send(target, env)
-        else:
-            world.metrics.bump(_DROP_COUNTERS[target])
+            ok, reason = world.mesh.join(self.node_id, join)
+            world.metrics.bump("join_accepted" if ok else "join_rejected")
+            world.send(payload.reply_to, JoinAck(join.pk, ok, reason))
 
 
 class MinerActor(Actor):
@@ -863,8 +863,9 @@ class ConsumerActor(Actor, MeterMixin):
         dest = self.world.pick_ping_target(self.rng)
         if dest is None:
             return
-        self.world.metrics.bump("pings_sent")
-        self.world.send_routed(self, self.account.public, dest, Ping(b"load"))
+        counters = self.world.metrics.counters  # the hot path skips Metrics.bump
+        counters["pings_sent"] = counters.get("pings_sent", 0) + 1
+        self.world.send_routed(self, self.account.public, dest, _LOAD_PING)
 
     # -- messages -------------------------------------------------------------------
 

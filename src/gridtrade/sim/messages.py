@@ -54,7 +54,7 @@ class JoinAck:
     reason: Optional[str] = None
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Ping:
     """Opaque routed traffic used by load scenarios."""
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from random import Random
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..arb import Mesh, make_join
+from ..arb import MAX_X, Mesh, make_join
 from ..crypto import Certificate, KeyPair, PublicKey, hash_bytes, issue_certificate
 from ..ledger import Ledger, LedgerConfig, Miner
 from ..meter import SmartMeter, provision_meter
@@ -51,7 +51,6 @@ from .metrics import Metrics
 
 
 X_INITIAL = 1  # routing-prefix bytes the mesh starts with
-MAX_X = 2  # the widest prefix rebalancing may reach
 OVERLOAD_THRESHOLD = 60  # a backbone's window load past which the prefix widens
 BURN_THRESHOLD = 100  # least coin a coin-burn genesis must burn
 INITIAL_BALANCE = 1000  # coin each consumer account starts with
@@ -76,6 +75,7 @@ class World:
         self.actors: Dict[str, Actor] = {}
         self.miner_actors: List[MinerActor] = []
         self.step_actors: List[Actor] = []
+        self._loss_rate = config.message_loss_rate
         self._loss_rng = child_rng(config.seed, "loss")
         # verdict bookkeeping
         self.contracts: Dict[bytes, dict] = {}
@@ -244,7 +244,7 @@ class World:
     # -- messaging ------------------------------------------------------------
 
     def send(self, dest_id: str, payload: object) -> None:
-        loss_rate = self.config.message_loss_rate
+        loss_rate = self._loss_rate
         if loss_rate > 0.0 and self._loss_rng.random() < loss_rate:
             self.metrics.bump("messages_lost")
             return

@@ -143,6 +143,8 @@ class U64Field(Field):
     size = 8
 
     def encode(self, value: int) -> bytes:
+        if type(value) is not int:  # a bool too: True would encode as 1
+            raise ValueError(f"{self.label} must be an int, got {type(value).__name__}")
         if not 0 <= value < 1 << 64:
             raise ValueError(f"{self.label} {value} out of u64 range")
         return value.to_bytes(8, "big")

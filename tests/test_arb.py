@@ -10,6 +10,7 @@ from gridtrade.arb import (
     BackboneNode,
     DHTTable,
     JoinMessage,
+    MAX_X,
     Mesh,
     build_dht,
     make_join,
@@ -358,3 +359,28 @@ class TestLoadWindow:
         node.note_traffic(b"\x01\x02" + bytes(62), 1)
         assert node.window_histogram(1) == {0x01: 3}
         assert node.window_histogram(2) == {0x0102: 2, 0x0103: 1}
+
+    @staticmethod
+    def _mesh_with_member(x):
+        mesh = Mesh(["b0", "b1", "b2"], x, offer_limit=5)
+        kp = KeyPair.generate(Random(10))
+        assert mesh.join(mesh.table.owner_of(kp.public), make_join(kp, "node-0"))[0]
+        return mesh, kp.public
+
+    def test_next_hop_fills_the_window_below_max_x(self):
+        mesh, pk = self._mesh_with_member(MAX_X - 1)
+        node = mesh.nodes[mesh.table.owner_of(pk)]
+        for now in range(3):
+            assert mesh.next_hop(node.node_id, pk, b"x", now) == ("deliver", "node-0")
+        assert list(node.recent) == [(0, pk), (1, pk), (2, pk)]
+        assert node.handled == 3
+
+    def test_next_hop_only_counts_once_the_table_is_at_max_x(self):
+        mesh, pk = self._mesh_with_member(MAX_X - 1)
+        mesh.widen(MAX_X, {}, overloaded="b0")
+        assert mesh.table.x == MAX_X
+        node = mesh.nodes[mesh.table.owner_of(pk)]
+        for now in range(3):
+            assert mesh.next_hop(node.node_id, pk, b"x", now) == ("deliver", "node-0")
+        assert node.handled == 3
+        assert not node.recent and node.window_load() == 0

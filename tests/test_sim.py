@@ -844,7 +844,7 @@ class TestProducerIntake:
         if field == "contract_hash" and isinstance(value, bytearray):
             value = bytearray(contract_hash)  # names the pending contract byte for byte
         bad = replace(genuine, **{field: value})
-        with pytest.raises((ValueError, TypeError, AttributeError)):
+        with pytest.raises(ValueError):
             encode_routed_payload(bad)  # so it cannot travel to the producer
         producer.on_message(TxGossip(bad), 1)  # a producer reads no gossiped transaction
         assert claims == [] and not pending.claimed and world._outbox == []

@@ -208,6 +208,17 @@ class TestDomainRules:
         assert check_structure(msg) == (True, None)
 
 
+    @pytest.mark.parametrize(
+        "price", [1.5, "60", None, True, False], ids=["float", "str", "none", "true", "false"]
+    )
+    def test_u64_field_refuses_what_is_not_an_int(self, price):
+        # a bool would encode as 0 or 1, and the others raised AttributeError
+        # or TypeError instead of the ValueError every field raises
+        ctp = replace(make_ctp(10, 110, 60, hash_bytes(b"c"), KEYS[0]), price=price)
+        with pytest.raises(ValueError, match="must be an int"):
+            encode_canonical(ctp)
+
+
 class TestWireDeclaration:
     @pytest.mark.parametrize("cls", [GenesisTx, SupplyEnergyTx, NegotiationMsg, CTPTx, ERCTx])
     def test_declaration_names_the_fields_between_id_and_signature(self, cls):
