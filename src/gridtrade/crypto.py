@@ -41,8 +41,6 @@ HashDigest = bytes
 PublicKey = bytes
 Signature = bytes
 
-ZERO_DIGEST = b"\x00" * DIGEST_LEN
-
 
 class DecryptionError(Exception):
     """Ciphertext could not be opened with the supplied private key."""

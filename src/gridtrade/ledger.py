@@ -16,7 +16,9 @@ kWh, and the commitment leaves the pending database for good.
 The receipt itself never names the producer or the kWh (the contract hash
 hides them), so producers broadcast a signed claim binding a pending
 commitment to their account and the contracted energy. Claims, like
-commitments, are never mined: each miner keeps them in its own ledger.
+commitments, are never mined: each miner keeps a claim beside the
+commitment it binds, in the pending database, and drops it with that
+commitment when it settles or expires.
 
 Every change to a ledger appends its inverse to an undo journal, like
 Bitcoin Core's per-block undo data. ``rollback(mark)`` undoes everything
@@ -33,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from random import Random
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .crypto import (
     DIGEST_LEN,
@@ -128,10 +130,6 @@ class Journal(list):
         self.changes += 1
         list.append(self, record)
 
-    def __iadd__(self, records: list) -> "Journal":
-        self.changes += len(records)
-        return list.__iadd__(self, records)
-
     def pop(self) -> tuple:
         self.changes += 1
         return list.pop(self)
@@ -140,9 +138,10 @@ class Journal(list):
 class CTPDatabase:
     """Miner-local store of pending, unmined payment commitments.
 
-    ``entries`` maps each commitment id to ``(tx, admitted_at)``. Alongside
-    it the database keeps state derived from the entries, so that reads do
-    no work proportional to the database size:
+    ``entries`` maps each commitment id to ``(tx, admitted_at)``, and
+    ``claims`` maps a pending commitment's id to the producer's claim on
+    it. Alongside them the database keeps state derived from the entries,
+    so that reads do no work proportional to the database size:
 
     - ``_encoded``: each entry's canonical encoding, made once on insert;
     - ``_pending``: each payer's running sum of pending prices;
@@ -150,17 +149,20 @@ class CTPDatabase:
     - ``_next_expiry``: no entry expires before it, so a sweep at an
       earlier tick returns at once.
 
-    Invariant: the database changes only through ``insert``, ``remove`` and
-    ``sweep_expired``; each appends its inverse, derived state included, to
-    its ledger's ``Journal`` as ``ctp_db`` records, so every change moves
-    the journal's ``changes`` count. After each, ``_encoded`` has exactly
-    the keys of ``entries``, each ``_pending`` value equals the sum over
+    Invariant: the database changes only through ``insert``, ``remove``,
+    ``sweep_expired`` and ``claim``; each appends its inverse, derived
+    state included, to its ledger's ``Journal`` as ``ctp_db`` records, so
+    every change moves the journal's ``changes`` count. After each, the
+    keys of ``claims`` are a subset of the keys of ``entries``, because
+    ``remove`` drops an entry's claim with it; ``_encoded`` has exactly the
+    keys of ``entries``, each ``_pending`` value equals the sum over
     ``entries`` for that payer, and a non-None ``_digest`` equals the
     digest recomputed from ``entries``. ``clone`` copies all of it.
     """
 
     def __init__(self, journal: Optional[Journal] = None):
         self.entries: Dict[HashDigest, Tuple[CTPTx, int]] = {}
+        self.claims: Dict[HashDigest, ProducerClaim] = {}
         self._encoded: Dict[HashDigest, bytes] = {}
         self._pending: Dict[PublicKey, int] = {}
         self._digest: Optional[HashDigest] = None
@@ -197,22 +199,38 @@ class CTPDatabase:
         self._next_expiry, self._digest = next_expiry, digest
 
     def remove(self, ctp_id: HashDigest) -> None:
+        """Drop the entry and its claim, if any."""
         if ctp_id not in self.entries:
             return
         position = list(self.entries).index(ctp_id)
         entry = self.entries.pop(ctp_id)
         tx = entry[0]
-        undo = (CTPDatabase._unremove, position, entry, self._encoded.pop(ctp_id), self._digest)
+        claimed = None
+        if ctp_id in self.claims:
+            claimed = (list(self.claims).index(ctp_id), self.claims.pop(ctp_id))
+        encoded = self._encoded.pop(ctp_id)
+        undo = (CTPDatabase._unremove, position, entry, encoded, claimed, self._digest)
         self._journal.append(("ctp_db", *undo))
         self._pending[tx.pk] -= tx.price
         self._digest = None  # _next_expiry stays a valid lower bound
 
-    def _unremove(self, position: int, entry, encoded: bytes, digest) -> None:
+    def _unremove(self, position: int, entry, encoded: bytes, claimed, digest) -> None:
         tx = entry[0]
         _insert_at(self.entries, position, tx.t_id, entry)
+        if claimed is not None:
+            claim_position, claim = claimed
+            _insert_at(self.claims, claim_position, tx.t_id, claim)
         self._encoded[tx.t_id] = encoded
         self._pending[tx.pk] += tx.price
         self._digest = digest
+
+    def claim(self, claim: ProducerClaim) -> None:
+        """Keep ``claim`` beside the pending entry it names."""
+        self.claims[claim.ctp_id] = claim
+        self._journal.append(("ctp_db", CTPDatabase._unclaim, claim.ctp_id))
+
+    def _unclaim(self, ctp_id: HashDigest) -> None:
+        del self.claims[ctp_id]  # the newest claim, so the order of the rest holds
 
     def pending_total(self, pk: PublicKey) -> int:
         return self._pending.get(pk, 0)
@@ -250,6 +268,7 @@ class CTPDatabase:
     def clone(self, journal: Optional[Journal] = None) -> "CTPDatabase":
         other = CTPDatabase(journal)
         other.entries = dict(self.entries)
+        other.claims = dict(self.claims)
         other._encoded = dict(self._encoded)
         other._pending = dict(self._pending)
         other._digest = self._digest
@@ -442,17 +461,16 @@ VALIDATE_ERC_STEPS = ("a", "b", "c", "d", "e")
 class Ledger:
     """Deterministic account + pending-commitment state every miner runs.
 
-    Every change to the accounts, the pending database, the claims,
-    ``settled`` and ``settlements`` is journaled, so ``changes`` moves on
-    each of them.
+    ``settlements`` maps each settled commitment id to its record, in
+    settlement order; its keys are the settled set. Every change to the
+    accounts, the pending database with its claims, and ``settlements`` is
+    journaled, so ``changes`` moves on each of them.
     """
 
     def __init__(self, config: LedgerConfig):
         self.config = config
         self.accounts: Dict[PublicKey, AccountState] = {}
-        self.claims: Dict[HashDigest, ProducerClaim] = {}
-        self.settled: Set[HashDigest] = set()
-        self.settlements: List[SettlementRecord] = []
+        self.settlements: Dict[HashDigest, SettlementRecord] = {}
         # undo journal, oldest first: (name, undo, *args) is undone by undo(self.name, *args)
         self._journal = Journal()
         self.ctp_db = CTPDatabase(self._journal)
@@ -463,9 +481,7 @@ class Ledger:
         # so the copy can roll back too, and counts on from the same history
         other._journal = Journal(self._journal, self._journal.changes)
         other.ctp_db = self.ctp_db.clone(other._journal)
-        other.claims = dict(self.claims)
-        other.settled = set(self.settled)
-        other.settlements = list(self.settlements)
+        other.settlements = dict(self.settlements)
         return other
 
     # -- undo journal ----------------------------------------------------------
@@ -500,12 +516,6 @@ class Ledger:
             state = (acct.coin_balance, acct.energy_balance, acct.last_tx_id)
             self._journal.append(("accounts", _restore_account, pk, state))
         return acct
-
-    def _drop_claim(self, ctp_id: HashDigest) -> None:
-        if ctp_id in self.claims:
-            position = list(self.claims).index(ctp_id)
-            claim = self.claims.pop(ctp_id)
-            self._journal.append(("claims", _insert_at, position, ctp_id, claim))
 
     # -- scenario setup ----------------------------------------------------
 
@@ -579,7 +589,7 @@ class Ledger:
             return Result(False, reason)
         if tx.expiry_time <= now:
             return Result(False, "stale")
-        if tx.t_id in self.ctp_db or tx.t_id in self.settled:
+        if tx.t_id in self.ctp_db or tx.t_id in self.settlements:
             return Result(False, "duplicate")
         if tx.price > self.available_balance(tx.pk):
             return Result(False, "would double-spend")
@@ -591,10 +601,7 @@ class Ledger:
 
     def expire_ctps(self, now: int) -> List[HashDigest]:
         """Release every commitment past its expiry; idempotent at fixed now."""
-        released = self.ctp_db.sweep_expired(now)
-        for ctp_id in released:
-            self._drop_claim(ctp_id)
-        return released
+        return self.ctp_db.sweep_expired(now)
 
     def submit_claim(self, claim: ProducerClaim) -> Result:
         checked = check_claim_signature(claim)
@@ -610,10 +617,9 @@ class Ledger:
             return Result(False, "claimant has no energy account")
         if acct.energy_balance < claim.energy_kwh:
             return Result(False, "insufficient energy balance")
-        if claim.ctp_id in self.claims:
+        if claim.ctp_id in self.ctp_db.claims:
             return Result(False, "already claimed")
-        self.claims[claim.ctp_id] = claim
-        self._journal.append(("claims", dict.pop, claim.ctp_id))  # the newest claim
+        self.ctp_db.claim(claim)
         return Result(True)
 
     # -- receipt verification ------------------------------------------------
@@ -645,12 +651,12 @@ class Ledger:
 
     def settle(self, erc: ERCTx, producer_pk: PublicKey) -> Result:
         """Pay the producer and consume the commitment; runs once per ctp_id."""
-        if erc.ctp_id in self.settled:
+        if erc.ctp_id in self.settlements:
             return Result(False, "already settled")
         ctp = self.ctp_db.get(erc.ctp_id)
         if ctp is None:
             return Result(False, "no pending commitment")
-        claim = self.claims.get(erc.ctp_id)
+        claim = self.ctp_db.claims.get(erc.ctp_id)
         if claim is None or claim.producer_pk != producer_pk:
             return Result(False, "no matching claim")
         consumer = self.accounts.get(ctp.pk)
@@ -665,9 +671,7 @@ class Ledger:
         self._account(producer_pk).coin_balance += ctp.price
         producer.energy_balance -= claim.energy_kwh
         self.ctp_db.remove(erc.ctp_id)
-        self._drop_claim(erc.ctp_id)
-        self.settled.add(erc.ctp_id)
-        record = SettlementRecord(
+        self.settlements[erc.ctp_id] = SettlementRecord(
             ctp_id=erc.ctp_id,
             erc_id=erc.t_id,
             consumer_pk=ctp.pk,
@@ -675,8 +679,7 @@ class Ledger:
             price=ctp.price,
             energy_kwh=claim.energy_kwh,
         )
-        self.settlements.append(record)
-        self._journal += [("settled", set.remove, erc.ctp_id), ("settlements", list.pop)]
+        self._journal.append(("settlements", dict.pop, erc.ctp_id))  # the newest record
         return Result(True)
 
     # -- block application ---------------------------------------------------
@@ -691,7 +694,7 @@ class Ledger:
             valid, step = self.validate_erc(tx)
             if not valid:
                 return Result(False, f"receipt invalid at step {step}")
-            claim = self.claims.get(tx.ctp_id)
+            claim = self.ctp_db.claims.get(tx.ctp_id)
             if claim is None:
                 return Result(False, "unclaimed receipt")
             return self.settle(tx, claim.producer_pk)
@@ -735,8 +738,8 @@ class Miner:
         self.ledger = Ledger(config)
         self.chain = Blockchain()
         self.consensus_period = consensus_period
-        self.mempool: List[Transaction] = []
-        self._mempool_ids: Set[HashDigest] = set()
+        # transactions waiting to be mined, by t_id, in arrival order
+        self.mempool: Dict[HashDigest, Transaction] = {}
         self.next_mine_at: Optional[int] = None
         self.blocks_this_period = 0
         self.mined_periods: List[int] = []
@@ -756,17 +759,10 @@ class Miner:
     def add_to_mempool(self, tx: Transaction) -> bool:
         if tx.tag not in MINEABLE_TAGS:
             return False
-        if tx.t_id in self._mempool_ids:
+        if tx.t_id in self.mempool:
             return False
-        self.mempool.append(tx)
-        self._mempool_ids.add(tx.t_id)
+        self.mempool[tx.t_id] = tx
         return True
-
-    def _drop_from_mempool(self, t_ids: Set[HashDigest]) -> None:
-        if not t_ids:
-            return
-        self.mempool = [tx for tx in self.mempool if tx.t_id not in t_ids]
-        self._mempool_ids -= t_ids
 
     # -- mining ----------------------------------------------------------------
 
@@ -783,7 +779,7 @@ class Miner:
         ledger = self.ledger
         ctp_hash = ledger.ctp_db.digest()
         mark = ledger.mark()
-        packed = tuple(tx for tx in self.mempool if ledger.apply_tx(tx))
+        packed = tuple(tx for tx in self.mempool.values() if ledger.apply_tx(tx))
         ledger.rollback(mark)
         block = Block(
             height=self.chain.height,
@@ -866,17 +862,17 @@ class Miner:
         """
         ledger = current.clone()
         ledger.rollback(0)
-        settled_by_tip = {r.ctp_id for r in current.settlements[len(ledger.settlements) :]}
+        # a commitment pending before the tip that current has not settled
+        # was swept since: only a block settles, and the tip is the newest
         for ctp_id in list(ledger.ctp_db.entries):
-            if ctp_id not in current.ctp_db and ctp_id not in settled_by_tip:
-                ledger.ctp_db.remove(ctp_id)  # swept since the tip
-                ledger._drop_claim(ctp_id)
+            if ctp_id not in current.ctp_db and ctp_id not in current.settlements:
+                ledger.ctp_db.remove(ctp_id)
         # what the copy lacks now, current took in after the tip
         for ctp_id, (tx, admitted_at) in current.ctp_db.entries.items():
             if ctp_id not in ledger.ctp_db:
                 ledger.submit_ctp(tx, admitted_at)
-        for ctp_id, claim in current.claims.items():
-            if ctp_id not in ledger.claims:
+        for ctp_id, claim in current.ctp_db.claims.items():
+            if ctp_id not in ledger.ctp_db.claims:
                 ledger.submit_claim(claim)
         return ledger
 
@@ -896,7 +892,8 @@ class Miner:
                 return ApplyOutcome(False, f"invalid transaction: {result.reason}")
         ledger.forget_before(mark)
         self.chain.append(block)
-        self._drop_from_mempool({tx.t_id for tx in block.txs})
+        for tx in block.txs:
+            self.mempool.pop(tx.t_id, None)
         matched = block.ctp_hash == self.digest_as_of(block.timestamp)
         return ApplyOutcome(True, header_matched=matched)
 

@@ -14,9 +14,9 @@ amount has fully arrived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from random import Random
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from .crypto import (
     DIGEST_LEN,
@@ -85,17 +85,11 @@ class KeyPool:
 
     pairs: List[KeyPair]
     tree: MerkleTree
-    used: Set[int] = field(default_factory=set)
+    spent: int = 0  # keys are spent in leaf order, so this is the next unused leaf
 
     @property
     def root(self) -> HashDigest:
         return self.tree.root
-
-    def next_unused(self) -> Optional[int]:
-        for i in range(len(self.pairs)):
-            if i not in self.used:
-                return i
-        return None
 
 
 @dataclass(frozen=True)
@@ -282,8 +276,8 @@ class SmartMeter:
             raise MeterError("delivery incomplete")
         if now >= ctp.expiry_time:
             raise MeterError("commitment expired")
-        index = self.pool.next_unused()
-        if index is None:
+        index = self.pool.spent
+        if index == len(self.pool.pairs):
             raise MeterError("pool exhausted - regenerate keys and endorsement")
         leaf_pair = self.pool.pairs[index]
         proof = merkle_prove(self.pool.tree, index)
@@ -298,5 +292,5 @@ class SmartMeter:
             merkle_hashes=proof,
             keypair=leaf_pair,
         )
-        self.pool.used.add(index)
+        self.pool.spent += 1
         return erc

@@ -153,7 +153,7 @@ class MinerActor(Actor):
                 self.erc_rejections.append((tx.t_id, step))
                 self._bump(f"erc_invalid_{step}")
                 return
-            if tx.ctp_id not in self.miner.ledger.claims:
+            if tx.ctp_id not in self.miner.ledger.ctp_db.claims:
                 self._bump("erc_unclaimed")
                 return
             if self.miner.add_to_mempool(tx):

@@ -141,7 +141,7 @@ def _expected_balances(world: World) -> List[str]:
     """Exact-balance audit from the reference miner's settlement log."""
     ledger = world.ledger_view
     shifts: Dict[bytes, int] = {}
-    for record in ledger.settlements:
+    for record in ledger.settlements.values():
         shifts[record.consumer_pk] = shifts.get(record.consumer_pk, 0) - record.price
         shifts[record.producer_pk] = shifts.get(record.producer_pk, 0) + record.price
     problems = []
@@ -234,7 +234,7 @@ def _verdict_malicious_consumer(world: World, m: Metrics) -> None:
         ledger = world.ledger_view
         settled = sum(
             1
-            for record in ledger.settlements
+            for record in ledger.settlements.values()
             if record.consumer_pk in {c.account.public for c in silent}
         )
         m.add_verdict(
@@ -251,11 +251,7 @@ def _verdict_coe_forgery(world: World, m: Metrics) -> None:
         f"sent={sent} want={FORGERY_ATTEMPTS}",
     )
     reference = world.miner_actors[0]
-    forged_ids = set()
-    steps = []
-    for erc_id, step in reference.erc_rejections:
-        forged_ids.add(erc_id)
-        steps.append(step)
+    steps = [step for _, step in reference.erc_rejections]
     m.add_verdict(
         "forgeries_fail_at_proof_or_signature",
         len(steps) >= sent and all(step in ("d", "e") for step in steps),
@@ -263,10 +259,10 @@ def _verdict_coe_forgery(world: World, m: Metrics) -> None:
     )
     ledger = world.ledger_view
     forger_pks = {offer.keypair.public for offer in forger.offers}
-    stolen = sum(1 for r in ledger.settlements if r.producer_pk in forger_pks)
+    stolen = sum(1 for r in ledger.settlements.values() if r.producer_pk in forger_pks)
     m.add_verdict("no_settlement_to_forger", stolen == 0, f"settlements={stolen}")
     honest_settled = sum(
-        1 for r in ledger.settlements if r.producer_pk not in forger_pks
+        1 for r in ledger.settlements.values() if r.producer_pk not in forger_pks
     )
     m.add_verdict("honest_trade_still_settles", honest_settled >= 1)
     refunded = all(

@@ -154,15 +154,20 @@ class U64Field(Field):
 
 
 class EnumField(Field):
-    """One byte holding one of ``allowed``."""
+    """One byte holding one of ``allowed``, a value of exactly type ``kind``."""
 
     size = 1
+    kind = int  # exactly: True would encode as 1
 
     def __init__(self, name: str, allowed: Tuple[int, ...]):
         super().__init__(name)
         self.allowed = allowed
 
     def encode(self, value: int) -> bytes:
+        if type(value) is not self.kind:
+            raise ValueError(
+                f"{self.label} must be {self.kind.__name__}, got {type(value).__name__}"
+            )
         if value not in self.allowed:
             raise ValueError(f"{self.label} must be one of {self.allowed}, got {value}")
         return bytes([value])
@@ -173,6 +178,8 @@ class EnumField(Field):
 
 class FlagField(EnumField):
     """A boolean as one byte, 0 or 1."""
+
+    kind = bool
 
     def __init__(self, name: str):
         super().__init__(name, (0, 1))

@@ -51,7 +51,7 @@ def test_criterion_01_happy_path_atomicity():
 
     ledger = result.world.ledger_view
     shifts = {}
-    for record in ledger.settlements:
+    for record in ledger.settlements.values():
         shifts[record.consumer_pk] = shifts.get(record.consumer_pk, 0) - record.price
         shifts[record.producer_pk] = shifts.get(record.producer_pk, 0) + record.price
     balances_exact = all(
@@ -147,7 +147,7 @@ def test_criterion_04_coe_forgery_defense():
         )
         forger_pks = {o.keypair.public for o in forger.offers}
         ledger = result.world.ledger_view
-        stolen = sum(1 for r in ledger.settlements if r.producer_pk in forger_pks)
+        stolen = sum(1 for r in ledger.settlements.values() if r.producer_pk in forger_pks)
         rejections = result.world.miner_actors[0].erc_rejections
         steps = [step for _, step in rejections]
         if (

@@ -272,7 +272,7 @@ def _submit_ctp_signature_first(ledger: Ledger, tx, now: int) -> Result:
         return Result(False, reason)
     if tx.expiry_time <= now:
         return Result(False, "stale")
-    if tx.t_id in ledger.ctp_db or tx.t_id in ledger.settled:
+    if tx.t_id in ledger.ctp_db or tx.t_id in ledger.settlements:
         return Result(False, "duplicate")
     if tx.price > ledger.available_balance(tx.pk):
         return Result(False, "would double-spend")
@@ -445,8 +445,8 @@ def _apply_ledger_op(ledger: Ledger, op) -> None:
         ledger.submit_claim(J_CLAIMS[pending[index % len(pending)]])
     elif kind == "sweep":
         ledger.expire_ctps(index)
-    elif kind == "settle" and ledger.claims:
-        claim = list(ledger.claims.values())[index % len(ledger.claims)]
+    elif kind == "settle" and ledger.ctp_db.claims:
+        claim = list(ledger.ctp_db.claims.values())[index % len(ledger.ctp_db.claims)]
         receipt = _Receipt(claim.ctp_id, hash_bytes(b"receipt" + claim.ctp_id))
         ledger.settle(receipt, claim.producer_pk)
 
@@ -457,14 +457,20 @@ def _fields(ledger: Ledger):
     return (
         list(ledger.accounts.items()),
         list(db.entries.items()),
-        list(ledger.claims.items()),
+        list(ledger.ctp_db.claims.items()),
         db._encoded,
         db._pending,
         db._digest,
         db._next_expiry,
-        ledger.settled,
-        ledger.settlements,
+        list(ledger.settlements.items()),
     )
+
+
+def _assert_each_fact_once(ledger: Ledger) -> None:
+    """A claim names a pending commitment, and a settled one is not pending."""
+    pending = ledger.ctp_db.entries
+    assert ledger.ctp_db.claims.keys() <= pending.keys()
+    assert not ledger.settlements.keys() & pending.keys()
 
 
 class TestUndoJournal:
@@ -480,16 +486,19 @@ class TestUndoJournal:
         ledger = Ledger(J_CONFIG)
         for op in J_START + before:
             _apply_ledger_op(ledger, op)
+            _assert_each_fact_once(ledger)
         if cache_digest:
             ledger.ctp_db.digest()
         mark = ledger.mark()
         at_mark = copy.deepcopy(_fields(ledger))
         for op in after:
             _apply_ledger_op(ledger, op)
+            _assert_each_fact_once(ledger)
         now = copy.deepcopy(_fields(ledger))
         # a copy rolls back on its own and leaves the original alone
         other = ledger.clone()
         other.rollback(mark)
+        _assert_each_fact_once(other)
         assert _fields(other) == at_mark
         assert _fields(ledger) == now
         ledger.rollback(mark)
@@ -505,8 +514,8 @@ class TestUndoJournal:
     )
     def test_changes_count_every_change_and_every_undo(self, steps):
         def observed(ledger):
-            claims, settled = list(ledger.claims.items()), set(ledger.settled)
-            return ledger.state_digest(), claims, settled, list(ledger.settlements)
+            claims = list(ledger.ctp_db.claims.items())
+            return ledger.state_digest(), claims, list(ledger.settlements.items())
 
         ledger = Ledger(J_CONFIG)
         for step in J_START + steps:
@@ -515,6 +524,7 @@ class TestUndoJournal:
                 ledger.rollback(max(records - step[1], 0))
             else:
                 _apply_ledger_op(ledger, step)
+            _assert_each_fact_once(ledger)
             # one count per record made or undone
             assert ledger.changes - changes == abs(ledger.mark() - records)
             if observed(ledger) != before:
@@ -693,7 +703,7 @@ class TestClaims:
 
     def test_claim_needs_energy_balance(self, trade):
         ledger = trade.rig.ledger
-        ledger.claims.clear()
+        ledger.ctp_db.claims.clear()
         greedy = make_producer_claim(
             trade.ctp.t_id, trade.ctp.contract_hash, 999, trade.producer
         )
@@ -741,9 +751,8 @@ def _ledger_state(ledger: Ledger):
     return (
         ledger.state_digest(),
         list(ledger.ctp_db.entries.items()),
-        list(ledger.claims.items()),
-        set(ledger.settled),
-        list(ledger.settlements),
+        list(ledger.ctp_db.claims.items()),
+        list(ledger.settlements.items()),
     )
 
 
@@ -891,7 +900,7 @@ class TestBlockApplication:
         outcome = observer.receive_block(block_b)
         assert outcome.applied and outcome.swapped
         assert producer.public not in observer.ledger.accounts  # rolled back
-        assert genesis.t_id in observer._mempool_ids  # requeued
+        assert genesis.t_id in observer.mempool  # requeued
         observer.blocks_this_period = 0
         block_next = observer.mine(7)
         assert any(tx.t_id == genesis.t_id for tx in block_next.txs)
@@ -913,7 +922,7 @@ class TestBlockApplication:
         outcome = observer.receive_block(block_b)
         assert outcome.applied and outcome.swapped
         assert producer.public in observer.ledger.accounts  # applied by the rival
-        assert observer.mempool == [] and not observer._mempool_ids
+        assert observer.mempool == {}
 
     def _rivals(self, rig, ledger=None):
         """Observer and two same-height blocks; the second has the lower key."""
@@ -949,8 +958,8 @@ class TestBlockApplication:
         outcome = observer.receive_block(block_b)
         assert outcome.applied and outcome.swapped
         assert observer.chain.blocks == [block_b]
-        assert observer.ledger.settled == set() and late.t_id in observer.ledger.ctp_db
-        assert erc.t_id in observer._mempool_ids
+        assert observer.ledger.settlements == {} and late.t_id in observer.ledger.ctp_db
+        assert erc.t_id in observer.mempool
 
     def test_swap_keeps_commitments_taken_in_after_the_tip(self, rig):
         consumer = KeyPair.generate(rig.rng)
@@ -973,7 +982,7 @@ class TestBlockApplication:
         block_a, block_b = self._mine_one(a, 5), self._mine_one(b, 5)
         assert block_a.txs == (erc,) and block_b.txs == ()
         assert observer.receive_block(block_a).applied
-        assert trade.ctp.t_id in observer.ledger.settled
+        assert trade.ctp.t_id in observer.ledger.settlements
         late = make_ctp(6, 100, 30, hash_bytes(b"late"), trade.consumer)
         assert observer.ledger.submit_ctp(late, now=6)
         outcome = observer.receive_block(block_b)
@@ -981,9 +990,9 @@ class TestBlockApplication:
         expected = rig.ledger.clone()
         assert expected.submit_ctp(late, now=6)
         assert observer.ledger.state_digest() == expected.state_digest()
-        assert observer.ledger.claims == expected.claims
-        assert observer.ledger.settled == set() and observer.ledger.settlements == []
-        assert erc.t_id in observer._mempool_ids
+        assert observer.ledger.ctp_db.claims == expected.ctp_db.claims
+        assert observer.ledger.settlements == {}
+        assert erc.t_id in observer.mempool
 
     def test_swap_keeps_claims_taken_in_after_the_tip(self, trade):
         rig = trade.rig
@@ -996,7 +1005,7 @@ class TestBlockApplication:
         assert observer.ledger.submit_claim(claim)
         outcome = observer.receive_block(block_b)
         assert outcome.applied and outcome.swapped
-        assert observer.ledger.claims == {trade.ctp.t_id: trade.claim, late.t_id: claim}
+        assert observer.ledger.ctp_db.claims == {trade.ctp.t_id: trade.claim, late.t_id: claim}
 
     def test_swap_drops_commitments_paid_from_the_popped_tip(self, trade):
         rig = trade.rig
@@ -1024,7 +1033,7 @@ class TestBlockApplication:
         assert observer.ledger.expire_ctps(trade.ctp.expiry_time) == [trade.ctp.t_id]
         outcome = observer.receive_block(block_b)
         assert outcome.applied and outcome.swapped
-        assert len(observer.ledger.ctp_db) == 0 and observer.ledger.claims == {}
+        assert len(observer.ledger.ctp_db) == 0 and observer.ledger.ctp_db.claims == {}
 
     @pytest.mark.parametrize("signed", [True, False], ids=["signed", "bad-signature"])
     @pytest.mark.parametrize(

@@ -208,7 +208,7 @@ class TestReceiptGeneration:
         erc = meter.generate_erc(ctp, now=20)
         assert merkle_verify(erc.coe_root, erc.pk, erc.merkle_hashes)
         assert erc.pk == meter.pool.pairs[0].public  # lowest unused index
-        assert meter.pool.used == {0}
+        assert meter.pool.spent == 1
 
     def test_expired_commitment_refused(self, rig):
         meter, terms, ctp = TestDelivery()._armed_meter(rig, seed=27)
@@ -237,7 +237,8 @@ class TestReceiptGeneration:
             meter.record_delivery(ctp.contract_hash, 5)
             ercs.append(meter.generate_erc(ctp, now=20))
         assert ercs[0].pk != ercs[1].pk
-        assert meter.pool.used == {0, 1}
+        assert [erc.pk for erc in ercs] == [pair.public for pair in meter.pool.pairs[:2]]
+        assert meter.pool.spent == 2
 
     def test_pool_exhaustion(self, rig):
         from gridtrade.transactions import ContractTerms, compute_contract_hash

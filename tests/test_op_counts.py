@@ -18,7 +18,7 @@ import pytest
 import gridtrade
 from gridtrade import crypto
 from gridtrade.crypto import KeyPair
-from gridtrade.ledger import Ledger, Miner
+from gridtrade.ledger import Blockchain, Ledger, Miner
 from gridtrade.sim import World, preset, run_scenario
 from gridtrade.sim.actors import ConsumerActor
 
@@ -223,6 +223,24 @@ def test_tracer_targets_resolve():
         assert attr in vars(owner), f"{module_name}.{qualname}"
 
 
+@pytest.mark.parametrize("attack", ["none", "routing_overload", "double_spend"])
+def test_benchmark_reads_of_program_state_resolve(attack, monkeypatch):
+    # bench/measure.py counts each workload's operations from the world's
+    # actors, miners and chain, so renaming what it reads breaks the benchmark
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+    monkeypatch.syspath_prepend(bench)  # measure.py imports its neighbours
+    spec = importlib.util.spec_from_file_location("bench_measure", os.path.join(bench, "measure.py"))
+    measure = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(measure)
+    (name,) = [name for name, (a, _, _) in measure.WORKLOADS.items() if a == attack]
+    result = run_scenario(preset(attack))
+    done, _, failed, failure = measure.operations(name, result)
+    assert done > 0 and failed == 0, failure
+    ticks = measure.commit_to_settle_ticks(result, Blockchain.load_bytes(result.chain_dump))
+    assert len(ticks) == result.metrics.get("settlements")
+    assert all(tick >= 0 for tick in ticks)
+
+
 @pytest.mark.parametrize(
     "config, builds",
     [
@@ -256,7 +274,7 @@ def test_trade_attempts_on_honest_n32():
         # mine trial-applies the whole mempool unless the period's block is out
         if miner.blocks_this_period < 1:
             on_chain = {tx.t_id for block in miner.chain.blocks for tx in block.txs}
-            stale["trial_applies"] += sum(tx.t_id in on_chain for tx in miner.mempool)
+            stale["trial_applies"] += sum(tx.t_id in on_chain for tx in miner.mempool.values())
 
     config = preset("none", seed=1, producers=32, consumers=32, miners=5, backbones=4, ticks=1500)
     with pytest.MonkeyPatch.context() as mp:

@@ -219,7 +219,7 @@ class TestScenarios:
             if miner.blocks_this_period < 1 and miner.mempool:
                 on_chain = {tx.t_id for block in miner.chain.blocks for tx in block.txs}
                 trials["entries"] += len(miner.mempool)
-                trials["stale"] += sum(tx.t_id in on_chain for tx in miner.mempool)
+                trials["stale"] += sum(tx.t_id in on_chain for tx in miner.mempool.values())
             return mine(miner, now)
 
         sends = Counter()
@@ -681,7 +681,7 @@ class TestClaimGossip:
         world = World(preset("none", seed=1))
         for miner in world.miner_actors:
             miner.on_message(ClaimGossip(claim), 0)
-            assert miner.miner.ledger.claims == {}
+            assert miner.miner.ledger.ctp_db.claims == {}
         assert world.metrics.get("claims_rejected") == 1  # the reference miner counts
 
     def _buyer_with_offer(self):

@@ -218,6 +218,34 @@ class TestDomainRules:
         with pytest.raises(ValueError, match="must be an int"):
             encode_canonical(ctp)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("status", 1.0),
+            ("status", True),
+            ("status", None),
+            ("method", True),
+            ("negotiable", 1),
+            ("negotiable", 0),
+            ("negotiable", 1.0),
+        ],
+        ids=repr,
+    )
+    def test_one_byte_field_refuses_a_value_of_another_type(self, name, value):
+        # True encoded as 1 and passed check_structure, and 1.0 raised
+        # TypeError instead of the ValueError every field raises
+        if name == "status":
+            tx = make_negotiation(KEYS[1].public, 5, 1, 1, KEYS[0])
+        elif name == "method":
+            cert = issue_certificate(KEYS[3], KEYS[0].public)
+            tx = make_genesis(GENESIS_CERTIFICATE, cert.to_bytes(), KEYS[0])
+        else:
+            tx = make_supply_energy(hash_bytes(b"p"), 10, 5, True, KEYS[0])
+        tx = replace(tx, **{name: value})
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            encode_canonical(tx)
+        assert check_structure(tx)[0] is False
+
 
 class TestWireDeclaration:
     @pytest.mark.parametrize("cls", [GenesisTx, SupplyEnergyTx, NegotiationMsg, CTPTx, ERCTx])
