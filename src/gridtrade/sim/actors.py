@@ -125,7 +125,6 @@ class MinerActor(Actor):
         self.miner = miner
         self.reference = reference  # miner 0 feeds the headline counters
         self.accepted_ctp_ids: List[bytes] = []
-        self.erc_rejections: List[Tuple[bytes, str]] = []
 
     def _bump(self, name: str, by: int = 1) -> None:
         if self.reference:
@@ -150,7 +149,6 @@ class MinerActor(Actor):
         if isinstance(tx, ERCTx):
             valid, step = self.miner.ledger.validate_erc(tx)
             if not valid:
-                self.erc_rejections.append((tx.t_id, step))
                 self._bump(f"erc_invalid_{step}")
                 return
             if tx.ctp_id not in self.miner.ledger.ctp_db.claims:
@@ -173,10 +171,6 @@ class MinerActor(Actor):
                 self.world.metrics.bump("consistency_faults")
             if outcome.swapped:
                 self.world.metrics.bump("tip_swaps")
-            if self.reference:
-                for tx in block.txs:
-                    if isinstance(tx, ERCTx):
-                        self.world.on_settlement(tx)
         else:
             self.world.metrics.bump("blocks_not_applied")
 
@@ -428,7 +422,7 @@ class ProducerActor(Actor, MeterMixin):
         if msg.status == 1:
             # counterparty accepted our counter-offer: agree without a reply
             if not offer.reserved and msg.price >= reserve:
-                self._agree(offer, msg.price, msg.t_id, msg.sender_pk)
+                self._agree(offer, msg.price, msg.t_id)
             return
         if offer.reserved:
             price, status = 0, 0  # refuse
@@ -441,9 +435,9 @@ class ProducerActor(Actor, MeterMixin):
         reply = make_negotiation(msg.sender_pk, price, status, msg.round + 1, offer.keypair)
         self.world.send_routed(self, offer.keypair.public, msg.sender_pk, reply)
         if status == 1:
-            self._agree(offer, price, reply.t_id, msg.sender_pk)
+            self._agree(offer, price, reply.t_id)
 
-    def _agree(self, offer: OfferState, unit_price: int, nonce: bytes, peer_pk: bytes) -> None:
+    def _agree(self, offer: OfferState, unit_price: int, nonce: bytes) -> None:
         terms = ContractTerms(
             energy_amount=offer.amount,
             unit_price=unit_price,
@@ -453,14 +447,6 @@ class ProducerActor(Actor, MeterMixin):
         contract_hash = compute_contract_hash(terms)
         offer.reserved = True
         self.contracts[contract_hash] = PendingContract(terms=terms, offer=offer)
-        self.world.register_agreement(
-            contract_hash,
-            producer_actor=self.id,
-            producer_pk=offer.keypair.public,
-            price=terms.total_price,
-            kwh=terms.energy_amount,
-            peer_session_pk=peer_pk,
-        )
 
     def _on_ctp(self, ctp: CTPTx, dest_pk: bytes) -> None:
         """Claim a commitment that matches an unclaimed contract; decline
@@ -496,7 +482,7 @@ class ProducerActor(Actor, MeterMixin):
         if self.behavior == "forger":
             self.forge_target = ctp
             return
-        meter = self.world.meter_for_contract(ctp.contract_hash)
+        meter = self.world.delivery_meter(ctp.contract_hash)
         if meter is not None:
             self.deliveries.append(
                 ActiveDelivery(
@@ -614,6 +600,8 @@ class ConsumerActor(Actor, MeterMixin):
         self.attempt: Optional[TradeAttempt] = None
         self.trades_done = 0
         self.settled_ctps: Set[bytes] = set()
+        # contract hash -> terms of each agreement reached, committed or not
+        self.agreements: Dict[bytes, ContractTerms] = {}
         self.sent_ctps: List[CTPTx] = []
         # make_pool -> request_coe <-> await_coe -> done; a consumer without
         # a meter has nothing to set up
@@ -779,14 +767,7 @@ class ConsumerActor(Actor, MeterMixin):
             nonce=nonce,
         )
         contract_hash = compute_contract_hash(terms)
-        self.world.register_agreement(
-            contract_hash,
-            consumer_actor=self.id,
-            payer_pk=self.account.public,
-            price=terms.total_price,
-            kwh=terms.energy_amount,
-            meter=self.meter,
-        )
+        self.agreements[contract_hash] = terms
         attempt.state = "committed"
         if self.behavior == "no_ctp":
             self.world.metrics.bump("agreements_without_commit")

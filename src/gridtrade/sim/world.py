@@ -18,10 +18,16 @@ Every message travels exactly one tick. Sends append to one outbox, and
 each tick's delivery phase swaps it for an empty one before handing the
 old one out in append order. So whatever a delivery sends lands in the
 next tick, and messages arrive in (send tick, send order).
+
+Verdicts read the protocol's own records once the run ends; ``World``
+keeps no copy. ``contracts`` derives each contract from the traders' records
+and the reference miner's settlements. The one hook traders call during a
+run is ``delivery_meter``, since the simulator stands in for the grid.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from random import Random
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -29,7 +35,6 @@ from ..arb import MAX_X, Mesh, make_join
 from ..crypto import Certificate, KeyPair, PublicKey, hash_bytes, issue_certificate
 from ..ledger import Ledger, LedgerConfig, Miner
 from ..meter import SmartMeter, provision_meter
-from ..transactions import CTPTx, ERCTx
 from .actors import (
     Actor,
     BackboneActor,
@@ -54,6 +59,10 @@ X_INITIAL = 1  # routing-prefix bytes the mesh starts with
 OVERLOAD_THRESHOLD = 60  # a backbone's window load past which the prefix widens
 BURN_THRESHOLD = 100  # least coin a coin-burn genesis must burn
 INITIAL_BALANCE = 1000  # coin each consumer account starts with
+# trades an honest consumer makes: each receipt spends one leaf of its meter's
+# key pool, so this equals the default ``key_pool_size``; a pool that renews
+# once it runs out would tie the two
+MAX_TRADES = 8
 SUPPLY_KWH = 10  # energy in each supply offer
 SUPPLY_UNIT_PRICE = 10  # posted price per kWh of each supply offer
 
@@ -77,10 +86,6 @@ class World:
         self.step_actors: List[Actor] = []
         self._loss_rate = config.message_loss_rate
         self._loss_rng = child_rng(config.seed, "loss")
-        # verdict bookkeeping
-        self.contracts: Dict[bytes, dict] = {}
-        self.ctp_contract: Dict[bytes, bytes] = {}
-        self._settled_seen: Set[bytes] = set()
         self.rebalance_events: List[dict] = []
         self.initial_balances: Dict[PublicKey, int] = {}
         self._build()
@@ -221,7 +226,7 @@ class World:
             )
             owns_meter = True
             self.meter_directory.append(meter.public)
-        max_trades = 8
+        max_trades = MAX_TRADES
         if behavior in ("no_ctp", "bad_hash", "silent"):
             max_trades = 1
         for miner in self.miner_actors:
@@ -275,8 +280,6 @@ class World:
         """Send a transaction to every miner. Traders read mined
         transactions from blocks, and a commitment reaches its producer
         routed to the offer."""
-        if isinstance(tx, CTPTx):
-            self.ctp_contract[tx.t_id] = tx.contract_hash
         gossip = TxGossip(tx)
         for actor in self.miner_actors:
             self.send(actor.id, gossip)
@@ -298,33 +301,13 @@ class World:
     def distributor_certificate(self, pk: PublicKey) -> Certificate:
         return issue_certificate(self.distributor_ca, pk)
 
-    def register_agreement(self, contract_hash: bytes, **fields) -> None:
-        record = self.contracts.setdefault(
-            contract_hash, {"contract_hash": contract_hash, "settled": 0, "counted": False}
-        )
-        for key, value in fields.items():
-            if value is not None:
-                record[key] = value
-        if (
-            not record["counted"]
-            and "producer_actor" in record
-            and "consumer_actor" in record
-        ):
-            record["counted"] = True
-            self.metrics.bump("contracts_agreed")
-
-    def meter_for_contract(self, contract_hash: bytes) -> Optional[SmartMeter]:
-        record = self.contracts.get(contract_hash)
-        return record.get("meter") if record else None
-
-    def on_settlement(self, erc: ERCTx) -> None:
-        if erc.ctp_id in self._settled_seen:
-            return
-        self._settled_seen.add(erc.ctp_id)
-        self.metrics.bump("settlements")
-        contract_hash = self.ctp_contract.get(erc.ctp_id)
-        if contract_hash and contract_hash in self.contracts:
-            self.contracts[contract_hash]["settled"] += 1
+    def delivery_meter(self, contract_hash: bytes) -> Optional[SmartMeter]:
+        """The meter a contract's energy flows into: that of the consumer
+        that agreed to it, or None when no consumer did."""
+        for consumer in self.consumer_actors:
+            if contract_hash in consumer.agreements:
+                return consumer.meter
+        return None
 
     def pick_verifier_meter(self, own_pk: PublicKey, rng: Random) -> Optional[PublicKey]:
         candidates = [pk for pk in self.meter_directory if pk != own_pk]
@@ -342,6 +325,29 @@ class World:
     @property
     def ledger_view(self):
         return self.miner_actors[0].miner.ledger
+
+    @property
+    def contracts(self) -> Dict[bytes, dict]:
+        """Each contract a trader agreed to, by hash, derived from the traders'
+        records. ``counted``: a producer's ``contracts`` and a consumer's
+        ``agreements`` both hold it. ``settled``: the reference ledger's
+        settlements whose commitment, as a consumer sent it, names it."""
+        produced = {h: c.terms for p in self.producer_actors for h, c in p.contracts.items()}
+        consumers = self.consumer_actors
+        agreed = {h: terms for c in consumers for h, terms in c.agreements.items()}
+        meters = {h: c.meter for c in consumers for h in c.agreements}
+        named = {ctp.t_id: ctp.contract_hash for c in consumers for ctp in c.sent_ctps}
+        settled = Counter(named.get(ctp_id) for ctp_id in self.ledger_view.settlements)
+        return {
+            h: {
+                "contract_hash": h,
+                "counted": h in produced and h in agreed,
+                "settled": settled[h],
+                "kwh": terms.energy_amount,
+                "meter": meters.get(h),
+            }
+            for h, terms in {**produced, **agreed}.items()
+        }
 
     # -- main loop -------------------------------------------------------------------
 
@@ -446,7 +452,14 @@ class World:
         reference = self.miner_actors[0]
         self.metrics.bump("chain_height", len(reference.miner.chain))
         self.metrics.bump("ctp_pending_end", len(reference.miner.ledger.ctp_db))
-        self.metrics.bump("ctp_settled", len(reference.miner.ledger.settlements))
+        settled = len(reference.miner.ledger.settlements)
+        self.metrics.bump("ctp_settled", settled)
+        # bumped only when nonzero, as a counter that never moved has no line
+        agreed = sum(record["counted"] for record in self.contracts.values())
+        if agreed:
+            self.metrics.bump("contracts_agreed", agreed)
+        if settled:
+            self.metrics.bump("settlements", settled)
         routed = self.metrics.get("messages_routed")
         if routed:  # what flooding each one to every other participant would send
             others = len(self.network_actor_ids) - 1

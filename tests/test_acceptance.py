@@ -16,7 +16,7 @@ from gridtrade.crypto import (
     merkle_verify,
 )
 from gridtrade.sim import ScenarioConfig, preset, run_scenario
-from gridtrade.sim.scenarios import flooded_rounds
+from gridtrade.sim.scenarios import erc_refusals, flooded_rounds
 
 import hashlib
 
@@ -148,16 +148,15 @@ def test_criterion_04_coe_forgery_defense():
         forger_pks = {o.keypair.public for o in forger.offers}
         ledger = result.world.ledger_view
         stolen = sum(1 for r in ledger.settlements.values() if r.producer_pk in forger_pks)
-        rejections = result.world.miner_actors[0].erc_rejections
-        steps = [step for _, step in rejections]
+        refused = erc_refusals(result.metrics)  # failing step -> receipts refused
         if (
             stolen != 0
-            or len(steps) != result.metrics.get("forgeries_sent")
+            or sum(refused.values()) != result.metrics.get("forgeries_sent")
             or result.metrics.get("forgeries_sent") != 50
-            or any(step not in ("d", "e") for step in steps)
+            or any(step not in ("d", "e") for step in refused)
             or not result.passed
         ):
-            problems.append((seed, stolen, sorted(set(steps))))
+            problems.append((seed, stolen, sorted(refused)))
     _report(
         4,
         "coe_forgery_defense",

@@ -133,3 +133,65 @@ CTP_BURST_GOLDEN = {
 def test_ctp_burst_workload_matches_golden(seed):
     result = run_scenario(preset("double_spend", seed=seed, **CTP_BURST))
     assert _digests(result) == CTP_BURST_GOLDEN[seed]
+
+
+# Every preset at seeds 1 and 2 under 1%, 5% and 10% message loss. These
+# runs lose blocks and commitments and contain tip swaps (``none`` seed 2 at
+# 1% has three), so most of them fail some verdict: a miner cannot yet
+# recover from one lost block. The pins hold the digests, not a pass; they
+# see any change to how a lossy run unfolds or is reported.
+# (preset, seed, loss rate) -> (sha256 of chain_dump, sha256 of metrics.render_kv())
+LOSSY_GOLDEN = dict([
+    (("coe_forgery", 1, 0.01), ("fe8bcd96cd422e4e39f593d46ca42eef032aec7da965821844edaef44a843e67", "31550ab235232f25b7519cb5f4c3a03d8e006e302268c095e785f47e78c1c7b4")),
+    (("coe_forgery", 1, 0.05), ("353fea693802181431d9b970ada02b472708d2d2831373156a2267678998b0dc", "aca450c11ec876944ed99e4ebc1d079b653d81c5b5fdbc596c72d3a71f63cd9b")),
+    (("coe_forgery", 1, 0.1), ("7edda739a099626c3b5a8b2ea04e74c6d5eaeb572c934725e655150336ee2d89", "2a5abea2b57dd64280423294ff2be50e30c8b2947bcac511bdb5b360fb2a4908")),
+    (("coe_forgery", 2, 0.01), ("e3fe346e5d79a8ddd38ba2deb4bd4ec98f113f75d3ad3d9608aa0113629b10d3", "9024aa7120103f8c9944b26ef4e7ad7ba49f3e317011cd4e7838e482672672c0")),
+    (("coe_forgery", 2, 0.05), ("ec48ce3270791418d2a7659117b5a41372bc32b8603353d3569e022430b11cb3", "e2e642cd1d096ef7f5dc61293104d6e32de71aabb79b57abf81f1957ecebb1d6")),
+    (("coe_forgery", 2, 0.1), ("1f703a6d42b7df4ff2ebf29ff5e15a5e3bab1579aaba92164055e16dcae41fb2", "24a0ac7a882d1e3e88a6034e3676db62ac71f482fee9525217620c2cb7f257ac")),
+    (("double_spend", 1, 0.01), ("71e8a69f40d6c3b946462c783ba59cb5cd507b6cd6027b089fd85b3eee5a5aad", "1c2791c6724f864c02b85ae2125764e31faee80d8bb4f6ca806d2239a1fc586b")),
+    (("double_spend", 1, 0.05), ("71e8a69f40d6c3b946462c783ba59cb5cd507b6cd6027b089fd85b3eee5a5aad", "4ffd715034f5c885541a724c4155c9d16f5b5b02bdfbc9e804edaa97eb1b4143")),
+    (("double_spend", 1, 0.1), ("71e8a69f40d6c3b946462c783ba59cb5cd507b6cd6027b089fd85b3eee5a5aad", "a13d9646e039d4725937dce17a192ea6c9149b2abaf50822cf9db29a64428a17")),
+    (("double_spend", 2, 0.01), ("d2a1aab83af192caa2c22b80b895b8ec7d267cd27b78092d3b75e92a5b5e20b8", "5e044c53189ef6536bd822a692ea36b9ed15f64c33567e5981ef0df5255b673d")),
+    (("double_spend", 2, 0.05), ("28ef9c0bd1ece0c30f553d1c457fd278bd21ab1ad3cfb15307c67b99861339cc", "9003b6190e91c66a80668a4fd9e8b03ebf73c1313310fc540ada7cb20e4823b1")),
+    (("double_spend", 2, 0.1), ("28ef9c0bd1ece0c30f553d1c457fd278bd21ab1ad3cfb15307c67b99861339cc", "3f7bd3a800cdc8979d9da00e40dc12f952abe31e862dc6ea20b8cbcf7c9b771c")),
+    (("malicious_consumer", 1, 0.01), ("e0ab55a87688fb88ee74c11943f1a09b52eb288ebdfa9d496c0064a57f2f50d0", "808bbc063df80964d3598b7843ceb88d6ee5012f7f77a0970f6a3ce0d06b46ec")),
+    (("malicious_consumer", 1, 0.05), ("8b0ea4635c51fdb81cbe8be0c57206d86cd4e93438392c717c8b9c996950285f", "162a028ce0bcd1b7fe134ae7160881fa257f2860040a6d3e673f7f3e77316ea4")),
+    (("malicious_consumer", 1, 0.1), ("006c6a1a50803f2466a7293d3badb2ee958440064250a9094bebf4ae9759fd16", "5eae805d03c2e209acdbda826394a12eb0084c0600acfd149e9cd1830ca35f50")),
+    (("malicious_consumer", 2, 0.01), ("0442f84138d9f0bcb62879e6f1c55bfda3a4fbd9256d453bfe9acb1d4e67ddd0", "33841f917af019cb96fd9d33e26995f9724fa9216518a3faafab7f98a1e81573")),
+    (("malicious_consumer", 2, 0.05), ("c473c3c16a6266d81d3499008ff96fe9d5ee7bc33ecd20ed5b8d1dd0dd63c720", "cffa7cf5c657901d3b44b4b78191aa2908376ea09c4cbca6c3da09a5e1d74da4")),
+    (("malicious_consumer", 2, 0.1), ("51c6eb8f4a959bc615ca5a77f5d3db620a2df5fa6a115a4827fa8220b1aeff4d", "4b1da44baed1df7dee201f3f80b86ee30e1d244e9888cc7e73706d5ae81a5d95")),
+    (("malicious_producer", 1, 0.01), ("dddc6d7d1338a7a09a52f702cb1d8d83f6ac6c082a5a13cb1380cf1fce1e6359", "6ac00f81b7855d3f68011c8449d8c52f7f4e89223ac38b06026b3efc4fd2003d")),
+    (("malicious_producer", 1, 0.05), ("f2061b83c2e3862d9b605c6d3e1ec36d256b149a8e129cddb1e5da23b998198e", "2bf3eccf7854af5cab0181763534bb3161d8e346a8406f22f1019d016976a68d")),
+    (("malicious_producer", 1, 0.1), ("dca882c56c8e2044e6aef0294018d73124db789792ef8bcf89d015f6cb564594", "e4baad97d8a48cbf42cceea7143a07cbeeec9d131659d0b2c94effeccb900dd2")),
+    (("malicious_producer", 2, 0.01), ("1fc012ad7ad5b02f5a4ffaf0c1c8ed42231991a0261dfd193cb82dfd3073a2a8", "869d9981755abce6d5163ca4e4d490cc525c1dafe8e0538504a618ec32ee24be")),
+    (("malicious_producer", 2, 0.05), ("8bd6523f131920843e29a92f906bc7f7029afd44b95359b54adb4ea8433e4081", "fb5e58eb5799b0358f04dcf7b4c7f0f84c5ddffb8000062cf3901f99368d3ba6")),
+    (("malicious_producer", 2, 0.1), ("3e129bd4689ef7c0c4d5af5327ded2b9a6ef20ac06acd3d9cbc9f6fc516fc683", "d99fbd026f9420f6ddff155cc9c91b64b7cde948d47a16473c89709176fa12e5")),
+    (("negotiation_flood", 1, 0.01), ("77f7553662e67b6d0523b2fe172fdbc4d32579874d8efe16207bd822414a0bf3", "040eafa1806fa087f554dc1460678c50a3d9db3ab94155e658202c32e1081a5b")),
+    (("negotiation_flood", 1, 0.05), ("3425779802f4c84fd123442c9859f8586a5ec0e571cd3d58154e1566b11daa51", "c725f8fcc2528c503fe439eaa751fab0df26156d085b74ad5aae011b10cf76c2")),
+    (("negotiation_flood", 1, 0.1), ("3425779802f4c84fd123442c9859f8586a5ec0e571cd3d58154e1566b11daa51", "d3779d03bf7dd06f91f66859001d8d91065d1b6b4798036f0c00e77dfcc17e54")),
+    (("negotiation_flood", 2, 0.01), ("33f035c16497e9aac3e22b90bc7ef8974814a6e998965769238a27e5e5f81169", "619cf4c68af10ba4497a483fb8b9de60b8438c53063158660b19c315418331a7")),
+    (("negotiation_flood", 2, 0.05), ("603aca933c63130ce75fe306a3c652ffe866743883db7851a995dcd8ac5d0df7", "7e8f01405ce55fa411e5d6b1d76a72ca6a847b67555cd851b9d961827788c80c")),
+    (("negotiation_flood", 2, 0.1), ("99edafa4bdc506b9067b6ec0c55a070d923cf1d538be285721389b34385c7b64", "81bfe918ec41b7a1f746bd61b42b25229398a80caa64dd143a4097aa01c6bbe1")),
+    (("none", 1, 0.01), ("f4d405fd5c245b06829aa10758f8305f91f3956fcba66d1b729e69841d032aa1", "41eb136244bca5991bbfe4eb3a79032e18c6d8acbdc763df89b1f1c13d5094e8")),
+    (("none", 1, 0.05), ("7008565ace2a96692b87e22b45514f76726eae840abc477f17f72f5c138a6ab3", "cb14cc8137ef422eecc5dd42d38d777b84b9003977443131ec22d7ca5a7fb313")),
+    (("none", 1, 0.1), ("4aef5f5caac9f6553ab78b9128b55f62bd64f8d657336f12fff1a6a21870a292", "67f4e4c8d5f66ab85042f9287cc3e32390fdc3b94f0d7248c76d94b46673db15")),
+    (("none", 2, 0.01), ("6bb9f499f82f0bac0b2f004519b5041ccf168aab3537d3f22c7e4302e13ce868", "bfb0cbea74aff46f85fa54384bff3f12c9ef60a82839950c24b00eafacb3aaff")),
+    (("none", 2, 0.05), ("60e76d85dd87323a1cccaa8c9636ec22f0b280e03b81f7be2d98958241cad96e", "ba77468950803e994140b0cb0620160d155cebb3ae107780d120090e1441fdb7")),
+    (("none", 2, 0.1), ("a9d512e352de23637bae27cdc827a0fb381590242df9a0581883f28f5c0f96e2", "b3fcf16a79897a323b9291938bcdd194cc90b97b64de60720c698ea077ed2a3d")),
+    (("routing_overload", 1, 0.01), ("c1935af227bf1f990ac21bc39a06954a0236d2ef31527bf5453053630982522c", "ed9e679469c5d88445fc0daaaadd0bcc38e3e351a0185a208fb815b861d9a9c8")),
+    (("routing_overload", 1, 0.05), ("12424f1bb4aaa570c4ab4f79cd325e6b3b9af566a38e5192483c115b70f456c5", "080c6810214c744976421668eb809cd021972f035ce310ac4c93753a7fe829f7")),
+    (("routing_overload", 1, 0.1), ("d9ce1df08ff1d45f82fa059493ca58623a43728d4d0e634a4ca61059cc45550e", "f073a01460ee72dcc50d7c7d91129c0f7b53cc7136cae9e864c2351bf7c06a83")),
+    (("routing_overload", 2, 0.01), ("2a8f965db9c2b6c428c55dfb5a071f03c714572d9704ed85c4d930e9a4dea2f4", "4adc4bb3e60520708d6f84bfd512ccba8f56faa56c6c0bab6feec3df3df743e1")),
+    (("routing_overload", 2, 0.05), ("e9ca5c693b5637961b86937fb4f822d9a4f1d2dec51c017235bd5f311ce8506d", "84180db46e9e981d2acd0a87d0fb2cdaa6b2ec03e091154d7e81f1fac5c67c98")),
+    (("routing_overload", 2, 0.1), ("9cdf2fd70722c8d6718bff0f613340d06783cffedaa163cc2aabd5f1dde46604", "9f07ec7d3ec4dddf5449d1f62b9d0e6b4f1d77b636952d1bbf6bbc1720db47b3")),
+])
+
+
+def test_every_preset_is_pinned_under_loss():
+    assert {attack for attack, _, _ in LOSSY_GOLDEN} == set(SCENARIOS)
+
+
+@pytest.mark.parametrize("attack,seed,loss", sorted(LOSSY_GOLDEN))
+def test_lossy_run_matches_golden(attack, seed, loss):
+    result = run_scenario(preset(attack, seed=seed, message_loss_rate=loss))
+    assert _digests(result) == LOSSY_GOLDEN[(attack, seed, loss)]

@@ -45,9 +45,11 @@ from gridtrade.sim.messages import (
     decode_routed_payload,
     encode_routed_payload,
 )
+from gridtrade.sim.scenarios import SCENARIOS
 from gridtrade.sim.world import World
 from gridtrade.transactions import (
     ContractTerms,
+    ERCTx,
     compute_contract_hash,
     compute_t_id,
     encode_fields,
@@ -260,6 +262,47 @@ class TestScenarios:
         world = World(config)
         metrics = world.run()
         assert metrics.get("conservation_violations") == 0
+
+
+# every preset at seeds 1-2 under 1%, 5% and 10% loss, which swaps tips, plus
+# the honest preset at seeds 1-3 without loss
+_VIEW_RUNS = [("none", seed, 0.0) for seed in (1, 2, 3)] + [
+    (attack, seed, loss)
+    for attack in sorted(SCENARIOS)
+    for seed in (1, 2)
+    for loss in (0.01, 0.05, 0.10)
+]
+
+
+class TestContractView:
+    """``World.contracts`` is derived from the traders' records and the
+    reference miner's settlements; here it is checked against the chain."""
+
+    @pytest.mark.parametrize("attack,seed,loss", _VIEW_RUNS)
+    def test_view_matches_the_chain(self, attack, seed, loss):
+        result = run_scenario(preset(attack, seed=seed, message_loss_rate=loss))
+        world, m = result.world, result.metrics
+        named = {
+            ctp.t_id: ctp.contract_hash
+            for consumer in world.consumer_actors
+            for ctp in consumer.sent_ctps
+        }
+        chain = Blockchain.load_bytes(result.chain_dump)
+        receipts = [
+            tx.ctp_id for block in chain.blocks for tx in block.txs if isinstance(tx, ERCTx)
+        ]
+        receipts_per_hash = Counter(named[ctp_id] for ctp_id in receipts)
+        produced = {h for p in world.producer_actors for h in p.contracts}
+        agreed = {h for c in world.consumer_actors for h in c.agreements}
+        view = world.contracts
+        assert set(view) == produced | agreed
+        for h, record in view.items():
+            assert record["contract_hash"] == h
+            assert record["settled"] == receipts_per_hash[h]
+            assert record["counted"] == (h in produced and h in agreed)
+        assert len(receipts) == m.get("ctp_settled")
+        assert m.get("settlements") == m.get("ctp_settled")
+        assert m.get("contracts_agreed") == len(produced & agreed)
 
 
 class Endpoint(Actor):
@@ -510,6 +553,13 @@ class TestMalformedRoutedPayload:
         assert not world._outbox
 
 
+def _no_agreements(world) -> bool:
+    """No producer holds a contract and no consumer an agreement."""
+    return not any(p.contracts for p in world.producer_actors) and not any(
+        c.agreements for c in world.consumer_actors
+    )
+
+
 def _routed(msg) -> Routed:
     return Routed(
         dest_pk=msg.dest_energy_account_pk, payload=encode_routed_payload(msg), trace=["arb-0"]
@@ -530,7 +580,7 @@ class TestNegotiationGuards:
         producer.on_message(_routed(offer_msg), 20)
         assert world.metrics.get("negotiation_price_overflow") == 1
         assert not offer.reserved
-        assert producer.contracts == {} and world.contracts == {}
+        assert _no_agreements(world)
         assert world._outbox == []  # refused without a reply
 
     def _negotiating_consumer(self):
@@ -557,7 +607,7 @@ class TestNegotiationGuards:
         accept = make_negotiation(consumer.attempt.session.public, price, 1, 2, offer.keypair)
         consumer.on_message(_routed(accept), 20)
         assert consumer.attempt is None and b"offer" in consumer.tried
-        assert consumer.sent_ctps == [] and world.contracts == {}
+        assert consumer.sent_ctps == [] and _no_agreements(world)
         assert world.metrics.get("ctp_broadcast") == 0
 
     def test_acceptance_at_posted_price_commits(self):
@@ -569,6 +619,32 @@ class TestNegotiationGuards:
         (ctp,) = consumer.sent_ctps
         assert ctp.price == offer.amount * offer.posted_price
         assert consumer.attempt.state == "committed"
+
+    @pytest.mark.parametrize("behavior", ["honest", "no_ctp", "bad_hash"])
+    def test_agreement_is_kept_under_its_true_hash(self, behavior):
+        world, consumer, offer = self._negotiating_consumer()
+        consumer.behavior = behavior
+        accept = make_negotiation(
+            consumer.attempt.session.public, offer.posted_price, 1, 2, offer.keypair
+        )
+        consumer.on_message(_routed(accept), 20)
+        terms = ContractTerms(
+            energy_amount=offer.amount,
+            unit_price=offer.posted_price,
+            total_price=offer.amount * offer.posted_price,
+            nonce=accept.t_id,
+        )
+        true_hash = compute_contract_hash(terms)
+        assert consumer.agreements == {true_hash: terms}
+        assert world.delivery_meter(true_hash) is consumer.meter
+        sent = [ctp.contract_hash for ctp in consumer.sent_ctps]
+        if behavior == "honest":
+            assert sent == [true_hash]
+        elif behavior == "no_ctp":
+            assert sent == []
+        else:  # the commitment names a corrupted hash, which no meter takes
+            (corrupted,) = sent
+            assert corrupted != true_hash and world.delivery_meter(corrupted) is None
 
 
 class TestProducerReply:
@@ -615,13 +691,17 @@ class TestProducerReply:
             assert reply.dest_energy_account_pk == peer.public
             assert reply.sender_pk == offer.keypair.public
         if agrees:
-            (record,) = world.contracts.values()
-            assert record["producer_pk"] == offer.keypair.public
-            assert record["price"] == offer.amount * price
-            assert record["peer_session_pk"] == peer.public
+            (pending,) = producer.contracts.values()
+            assert pending.offer is offer
+            assert pending.terms.total_price == offer.amount * price
+            # the nonce is the id of the message that closed the agreement:
+            # the peer's acceptance, or our reply to the peer
+            closing = msg if status == 1 else reply
+            assert pending.terms.nonce == closing.t_id
+            assert not any(c.agreements for c in world.consumer_actors)
             assert offer.reserved
         else:
-            assert world.contracts == {} and producer.contracts == {}
+            assert _no_agreements(world)
             assert offer.reserved == reserved
 
 
@@ -792,7 +872,7 @@ class TestProducerIntake:
         world = World(preset("none", seed=1))
         producer = world.producer_actors[0]
         offer = producer.offers[0]
-        producer._agree(offer, offer.posted_price, hash_bytes(b"nonce"), bytes(32))
+        producer._agree(offer, offer.posted_price, hash_bytes(b"nonce"))
         (contract_hash, pending), = producer.contracts.items()
         claims = []
         world.broadcast_claim = claims.append
