@@ -19,9 +19,11 @@ Widening ``x`` rebuilds the table at finer granularity, cut along the
 load histogram of the overloaded window: observed traffic spreads evenly
 and the overloaded node takes the slimmest slice. The result is a total,
 disjoint partition, and skewed key populations can defeat the balancing,
-which callers surface as a metric rather than an error. Callers widen
-``x`` at most to ``MAX_X``, and the traffic window feeds nothing but
-widening, so a backbone keeps it only while the table is narrower.
+which callers surface as a metric rather than an error. The widening rule
+is ``Mesh.maybe_widen``, which the simulator asks once per tick: the
+busiest backbone's window past ``OVERLOAD_THRESHOLD`` widens ``x`` by one
+byte, at most to ``MAX_X``. The traffic window feeds nothing but that
+rule, so a backbone keeps it only while the table is narrower.
 """
 
 from __future__ import annotations
@@ -255,6 +257,7 @@ class BackboneNode:
 
 
 MAX_X = 2  # the widest routing prefix, in bytes, the table may widen to
+OVERLOAD_THRESHOLD = 60  # a backbone's window load past which the prefix widens
 
 
 class Mesh:
@@ -270,6 +273,8 @@ class Mesh:
             node_id: BackboneNode(node_id, offer_limit, window)
             for node_id in backbone_ids
         }
+        # one record per widening ``maybe_widen`` made, in order
+        self.widenings: List[dict] = []
 
     def join(self, node_id: str, msg: JoinMessage) -> Tuple[bool, Optional[str]]:
         return self.nodes[node_id].join(msg, self.table)
@@ -325,6 +330,38 @@ class Mesh:
             trace.append(target)
             return Delivery(True, trace, endpoint=target)
         return Delivery(False, trace, reason=target)
+
+    def maybe_widen(self, now: int) -> bool:
+        """Widen the prefix by one byte if the busiest backbone's window
+        holds more than ``OVERLOAD_THRESHOLD`` messages and the table is
+        narrower than ``MAX_X``; the lowest node id wins a tie. A widening
+        is cut along the windows' traffic, recorded in ``widenings``, and
+        starts every window afresh. Returns whether the table widened."""
+        if self.table.x >= MAX_X:
+            return False
+        nodes = self.nodes
+        hot_id, hot_load = None, -1
+        for node_id in sorted(nodes):
+            load = nodes[node_id].window_load()
+            if load > hot_load:
+                hot_id, hot_load = node_id, load
+        if hot_load <= OVERLOAD_THRESHOLD:
+            return False
+        old_table = self.table
+        new_x = old_table.x + 1
+        histogram: Dict[int, int] = {}
+        for node in nodes.values():
+            for value, count in node.window_histogram(new_x).items():
+                histogram[value] = histogram.get(value, 0) + count
+        self.widen(new_x, histogram, overloaded=hot_id)
+        for node in nodes.values():
+            node.recent.clear()
+        self.widenings.append(dict(
+            tick=now, hot=hot_id, hot_load=hot_load, x_before=old_table.x, x_after=new_x,
+            share_before=old_table.value_share(hot_id) / old_table.space,
+            share_after=self.table.value_share(hot_id) / self.table.space,
+        ))
+        return True
 
     def widen(self, new_x: int, load_by_value: Mapping[int, int], overloaded: str) -> None:
         """Install the table ``rebalance`` cuts and re-home the members it moves."""

@@ -11,12 +11,12 @@ for the grid connection).
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from random import Random
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..arb import JoinMessage, make_join
-from ..crypto import KeyPair, hash_bytes, sign
+from ..crypto import PUBLIC_KEY_LEN, KeyPair, hash_bytes
 from ..ledger import Block, Miner, check_claim_signature, make_producer_claim
 from ..meter import CoE, MeterError, SmartMeter, VerificationRequest
 from ..transactions import (
@@ -28,14 +28,13 @@ from ..transactions import (
     GENESIS_CERTIFICATE,
     NegotiationMsg,
     SupplyEnergyTx,
+    _signed,
     check_structure,
     compute_contract_hash,
-    compute_t_id,
     make_ctp,
     make_genesis,
     make_negotiation,
     make_supply_energy,
-    signing_digest,
 )
 from .messages import (
     BlockGossip,
@@ -120,10 +119,11 @@ class BackboneActor(Actor):
 class MinerActor(Actor):
     """Hosts one miner: admissions, block gossip, and scheduled mining."""
 
-    def __init__(self, actor_id: str, world, miner: Miner, reference: bool):
+    def __init__(self, actor_id: str, world, miner: Miner, reference: bool, period_rng: Random):
         super().__init__(actor_id, world)
         self.miner = miner
         self.reference = reference  # miner 0 feeds the headline counters
+        self.period_rng = period_rng  # draws this miner's slot in each period
         self.accepted_ctp_ids: List[bytes] = []
 
     def _bump(self, name: str, by: int = 1) -> None:
@@ -297,6 +297,9 @@ class MeterMixin:
             self.world.broadcast_tx(erc)
 
 
+PRODUCER_BEHAVIORS = ("honest", "silent", "forger")
+
+
 class ProducerActor(Actor, MeterMixin):
     """Posts supply offers, negotiates, claims commitments, delivers energy.
 
@@ -321,6 +324,8 @@ class ProducerActor(Actor, MeterMixin):
         behavior: str = "honest",
     ):
         super().__init__(actor_id, world)
+        if behavior not in PRODUCER_BEHAVIORS:
+            raise ValueError(f"unknown producer behavior {behavior!r}")
         self.meter = meter
         self.owns_meter = owns_meter
         self.offers = offers
@@ -507,36 +512,32 @@ class ProducerActor(Actor, MeterMixin):
         # cover; odd ones reuse the revealed leaf key, whose proof verifies
         # but whose signature the forger cannot make
         pk = self.forge_keypair.public if self.forgeries_sent % 2 == 0 else src.pk
-        erc = ERCTx(
-            t_id=b"",
-            time_stamp=now,
-            ctp_id=self.forge_target.t_id,
-            price=self.forge_target.price,
-            coe_root=src.coe_root,
-            coe_vm_sign=src.coe_vm_sign,
-            coe_vm_cert=src.coe_vm_cert,
-            coe_pk=src.coe_pk,
-            merkle_hashes=src.merkle_hashes,
-            pk=pk,
-            sign=b"",
+        erc = _signed(
+            ERCTx, self.forge_keypair, now, self.forge_target.t_id, self.forge_target.price,
+            src.coe_root, src.coe_vm_sign, src.coe_vm_cert, src.coe_pk, src.merkle_hashes, pk,
         )
-        erc = replace(erc, sign=sign(self.forge_keypair, signing_digest(erc)))
-        erc = replace(erc, t_id=compute_t_id(erc))
         self.forgeries_sent += 1
         self.world.metrics.bump("forgeries_sent")
         self.world.broadcast_tx(erc)
 
 
-# a consumer's duty once set up, by behaviour: bound once in ``__init__``,
-# so ``step`` does not compare the behaviour string on every tick
-_CONSUMER_STEPS = {
-    "honest": "_trade_step",
-    "no_ctp": "_trade_step",
-    "bad_hash": "_trade_step",
-    "silent": "_trade_step",
-    "double_spend": "_double_spend_step",
-    "flood": "_flood_step",
-    "chatter": "_chatter_step",
+# trades an honest consumer makes: each receipt spends one leaf of its meter's
+# key pool, so this equals the default ``key_pool_size``; a pool that renews
+# once it runs out would tie the two
+MAX_TRADES = 8
+
+# behaviour -> (a consumer's duty once set up, the trades it makes). A consumer
+# that trades has a meter; each malicious trader makes one trade. The duty is
+# bound once in ``__init__``, so ``step`` does not compare the behaviour
+# string on every tick.
+CONSUMER_BEHAVIORS = {
+    "honest": ("_trade_step", MAX_TRADES),
+    "no_ctp": ("_trade_step", 1),
+    "bad_hash": ("_trade_step", 1),
+    "silent": ("_trade_step", 1),
+    "double_spend": ("_double_spend_step", 0),
+    "flood": ("_flood_step", 0),
+    "chatter": ("_chatter_step", 0),
 }
 
 
@@ -551,6 +552,7 @@ class TradeAttempt:
     state: str  # joining -> negotiating -> committed
     started: int
     ctp: Optional[CTPTx] = None
+    settled: bool = False  # a mined receipt names ``ctp``
 
 
 class ConsumerActor(Actor, MeterMixin):
@@ -572,7 +574,6 @@ class ConsumerActor(Actor, MeterMixin):
         owns_meter: bool,
         rng: Random,
         behavior: str = "honest",
-        max_trades: int = 8,
         start_delay: int = 0,
         offer_preference: int = 0,
         sibling_pks: Optional[Set[bytes]] = None,
@@ -583,11 +584,11 @@ class ConsumerActor(Actor, MeterMixin):
         self.owns_meter = owns_meter
         self.rng = rng
         self.behavior = behavior
-        self.max_trades = max_trades
+        step_name, self.max_trades = CONSUMER_BEHAVIORS[behavior]
+        self._behavior_step = getattr(self, step_name)
         self.start_delay = start_delay
         self.offer_preference = offer_preference
         self.sibling_pks = sibling_pks or set()
-        self._behavior_step = getattr(self, _CONSUMER_STEPS[behavior])
         self.offers: Dict[bytes, tuple] = {}  # supply t_id -> (pk, amount, price, negotiable)
         self.offer_keys: List[bytes] = []  # the keys of self.offers, kept sorted
         self.tried: Set[bytes] = set()
@@ -599,7 +600,6 @@ class ConsumerActor(Actor, MeterMixin):
         self._idle_book: Optional[Tuple[int, int]] = None
         self.attempt: Optional[TradeAttempt] = None
         self.trades_done = 0
-        self.settled_ctps: Set[bytes] = set()
         # contract hash -> terms of each agreement reached, committed or not
         self.agreements: Dict[bytes, ContractTerms] = {}
         self.sent_ctps: List[CTPTx] = []
@@ -662,9 +662,7 @@ class ConsumerActor(Actor, MeterMixin):
             self._start_trade(now)
             return
         if attempt.state == "committed":
-            if attempt.ctp is not None and (
-                attempt.ctp.t_id in self.settled_ctps or now >= attempt.ctp.expiry_time
-            ):
+            if attempt.ctp is not None and (attempt.settled or now >= attempt.ctp.expiry_time):
                 self.attempt = None
                 self.trades_done += 1
             return
@@ -870,8 +868,19 @@ class ConsumerActor(Actor, MeterMixin):
 
     def _on_mined_tx(self, tx) -> None:
         if isinstance(tx, SupplyEnergyTx):
-            if tx.t_id not in self.offers:  # the first sighting wins
+            # blocks reach traders unchecked, and a later trade step would raise
+            # on a supply whose fields are outside their declared domains
+            typed = (type(tx.t_id), type(tx.pk), type(tx.energy_amount), type(tx.energy_price))
+            if (
+                typed == (bytes, bytes, int, int)
+                and len(tx.pk) == PUBLIC_KEY_LEN
+                and 0 < tx.energy_amount < 1 << 64
+                and 0 <= tx.energy_price < 1 << 64
+                and tx.t_id not in self.offers  # the first sighting wins
+            ):
                 self.offers[tx.t_id] = (tx.pk, tx.energy_amount, tx.energy_price, tx.negotiable)
                 insort(self.offer_keys, tx.t_id)
         elif isinstance(tx, ERCTx):
-            self.settled_ctps.add(tx.ctp_id)
+            attempt = self.attempt
+            if attempt is not None and attempt.ctp is not None and tx.ctp_id == attempt.ctp.t_id:
+                attempt.settled = True

@@ -1,24 +1,94 @@
-"""Scenario configuration: a flat key=value file mapped onto one dataclass.
+"""Scenario configuration: a flat key=value file mapped onto one dataclass,
+and the attacks a scenario can stage.
 
 Every field of :class:`ScenarioConfig` is a config key. The seed fully
 determines a run; two runs with equal configs produce identical metrics
 and chain dumps.
+
+Each attack is one :class:`Attack` record in ``ATTACKS``: what it shows,
+the preset it runs, the checks a config must pass to stage it, and how
+each producer and consumer behaves. ``ScenarioConfig.validate``,
+``scenarios.preset`` and ``World`` read the record; only the verdicts,
+which need a finished world, live in ``scenarios.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import List
+from typing import Callable, Dict, List, Tuple
 
-ATTACKS = (
-    "none",
-    "malicious_producer",
-    "malicious_consumer",
-    "coe_forgery",
-    "double_spend",
-    "negotiation_flood",
-    "routing_overload",
-)
+
+@dataclass(frozen=True)
+class Attack:
+    """One scenario: ``preset`` is the settings ``scenarios.preset`` starts
+    from; ``checks`` are (refuses the config?, why) pairs, tried in order;
+    ``producer`` and ``consumer`` name the behaviour of producer or consumer
+    ``i``, as ``actors.py`` defines it; ``consumer_count`` is the config key
+    that counts the consumer actors."""
+
+    description: str
+    preset: Dict[str, object]
+    checks: Tuple[Tuple[Callable[[ScenarioConfig], bool], str], ...]
+    producer: Callable[[int], str] = lambda i: "honest"
+    consumer: Callable[[int], str] = lambda i: "honest"
+    consumer_count: str = "consumers"
+
+
+def _no_trade(c: ScenarioConfig) -> bool:
+    """No producer or no consumer, counting each prosumer as both."""
+    return c.producers + c.prosumers < 1 or c.consumers + c.prosumers < 1
+
+
+ATTACKS: Dict[str, Attack] = {
+    "none": Attack(
+        "honest end-to-end trading: offers, negotiation, commitment, delivery, settlement",
+        dict(producers=2, consumers=2, miners=3, backbones=2, ticks=900),
+        ((_no_trade, "attack 'none' needs a producer and a consumer"),),
+    ),
+    "malicious_producer": Attack(
+        "producer never delivers; commitment expires and funds release",
+        dict(producers=1, consumers=1, miners=2, backbones=2, ticks=450, ctp_default_ttl=120,
+             supplies_per_producer=1),
+        ((_no_trade, "attack 'malicious_producer' needs a producer and a consumer"),),
+        producer=lambda i: "silent",
+    ),
+    "malicious_consumer": Attack(
+        "consumers withhold or corrupt commitments; no energy moves unpaid",
+        dict(producers=3, consumers=3, miners=2, backbones=2, ticks=500, ctp_default_ttl=120),
+        ((_no_trade, "attack 'malicious_consumer' needs a producer and a consumer"),),
+        consumer=lambda i: ("no_ctp", "bad_hash", "silent")[i % 3],
+    ),
+    "coe_forgery": Attack(
+        "attacker replays a genuine endorsement without owning its keys",
+        dict(producers=2, consumers=1, miners=2, backbones=2, ticks=700, ctp_default_ttl=250,
+             supplies_per_producer=1),
+        ((_no_trade, "attack 'coe_forgery' needs a producer and a consumer"),
+         (lambda c: c.producers < 2, "coe_forgery needs an honest producer plus the forger")),
+        producer=lambda i: "forger" if i == 0 else "honest",
+    ),
+    "double_spend": Attack(
+        "commitment burst past the balance; miners admit only a safe subset",
+        dict(producers=1, consumers=2, miners=3, backbones=2, ticks=200, supplies_per_producer=0),
+        ((lambda c: c.consumers < 1, "double_spend needs a consumer to play the spender"),
+         (lambda c: c.double_spend_ctps < 1, "double_spend needs double_spend_ctps >= 1")),
+        consumer=lambda i: "double_spend",
+    ),
+    "negotiation_flood": Attack(
+        "offer spam beyond the limit is dropped at the backbone",
+        dict(producers=1, consumers=1, miners=2, backbones=2, ticks=200, supplies_per_producer=1),
+        ((lambda c: c.producers < 1 or c.consumers < 1,
+          "negotiation_flood needs a target producer and a flooding consumer"),),
+        consumer=lambda i: "flood" if i == 0 else "honest",
+    ),
+    "routing_overload": Attack(
+        "traffic hot-spot triggers prefix widening; load shares recorded",
+        dict(producers=6, consumers=0, miners=2, backbones=4, ticks=300, chatter_nodes=6,
+             supplies_per_producer=0),
+        ((lambda c: c.chatter_nodes < 1, "routing_overload needs chatter nodes"),),
+        consumer=lambda i: "chatter",
+        consumer_count="chatter_nodes",
+    ),
+}
 
 _U64_LIMIT = 1 << 64  # expiry ticks are u64 on the wire
 
@@ -29,7 +99,7 @@ class ScenarioConfig:
 
     Every key is a setting that some preset, test, benchmark workload or
     open experiment varies. Values that nothing varies are constants in the
-    module that reads them (``world.py`` and ``actors.py``).
+    module that reads them (``world.py``, ``actors.py`` and ``arb.py``).
     """
 
     seed: int = 1
@@ -55,7 +125,7 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         if self.attack not in ATTACKS:
-            raise ValueError(f"unknown attack {self.attack!r}; choose from {ATTACKS}")
+            raise ValueError(f"unknown attack {self.attack!r}; choose from {tuple(ATTACKS)}")
         if self.ticks < 1:
             raise ValueError("ticks must be positive")
         if self.miners < 1 or self.backbones < 1:
@@ -72,24 +142,9 @@ class ScenarioConfig:
         for key in counts:
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be non-negative")
-        trading = self.attack in (
-            "none",
-            "malicious_producer",
-            "malicious_consumer",
-            "coe_forgery",
-        )
-        if trading and (self.producers + self.prosumers < 1 or self.consumers + self.prosumers < 1):
-            raise ValueError(f"attack {self.attack!r} needs a producer and a consumer")
-        if self.attack == "coe_forgery" and self.producers < 2:
-            raise ValueError("coe_forgery needs an honest producer plus the forger")
-        if self.attack == "double_spend" and self.consumers < 1:
-            raise ValueError("double_spend needs a consumer to play the spender")
-        if self.attack == "double_spend" and self.double_spend_ctps < 1:
-            raise ValueError("double_spend needs double_spend_ctps >= 1")
-        if self.attack == "negotiation_flood" and (self.producers < 1 or self.consumers < 1):
-            raise ValueError("negotiation_flood needs a target producer and a flooding consumer")
-        if self.attack == "routing_overload" and self.chatter_nodes < 1:
-            raise ValueError("routing_overload needs chatter nodes")
+        for refuses, message in ATTACKS[self.attack].checks:
+            if refuses(self):
+                raise ValueError(message)
 
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}

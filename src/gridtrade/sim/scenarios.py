@@ -3,7 +3,8 @@
 ``run_scenario`` builds a world from a config, runs it, then evaluates the
 assertions the scenario is about: universal safety checks on every run,
 plus attack-specific defenses. Verdicts land in the returned metrics; a
-run "passes" when every verdict holds.
+run "passes" when every verdict holds. Everything else about an attack is
+its record in ``config.ATTACKS``, which ``SCENARIOS`` and ``preset`` read.
 """
 
 from __future__ import annotations
@@ -13,54 +14,19 @@ from typing import Dict, List
 
 from ..transactions import MINEABLE_TAGS
 from .actors import FORGERY_ATTEMPTS
-from .config import ScenarioConfig
+from .config import ATTACKS, ScenarioConfig
 from .metrics import Metrics
 from .world import X_INITIAL, World
 
-SCENARIOS: Dict[str, str] = {
-    "none": "honest end-to-end trading: offers, negotiation, commitment, delivery, settlement",
-    "malicious_producer": "producer never delivers; commitment expires and funds release",
-    "malicious_consumer": "consumers withhold or corrupt commitments; no energy moves unpaid",
-    "coe_forgery": "attacker replays a genuine endorsement without owning its keys",
-    "double_spend": "commitment burst past the balance; miners admit only a safe subset",
-    "negotiation_flood": "offer spam beyond the limit is dropped at the backbone",
-    "routing_overload": "traffic hot-spot triggers prefix widening; load shares recorded",
-}
+# name -> one-line description, in the order ``ATTACKS`` lists them
+SCENARIOS: Dict[str, str] = {name: attack.description for name, attack in ATTACKS.items()}
 
 
 def preset(attack: str, **overrides) -> ScenarioConfig:
     """Config with workable actor counts for the given scenario."""
-    base = dict(seed=1, attack=attack)
-    if attack == "none":
-        base.update(producers=2, consumers=2, miners=3, backbones=2, ticks=900)
-    elif attack == "malicious_producer":
-        base.update(
-            producers=1, consumers=1, miners=2, backbones=2,
-            ticks=450, ctp_default_ttl=120, supplies_per_producer=1,
-        )
-    elif attack == "malicious_consumer":
-        base.update(producers=3, consumers=3, miners=2, backbones=2,
-                    ticks=500, ctp_default_ttl=120)
-    elif attack == "coe_forgery":
-        base.update(
-            producers=2, consumers=1, miners=2, backbones=2,
-            ticks=700, ctp_default_ttl=250, supplies_per_producer=1,
-        )
-    elif attack == "double_spend":
-        base.update(producers=1, consumers=2, miners=3, backbones=2,
-                    ticks=200, supplies_per_producer=0)
-    elif attack == "negotiation_flood":
-        base.update(producers=1, consumers=1, miners=2, backbones=2,
-                    ticks=200, supplies_per_producer=1)
-    elif attack == "routing_overload":
-        base.update(
-            producers=6, consumers=0, miners=2, backbones=4,
-            ticks=300, chatter_nodes=6, supplies_per_producer=0,
-        )
-    else:
+    if attack not in ATTACKS:
         raise ValueError(f"unknown scenario {attack!r}")
-    base.update(overrides)
-    return ScenarioConfig(**base)
+    return ScenarioConfig(**{"seed": 1, "attack": attack, **ATTACKS[attack].preset, **overrides})
 
 
 @dataclass
@@ -327,8 +293,8 @@ def _verdict_routing_overload(world: World, m: Metrics) -> None:
         x_final == X_INITIAL + m.get("rebalances"),
         f"x={x_final}",
     )
-    if world.rebalance_events:
-        event = world.rebalance_events[0]
+    if world.mesh.widenings:
+        event = world.mesh.widenings[0]
         if world.config.routing_skew:
             # indivisible hot value: widening is not guaranteed to help
             m.note("skew_share_before", f"{event['share_before']:.4f}")

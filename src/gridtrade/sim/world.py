@@ -1,11 +1,17 @@
 """Deterministic discrete-event world wiring all protocol actors together.
 
+``World`` builds the actors, runs the tick loop, carries messages and
+counts invariant breaches; it decides nothing about the protocol. Who
+misbehaves comes from the attack's record in ``config.ATTACKS``, what a
+consumer does from ``actors.CONSUMER_BEHAVIORS``, and when the routing
+prefix widens from ``Mesh.maybe_widen``.
+
 Time is integer ticks; one tick is one network hop. Each tick runs fixed
 phases: consensus-period bookkeeping, expiry sweeps, message deliveries,
 meter joins (tick 0 only), actor steps, mining wakeups, then end-of-tick
-digest journaling, load checks, and invariant checks. All randomness comes
-from labeled child RNGs of the scenario seed, so two runs with the same
-config are bit-identical.
+digest journaling, the mesh's widening check, and invariant checks. All
+randomness comes from labeled child RNGs of the scenario seed, so two runs
+with the same config are bit-identical.
 
 The invariant checks recount a miner's pending commitments from
 ``entries`` on each tick that miner's ledger changed: a new ledger object
@@ -31,11 +37,12 @@ from collections import Counter
 from random import Random
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..arb import MAX_X, Mesh, make_join
+from ..arb import Mesh, make_join
 from ..crypto import Certificate, KeyPair, PublicKey, hash_bytes, issue_certificate
 from ..ledger import Ledger, LedgerConfig, Miner
 from ..meter import SmartMeter, provision_meter
 from .actors import (
+    CONSUMER_BEHAVIORS,
     Actor,
     BackboneActor,
     ConsumerActor,
@@ -43,7 +50,7 @@ from .actors import (
     OfferState,
     ProducerActor,
 )
-from .config import ScenarioConfig
+from .config import ATTACKS, ScenarioConfig
 from .messages import (
     BlockGossip,
     ClaimGossip,
@@ -56,13 +63,8 @@ from .metrics import Metrics
 
 
 X_INITIAL = 1  # routing-prefix bytes the mesh starts with
-OVERLOAD_THRESHOLD = 60  # a backbone's window load past which the prefix widens
 BURN_THRESHOLD = 100  # least coin a coin-burn genesis must burn
 INITIAL_BALANCE = 1000  # coin each consumer account starts with
-# trades an honest consumer makes: each receipt spends one leaf of its meter's
-# key pool, so this equals the default ``key_pool_size``; a pool that renews
-# once it runs out would tie the two
-MAX_TRADES = 8
 SUPPLY_KWH = 10  # energy in each supply offer
 SUPPLY_UNIT_PRICE = 10  # posted price per kWh of each supply offer
 
@@ -86,7 +88,6 @@ class World:
         self.step_actors: List[Actor] = []
         self._loss_rate = config.message_loss_rate
         self._loss_rng = child_rng(config.seed, "loss")
-        self.rebalance_events: List[dict] = []
         self.initial_balances: Dict[PublicKey, int] = {}
         self._build()
         # per miner: (ledger, its change count, coin not conserved?, unsafe payers)
@@ -114,8 +115,8 @@ class World:
         for i in range(cfg.miners):
             keypair = KeyPair.generate(child_rng(cfg.seed, f"miner/{i}"))
             miner = Miner(keypair, ledger_config, cfg.consensus_period)
-            actor = MinerActor(f"miner-{i}", self, miner, reference=(i == 0))
-            actor.period_rng = child_rng(cfg.seed, f"miner/{i}/period")
+            rng = child_rng(cfg.seed, f"miner/{i}/period")
+            actor = MinerActor(f"miner-{i}", self, miner, reference=(i == 0), period_rng=rng)
             self.actors[actor.id] = actor
             self.miner_actors.append(actor)
 
@@ -123,20 +124,17 @@ class World:
         producers: List[ProducerActor] = []
         consumers: List[ConsumerActor] = []
 
+        attack = ATTACKS[cfg.attack]
         for i in range(cfg.producers):
-            behavior = self._producer_behavior(i)
-            producers.append(self._make_producer(f"producer-{i}", i, behavior))
+            producers.append(self._make_producer(f"producer-{i}", i, attack.producer(i)))
         for i in range(cfg.prosumers):
             producers.append(
                 self._make_producer(f"prosumer-{i}.producer", cfg.producers + i, "honest")
             )
 
-        consumer_count = (
-            cfg.chatter_nodes if cfg.attack == "routing_overload" else cfg.consumers
-        )
+        consumer_count = getattr(cfg, attack.consumer_count)
         for i in range(consumer_count):
-            behavior = self._consumer_behavior(i)
-            consumers.append(self._make_consumer(f"consumer-{i}", i, behavior, None))
+            consumers.append(self._make_consumer(f"consumer-{i}", i, attack.consumer(i), None))
         for i in range(cfg.prosumers):
             sibling = producers[cfg.producers + i]
             consumers.append(
@@ -156,26 +154,6 @@ class World:
         self.network_actor_ids = [m.id for m in self.miner_actors] + [
             a.id for a in self.step_actors
         ]
-
-    def _producer_behavior(self, index: int) -> str:
-        attack = self.config.attack
-        if attack == "malicious_producer":
-            return "silent"
-        if attack == "coe_forgery" and index == 0:
-            return "forger"
-        return "honest"
-
-    def _consumer_behavior(self, index: int) -> str:
-        attack = self.config.attack
-        if attack == "malicious_consumer":
-            return ("no_ctp", "bad_hash", "silent")[index % 3]
-        if attack == "double_spend":
-            return "double_spend"
-        if attack == "negotiation_flood":
-            return "flood" if index == 0 else "honest"
-        if attack == "routing_overload":
-            return "chatter"
-        return "honest"
 
     def _make_producer(self, actor_id: str, index: int, behavior: str) -> ProducerActor:
         cfg = self.config
@@ -204,11 +182,7 @@ class World:
         )
 
     def _make_consumer(
-        self,
-        actor_id: str,
-        index: int,
-        behavior: str,
-        sibling_producer: Optional[ProducerActor],
+        self, actor_id: str, index: int, behavior: str, sibling_producer: Optional[ProducerActor]
     ) -> ConsumerActor:
         cfg = self.config
         rng = child_rng(cfg.seed, f"consumer/{index}")
@@ -219,31 +193,20 @@ class World:
         if sibling_producer is not None:
             meter = sibling_producer.meter  # prosumer: both roles share one meter
             sibling_pks = {o.keypair.public for o in sibling_producer.offers}
-        elif behavior in ("honest", "no_ctp", "bad_hash", "silent"):
+        elif CONSUMER_BEHAVIORS[behavior][1]:  # a consumer that trades has a meter
             meter = SmartMeter(
                 provision_meter(self.manufacturer_ca, rng),
                 child_rng(cfg.seed, f"consumer/{index}/meter"),
             )
             owns_meter = True
             self.meter_directory.append(meter.public)
-        max_trades = MAX_TRADES
-        if behavior in ("no_ctp", "bad_hash", "silent"):
-            max_trades = 1
         for miner in self.miner_actors:
             miner.miner.ledger.seed_account(account.public, INITIAL_BALANCE)
         self.initial_balances[account.public] = INITIAL_BALANCE
         return ConsumerActor(
-            actor_id,
-            self,
-            account,
-            meter,
-            owns_meter,
-            rng,
-            behavior=behavior,
-            max_trades=max_trades,
+            actor_id, self, account, meter, owns_meter, rng, behavior=behavior,
             start_delay=15 + 12 * index,  # offset trade starts to cut offer races
-            offer_preference=index,
-            sibling_pks=sibling_pks,
+            offer_preference=index, sibling_pks=sibling_pks,
         )
 
     # -- messaging ------------------------------------------------------------
@@ -374,46 +337,13 @@ class World:
                     actor.mine(now)
             for actor in self.miner_actors:
                 actor.miner.record_tick_digest(now)
-            self._maybe_rebalance(now)
+            if self.mesh.maybe_widen(now):
+                self.metrics.bump("rebalances")
             self._tick_checks(now)
         self._finalize()
         return self.metrics
 
     # -- end-of-tick work ---------------------------------------------------------
-
-    def _maybe_rebalance(self, now: int) -> None:
-        if self.mesh.table.x >= MAX_X:
-            return
-        hot_id, hot_load = None, -1
-        for node_id in sorted(self.mesh.nodes):
-            load = self.mesh.nodes[node_id].window_load()
-            if load > hot_load:
-                hot_id, hot_load = node_id, load
-        if hot_load <= OVERLOAD_THRESHOLD:
-            return
-        new_x = self.mesh.table.x + 1
-        histogram: Dict[int, int] = {}
-        for node in self.mesh.nodes.values():
-            for value, count in node.window_histogram(new_x).items():
-                histogram[value] = histogram.get(value, 0) + count
-        old_table = self.mesh.table
-        share_before = old_table.value_share(hot_id) / old_table.space
-        self.mesh.widen(new_x, histogram, overloaded=hot_id)
-        share_after = self.mesh.table.value_share(hot_id) / self.mesh.table.space
-        for node in self.mesh.nodes.values():
-            node.recent.clear()
-        self.metrics.bump("rebalances")
-        self.rebalance_events.append(
-            {
-                "tick": now,
-                "hot": hot_id,
-                "hot_load": hot_load,
-                "x_before": old_table.x,
-                "x_after": new_x,
-                "share_before": share_before,
-                "share_after": share_after,
-            }
-        )
 
     def _tick_checks(self, now: int) -> None:
         """Count invariant breaches at tick end: one ``safety_violations``

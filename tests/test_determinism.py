@@ -195,3 +195,52 @@ def test_every_preset_is_pinned_under_loss():
 def test_lossy_run_matches_golden(attack, seed, loss):
     result = run_scenario(preset(attack, seed=seed, message_loss_rate=loss))
     assert _digests(result) == LOSSY_GOLDEN[(attack, seed, loss)]
+
+
+# Every preset at seeds 1 and 2 with four times its producers, consumers and
+# chatter nodes, five miners and four backbones. The presets use at most three
+# actors of each role, so these runs are the ones that reach the higher
+# indices of each attack's behaviour mapping: the malicious consumers'
+# no_ctp / bad_hash / silent cycle repeats, and the forger or the flooder is
+# one of many. The pins hold the digests, not a pass: ``malicious_consumer``
+# seed 2 fails ``silent_consumer_still_pays`` (a rival buyer can reserve an
+# offer after a consumer has already committed to it).
+SCALED_GOLDEN = dict([
+    (("coe_forgery", 1), ("6b99ffd74e85582ef169af8a3c8f6bdbfd0038bcf6183b2629bbbe809f47d99d", "741da5ff1d61a08f0141fc853b97186a1148487b32627cbc1a0a988c908a5964")),
+    (("coe_forgery", 2), ("406377fef3ea279319d94dc339daf303a89ceb3d589f5ec43baea29f08751f59", "0066eaac4973c18d9a2d4450bc86139c35754c697e4e9abe2358cbf8310b70f7")),
+    (("double_spend", 1), ("cd543d5496188157d6623f3a647228c7d80380bb373bf6ab68e0c9d73c56df56", "adfa9c29f5e55a924828ec04cb0d86f1fd3231e1bc6c88247ac8f4be68a9c35b")),
+    (("double_spend", 2), ("86c5ed035c8bc4e5bcd4edf8d22bb060474722a3ef2f10765e36a4c02f8d388b", "cefe98ed6f865243f40042301be9dc612444cfca51c3e36e80d719713aadaad5")),
+    (("malicious_consumer", 1), ("197c9eb6932dd376a2ed63ae81aebabc9511f29310fd8ae361b5ab73c9dae147", "fe36f11c55f8d91d6cc878542689d0ef000407195a19c2ca96586b811b319b71")),
+    (("malicious_consumer", 2), ("b0eab73a5ae6f3e052939c7136727a98de083e78afb7af15e16ea5bd1b51c508", "9e32258aa1d581cf5c45f1c03a1e52793b00b4758951785c88f9c4b4222e853a")),
+    (("malicious_producer", 1), ("346aa23187947cf0f607389fb81554ac227f18c3543dd0b4a094d9893d7c9a70", "cd986aa7906392fd6ecac9e3ab7b8abeef76a613f707e180bb77e01403f392bc")),
+    (("malicious_producer", 2), ("007fa6bf285401feeec354a957bb949bc788e36a8e9ef3ce1e92b91427b4fec2", "2cb42e31c083fb1a346aeca71710e6cdbc11c256f115c4330e147ca37438d703")),
+    (("negotiation_flood", 1), ("277bdef35c7a4b8d8726762d998b51c6715f1ab280b5fd99becae0157336345c", "19e0e8f2ec1488b639345b962e2dbb104838a9b64d03b3d4ba20331173315a27")),
+    (("negotiation_flood", 2), ("26a74f71e645e3b153435015f0dcdf347a8a1a5297af0dd61a52cf5c6bd6f5b5", "4dfd332bcd6049165856639b25d2b213255521182030f65e9ca48a805d38d359")),
+    (("none", 1), ("48301826b0498dd84df1bc543f9750d938cd40e45a1e3bb7075dec64852c30c5", "e683de8a0ad0f93246499ff966a081cbeafef62fe58d9a95d9c004b576d71ba2")),
+    (("none", 2), ("7c8817a65a6e9cedb96c39e4e4c7b4636b777878a76278215c0567f0fd90fb73", "0dd1d384a50f9ae2b9fa9a2571698c92f6a172231cb2c59fbe1f4dcb7575ad11")),
+    (("routing_overload", 1), ("924422777fcaefa9e967f5b70421998219ffd2ea396162ac9a563966934d1f43", "a942a15d17a26fefb65a63a39cf7cefc9b5c36831b9a91f43e12b7952c3bee15")),
+    (("routing_overload", 2), ("951caede1069c8223c3a46b48785e87094a8f955bb5720806eca3767d296d66a", "5609e2291207e3b68fede3d7588248d66415c391e9ef2561ac0c1f4117c91a60")),
+])
+
+
+def _scaled(attack, seed):
+    base = preset(attack)
+    return preset(
+        attack,
+        seed=seed,
+        producers=4 * base.producers,
+        consumers=4 * base.consumers,
+        chatter_nodes=4 * base.chatter_nodes,
+        miners=5,
+        backbones=4,
+    )
+
+
+def test_every_preset_is_pinned_at_scale():
+    assert {attack for attack, _ in SCALED_GOLDEN} == set(SCENARIOS)
+
+
+@pytest.mark.parametrize("attack,seed", sorted(SCALED_GOLDEN))
+def test_scaled_run_matches_golden(attack, seed):
+    result = run_scenario(_scaled(attack, seed))
+    assert _digests(result) == SCALED_GOLDEN[(attack, seed)]

@@ -31,7 +31,7 @@ from gridtrade.sim import (
     preset,
     run_scenario,
 )
-from gridtrade.sim.actors import Actor, TradeAttempt
+from gridtrade.sim.actors import CONSUMER_BEHAVIORS, PRODUCER_BEHAVIORS, Actor, TradeAttempt
 from gridtrade.sim.cli import main as cli_main
 from gridtrade.meter import TAG_COE
 from gridtrade.sim.messages import (
@@ -45,7 +45,8 @@ from gridtrade.sim.messages import (
     decode_routed_payload,
     encode_routed_payload,
 )
-from gridtrade.sim.scenarios import SCENARIOS
+from gridtrade.sim.config import ATTACKS
+from gridtrade.sim.scenarios import _EVALUATORS, SCENARIOS
 from gridtrade.sim.world import World
 from gridtrade.transactions import (
     ContractTerms,
@@ -136,6 +137,99 @@ class TestConfig:
         assert parse_config("routing_skew=off\n").routing_skew is False
         with pytest.raises(ValueError):
             parse_config("routing_skew=maybe\n")
+
+
+LISTED_SCENARIOS = """\
+none                 honest end-to-end trading: offers, negotiation, commitment, delivery, settlement
+malicious_producer   producer never delivers; commitment expires and funds release
+malicious_consumer   consumers withhold or corrupt commitments; no energy moves unpaid
+coe_forgery          attacker replays a genuine endorsement without owning its keys
+double_spend         commitment burst past the balance; miners admit only a safe subset
+negotiation_flood    offer spam beyond the limit is dropped at the backbone
+routing_overload     traffic hot-spot triggers prefix widening; load shares recorded
+"""
+
+
+class TestAttackRecords:
+    """Each attack is one record in ``config.ATTACKS``; its verdicts are the
+    one part that lives in ``scenarios.py``."""
+
+    def test_records_name_only_behaviours_the_actors_define(self):
+        keys = {f.name for f in fields(ScenarioConfig)}
+        for name, attack in ATTACKS.items():
+            # twelve indices cover every cycle and first-actor rule
+            assert {attack.producer(i) for i in range(12)} <= set(PRODUCER_BEHAVIORS), name
+            assert {attack.consumer(i) for i in range(12)} <= set(CONSUMER_BEHAVIORS), name
+            assert attack.consumer_count in keys, name
+            assert set(attack.preset) <= keys, name
+
+    def test_every_record_has_its_verdicts(self):
+        assert list(_EVALUATORS) == list(ATTACKS) == list(SCENARIOS)
+
+    @pytest.mark.parametrize("name", list(ATTACKS))
+    def test_preset_validates(self, name):
+        config = preset(name)
+        config.validate()
+        assert config.attack == name
+
+    def test_list_scenarios_text(self, capsys):
+        assert cli_main(["list-scenarios"]) == 0
+        assert capsys.readouterr().out == LISTED_SCENARIOS
+
+    def test_unknown_attack_message(self):
+        with pytest.raises(ValueError) as raised:
+            ScenarioConfig(attack="teleport").validate()
+        assert str(raised.value) == (
+            "unknown attack 'teleport'; choose from ('none', 'malicious_producer', "
+            "'malicious_consumer', 'coe_forgery', 'double_spend', 'negotiation_flood', "
+            "'routing_overload')"
+        )
+
+    @pytest.mark.parametrize(
+        "attack, overrides, message",
+        [
+            ("none", dict(producers=0), "attack 'none' needs a producer and a consumer"),
+            ("none", dict(consumers=0), "attack 'none' needs a producer and a consumer"),
+            (
+                "malicious_producer", dict(consumers=0),
+                "attack 'malicious_producer' needs a producer and a consumer",
+            ),
+            (
+                "malicious_consumer", dict(producers=0),
+                "attack 'malicious_consumer' needs a producer and a consumer",
+            ),
+            # the shared check comes first, so it names what a config of no
+            # producers lacks
+            (
+                "coe_forgery", dict(producers=0),
+                "attack 'coe_forgery' needs a producer and a consumer",
+            ),
+            (
+                "coe_forgery", dict(producers=1),
+                "coe_forgery needs an honest producer plus the forger",
+            ),
+            (
+                "double_spend", dict(consumers=0),
+                "double_spend needs a consumer to play the spender",
+            ),
+            (
+                "double_spend", dict(double_spend_ctps=0),
+                "double_spend needs double_spend_ctps >= 1",
+            ),
+            (
+                "negotiation_flood", dict(producers=0),
+                "negotiation_flood needs a target producer and a flooding consumer",
+            ),
+            ("routing_overload", dict(chatter_nodes=0), "routing_overload needs chatter nodes"),
+        ],
+    )
+    def test_check_messages(self, attack, overrides, message):
+        with pytest.raises(ValueError) as raised:
+            preset(attack, **overrides).validate()
+        assert str(raised.value) == message
+
+    def test_a_prosumer_counts_as_both_traders(self):
+        preset("none", producers=0, consumers=0, prosumers=1).validate()
 
 
 class TestScenarios:
@@ -861,6 +955,106 @@ class TestMalformedBlock:
         for actor in world.producer_actors + world.consumer_actors:
             actor.on_message(BlockGossip(bad), 1)
         assert world.consumer_actors[0].offers == {}
+
+
+def _dummy_erc(ctp_id) -> ERCTx:
+    """A receipt that names ``ctp_id`` and holds nothing else of worth:
+    traders read a mined receipt only for the commitment it names."""
+    return ERCTx(b"", 0, ctp_id, 1, b"", b"", None, b"", None, b"", b"")
+
+
+class TestTraderIntake:
+    """Traders read a gossiped block's transactions unchecked, so a mined
+    transaction with a field of the wrong type, or outside its domain, must
+    neither raise on arrival nor be stored for a later step to raise on."""
+
+    def _world_and_block(self, *txs):
+        world = World(preset("none", seed=1))
+        miner = world.miner_actors[1].miner
+        miner.start_period(0, Random(0))
+        return world, replace(miner.mine(0), txs=txs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("t_id", []),
+            ("t_id", "t" * 32),
+            ("pk", []),
+            ("pk", None),
+            ("energy_amount", None),
+            ("energy_amount", True),
+            ("energy_price", "9"),
+            ("energy_price", 1.5),
+            ("pk", b"short"),
+            ("energy_amount", 0),
+            ("energy_amount", -1),
+            ("energy_amount", 1 << 64),
+            ("energy_price", -10),
+            ("energy_price", 1 << 64),
+        ],
+        ids=[
+            "list-id", "str-id", "list-pk", "none-pk", "none-amount", "bool-amount",
+            "str-price", "float-price", "short-pk", "zero-amount", "negative-amount",
+            "u64-amount", "negative-price", "u64-price",
+        ],
+    )
+    def test_supply_outside_its_domain_is_skipped(self, field, value):
+        seller = KeyPair.generate(Random(3))
+        good = make_supply_energy(hash_bytes(b"genesis"), 10, 10, True, seller)
+        bad = replace(replace(good, t_id=hash_bytes(b"bad")), **{field: value})
+        world, block = self._world_and_block(bad, good)
+        consumer = world.consumer_actors[0]
+        consumer.on_message(BlockGossip(block), 1)
+        assert consumer.offer_keys == [good.t_id]
+        consumer._start_trade(100)  # the next scan sees only the good offer
+        assert consumer.attempt is not None and consumer.attempt.offer_key == good.t_id
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("energy_amount", 0), ("energy_amount", -1), ("energy_price", -10)],
+        ids=["zero-amount", "negative-amount", "negative-price"],
+    )
+    def test_out_of_domain_offer_for_a_real_account_does_not_stop_the_run(self, field, value):
+        # well typed, so only the domain check keeps the buyer from agreeing
+        # on it and failing to build its commitment
+        world, block = self._world_and_block()
+        offer = world.producer_actors[0].offers[0]
+        supply = make_supply_energy(hash_bytes(b"genesis"), 10, 10, True, offer.keypair)
+        forged = replace(supply, t_id=bytes(32), **{field: value})  # first in every book
+        for consumer in world.consumer_actors:
+            consumer.on_message(BlockGossip(replace(block, txs=(forged,))), 0)
+        world.run()
+        assert world.metrics.get("settlements") == 4
+
+    @pytest.mark.parametrize("ctp_id", [[], None, "c" * 32], ids=["list", "none", "str"])
+    def test_wrong_typed_receipt_is_skipped(self, ctp_id):
+        world, block = self._world_and_block(_dummy_erc(ctp_id))
+        for actor in world.producer_actors + world.consumer_actors:
+            actor.on_message(BlockGossip(block), 1)
+
+    def test_receipt_settles_only_the_attempt_it_names(self):
+        world = World(preset("none", seed=1))
+        consumer = world.consumer_actors[0]
+        ctp = make_ctp(1, 500, 100, hash_bytes(b"contract"), consumer.account)
+        consumer.attempt = TradeAttempt(
+            offer_key=b"offer",
+            account_pk=bytes(32),
+            amount=10,
+            posted_price=10,
+            negotiable=True,
+            session=KeyPair.generate(Random(9)),
+            state="committed",
+            started=0,
+            ctp=ctp,
+        )
+        _, other = self._world_and_block(_dummy_erc(hash_bytes(b"another ctp")))
+        consumer.on_message(BlockGossip(other), 2)
+        consumer._trade_step(3)
+        assert consumer.attempt is not None and consumer.trades_done == 0
+        _, block = self._world_and_block(_dummy_erc(ctp.t_id))
+        consumer.on_message(BlockGossip(block), 4)
+        consumer._trade_step(5)  # the attempt ends on the next step, not at expiry
+        assert consumer.attempt is None and consumer.trades_done == 1
 
 
 class TestProducerIntake:
