@@ -163,7 +163,6 @@ class VerificationRequest(Declared):
 class DeliveryRecord:
     """Energy received so far against one contract."""
 
-    contract_hash: HashDigest
     contracted_kwh: int
     delivered: int = 0
 
@@ -182,7 +181,7 @@ class SmartMeter:
         self.pool: Optional[KeyPool] = None
         self.coe: Optional[CoE] = None
         self.records: Dict[HashDigest, DeliveryRecord] = {}
-        self.contracts: Dict[HashDigest, tuple] = {}  # hash -> (terms, ctp) awaiting a receipt
+        self.contracts: Dict[HashDigest, CTPTx] = {}  # hash -> commitment awaiting a receipt
 
     # -- key pool and endorsement -------------------------------------------
 
@@ -238,17 +237,24 @@ class SmartMeter:
         )
 
     def install_coe(self, coe: CoE) -> None:
+        """Install an endorsement of this meter's own pool root by a meter its
+        manufacturer certified.
+
+        Raises MeterError for any other: miners refuse every receipt that
+        carries one, so delivered energy would go unpaid.
+        """
+        if self.pool is None or coe.root != self.pool.root:
+            raise MeterError("endorsement is not of this meter's pool")
+        if not coe.verify(self.identity.manufacturer_cert.issuer_pk):
+            raise MeterError("endorsement not signed by a certified meter")
         self.coe = coe
 
     # -- delivery tracking ------------------------------------------------------
 
     def register_contract(self, terms: ContractTerms, ctp: CTPTx) -> None:
         """Arm the meter for a trade: it now tracks delivery for this contract."""
-        self.contracts[ctp.contract_hash] = (terms, ctp)
-        self.records.setdefault(
-            ctp.contract_hash,
-            DeliveryRecord(contract_hash=ctp.contract_hash, contracted_kwh=terms.energy_amount),
-        )
+        self.contracts[ctp.contract_hash] = ctp
+        self.records.setdefault(ctp.contract_hash, DeliveryRecord(terms.energy_amount))
 
     def record_delivery(self, contract_hash: HashDigest, kwh: int) -> DeliveryRecord:
         """Accumulate received energy; flips complete at the contracted amount."""

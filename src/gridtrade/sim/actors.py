@@ -30,7 +30,7 @@ from ..transactions import (
     SupplyEnergyTx,
     _signed,
     check_structure,
-    compute_contract_hash,
+    contract_terms,
     make_ctp,
     make_genesis,
     make_negotiation,
@@ -268,7 +268,10 @@ class MeterMixin:
             self.world.metrics.bump("vr_served")
             self.world.send_routed(self, self.meter.public, inner.requester_mpk, coe)
         elif isinstance(inner, CoE):
-            self.meter.install_coe(inner)
+            try:
+                self.meter.install_coe(inner)
+            except MeterError:
+                self.world.metrics.bump("coe_rejected")
 
     def _on_ctp(self, ctp: CTPTx, dest_pk: bytes) -> None:
         """Only a producer takes commitments; anyone else drops them."""
@@ -280,7 +283,7 @@ class MeterMixin:
         # in registration order; a prosumer's consumer registers contracts on
         # the meter its producer owns, so the owner's pump sees them all
         waiting = self.meter.contracts
-        for contract_hash, (terms, ctp) in list(waiting.items()):
+        for contract_hash, ctp in list(waiting.items()):
             if now >= ctp.expiry_time:  # time only moves on: it can never emit
                 del waiting[contract_hash]
                 continue
@@ -443,13 +446,7 @@ class ProducerActor(Actor, MeterMixin):
             self._agree(offer, price, reply.t_id)
 
     def _agree(self, offer: OfferState, unit_price: int, nonce: bytes) -> None:
-        terms = ContractTerms(
-            energy_amount=offer.amount,
-            unit_price=unit_price,
-            total_price=offer.amount * unit_price,
-            nonce=nonce,
-        )
-        contract_hash = compute_contract_hash(terms)
+        contract_hash, terms = contract_terms(offer.amount, unit_price, nonce)
         offer.reserved = True
         self.contracts[contract_hash] = PendingContract(terms=terms, offer=offer)
 
@@ -543,13 +540,11 @@ CONSUMER_BEHAVIORS = {
 
 @dataclass
 class TradeAttempt:
-    offer_key: bytes  # supply t_id
-    account_pk: bytes
-    amount: int
-    posted_price: int
-    negotiable: bool
+    offer: SupplyEnergyTx  # as mined, and as intake type- and range-checked it
     session: KeyPair
-    state: str  # joining -> negotiating -> committed
+    # a buyer's: joining -> negotiating -> committed; the flooder's: joining ->
+    # flooding, a state in which no reply is read
+    state: str
     started: int
     ctp: Optional[CTPTx] = None
     settled: bool = False  # a mined receipt names ``ctp``
@@ -561,8 +556,12 @@ class ConsumerActor(Actor, MeterMixin):
     ``behavior`` variants: "honest"; "no_ctp" agrees then never commits;
     "bad_hash" commits to a corrupted contract hash; "silent" commits then
     ignores the rest of the trade; "double_spend" fires a burst of
-    commitments summing past its balance; "flood" sprays negotiation
-    messages; "chatter" generates routed pings for load scenarios.
+    commitments summing past its balance; "flood" joins one session on the
+    first offer it sees and sprays negotiation messages over it; "chatter"
+    generates routed pings for load scenarios.
+
+    Every session is one ``TradeAttempt`` on one mined offer, and each offer
+    gets one attempt, however it ends.
     """
 
     def __init__(
@@ -589,7 +588,7 @@ class ConsumerActor(Actor, MeterMixin):
         self.start_delay = start_delay
         self.offer_preference = offer_preference
         self.sibling_pks = sibling_pks or set()
-        self.offers: Dict[bytes, tuple] = {}  # supply t_id -> (pk, amount, price, negotiable)
+        self.offers: Dict[bytes, SupplyEnergyTx] = {}  # supply t_id -> the mined offer
         self.offer_keys: List[bytes] = []  # the keys of self.offers, kept sorted
         self.tried: Set[bytes] = set()
         # offer account keys named by a verified producer claim: sold offers
@@ -603,28 +602,20 @@ class ConsumerActor(Actor, MeterMixin):
         # contract hash -> terms of each agreement reached, committed or not
         self.agreements: Dict[bytes, ContractTerms] = {}
         self.sent_ctps: List[CTPTx] = []
-        # make_pool -> request_coe <-> await_coe -> done; a consumer without
-        # a meter has nothing to set up
-        self._init_state = "make_pool" if meter is not None else "done"
+        # request_coe <-> await_coe -> done; a consumer without a meter has
+        # nothing to set up
+        self._init_state = "request_coe" if meter is not None else "done"
         self._vr_sent_at: Optional[int] = None
-        # attack state
-        self.burst_fired = False
         self.flood_sent = 0
-        self.flood_session: Optional[KeyPair] = None
-        self.flood_target: Optional[tuple] = None
-        self._flood_joined = False
 
     # -- initialization: key pool, endorsement --------------------------------
 
     def _init_step(self, now: int) -> None:
-        if self._init_state == "make_pool":
-            if self.meter.pool is None:
-                self.meter.generate_key_pool(self.world.config.key_pool_size)
-            self._init_state = "request_coe"
-            return
         if self._init_state == "request_coe":
             if now < 3:
                 return
+            if self.meter.pool is None:  # a retry asks to endorse the same pool
+                self.meter.generate_key_pool(self.world.config.key_pool_size)
             vm_pk = self.world.pick_verifier_meter(self.meter.public, self.rng)
             if vm_pk is None:  # nobody to endorse us; trade cannot proceed
                 self._init_state = "done"
@@ -678,41 +669,25 @@ class ConsumerActor(Actor, MeterMixin):
         for key in self.offer_keys:
             if key in self.tried:
                 continue
-            pk, amount, price, negotiable = self.offers[key]
-            if pk in self.sibling_pks or pk in self.sold:
+            offer = self.offers[key]
+            if offer.pk in self.sibling_pks or offer.pk in self.sold:
                 continue
             if balance is None:
                 balance = self.world.ledger_view.available_balance(self.account.public)
-            if amount * price > balance:
-                continue
-            candidates.append((key, pk, amount, price, negotiable))
+            if offer.energy_amount * offer.energy_price <= balance:
+                candidates.append(offer)
         if balance is None:
             self._idle_book = book
-        if not candidates:
-            return
-        # spread concurrent buyers over the book so they rarely chase one offer
-        key, pk, amount, price, negotiable = candidates[
-            self.offer_preference % len(candidates)
-        ]
-        session = KeyPair.generate(self.rng)
-        self.tried.add(key)  # each offer gets one attempt, however it ends
-        self.attempt = TradeAttempt(
-            offer_key=key,
-            account_pk=pk,
-            amount=amount,
-            posted_price=price,
-            negotiable=negotiable,
-            session=session,
-            state="joining",
-            started=now,
-        )
-        self.world.send_join(self, make_join(session, self.id))
+        if candidates:
+            # spread concurrent buyers over the book so they rarely chase one offer
+            self._join(candidates[self.offer_preference % len(candidates)], now)
 
-    def _first_offer_price(self) -> int:
-        assert self.attempt is not None
-        if not self.attempt.negotiable:
-            return self.attempt.posted_price
-        return self.attempt.posted_price * 8 // 10
+    def _join(self, offer: SupplyEnergyTx, now: int) -> None:
+        """Open the attempt on ``offer`` under a fresh session key."""
+        session = KeyPair.generate(self.rng)
+        self.tried.add(offer.t_id)  # each offer gets one attempt, however it ends
+        self.attempt = TradeAttempt(offer, session, "joining", now)
+        self.world.send_join(self, make_join(session, self.id))
 
     def on_join_ack(self, ack: JoinAck, now: int) -> None:
         attempt = self.attempt
@@ -721,11 +696,15 @@ class ConsumerActor(Actor, MeterMixin):
         if not ack.accepted:
             self.attempt = None
             return
-        price = self._first_offer_price()
-        msg = make_negotiation(attempt.account_pk, price, 0, 1, attempt.session)
+        if self.behavior == "flood":
+            attempt.state = "flooding"
+            return
+        offer = attempt.offer
+        price = offer.energy_price * 8 // 10 if offer.negotiable else offer.energy_price
+        msg = make_negotiation(offer.pk, price, 0, 1, attempt.session)
         attempt.state = "negotiating"
         self.world.metrics.bump("negotiations_started")
-        self.world.send_routed(self, attempt.session.public, attempt.account_pk, msg)
+        self.world.send_routed(self, attempt.session.public, offer.pk, msg)
 
     def _on_negotiation(self, msg: NegotiationMsg, now: int) -> None:
         ok, _ = check_structure(msg)
@@ -736,21 +715,21 @@ class ConsumerActor(Actor, MeterMixin):
             attempt is None
             or attempt.state != "negotiating"
             or msg.dest_energy_account_pk != attempt.session.public
-            or msg.sender_pk != attempt.account_pk
+            or msg.sender_pk != attempt.offer.pk
         ):
             return
         self.world.metrics.bump("negotiation_rounds")
         # an acceptance or a counter-offer binds only at a price from 1 up to the
         # posted one; price 0 is an outright rejection
-        if 0 < msg.price <= attempt.posted_price:
+        if 0 < msg.price <= attempt.offer.energy_price:
             if msg.status == 1:
                 self._commit(attempt, msg.price, msg.t_id, now)
                 return
             if msg.round + 1 <= self.world.config.offer_limit:
                 accept = make_negotiation(
-                    attempt.account_pk, msg.price, 1, msg.round + 1, attempt.session
+                    attempt.offer.pk, msg.price, 1, msg.round + 1, attempt.session
                 )
-                self.world.send_routed(self, attempt.session.public, attempt.account_pk, accept)
+                self.world.send_routed(self, attempt.session.public, attempt.offer.pk, accept)
                 self._commit(attempt, msg.price, accept.t_id, now)
                 return
         self.attempt = None
@@ -758,13 +737,7 @@ class ConsumerActor(Actor, MeterMixin):
     def _commit(self, attempt: TradeAttempt, unit_price: int, nonce: bytes, now: int) -> None:
         """Agreement reached: derive terms, route the commitment to the
         offer, and gossip it to the miners."""
-        terms = ContractTerms(
-            energy_amount=attempt.amount,
-            unit_price=unit_price,
-            total_price=attempt.amount * unit_price,
-            nonce=nonce,
-        )
-        contract_hash = compute_contract_hash(terms)
+        contract_hash, terms = contract_terms(attempt.offer.energy_amount, unit_price, nonce)
         self.agreements[contract_hash] = terms
         attempt.state = "committed"
         if self.behavior == "no_ctp":
@@ -787,15 +760,14 @@ class ConsumerActor(Actor, MeterMixin):
         self.world.metrics.bump("ctp_broadcast")
         # it follows the acceptance along the same path, so the producer has
         # agreed by the time it lands
-        self.world.send_routed(self, attempt.session.public, attempt.account_pk, ctp)
+        self.world.send_routed(self, attempt.session.public, attempt.offer.pk, ctp)
         self.world.broadcast_tx(ctp)
 
     # -- adversarial behaviors ---------------------------------------------------
 
     def _double_spend_step(self, now: int) -> None:
-        if self.burst_fired or now < 30:
+        if self.sent_ctps or now < 30:  # a burst holds at least one commitment
             return
-        self.burst_fired = True
         balance = self.world.ledger_view.coin_balance(self.account.public)
         count = self.world.config.double_spend_ctps
         prices, total = [], 0
@@ -818,23 +790,17 @@ class ConsumerActor(Actor, MeterMixin):
             self.world.broadcast_tx(ctp)
 
     def _flood_step(self, now: int) -> None:
-        if self.flood_target is None:
-            if not self.offer_keys:
-                return
-            pk, amount, price, negotiable = self.offers[self.offer_keys[0]]
-            self.flood_target = (pk, price)
-            self.flood_session = KeyPair.generate(self.rng)
-            self.world.send_join(self, make_join(self.flood_session, self.id))
+        attempt = self.attempt
+        if attempt is None:
+            if not self.tried and self.offer_keys:  # one session, even if its join is refused
+                self._join(self.offers[self.offer_keys[0]], now)
             return
-        if self.flood_sent >= FLOOD_OFFERS:
+        if attempt.state != "flooding" or self.flood_sent >= FLOOD_OFFERS:
             return
-        if not self._flood_joined:
-            return
-        pk, _ = self.flood_target
         self.flood_sent += 1
-        msg = make_negotiation(pk, 1, 0, self.flood_sent, self.flood_session)
+        msg = make_negotiation(attempt.offer.pk, 1, 0, self.flood_sent, attempt.session)
         self.world.metrics.bump("flood_offers_sent")
-        self.world.send_routed(self, self.flood_session.public, pk, msg)
+        self.world.send_routed(self, attempt.session.public, attempt.offer.pk, msg)
 
     def _chatter_step(self, now: int) -> None:
         if now < 5:
@@ -852,10 +818,6 @@ class ConsumerActor(Actor, MeterMixin):
         if isinstance(payload, Routed):
             self._on_routed(payload, now)
         elif isinstance(payload, JoinAck):
-            if self.behavior == "flood" and self.flood_session is not None:
-                if payload.pk == self.flood_session.public and payload.accepted:
-                    self._flood_joined = True
-                return
             self.on_join_ack(payload, now)
         elif isinstance(payload, BlockGossip):
             for tx in _mined_txs(payload):
@@ -878,7 +840,7 @@ class ConsumerActor(Actor, MeterMixin):
                 and 0 <= tx.energy_price < 1 << 64
                 and tx.t_id not in self.offers  # the first sighting wins
             ):
-                self.offers[tx.t_id] = (tx.pk, tx.energy_amount, tx.energy_price, tx.negotiable)
+                self.offers[tx.t_id] = tx
                 insort(self.offer_keys, tx.t_id)
         elif isinstance(tx, ERCTx):
             attempt = self.attempt

@@ -260,10 +260,10 @@ def _verdict_double_spend(world: World, m: Metrics) -> None:
 def flooded_rounds(world: World) -> int:
     """Negotiation messages the flooded offer received from the flooder's
     session: rounds from honest buyers, or to other offers, do not count."""
-    flooder = next(c for c in world.consumer_actors if c.behavior == "flood")
-    if flooder.flood_target is None:
+    attempt = next(c for c in world.consumer_actors if c.behavior == "flood").attempt
+    if attempt is None:  # no offer seen, or the join was refused: nothing was sent
         return 0
-    pair = (flooder.flood_target[0], flooder.flood_session.public)
+    pair = (attempt.offer.pk, attempt.session.public)
     return sum(p.negot_received.get(pair, 0) for p in world.producer_actors)
 
 

@@ -50,7 +50,6 @@ from typing import List, Optional, Tuple, Union
 from .crypto import (
     CERTIFICATE_LEN,
     DIGEST_LEN,
-    MAX_FIELD_LEN,
     PUBLIC_KEY_LEN,
     SIGNATURE_LEN,
     Certificate,
@@ -488,6 +487,16 @@ def compute_contract_hash(terms: ContractTerms) -> HashDigest:
             f"{terms.energy_amount} * {terms.unit_price}"
         )
     return hash_bytes(encode_declared(terms))
+
+
+def contract_terms(
+    energy_amount: int, unit_price: int, nonce: bytes
+) -> Tuple[HashDigest, ContractTerms]:
+    """The hash and terms of a contract for ``energy_amount`` kWh at
+    ``unit_price`` each, closed by the message whose id is ``nonce``: the one
+    rule by which both parties derive the same contract."""
+    terms = ContractTerms(energy_amount, unit_price, energy_amount * unit_price, nonce)
+    return compute_contract_hash(terms), terms
 
 
 # ---------------------------------------------------------------------------

@@ -244,3 +244,23 @@ def test_every_preset_is_pinned_at_scale():
 def test_scaled_run_matches_golden(attack, seed):
     result = run_scenario(_scaled(attack, seed))
     assert _digests(result) == SCALED_GOLDEN[(attack, seed)]
+
+
+# Prosumer runs: a prosumer's producer and consumer share one meter, which the
+# consumer half sets up (key pool, endorsement) and the producer half owns
+# (joins, receipts). No other pin has a prosumer.
+PROSUMERS = dict(producers=2, consumers=2, prosumers=3)
+PROSUMERS_LOSSY = dict(producers=4, consumers=4, prosumers=4, message_loss_rate=0.05)
+PROSUMER_GOLDEN = dict([
+    (("small", 1), ("88a84f1e23bbafbeecc1617b8ff5da84510430abce844210086bfe7cf3c89d9b", "c749fd2e51bd880ab73bed4d3fad736b7f29bc74a43c186a1c2350d3230d5b5b")),
+    (("small", 2), ("e9a8612d9936e6071f477af0714197d9a8b14b1548b78be7432a5397a65882f4", "38d3348b551793fded08db996d5a8c22988def097e8394105e310f1de1db69ff")),
+    (("lossy", 1), ("8442f9b538979a27f4dc42d1e17e963ef81dd698c1180ed8eccc09c55a6fa8f4", "e42be06268f03f49453495ce92e47429bc62f684e29ea6ac5fc2b44dbd8e7ea0")),
+    (("lossy", 2), ("3575d8495833702857e649897a298810cfbbda252bed5c3a100002077ecc4f69", "fd6b7d41ed99a7bf4fea9aa019de4955df689353ae881cb4e6c778636f9a62ec")),
+])
+
+
+@pytest.mark.parametrize("shape,seed", sorted(PROSUMER_GOLDEN))
+def test_prosumer_run_matches_golden(shape, seed):
+    overrides = PROSUMERS if shape == "small" else PROSUMERS_LOSSY
+    result = run_scenario(preset("none", seed=seed, **overrides))
+    assert _digests(result) == PROSUMER_GOLDEN[(shape, seed)]

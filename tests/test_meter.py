@@ -4,7 +4,16 @@ from random import Random
 
 import pytest
 
-from gridtrade.crypto import CERTIFICATE_LEN, SIGNATURE_LEN, KeyPair, merkle_verify
+from gridtrade.crypto import (
+    CERTIFICATE_LEN,
+    MAX_FIELD_LEN,
+    SIGNATURE_LEN,
+    KeyPair,
+    hash_bytes,
+    issue_certificate,
+    merkle_verify,
+    sign,
+)
 from gridtrade.meter import (
     CoE,
     MeterError,
@@ -12,7 +21,6 @@ from gridtrade.meter import (
     provision_meter,
 )
 from gridtrade.transactions import (
-    MAX_FIELD_LEN,
     DecodeError,
     decode_fields,
     encode_fields,
@@ -149,6 +157,52 @@ class TestEndorsement:
         assert coe2.verify(rig.manufacturer.public)
 
 
+class TestInstallEndorsement:
+    """A meter installs only an endorsement of its own pool root by a
+    manufacturer-certified meter; miners refuse receipts under any other."""
+
+    def _requester_and_coe(self, rig, seed):
+        requester = fresh_meter(rig.manufacturer, seed)
+        verifier = fresh_meter(rig.manufacturer, seed + 1)
+        pool = requester.generate_key_pool(2)
+        vr = requester.make_verification_request(pool, verifier.public)
+        coe = verifier.process_verification_request(vr, rig.manufacturer.public)
+        return requester, verifier, coe
+
+    def test_genuine_endorsement_installed(self, rig):
+        requester, _, coe = self._requester_and_coe(rig, 40)
+        requester.install_coe(coe)
+        assert requester.coe is coe
+
+    def test_foreign_root_refused(self, rig):
+        requester, verifier, _ = self._requester_and_coe(rig, 42)
+        root = hash_bytes(b"someone else's pool")
+        foreign = CoE(
+            root, sign(verifier.identity.keypair, root), verifier.public,
+            verifier.identity.manufacturer_cert,
+        )
+        assert foreign.verify(rig.manufacturer.public)  # genuine, but not of this pool
+        with pytest.raises(MeterError, match="not of this meter's pool"):
+            requester.install_coe(foreign)
+        assert requester.coe is None
+
+    def test_self_certified_verifier_refused(self, rig):
+        requester, _, _ = self._requester_and_coe(rig, 44)
+        rogue = KeyPair.generate(Random(45))
+        root = requester.pool.root
+        forged = CoE(root, sign(rogue, root), rogue.public, issue_certificate(rogue, rogue.public))
+        with pytest.raises(MeterError, match="certified meter"):
+            requester.install_coe(forged)
+        assert requester.coe is None
+
+    def test_no_pool_yet_refused(self, rig):
+        _, _, coe = self._requester_and_coe(rig, 46)
+        bystander = fresh_meter(rig.manufacturer, 48)
+        with pytest.raises(MeterError, match="not of this meter's pool"):
+            bystander.install_coe(coe)
+        assert bystander.coe is None
+
+
 class TestDelivery:
     def _armed_meter(self, rig, seed=21, kwh=10):
         meter = fresh_meter(rig.manufacturer, seed)
@@ -203,7 +257,7 @@ class TestDelivery:
 class TestReceiptGeneration:
     def test_receipt_key_is_proven_pool_leaf(self, rig):
         meter = TestDelivery()._armed_meter(rig, seed=26)[0]
-        ctp = meter.contracts[next(iter(meter.contracts))][1]
+        ctp = meter.contracts[next(iter(meter.contracts))]
         meter.record_delivery(ctp.contract_hash, 10)
         erc = meter.generate_erc(ctp, now=20)
         assert merkle_verify(erc.coe_root, erc.pk, erc.merkle_hashes)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridtrade.arb import make_join
-from gridtrade.crypto import KeyPair, hash_bytes, sign
+from gridtrade.crypto import KeyPair, hash_bytes, issue_certificate, sign
 from gridtrade.ledger import (
     GENESIS_PREV,
     Block,
@@ -33,7 +33,7 @@ from gridtrade.sim import (
 )
 from gridtrade.sim.actors import CONSUMER_BEHAVIORS, PRODUCER_BEHAVIORS, Actor, TradeAttempt
 from gridtrade.sim.cli import main as cli_main
-from gridtrade.meter import TAG_COE
+from gridtrade.meter import TAG_COE, CoE
 from gridtrade.sim.messages import (
     BlockGossip,
     ClaimGossip,
@@ -46,7 +46,7 @@ from gridtrade.sim.messages import (
     encode_routed_payload,
 )
 from gridtrade.sim.config import ATTACKS
-from gridtrade.sim.scenarios import _EVALUATORS, SCENARIOS
+from gridtrade.sim.scenarios import _EVALUATORS, SCENARIOS, erc_refusals, flooded_rounds
 from gridtrade.sim.world import World
 from gridtrade.transactions import (
     ContractTerms,
@@ -681,26 +681,26 @@ class TestNegotiationGuards:
         world = World(preset("none", seed=5))
         consumer = world.consumer_actors[0]
         offer = world.producer_actors[0].offers[0]
+        supply = make_supply_energy(
+            hash_bytes(b"genesis"), offer.amount, offer.posted_price, True, offer.keypair
+        )
         consumer.attempt = TradeAttempt(
-            offer_key=b"offer",
-            account_pk=offer.keypair.public,
-            amount=offer.amount,
-            posted_price=offer.posted_price,
-            negotiable=True,
+            offer=supply,
             session=KeyPair.generate(Random(9)),
             state="negotiating",
             started=0,
         )
-        consumer.tried.add(b"offer")  # as _start_trade does on creating the attempt
+        consumer.tried.add(supply.t_id)  # as _start_trade does on creating the attempt
         return world, consumer, offer
 
     @pytest.mark.parametrize("price", [0, 11, 10**6], ids=["zero", "one-above", "far-above"])
     def test_acceptance_outside_posted_price_drops_attempt(self, price):
         world, consumer, offer = self._negotiating_consumer()
         assert offer.posted_price == 10
+        supply = consumer.attempt.offer
         accept = make_negotiation(consumer.attempt.session.public, price, 1, 2, offer.keypair)
         consumer.on_message(_routed(accept), 20)
-        assert consumer.attempt is None and b"offer" in consumer.tried
+        assert consumer.attempt is None and supply.t_id in consumer.tried
         assert consumer.sent_ctps == [] and _no_agreements(world)
         assert world.metrics.get("ctp_broadcast") == 0
 
@@ -828,7 +828,7 @@ class TestIdleOfferScan:
         consumer._on_mined_tx(supplies[2])
         consumer._start_trade(22)
         assert scans == [2, 3]
-        assert consumer.attempt.offer_key == supplies[2].t_id
+        assert consumer.attempt.offer.t_id == supplies[2].t_id
 
 
 # values in a claim's place that are no producer claim at all; the last one
@@ -873,7 +873,7 @@ class TestClaimGossip:
 
     def _still_trades(self, consumer, offer_key) -> bool:
         consumer._start_trade(20)
-        return consumer.attempt is not None and consumer.attempt.offer_key == offer_key
+        return consumer.attempt is not None and consumer.attempt.offer.t_id == offer_key
 
     @pytest.mark.parametrize(
         "forge",
@@ -1007,7 +1007,7 @@ class TestTraderIntake:
         consumer.on_message(BlockGossip(block), 1)
         assert consumer.offer_keys == [good.t_id]
         consumer._start_trade(100)  # the next scan sees only the good offer
-        assert consumer.attempt is not None and consumer.attempt.offer_key == good.t_id
+        assert consumer.attempt is not None and consumer.attempt.offer.t_id == good.t_id
 
     @pytest.mark.parametrize(
         "field, value",
@@ -1036,12 +1036,9 @@ class TestTraderIntake:
         world = World(preset("none", seed=1))
         consumer = world.consumer_actors[0]
         ctp = make_ctp(1, 500, 100, hash_bytes(b"contract"), consumer.account)
+        seller = KeyPair.generate(Random(8))
         consumer.attempt = TradeAttempt(
-            offer_key=b"offer",
-            account_pk=bytes(32),
-            amount=10,
-            posted_price=10,
-            negotiable=True,
+            offer=make_supply_energy(hash_bytes(b"genesis"), 10, 10, True, seller),
             session=KeyPair.generate(Random(9)),
             state="committed",
             started=0,
@@ -1224,6 +1221,113 @@ class TestReceiptPump:
         assert world.metrics.get("erc_emitted") == 1
         assert world.metrics.get("erc_refused") == 1
         assert consumer.meter.contracts == {}
+
+
+class TestAttackSessions:
+    """The flooder's one session and the double-spender's one burst, seen
+    only through what they send."""
+
+    def _flood_world(self, refuse_join=False):
+        world = World(preset("negotiation_flood", seed=1))
+        (flooder,) = [c for c in world.consumer_actors if c.behavior == "flood"]
+        joins, routed = [], []
+        send_join, send_routed = world.send_join, world.send_routed
+
+        def join(actor, msg):
+            if actor is not flooder:
+                return send_join(actor, msg)
+            joins.append(msg.pk)
+            if refuse_join:
+                world.send(actor.id, JoinAck(msg.pk, False, "refused"))
+            else:
+                send_join(actor, msg)
+
+        def route(actor, from_pk, dest_pk, payload):
+            if actor is flooder:
+                routed.append((from_pk, dest_pk, payload))
+            send_routed(actor, from_pk, dest_pk, payload)
+
+        world.send_join, world.send_routed = join, route
+        world.run()
+        return world, flooder, joins, routed
+
+    @pytest.mark.parametrize("status", [0, 1], ids=["counter", "acceptance"])
+    def test_reply_to_the_flood_session_draws_nothing(self, status):
+        world, flooder, joins, routed = self._flood_world()
+        (session_pk,) = joins
+        assert routed and {f for f, _, _ in routed} == {session_pk}
+        target_pk = routed[0][1]
+        (offer,) = [
+            o for p in world.producer_actors for o in p.offers if o.keypair.public == target_pk
+        ]
+        broadcast = world.metrics.get("ctp_broadcast")
+        sent = len(routed)
+        # a price an honest buyer would accept, or commit to on acceptance
+        reply = make_negotiation(session_pk, offer.posted_price - 1, status, 2, offer.keypair)
+        flooder.on_message(_routed(reply), world.config.ticks)
+        flooder.step(world.config.ticks)
+        assert len(routed) == sent
+        assert flooder.agreements == {} and flooder.sent_ctps == []
+        assert world.metrics.get("ctp_broadcast") == broadcast
+
+    def test_refused_flood_join_is_not_retried(self):
+        world, flooder, joins, routed = self._flood_world(refuse_join=True)
+        assert len(joins) == 1 and routed == []
+        assert world.metrics.get("flood_offers_sent") == 0
+        assert flooded_rounds(world) == 0
+
+    @pytest.mark.parametrize("burst", [1, 4])
+    def test_double_spender_fires_one_burst(self, burst):
+        world = World(preset("double_spend", seed=1, double_spend_ctps=burst, ticks=2000))
+        world.run()
+        for spender in world.consumer_actors:
+            assert len(spender.sent_ctps) == burst
+        assert world.metrics.get("ctp_broadcast") == burst * len(world.consumer_actors)
+
+
+def _self_certified_endorsement(world, meter):
+    rogue = KeyPair.generate(Random(7))
+    root = meter.pool.root
+    return CoE(root, sign(rogue, root), rogue.public, issue_certificate(rogue, rogue.public))
+
+
+def _foreign_root_endorsement(world, meter):
+    verifier = world.producer_actors[0].meter  # a genuine meter
+    root = hash_bytes(b"someone else's pool")
+    return CoE(
+        root, sign(verifier.identity.keypair, root), verifier.public,
+        verifier.identity.manufacturer_cert,
+    )
+
+
+class TestBogusEndorsement:
+    """A bogus endorsement routed to a meter mid-run does not replace its
+    genuine one: miners would refuse a receipt under it, and the energy
+    behind that receipt would go unpaid."""
+
+    @pytest.mark.parametrize(
+        "forge",
+        [_self_certified_endorsement, _foreign_root_endorsement],
+        ids=["self-certified-verifier", "foreign-root"],
+    )
+    def test_refused_and_every_trade_settles(self, monkeypatch, forge):
+        deliver_due = World.deliver_due
+
+        def deliver_with_bogus_coe(world, now):
+            deliver_due(world, now)
+            if now == 60:
+                for consumer in world.consumer_actors:
+                    meter = consumer.meter
+                    assert meter.coe is not None  # the genuine one is installed by now
+                    payload = encode_routed_payload(forge(world, meter))
+                    consumer.on_message(Routed(meter.public, payload, ["arb-0"]), now)
+
+        monkeypatch.setattr(World, "deliver_due", deliver_with_bogus_coe)
+        result = run_scenario(preset("none", seed=1))
+        assert result.passed, [v.line() for v in result.metrics.verdicts if not v.passed]
+        assert result.metrics.get("coe_rejected") == len(result.world.consumer_actors) == 2
+        assert result.metrics.get("settlements") == 4
+        assert not erc_refusals(result.metrics)
 
 
 class TestCli:
