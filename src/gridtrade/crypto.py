@@ -18,7 +18,7 @@ import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from random import Random
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -128,15 +128,29 @@ class KeyPair:
             raise ValueError("seed must be 32 bytes")
         ed_priv = Ed25519PrivateKey.from_private_bytes(seed)
         x_priv = X25519PrivateKey.from_private_bytes(_x25519_seed(seed))
-        public = _raw_public(ed_priv.public_key()) + _raw_public(x_priv.public_key())
+        public = ed_priv.public_key().public_bytes_raw() + x_priv.public_key().public_bytes_raw()
         pair = KeyPair(public=public, seed=seed)
-        vars(pair)["_ed_private"] = ed_priv  # the key just built fills the cache
+        # the key just built fills the caches, and ``public`` comes from it
+        vars(pair)["_ed_private"] = ed_priv
+        vars(pair)["_owns_public"] = True
         return pair
 
-    # filled by from_seed or the first sign; not a field, so ==, hash and repr ignore it
+    # filled by from_seed or the first sign; not fields, so ==, hash and repr ignore them
     @cached_property
     def _ed_private(self) -> Ed25519PrivateKey:
         return Ed25519PrivateKey.from_private_bytes(self.seed)
+
+    @cached_property
+    def _owns_public(self) -> bool:
+        """True iff ``public`` is a 64-byte key whose Ed25519 half is this seed's.
+
+        Only immutable ``bytes`` qualify, so the answer cannot go stale.
+        """
+        return (
+            isinstance(self.public, bytes)
+            and len(self.public) == PUBLIC_KEY_LEN
+            and self.public[:32] == self._ed_private.public_key().public_bytes_raw()
+        )
 
     def _x_private(self) -> X25519PrivateKey:
         return X25519PrivateKey.from_private_bytes(_x25519_seed(self.seed))
@@ -146,22 +160,35 @@ def _x25519_seed(seed: bytes) -> bytes:
     return hash_bytes(seed + b"/encrypt")
 
 
-def _raw_public(key: Union[Ed25519PublicKey, X25519PublicKey]) -> bytes:
-    from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
-
-    return key.public_bytes(Encoding.Raw, PublicFormat.Raw)
-
-
 def sign(keypair: KeyPair, message: bytes) -> Signature:
-    """Ed25519 signature over ``message``; deterministic per (key, message)."""
-    return keypair._ed_private.sign(message)
+    """Ed25519 signature over ``message``; deterministic per (key, message).
+
+    When ``keypair.public`` belongs to the seed that signed, the signature
+    is also recorded as valid in ``verify``'s memo: RFC 8032 (5.1.6-5.1.7)
+    makes every signature the signing procedure outputs verify under the
+    matching public key, so the first check of a signature this process
+    made costs a lookup. A pair whose public half is not its seed's records
+    nothing, and its signatures meet the real check.
+    """
+    signature = keypair._ed_private.sign(message)
+    if keypair._owns_public:
+        _remember((keypair.public, bytes(message), signature), True)
+    return signature
 
 
-# verify's process-wide memo. Its key is the whole input, so a hit returns
-# what the Ed25519 check would. The cap bounds memory in a process that
-# runs many scenarios one after another; it is a constant, not a setting.
+# verify's process-wide memo, also filled by sign. Its key is the whole
+# input, so a hit returns what the Ed25519 check would. The cap bounds
+# memory in a process that runs many scenarios one after another; it is a
+# constant, not a setting.
 VERIFY_MEMO_CAP = 1024
 _verify_memo: Dict[Tuple[bytes, bytes, bytes], bool] = {}
+
+
+def _remember(key: Tuple[bytes, bytes, bytes], ok: bool) -> None:
+    """Store one verify answer, evicting the oldest entry to make room for a new key."""
+    if key not in _verify_memo and len(_verify_memo) >= VERIFY_MEMO_CAP:
+        _verify_memo.pop(next(iter(_verify_memo)))
+    _verify_memo[key] = ok
 
 
 def verify(public: PublicKey, message: bytes, signature: Signature) -> bool:
@@ -171,7 +198,10 @@ def verify(public: PublicKey, message: bytes, signature: Signature) -> bool:
     raise. Results, True and False alike, are memoised in a FIFO memo of at
     most ``VERIFY_MEMO_CAP`` entries keyed by the exact bytes of all three
     inputs, so a repeated check (the same commitment verified by every
-    miner, or again when a block is applied) costs one dict lookup.
+    miner, or again when a block is applied) costs one dict lookup. ``sign``
+    records each signature it makes under a public key that belongs to its
+    seed, so the first check of a signature made in this process is a
+    lookup too; any other signature meets the real Ed25519 check.
     """
     if not isinstance(public, (bytes, bytearray)) or len(public) != PUBLIC_KEY_LEN:
         return False
@@ -188,9 +218,7 @@ def verify(public: PublicKey, message: bytes, signature: Signature) -> bool:
         ok = True
     except (InvalidSignature, ValueError):
         ok = False
-    if len(_verify_memo) >= VERIFY_MEMO_CAP:
-        _verify_memo.pop(next(iter(_verify_memo)), None)
-    _verify_memo[key] = ok
+    _remember(key, ok)
     return ok
 
 
@@ -290,7 +318,7 @@ def asym_encrypt(
     else:
         eph_seed = rng.randbytes(32)
     eph_priv = X25519PrivateKey.from_private_bytes(eph_seed)
-    eph_pub = _raw_public(eph_priv.public_key())
+    eph_pub = eph_priv.public_key().public_bytes_raw()
     recipient_x = X25519PublicKey.from_public_bytes(recipient_pk[32:])
     shared = eph_priv.exchange(recipient_x)
     key = _session_key(shared, eph_pub, recipient_pk)

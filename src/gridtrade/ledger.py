@@ -41,6 +41,7 @@ from .crypto import (
     DIGEST_LEN,
     PUBLIC_KEY_LEN,
     SIGNATURE_LEN,
+    Certificate,
     DecodeError,
     HashDigest,
     KeyPair,
@@ -637,9 +638,13 @@ class Ledger:
             return False, "a"
         if erc.price != ctp.price:
             return False, "b"
-        if not ca_verify(erc.coe_vm_cert, self.config.manufacturer_ca_pk):
+        cert = erc.coe_vm_cert
+        # ca_verify takes bytes too, but the subject check below needs the record
+        if not isinstance(cert, Certificate):
             return False, "c"
-        if erc.coe_vm_cert.subject_pk != erc.coe_pk:
+        if not ca_verify(cert, self.config.manufacturer_ca_pk):
+            return False, "c"
+        if cert.subject_pk != erc.coe_pk:
             return False, "c"
         if not verify(erc.coe_pk, erc.coe_root, erc.coe_vm_sign):
             return False, "c"

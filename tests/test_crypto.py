@@ -1,6 +1,7 @@
 """Hashing, signatures, certificates, encryption, and Merkle trees."""
 
 import hashlib
+import sys
 from random import Random
 
 import pytest
@@ -31,6 +32,7 @@ from gridtrade.crypto import (
     sign,
     verify,
 )
+from gridtrade.sim import SCENARIOS, preset, run_scenario
 
 # SHA-256 of the empty string, checked against an independent computation
 EMPTY_SHA256 = bytes.fromhex(
@@ -231,6 +233,83 @@ class TestVerifyMemo:
         assert (kp.public, messages[49], sig) not in crypto._verify_memo
         assert (kp.public, messages[50], sig) in crypto._verify_memo
         assert verify(kp.public, b"m", sig)
+
+    @pytest.mark.parametrize("attack", list(SCENARIOS))
+    def test_every_signature_a_scenario_makes_verifies(self, attack):
+        # sign records its output as valid, so each one must pass the real check
+        made = []
+        original_sign = crypto.sign
+
+        def recording_sign(keypair, message):
+            signature = original_sign(keypair, message)
+            made.append((keypair.public, bytes(message), signature))
+            return signature
+
+        with pytest.MonkeyPatch.context() as mp:
+            # modules bind sign by name, so rebind it wherever it was imported
+            for module in list(sys.modules.values()):
+                if module is not None and module.__name__.startswith("gridtrade"):
+                    if getattr(module, "sign", None) is original_sign:
+                        mp.setattr(module, "sign", recording_sign)
+            run_scenario(preset(attack, seed=1))
+        assert made
+        assert all(_reference_verify(*triple) for triple in made)
+
+    def test_signing_records_what_verify_would_answer(self):
+        kp = KeyPair.generate(Random(36))
+        sig = sign(kp, b"m")
+        assert crypto._verify_memo == {(kp.public, b"m", sig): True}
+        assert verify(kp.public, b"m", sig) is True
+        # a directly built pair checks its public half once, then records too
+        direct = KeyPair(public=kp.public, seed=kp.seed)
+        sig_n = sign(direct, b"n")
+        assert crypto._verify_memo[(kp.public, b"n", sig_n)] is True
+        assert direct == kp and hash(direct) == hash(kp) and repr(direct) == repr(kp)
+        # verify reads only the Ed25519 half, so another X25519 half still records
+        other = KeyPair.generate(Random(37))
+        spliced = KeyPair(public=kp.public[:32] + other.public[32:], seed=kp.seed)
+        sig_o = sign(spliced, b"o")
+        assert crypto._verify_memo[(spliced.public, b"o", sig_o)] is True
+        assert _reference_verify(spliced.public, b"o", sig_o)
+
+    def test_pair_whose_public_is_not_its_seeds_records_nothing(self):
+        a, b = KeyPair.generate(Random(38)), KeyPair.generate(Random(39))
+        mismatched = KeyPair(public=a.public, seed=b.seed)
+        sig = sign(mismatched, b"m")
+        assert crypto._verify_memo == {}
+        assert verify(a.public, b"m", sig) is False
+        assert crypto._verify_memo == {(a.public, b"m", sig): False}
+
+    @pytest.mark.parametrize(
+        "public",
+        [lambda pk: pk[:63], lambda pk: pk + b"\x00", bytearray, lambda pk: None],
+        ids=["63-bytes", "65-bytes", "bytearray", "none"],
+    )
+    def test_malformed_public_half_records_nothing(self, public):
+        kp = KeyPair.generate(Random(40))
+        sign(KeyPair(public=public(kp.public), seed=kp.seed), b"m")
+        assert crypto._verify_memo == {}
+
+    def test_signing_is_bounded_and_evicts_oldest_first(self):
+        kp = KeyPair.generate(Random(41))
+        messages = [i.to_bytes(4, "big") for i in range(VERIFY_MEMO_CAP + 50)]
+        sigs = []
+        for msg in messages:
+            sigs.append(sign(kp, msg))
+            assert len(crypto._verify_memo) <= VERIFY_MEMO_CAP
+        assert len(crypto._verify_memo) == VERIFY_MEMO_CAP
+        assert list(crypto._verify_memo) == [
+            (kp.public, msg, sig) for msg, sig in zip(messages[50:], sigs[50:])
+        ]
+        # recording a key the memo holds evicts nothing and keeps its place
+        oldest = next(iter(crypto._verify_memo))
+        assert sign(kp, messages[50]) == sigs[50]
+        assert sign(kp, messages[-1]) == sigs[-1]
+        assert len(crypto._verify_memo) == VERIFY_MEMO_CAP
+        assert next(iter(crypto._verify_memo)) == oldest
+        # an evicted signature still verifies, through the real check
+        assert verify(kp.public, messages[0], sigs[0])
+        assert (kp.public, messages[50], sigs[50]) not in crypto._verify_memo
 
 
 class TestCertificates:

@@ -628,6 +628,24 @@ class TestReceiptValidation:
         if name == "ctp_id":
             assert step == "a"
 
+    @pytest.mark.parametrize(
+        "as_cert",
+        [
+            Certificate.to_bytes,
+            lambda cert: bytearray(cert.to_bytes()),
+            lambda cert: None,
+            lambda cert: 1,
+            lambda cert: cert.to_bytes().hex(),
+            lambda cert: (cert.subject_pk, cert.issuer_pk, cert.signature),
+        ],
+        ids=["bytes", "bytearray", "none", "int", "str", "tuple"],
+    )
+    def test_certificate_that_is_not_a_record_fails_step_c(self, trade, as_cert):
+        # ca_verify accepts a certificate's bytes; step c needs the record itself
+        erc = trade.completed_erc()
+        erc = replace(erc, coe_vm_cert=as_cert(erc.coe_vm_cert))
+        assert trade.rig.ledger.validate_erc(erc) == (False, "c")
+
     @pytest.mark.parametrize("leaf_index", [2**32, -1])
     def test_unencodable_proof_fails_step_e(self, trade, leaf_index):
         # steps a-d never read the leaf index, so only the encoding sees it

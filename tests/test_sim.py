@@ -957,6 +957,28 @@ class TestMalformedBlock:
         assert world.consumer_actors[0].offers == {}
 
 
+def test_gossiped_receipt_with_certificate_bytes_is_refused_at_step_c():
+    # the first receipt a buyer gossips, resent with its verifier's
+    # certificate as bytes while the commitment is still pending
+    world = World(preset("none", seed=1))
+    reference = world.miner_actors[0]
+    original_broadcast = world.broadcast_tx
+    refused = []
+
+    def broadcast_tx(tx):
+        if isinstance(tx, ERCTx) and not refused:
+            assert reference.miner.ledger.ctp_db.get(tx.ctp_id) is not None
+            bad = replace(tx, coe_vm_cert=tx.coe_vm_cert.to_bytes())
+            before = world.metrics.get("erc_invalid_c")
+            reference.on_message(TxGossip(bad), world.now)
+            refused.append(world.metrics.get("erc_invalid_c") - before)
+        original_broadcast(tx)
+
+    world.broadcast_tx = broadcast_tx
+    world.run()
+    assert refused == [1]
+
+
 def _dummy_erc(ctp_id) -> ERCTx:
     """A receipt that names ``ctp_id`` and holds nothing else of worth:
     traders read a mined receipt only for the commitment it names."""
