@@ -253,22 +253,26 @@ def issue_certificate(issuer: KeyPair, subject_pk: PublicKey) -> Certificate:
     )
 
 
-def ca_verify(cert, ca_pk: PublicKey) -> bool:
-    """Check a certificate against an expected issuer key.
+def ca_verify(cert: Certificate, ca_pk: PublicKey, subject_pk: PublicKey) -> bool:
+    """True iff ``cert`` is a ``Certificate`` by which ``ca_pk`` binds ``subject_pk``.
 
-    Accepts a Certificate or its serialized bytes; wrong issuer, forged
-    signature, or truncated input all return False.
+    The one certificate rule. Total: a value that is not the record (its bytes
+    too), another issuer or subject, or a forged signature returns False. The
+    key comparisons run before the signature check, the one costly step.
     """
-    if isinstance(cert, (bytes, bytearray)):
-        try:
-            cert = Certificate.from_bytes(bytes(cert))
-        except ValueError:
-            return False
     if not isinstance(cert, Certificate):
         return False
-    if cert.issuer_pk != ca_pk:
+    if cert.issuer_pk != ca_pk or cert.subject_pk != subject_pk:
         return False
     return verify(cert.issuer_pk, cert.subject_pk, cert.signature)
+
+
+def ca_signed(
+    cert: Certificate, ca_pk: PublicKey, signer_pk: PublicKey, message: bytes, signature: Signature
+) -> bool:
+    """True iff ``ca_pk`` certified ``signer_pk`` and it signed ``message``: the one
+    endorsement rule, by which meters install a ``CoE`` and miners check receipt step c."""
+    return ca_verify(cert, ca_pk, signer_pk) and verify(signer_pk, message, signature)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ from .crypto import (
     Signature,
     _lp,
     _Reader,
+    ca_signed,
     ca_verify,
     hash_bytes,
     merkle_verify,
@@ -237,14 +238,10 @@ class CTPDatabase:
         return self._pending.get(pk, 0)
 
     def sweep_expired(self, now: int) -> List[HashDigest]:
-        """Drop every entry with expiry_time <= now; returns released ids."""
+        """Drop every entry that has expired at ``now``; returns released ids."""
         if now < self._next_expiry:
             return []
-        released = sorted(
-            ctp_id
-            for ctp_id, (tx, _) in self.entries.items()
-            if tx.expiry_time <= now
-        )
+        released = sorted(ctp_id for ctp_id, (tx, _) in self.entries.items() if tx.expired(now))
         for ctp_id in released:
             self.remove(ctp_id)
         self._journal.append(("ctp_db", setattr, "_next_expiry", self._next_expiry))
@@ -551,7 +548,8 @@ class Ledger:
             if burned < self.config.burn_threshold:
                 return Result(False, "burn below threshold")
         else:
-            if not ca_verify(tx.evidence, self.config.distributor_ca_pk):
+            cert = Certificate.from_bytes(tx.evidence)  # check_structure parsed it
+            if not ca_verify(cert, self.config.distributor_ca_pk, tx.pk):
                 return Result(False, "bad distributor certificate")
         self._account(tx.pk).last_tx_id = tx.t_id
         return Result(True)
@@ -588,7 +586,7 @@ class Ledger:
         body, reason = check_id(tx)
         if body is None:
             return Result(False, reason)
-        if tx.expiry_time <= now:
+        if tx.expired(now):
             return Result(False, "stale")
         if tx.t_id in self.ctp_db or tx.t_id in self.settlements:
             return Result(False, "duplicate")
@@ -629,7 +627,7 @@ class Ledger:
         """Run the receipt checks in order; returns (valid, failing_step).
 
         Steps: (a) referenced commitment is pending, (b) prices match,
-        (c) verifier meter's certificate and root signature check out,
+        (c) a meter the manufacturer certified endorsed the root (``ca_signed``),
         (d) the signing key is proven inside the attestation tree,
         (e) the receipt signature verifies under that key.
         """
@@ -638,15 +636,8 @@ class Ledger:
             return False, "a"
         if erc.price != ctp.price:
             return False, "b"
-        cert = erc.coe_vm_cert
-        # ca_verify takes bytes too, but the subject check below needs the record
-        if not isinstance(cert, Certificate):
-            return False, "c"
-        if not ca_verify(cert, self.config.manufacturer_ca_pk):
-            return False, "c"
-        if cert.subject_pk != erc.coe_pk:
-            return False, "c"
-        if not verify(erc.coe_pk, erc.coe_root, erc.coe_vm_sign):
+        ca_pk = self.config.manufacturer_ca_pk
+        if not ca_signed(erc.coe_vm_cert, ca_pk, erc.coe_pk, erc.coe_root, erc.coe_vm_sign):
             return False, "c"
         if not merkle_verify(erc.coe_root, erc.pk, erc.merkle_hashes):
             return False, "d"

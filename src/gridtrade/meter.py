@@ -31,6 +31,7 @@ from .crypto import (
     Signature,
     asym_decrypt,
     asym_encrypt,
+    ca_signed,
     ca_verify,
     DecryptionError,
     issue_certificate,
@@ -97,7 +98,8 @@ class CoE(Declared):
     """A verifier meter's endorsement of a key-pool root.
 
     Carries everything a validator needs: the root, the verifier's
-    signature over it, and the verifier's manufacturer certificate.
+    signature over it, and the verifier's manufacturer certificate. Receipts
+    carry the same values, and miners judge them by the same ``ca_signed``.
     """
 
     root: HashDigest
@@ -114,11 +116,9 @@ class CoE(Declared):
     )
 
     def verify(self, manufacturer_ca_pk: PublicKey) -> bool:
-        if not ca_verify(self.vm_cert, manufacturer_ca_pk):
-            return False
-        if self.vm_cert.subject_pk != self.vm_pk:
-            return False
-        return verify(self.vm_pk, self.root, self.vm_signature)
+        return ca_signed(
+            self.vm_cert, manufacturer_ca_pk, self.vm_pk, self.root, self.vm_signature
+        )
 
     def to_bytes(self) -> bytes:
         return encode_declared(self)
@@ -216,13 +216,11 @@ class SmartMeter:
     ) -> CoE:
         """Verifier side: check the requester is a real meter, sign the root.
 
-        Raises MeterError for uncertified requesters, bad signatures, or
-        ciphertext not addressed to this meter.
+        Raises MeterError for a requester key its manufacturer did not
+        certify, bad signatures, or ciphertext not addressed to this meter.
         """
-        if not ca_verify(vr.requester_cert, manufacturer_ca_pk):
+        if not ca_verify(vr.requester_cert, manufacturer_ca_pk, vr.requester_mpk):
             raise MeterError("not a meter")
-        if vr.requester_cert.subject_pk != vr.requester_mpk:
-            raise MeterError("certificate does not match requester")
         if not vr.verify_signature():
             raise MeterError("bad request signature")
         try:
@@ -280,7 +278,7 @@ class SmartMeter:
         record = self.records.get(ctp.contract_hash)
         if record is None or not record.complete:
             raise MeterError("delivery incomplete")
-        if now >= ctp.expiry_time:
+        if ctp.expired(now):
             raise MeterError("commitment expired")
         index = self.pool.spent
         if index == len(self.pool.pairs):

@@ -284,7 +284,7 @@ class MeterMixin:
         # the meter its producer owns, so the owner's pump sees them all
         waiting = self.meter.contracts
         for contract_hash, ctp in list(waiting.items()):
-            if now >= ctp.expiry_time:  # time only moves on: it can never emit
+            if ctp.expired(now):  # time only moves on: it can never emit
                 del waiting[contract_hash]
                 continue
             record = self.meter.records.get(contract_hash)
@@ -502,7 +502,7 @@ class ProducerActor(Actor, MeterMixin):
             return
         if self.forgeries_sent >= FORGERY_ATTEMPTS:
             return
-        if now >= self.forge_target.expiry_time:
+        if self.forge_target.expired(now):
             return
         src = self.harvested
         # even attempts use a fresh key, which the inclusion proof cannot
@@ -653,7 +653,7 @@ class ConsumerActor(Actor, MeterMixin):
             self._start_trade(now)
             return
         if attempt.state == "committed":
-            if attempt.ctp is not None and (attempt.settled or now >= attempt.ctp.expiry_time):
+            if attempt.ctp is not None and (attempt.settled or attempt.ctp.expired(now)):
                 self.attempt = None
                 self.trades_done += 1
             return

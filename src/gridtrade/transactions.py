@@ -26,9 +26,9 @@ attribute, and each field's codec owns that field's value domain (fixed
 length, u64 range, allowed enum values). ``encode_canonical``,
 ``signing_digest``, ``compute_t_id`` and ``decode_canonical`` all read the
 declaration, so encoding and decoding refuse the same values. Rules the
-codecs cannot express (a positive price, expiry after the time stamp) are
-each class's ``rule_fault``, shared by ``check_structure`` and the
-``make_*`` builders.
+codecs cannot express (a positive price, a commitment not ``CTPTx.expired``
+at its own time stamp) are each class's ``rule_fault``, shared by
+``check_structure`` and the ``make_*`` builders.
 
 The meter's ``CoE`` and ``VerificationRequest`` are declared the same way
 and travel as ``encode_declared`` bytes, read back by ``decode_declared``.
@@ -404,8 +404,12 @@ class CTPTx(Declared):
         BytesField("pk", PUBLIC_KEY_LEN),
     )
 
+    def expired(self, now: int) -> bool:
+        """The one expiry rule: from tick ``expiry_time`` on, nothing may settle it."""
+        return self.expiry_time <= now
+
     def rule_fault(self) -> Optional[str]:
-        if self.expiry_time <= self.time_stamp:
+        if self.expired(self.time_stamp):
             return "expiry not after timestamp"
         if self.price <= 0:
             return "non-positive price"

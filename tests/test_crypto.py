@@ -317,13 +317,19 @@ class TestCertificates:
         rng = Random(8)
         ca, subject = KeyPair.generate(rng), KeyPair.generate(rng)
         cert = issue_certificate(ca, subject.public)
-        assert ca_verify(cert, ca.public)
+        assert ca_verify(cert, ca.public, subject.public)
 
     def test_wrong_ca_rejected(self):
         rng = Random(9)
         ca, other, subject = (KeyPair.generate(rng) for _ in range(3))
         cert = issue_certificate(ca, subject.public)
-        assert not ca_verify(cert, other.public)
+        assert not ca_verify(cert, other.public, subject.public)
+
+    def test_wrong_subject_rejected(self):
+        rng = Random(12)
+        ca, subject, other = (KeyPair.generate(rng) for _ in range(3))
+        cert = issue_certificate(ca, subject.public)
+        assert not ca_verify(cert, ca.public, other.public)
 
     def test_forged_self_signed_rejected(self):
         rng = Random(10)
@@ -333,15 +339,17 @@ class TestCertificates:
             issuer_pk=ca.public,
             signature=sign(attacker, attacker.public),
         )
-        assert not ca_verify(forged, ca.public)
+        assert not ca_verify(forged, ca.public, attacker.public)
 
     def test_truncated_bytes_rejected(self):
+        # only the record is a certificate: even a valid one's bytes are refused
         rng = Random(11)
         ca, subject = KeyPair.generate(rng), KeyPair.generate(rng)
         cert = issue_certificate(ca, subject.public)
-        assert ca_verify(cert.to_bytes(), ca.public)
-        assert not ca_verify(cert.to_bytes()[:-1], ca.public)
-        assert not ca_verify(b"", ca.public)
+        assert ca_verify(Certificate.from_bytes(cert.to_bytes()), ca.public, subject.public)
+        assert not ca_verify(cert.to_bytes(), ca.public, subject.public)
+        assert not ca_verify(cert.to_bytes()[:-1], ca.public, subject.public)
+        assert not ca_verify(b"", ca.public, subject.public)
 
 
 class TestMerkle:

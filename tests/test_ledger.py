@@ -31,6 +31,7 @@ from gridtrade.ledger import (
     Result,
     make_producer_claim,
 )
+from gridtrade.meter import MeterError
 from gridtrade.sim import preset, run_scenario
 from gridtrade.transactions import (
     GENESIS_CERTIFICATE,
@@ -191,6 +192,33 @@ class TestCommitToPay:
         assert released == inserted
         assert len(rig.ledger.ctp_db) == 0
         assert _available_oracle(rig.ledger, self.consumer.public) == 10_000
+
+
+class TestExpiryBoundary:
+    """``CTPTx.expired`` is the one expiry rule: admission, the pending sweep
+    and the meter agree with it on each side of ``expiry_time``."""
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_every_site_agrees_with_the_rule(self, trade, offset):
+        ctp, ledger = trade.ctp, trade.rig.ledger
+        now = ctp.expiry_time + offset
+        expired = ctp.expired(now)
+        assert expired == (offset >= 0)
+        # a second commitment with the same expiry, offered at ``now``
+        twin = make_ctp(ctp.time_stamp, ctp.expiry_time, 10, hash_bytes(b"twin"), trade.consumer)
+        admitted = ledger.submit_ctp(twin, now=now)
+        assert admitted.accepted == (not expired)
+        assert admitted.reason == ("stale" if expired else None)
+        assert ledger.expire_ctps(now) == ([ctp.t_id] if expired else [])
+        if expired:
+            with pytest.raises(MeterError, match="commitment expired"):
+                trade.completed_erc(now)
+        else:
+            assert trade.completed_erc(now).ctp_id == ctp.t_id
+
+    def test_commitment_expired_at_its_own_time_stamp_is_refused(self, trade):
+        with pytest.raises(ValueError, match="expiry not after timestamp"):
+            make_ctp(10, 10, 60, hash_bytes(b"now"), trade.consumer)
 
 
 def _pool_of_ctps():
@@ -641,7 +669,7 @@ class TestReceiptValidation:
         ids=["bytes", "bytearray", "none", "int", "str", "tuple"],
     )
     def test_certificate_that_is_not_a_record_fails_step_c(self, trade, as_cert):
-        # ca_verify accepts a certificate's bytes; step c needs the record itself
+        # only the record is a certificate: even a valid one's bytes fail step c
         erc = trade.completed_erc()
         erc = replace(erc, coe_vm_cert=as_cert(erc.coe_vm_cert))
         assert trade.rig.ledger.validate_erc(erc) == (False, "c")
@@ -952,6 +980,13 @@ class TestBlockApplication:
             a.ledger, observer.ledger = ledger.clone(), ledger.clone()
         return a, b, observer
 
+    def _invalid_rival(self, rig, miner: Miner, block: Block) -> Block:
+        """``block`` re-signed with a valid first transaction and an invalid second."""
+        newcomer = KeyPair.generate(rig.rng)
+        evil = make_supply_energy(hash_bytes(b"fake"), 10, 1, True, newcomer)
+        bad = replace(block, txs=(rig.certified_genesis(newcomer), evil))
+        return replace(bad, miner_sign=sign(miner.keypair, bad.signing_digest()))
+
     def test_invalid_rival_keeps_the_tip_and_a_valid_one_still_swaps(self, trade):
         rig = trade.rig
         erc = trade.completed_erc()
@@ -961,11 +996,7 @@ class TestBlockApplication:
         assert observer.receive_block(block_a).applied
         late = make_ctp(6, 100, 30, hash_bytes(b"late"), trade.consumer)
         assert observer.ledger.submit_ctp(late, now=6)
-        # a lower-key rival whose first transaction is valid and second is not
-        newcomer = KeyPair.generate(rig.rng)
-        evil = make_supply_energy(hash_bytes(b"fake"), 10, 1, True, newcomer)
-        bad = replace(block_b, txs=(rig.certified_genesis(newcomer), evil))
-        bad = replace(bad, miner_sign=sign(b.keypair, bad.signing_digest()))
+        bad = self._invalid_rival(rig, b, block_b)
         ledger = observer.ledger
         before = _ledger_state(ledger)
         outcome = observer.receive_block(bad)
@@ -978,6 +1009,29 @@ class TestBlockApplication:
         assert observer.chain.blocks == [block_b]
         assert observer.ledger.settlements == {} and late.t_id in observer.ledger.ctp_db
         assert erc.t_id in observer.mempool
+
+    def test_invalid_rival_keeps_a_spend_of_the_coin_the_tip_paid(self, trade):
+        # the payee commits the coin the tip's receipt paid it; a refused
+        # rival must leave that spend pending, as a swap would not
+        rig = trade.rig
+        erc = trade.completed_erc()
+        a, b, observer = self._rivals(rig, rig.ledger)
+        a.add_to_mempool(erc)
+        block_a, block_b = self._mine_one(a, 5), self._mine_one(b, 5)
+        assert observer.receive_block(block_a).applied
+        assert trade.ctp.t_id in observer.ledger.settlements
+        spend = make_ctp(6, 100, 50, hash_bytes(b"spend"), trade.producer)
+        assert observer.ledger.submit_ctp(spend, now=6)
+        bad = self._invalid_rival(rig, b, block_b)
+        ledger = observer.ledger
+        before = _ledger_state(ledger)
+        outcome = observer.receive_block(bad)
+        assert not outcome.applied and not outcome.swapped
+        assert "invalid transaction" in outcome.reason
+        assert observer.ledger is ledger and _ledger_state(ledger) == before
+        assert observer.chain.blocks == [block_a]
+        assert spend.t_id in ledger.ctp_db
+        assert ledger.available_balance(trade.producer.public) == trade.ctp.price - 50
 
     def test_swap_keeps_commitments_taken_in_after_the_tip(self, rig):
         consumer = KeyPair.generate(rig.rng)

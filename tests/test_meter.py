@@ -1,5 +1,6 @@
 """Smart meters: key pools, anonymous endorsement, delivery, receipts."""
 
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -8,7 +9,9 @@ from gridtrade.crypto import (
     CERTIFICATE_LEN,
     MAX_FIELD_LEN,
     SIGNATURE_LEN,
+    Certificate,
     KeyPair,
+    ca_verify,
     hash_bytes,
     issue_certificate,
     merkle_verify,
@@ -120,8 +123,6 @@ class TestEndorsement:
             verifier.process_verification_request(vr, rig.manufacturer.public)
 
     def test_tampered_request_rejected(self, rig):
-        from dataclasses import replace
-
         requester = fresh_meter(rig.manufacturer, 12)
         verifier = fresh_meter(rig.manufacturer, 13)
         other = fresh_meter(rig.manufacturer, 14)
@@ -201,6 +202,55 @@ class TestInstallEndorsement:
         with pytest.raises(MeterError, match="not of this meter's pool"):
             bystander.install_coe(coe)
         assert bystander.coe is None
+
+
+# a certificate handed over as anything but the record, its bytes included
+NOT_A_CERTIFICATE = {
+    "bytes": Certificate.to_bytes,
+    "bytearray": lambda cert: bytearray(cert.to_bytes()),
+    "none": lambda cert: None,
+    "int": lambda cert: 1,
+    "str": lambda cert: cert.to_bytes().hex(),
+    "tuple": lambda cert: (cert.subject_pk, cert.issuer_pk, cert.signature),
+}
+
+
+@pytest.mark.parametrize("as_cert", NOT_A_CERTIFICATE.values(), ids=NOT_A_CERTIFICATE.keys())
+class TestCertificateThatIsNotARecord:
+    """Every certificate check refuses a value that is not a ``Certificate``:
+    the checks return False and the meter raises only ``MeterError``."""
+
+    def _endorsed(self, rig):
+        requester = fresh_meter(rig.manufacturer, 60)
+        verifier = fresh_meter(rig.manufacturer, 61)
+        vr = requester.make_verification_request(requester.generate_key_pool(2), verifier.public)
+        return requester, verifier, vr, verifier.process_verification_request(
+            vr, rig.manufacturer.public
+        )
+
+    def test_ca_verify_is_false(self, rig, as_cert):
+        _, _, vr, _ = self._endorsed(rig)
+        cert = vr.requester_cert
+        assert ca_verify(cert, rig.manufacturer.public, vr.requester_mpk)
+        assert not ca_verify(as_cert(cert), rig.manufacturer.public, vr.requester_mpk)
+
+    def test_coe_verify_is_false(self, rig, as_cert):
+        _, _, _, coe = self._endorsed(rig)
+        assert coe.verify(rig.manufacturer.public)
+        assert not replace(coe, vm_cert=as_cert(coe.vm_cert)).verify(rig.manufacturer.public)
+
+    def test_install_coe_refuses(self, rig, as_cert):
+        requester, _, _, coe = self._endorsed(rig)
+        with pytest.raises(MeterError, match="certified meter"):
+            requester.install_coe(replace(coe, vm_cert=as_cert(coe.vm_cert)))
+        assert requester.coe is None
+
+    def test_process_verification_request_refuses(self, rig, as_cert):
+        _, verifier, vr, _ = self._endorsed(rig)
+        with pytest.raises(MeterError, match="not a meter"):
+            verifier.process_verification_request(
+                replace(vr, requester_cert=as_cert(vr.requester_cert)), rig.manufacturer.public
+            )
 
 
 class TestDelivery:

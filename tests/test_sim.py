@@ -53,6 +53,7 @@ from gridtrade.transactions import (
     ERCTx,
     compute_contract_hash,
     compute_t_id,
+    encode_canonical,
     encode_fields,
     make_ctp,
     make_negotiation,
@@ -366,6 +367,30 @@ _VIEW_RUNS = [("none", seed, 0.0) for seed in (1, 2, 3)] + [
     for seed in (1, 2)
     for loss in (0.01, 0.05, 0.10)
 ]
+
+
+# every preset at seeds 1-2, and a run where one requester meter is another
+# meter's verifier, so that meter's key is on the chain (in a receipt's coe_pk)
+LINKAGE_RUNS = [(attack, seed, 0) for attack in SCENARIOS for seed in (1, 2)] + [("none", 1, 2)]
+
+
+@pytest.mark.parametrize(
+    "attack,seed,prosumers", LINKAGE_RUNS, ids=[f"{a}-{s}-p{p}" for a, s, p in LINKAGE_RUNS]
+)
+def test_no_receipt_names_the_meter_that_emitted_it(attack, seed, prosumers):
+    result = run_scenario(preset(attack, seed=seed, prosumers=prosumers))
+    world = result.world
+    meters = {a.meter.public: a.meter for a in world.step_actors if a.meter is not None}
+    by_root = {m.pool.root: m for m in meters.values() if m.pool is not None}
+    reference = world.miner_actors[0].miner
+    receipts = [tx for b in reference.chain.blocks for tx in b.txs if isinstance(tx, ERCTx)]
+    assert len(receipts) == len(reference.ledger.settlements)
+    for erc in receipts:
+        emitter = by_root[erc.coe_root]
+        encoded = encode_canonical(erc)
+        assert emitter.public not in encoded
+        assert emitter.identity.manufacturer_cert.to_bytes() not in encoded
+        assert erc.coe_pk in meters and erc.coe_pk != emitter.public
 
 
 class TestContractView:
