@@ -33,12 +33,17 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
-from .crypto import KeyPair, PublicKey, Signature, sign, verify
+from .crypto import PUBLIC_KEY_LEN, KeyPair, PublicKey, Signature
 from .transactions import (
+    BytesField,
+    Declared,
     DecodeError,
     NegotiationMsg,
     TAG_NEGOTIATION,
+    TextField,
+    check_id_and_signature,
     decode_canonical,
+    signed,
 )
 
 
@@ -178,28 +183,24 @@ def rebalance(
 # join messages
 
 
+TAG_JOIN = 0x21
+
+
 @dataclass(frozen=True)
-class JoinMessage:
+class JoinMessage(Declared):
     """Signed request to associate a public key with an endpoint."""
 
     pk: PublicKey
     endpoint: str
     sign: Signature
 
-    def _payload(self) -> bytes:
-        return self.pk + self.endpoint.encode()
-
-    def verify_signature(self) -> bool:
-        """Total: a ``pk`` that is not bytes or an ``endpoint`` not a str fails."""
-        if not isinstance(self.pk, bytes) or not isinstance(self.endpoint, str):
-            return False
-        return verify(self.pk, self._payload(), self.sign)
+    tag = TAG_JOIN
+    signer = "pk"
+    wire = (BytesField("pk", PUBLIC_KEY_LEN), TextField("endpoint"))
 
 
 def make_join(keypair: KeyPair, endpoint: str) -> JoinMessage:
-    msg = JoinMessage(pk=keypair.public, endpoint=endpoint, sign=b"")
-    payload = msg._payload()
-    return JoinMessage(pk=keypair.public, endpoint=endpoint, sign=sign(keypair, payload))
+    return signed(JoinMessage(keypair.public, endpoint, b""), keypair)
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +220,16 @@ class Delivery:
 class BackboneNode:
     """One overlay router: member table, traffic window, mesh links."""
 
-    def __init__(self, node_id: str, offer_limit: int, window: int = 50):
+    def __init__(self, node_id: str, offer_limit: int):
         self.node_id = node_id
         self.offer_limit = offer_limit
-        self.window = window
         self.members: Dict[PublicKey, str] = {}
         self.handled: int = 0  # lifetime messages this node was responsible for
         self.recent: Deque[Tuple[int, PublicKey]] = deque()  # (tick, dest pk) in window
 
     def join(self, msg: JoinMessage, table: DHTTable) -> Tuple[bool, Optional[str]]:
-        """Admit a member; forged or misrouted joins are refused."""
-        if not msg.verify_signature():
+        """Admit a member; forged, malformed or misrouted joins are refused."""
+        if not check_id_and_signature(msg)[0]:
             return False, "impersonation"
         if table.owner_of(msg.pk) != self.node_id:
             return False, "misrouted join"
@@ -240,7 +240,7 @@ class BackboneNode:
         self.handled += 1
         recent = self.recent
         recent.append((now, dest_pk))
-        cutoff = now - self.window
+        cutoff = now - TRAFFIC_WINDOW
         while recent and recent[0][0] <= cutoff:
             recent.popleft()
 
@@ -258,6 +258,7 @@ class BackboneNode:
 
 MAX_X = 2  # the widest routing prefix, in bytes, the table may widen to
 OVERLOAD_THRESHOLD = 60  # a backbone's window load past which the prefix widens
+TRAFFIC_WINDOW = 50  # ticks of traffic a backbone's window holds
 
 
 class Mesh:
@@ -267,11 +268,10 @@ class Mesh:
     reaches any other in a single hop.
     """
 
-    def __init__(self, backbone_ids: List[str], x: int, offer_limit: int, window: int = 50):
+    def __init__(self, backbone_ids: List[str], x: int, offer_limit: int):
         self.table = build_dht(backbone_ids, x)
         self.nodes: Dict[str, BackboneNode] = {
-            node_id: BackboneNode(node_id, offer_limit, window)
-            for node_id in backbone_ids
+            node_id: BackboneNode(node_id, offer_limit) for node_id in backbone_ids
         }
         # one record per widening ``maybe_widen`` made, in order
         self.widenings: List[dict] = []

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
@@ -57,7 +58,9 @@ from .crypto import (
     verify,
 )
 from .transactions import (
+    BytesField,
     CTPTx,
+    Declared,
     ERCTx,
     GenesisTx,
     GENESIS_COIN_BURN,
@@ -70,6 +73,7 @@ from .transactions import (
     check_structure,
     decode_canonical,
     encode_canonical,
+    signed,
 )
 
 
@@ -278,11 +282,11 @@ class CTPDatabase:
 # producer claims
 
 
-_ENERGY_KWH = U64Field("energy_kwh")
+TAG_CLAIM = 0x20
 
 
 @dataclass(frozen=True)
-class ProducerClaim:
+class ProducerClaim(Declared):
     """Signed binding of a pending commitment to the producer it pays.
 
     Gossiped to the miners and the buyers by the producer when it starts
@@ -297,43 +301,35 @@ class ProducerClaim:
     energy_kwh: int
     sign: Signature
 
-    def _body(self) -> bytes:
-        """Signed bytes; ValueError when a field has the wrong type or
-        ``energy_kwh`` is outside u64."""
-        keys = (self.ctp_id, self.contract_hash, self.producer_pk)
-        if not all(isinstance(k, bytes) for k in keys) or not isinstance(self.energy_kwh, int):
-            raise ValueError("claim field of the wrong type")
-        return b"".join([b"\x20", *keys, _ENERGY_KWH.encode(self.energy_kwh)])
-
-    def verify_signature(self) -> bool:
-        return verify(self.producer_pk, hash_bytes(self._body()), self.sign)
+    tag = TAG_CLAIM
+    signer = "producer_pk"
+    wire = (
+        BytesField("ctp_id", DIGEST_LEN),
+        BytesField("contract_hash", DIGEST_LEN),
+        BytesField("producer_pk", PUBLIC_KEY_LEN),
+        U64Field("energy_kwh"),
+    )
 
 
 def make_producer_claim(
     ctp_id: HashDigest, contract_hash: HashDigest, energy_kwh: int, keypair: KeyPair
 ) -> ProducerClaim:
-    claim = ProducerClaim(
-        ctp_id=ctp_id,
-        contract_hash=contract_hash,
-        producer_pk=keypair.public,
-        energy_kwh=energy_kwh,
-        sign=b"",
-    )
-    return replace(claim, sign=sign(keypair, hash_bytes(claim._body())))
+    return signed(ProducerClaim(ctp_id, contract_hash, keypair.public, energy_kwh, b""), keypair)
 
 
 def check_claim_signature(claim) -> Result:
     """Accepted iff ``claim`` is a ProducerClaim signed by the key it names.
 
-    Total: any other value, or a field of the wrong type, is a rejection.
+    Total: any other value, or a field outside its domain, is a rejection.
     """
     if not isinstance(claim, ProducerClaim):
         return Result(False, "malformed claim: not a producer claim")
-    try:
-        signed = claim.verify_signature()
-    except ValueError as exc:
-        return Result(False, f"malformed claim: {exc}")
-    return Result(True) if signed else Result(False, "bad claim signature")
+    ok, reason = check_id_and_signature(claim)
+    if ok:
+        return Result(True)
+    if reason == "bad signature":
+        return Result(False, "bad claim signature")
+    return Result(False, reason.replace("malformed", "malformed claim", 1))
 
 
 @dataclass(frozen=True)
@@ -393,8 +389,13 @@ class Block:
     def block_hash(self) -> HashDigest:
         return hash_bytes(self.to_bytes())
 
-    def verify_miner_signature(self) -> bool:
-        return verify(self.miner_pk, self.signing_digest(), self.miner_sign)
+    def verify_miner_signature(self, unsigned: Optional[bytes] = None) -> bool:
+        """The one block-signature check: ``miner_pk`` signed this block's
+        unsigned encoding. A caller that has made it (``_unsigned()``) passes
+        it, so it is not made twice."""
+        if unsigned is None:
+            unsigned = self._unsigned()
+        return verify(self.miner_pk, hash_bytes(unsigned), self.miner_sign)
 
 
 GENESIS_PREV = b"\x00" * DIGEST_LEN
@@ -645,6 +646,15 @@ class Ledger:
             return False, "e"
         return True, None
 
+    def receipt_claim(self, erc: ERCTx) -> Tuple[Optional[str], Optional[ProducerClaim]]:
+        """The one receipt-admission rule: (the ``validate_erc`` step ``erc``
+        fails, None), or (None, the claim it settles by), which is None while
+        no producer has claimed its commitment."""
+        valid, step = self.validate_erc(erc)
+        if not valid:
+            return step, None
+        return None, self.ctp_db.claims.get(erc.ctp_id)
+
     def settle(self, erc: ERCTx, producer_pk: PublicKey) -> Result:
         """Pay the producer and consume the commitment; runs once per ctp_id."""
         if erc.ctp_id in self.settlements:
@@ -687,10 +697,9 @@ class Ledger:
         if isinstance(tx, SupplyEnergyTx):
             return self.submit_supply_energy(tx)
         if isinstance(tx, ERCTx):
-            valid, step = self.validate_erc(tx)
-            if not valid:
+            step, claim = self.receipt_claim(tx)
+            if step is not None:
                 return Result(False, f"receipt invalid at step {step}")
-            claim = self.ctp_db.claims.get(tx.ctp_id)
             if claim is None:
                 return Result(False, "unclaimed receipt")
             return self.settle(tx, claim.producer_pk)
@@ -823,7 +832,7 @@ class Miner:
             return ApplyOutcome(False, f"malformed block: {exc}")
         if not (extends or rival):
             return ApplyOutcome(False, "does not extend tip")
-        if not verify(block.miner_pk, hash_bytes(unsigned), block.miner_sign):
+        if not block.verify_miner_signature(unsigned):
             return ApplyOutcome(False, "bad miner signature")
         if extends:
             return self._apply(block)
@@ -903,5 +912,5 @@ class Miner:
 
     def digest_as_of(self, tick: int) -> HashDigest:
         """Pending-DB digest this miner had at the end of ``tick``."""
-        after = bisect_right(self._digest_journal, tick, key=lambda entry: entry[0])
+        after = bisect_right(self._digest_journal, tick, key=itemgetter(0))
         return self._digest_journal[max(after - 1, 0)][1]

@@ -14,7 +14,7 @@ amount has fully arrived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from random import Random
 from typing import Dict, List, Optional
 
@@ -38,7 +38,6 @@ from .crypto import (
     merkle_build,
     merkle_prove,
     sign,
-    verify,
 )
 from .transactions import (
     CTPTx,
@@ -47,9 +46,9 @@ from .transactions import (
     BytesField,
     Declared,
     ObjectField,
-    decode_declared,
-    encode_declared,
+    check_id_and_signature,
     make_erc,
+    signed,
 )
 
 TAG_VERIFICATION_REQUEST = 0x30
@@ -120,13 +119,6 @@ class CoE(Declared):
             self.vm_cert, manufacturer_ca_pk, self.vm_pk, self.root, self.vm_signature
         )
 
-    def to_bytes(self) -> bytes:
-        return encode_declared(self)
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "CoE":
-        return decode_declared(CoE, data)
-
 
 @dataclass(frozen=True)
 class VerificationRequest(Declared):
@@ -138,25 +130,12 @@ class VerificationRequest(Declared):
     sign: Signature
 
     tag = TAG_VERIFICATION_REQUEST
+    signer = "requester_mpk"
     wire = (
         ObjectField("encrypted_root", AsymCiphertext),
         BytesField("requester_mpk", PUBLIC_KEY_LEN),
         ObjectField("requester_cert", Certificate),
-        BytesField("sign", SIGNATURE_LEN),
     )
-
-    def _payload(self) -> bytes:
-        return self.encrypted_root.to_bytes() + self.requester_mpk
-
-    def verify_signature(self) -> bool:
-        return verify(self.requester_mpk, self._payload(), self.sign)
-
-    def to_bytes(self) -> bytes:
-        return encode_declared(self)
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "VerificationRequest":
-        return decode_declared(VerificationRequest, data)
 
 
 @dataclass
@@ -209,7 +188,7 @@ class SmartMeter:
             requester_cert=self.identity.manufacturer_cert,
             sign=b"",
         )
-        return replace(vr, sign=sign(self.identity.keypair, vr._payload()))
+        return signed(vr, self.identity.keypair)
 
     def process_verification_request(
         self, vr: VerificationRequest, manufacturer_ca_pk: PublicKey
@@ -217,11 +196,12 @@ class SmartMeter:
         """Verifier side: check the requester is a real meter, sign the root.
 
         Raises MeterError for a requester key its manufacturer did not
-        certify, bad signatures, or ciphertext not addressed to this meter.
+        certify, a bad signature or a field outside its domain, or ciphertext
+        not addressed to this meter.
         """
         if not ca_verify(vr.requester_cert, manufacturer_ca_pk, vr.requester_mpk):
             raise MeterError("not a meter")
-        if not vr.verify_signature():
+        if not check_id_and_signature(vr)[0]:
             raise MeterError("bad request signature")
         try:
             root = asym_decrypt(self.identity.keypair, vr.encrypted_root)

@@ -28,13 +28,13 @@ from ..transactions import (
     GENESIS_CERTIFICATE,
     NegotiationMsg,
     SupplyEnergyTx,
-    _signed,
     check_structure,
     contract_terms,
     make_ctp,
     make_genesis,
     make_negotiation,
     make_supply_energy,
+    signed,
 )
 from .messages import (
     BlockGossip,
@@ -147,14 +147,12 @@ class MinerActor(Actor):
             self._bump("ctp_accepted" if result else "ctp_rejected")
             return
         if isinstance(tx, ERCTx):
-            valid, step = self.miner.ledger.validate_erc(tx)
-            if not valid:
+            step, claim = self.miner.ledger.receipt_claim(tx)
+            if step is not None:
                 self._bump(f"erc_invalid_{step}")
-                return
-            if tx.ctp_id not in self.miner.ledger.ctp_db.claims:
+            elif claim is None:
                 self._bump("erc_unclaimed")
-                return
-            if self.miner.add_to_mempool(tx):
+            elif self.miner.add_to_mempool(tx):
                 self._bump("erc_admitted")
             return
         if isinstance(tx, (GenesisTx, SupplyEnergyTx)):
@@ -509,10 +507,11 @@ class ProducerActor(Actor, MeterMixin):
         # cover; odd ones reuse the revealed leaf key, whose proof verifies
         # but whose signature the forger cannot make
         pk = self.forge_keypair.public if self.forgeries_sent % 2 == 0 else src.pk
-        erc = _signed(
-            ERCTx, self.forge_keypair, now, self.forge_target.t_id, self.forge_target.price,
-            src.coe_root, src.coe_vm_sign, src.coe_vm_cert, src.coe_pk, src.merkle_hashes, pk,
+        forged = ERCTx(
+            b"", now, self.forge_target.t_id, self.forge_target.price, src.coe_root,
+            src.coe_vm_sign, src.coe_vm_cert, src.coe_pk, src.merkle_hashes, pk, b"",
         )
+        erc = signed(forged, self.forge_keypair)
         self.forgeries_sent += 1
         self.world.metrics.bump("forgeries_sent")
         self.world.broadcast_tx(erc)

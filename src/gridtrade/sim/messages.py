@@ -1,9 +1,9 @@
 """Payload types carried between simulated actors.
 
 Backbone-routed payloads travel as canonical bytes, exactly as they would
-on a real wire: transactions and negotiation messages use their canonical
-encoding, verification requests and endorsements use the meter encodings,
-and pings get a one-byte tag.
+on a real wire: transactions, negotiation messages, verification requests
+and endorsements use their canonical encoding, read back through one tag
+table, and pings get a one-byte tag.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from typing import List, Optional, Union
 from ..arb import JoinMessage
 from ..crypto import PublicKey
 from ..ledger import Block, ProducerClaim
-from ..meter import TAG_COE, TAG_VERIFICATION_REQUEST, CoE, VerificationRequest
-from ..transactions import DecodeError, Transaction, decode_canonical, encode_canonical
+from ..meter import CoE, VerificationRequest
+from ..transactions import KIND_BY_TAG, DecodeError, Transaction, decode_canonical, encode_canonical
 
 TAG_PING = 0x32
 _PING_PREFIX = bytes([TAG_PING])
@@ -63,12 +63,13 @@ class Ping:
 
 RoutablePayload = Union[Transaction, VerificationRequest, CoE, Ping]
 
+# every routed record kind, by tag; pings are read apart
+_ROUTED_KINDS = {**KIND_BY_TAG, VerificationRequest.tag: VerificationRequest, CoE.tag: CoE}
+
 
 def encode_routed_payload(payload: RoutablePayload) -> bytes:
     if isinstance(payload, Ping):  # load traffic: by far the most common payload
         return _PING_PREFIX + payload.data
-    if isinstance(payload, (VerificationRequest, CoE)):
-        return payload.to_bytes()
     return encode_canonical(payload)
 
 
@@ -76,14 +77,9 @@ def decode_routed_payload(data: bytes) -> RoutablePayload:
     """Inverse of ``encode_routed_payload``; raises DecodeError."""
     if not data:
         raise DecodeError("empty routed payload")
-    tag = data[0]
-    if tag == TAG_PING:
+    if data[0] == TAG_PING:
         return Ping(data[1:])
-    if tag == TAG_VERIFICATION_REQUEST:
-        return VerificationRequest.from_bytes(data)
-    if tag == TAG_COE:
-        return CoE.from_bytes(data)
-    return decode_canonical(data)
+    return decode_canonical(data, _ROUTED_KINDS)
 
 
 @dataclass(slots=True)

@@ -28,12 +28,13 @@ length, u64 range, allowed enum values). ``encode_canonical``,
 declaration, so encoding and decoding refuse the same values. Rules the
 codecs cannot express (a positive price, a commitment not ``CTPTx.expired``
 at its own time stamp) are each class's ``rule_fault``, shared by
-``check_structure`` and the ``make_*`` builders.
+``check_structure`` and the builder ``signed``.
 
-The meter's ``CoE`` and ``VerificationRequest`` are declared the same way
-and travel as ``encode_declared`` bytes, read back by ``decode_declared``.
-Deliberately outside the declarations: ``ledger.ProducerClaim`` (tag plus
-unprefixed fields; it borrows ``U64Field`` for ``energy_kwh``).
+Every signed record is declared the same way and names its signing key in
+``signer``: the five transactions, ``ledger.ProducerClaim``,
+``arb.JoinMessage`` and ``meter.VerificationRequest``. ``signed`` builds
+and ``check_id_and_signature`` checks each one. The meter's ``CoE`` is
+declared too, so routed meter messages decode through ``decode_canonical``.
 
 The framing lives in ``crypto`` (re-exported here): ``_lp`` writes a
 field, ``_Reader`` reads fields and fixed-width values and raises
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import List, Optional, Tuple, Union
+from typing import Mapping, Optional, Tuple, Union
 
 from .crypto import (
     CERTIFICATE_LEN,
@@ -195,10 +196,25 @@ class ObjectField(Field):
         self.kind = kind
 
     def encode(self, value) -> bytes:
+        if not isinstance(value, self.kind):
+            kind = self.kind.__name__
+            raise ValueError(f"{self.label} must be {kind}, got {type(value).__name__}")
         return value.to_bytes()
 
     def parse(self, raw: bytes):
         return self.kind.from_bytes(raw)
+
+
+class TextField(Field):
+    """A ``str``, as its UTF-8 bytes."""
+
+    def encode(self, value: str) -> bytes:
+        if not isinstance(value, str):
+            raise ValueError(f"{self.label} must be str, got {type(value).__name__}")
+        return value.encode()
+
+    def parse(self, raw: bytes) -> str:
+        return raw.decode()
 
 
 class AttestationField(Field):
@@ -224,16 +240,32 @@ _SIGN = BytesField("sign", SIGNATURE_LEN)
 
 
 class Declared:
-    """Binds a subclass's ``tag`` and ``wire`` declaration once, at class
-    creation, so encoding builds no getters or closures per call."""
+    """A record whose byte layout is declared once and bound at class
+    creation, so encoding builds no getters or closures per call.
+
+    One frame serves every record: the tag byte, then ``t_id`` if the record
+    has one, the ``wire`` fields, then ``sign`` if it has one, each field
+    length-prefixed. ``encode_canonical`` writes it and ``decode_canonical``
+    reads it. ``encode_declared`` is the tag and the ``wire`` fields alone:
+    a signed record's signature covers its hash, and an id hashes it with
+    the signature. A signed record names the field that holds its signing
+    key in ``signer``.
+    """
 
     tag: int
     wire: Tuple[Field, ...]
+    signer: Optional[str] = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        names = cls.__dict__.get("__annotations__", {})
+        cls._has_id = "t_id" in names
+        head = (_T_ID,) if cls._has_id else ()
+        tail = (_SIGN,) if "sign" in names else ()
+        cls._frame = head + cls.wire + tail
         cls._tag_byte = bytes([cls.tag])
         cls._encoders = tuple((field.get, field.encode) for field in cls.wire)
+        cls._frame_encoders = tuple((field.get, field.encode) for field in cls._frame)
 
     def rule_fault(self) -> Optional[str]:
         """Why the values break a rule the field codecs do not cover, or None."""
@@ -243,39 +275,6 @@ class Declared:
 def encode_declared(obj: Declared) -> bytes:
     """Tag byte, then every declared field length-prefixed."""
     return obj._tag_byte + b"".join([_lp(encode(get(obj))) for get, encode in obj._encoders])
-
-
-def _decode_into(values: dict, field: Field, raw: bytes) -> None:
-    """Decode one field's bytes into ``values`` under its attribute names."""
-    value = field.decode(raw)
-    if len(field.names) == 1:
-        values[field.names[0]] = value
-    else:
-        values.update(zip(field.names, value))
-
-
-def encode_fields(tag: int, fields: List[bytes]) -> bytes:
-    """A tag byte, then each field length-prefixed as in the canonical encoding."""
-    return bytes([tag]) + b"".join(_lp(value) for value in fields)
-
-
-def decode_fields(data: bytes, tag: int, count: int) -> List[bytes]:
-    """Inverse of ``encode_fields`` for ``count`` fields; raises DecodeError."""
-    if data[:1] != bytes([tag]):
-        raise DecodeError(f"expected tag {tag}, got {data[:1]!r}")
-    r = _Reader(data, 1)
-    fields = [r.field() for _ in range(count)]
-    r.done()
-    return fields
-
-
-def decode_declared(cls, data: bytes):
-    """Inverse of ``encode_declared`` for a ``cls`` made of its declared
-    fields alone; raises DecodeError."""
-    values: dict = {}
-    for field, raw in zip(cls.wire, decode_fields(data, cls.tag, len(cls.wire))):
-        _decode_into(values, field, raw)
-    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -294,6 +293,7 @@ class GenesisTx(Declared):
 
     kind = "genesis"
     tag = TAG_GENESIS
+    signer = "pk"
     wire = (
         EnumField("method", (GENESIS_COIN_BURN, GENESIS_CERTIFICATE)),
         BytesField("evidence"),
@@ -331,6 +331,7 @@ class SupplyEnergyTx(Declared):
 
     kind = "supply_energy"
     tag = TAG_SUPPLY
+    signer = "pk"
     wire = (
         BytesField("p_t_id", DIGEST_LEN),
         U64Field("energy_amount"),
@@ -364,6 +365,7 @@ class NegotiationMsg(Declared):
 
     kind = "negotiation"
     tag = TAG_NEGOTIATION
+    signer = "sender_pk"
     wire = (
         BytesField("dest_energy_account_pk", PUBLIC_KEY_LEN),
         U64Field("price"),
@@ -396,6 +398,7 @@ class CTPTx(Declared):
 
     kind = "ctp"
     tag = TAG_CTP
+    signer = "pk"
     wire = (
         U64Field("time_stamp"),
         U64Field("expiry_time"),
@@ -440,6 +443,7 @@ class ERCTx(Declared):
 
     kind = "erc"
     tag = TAG_ERC
+    signer = "pk"
     wire = (
         U64Field("time_stamp"),
         BytesField("ctp_id", DIGEST_LEN),
@@ -453,7 +457,8 @@ class ERCTx(Declared):
 
 Transaction = Union[GenesisTx, SupplyEnergyTx, NegotiationMsg, CTPTx, ERCTx]
 
-_KIND_BY_TAG = {cls.tag: cls for cls in (GenesisTx, SupplyEnergyTx, NegotiationMsg, CTPTx, ERCTx)}
+# the tag table ``decode_canonical`` reads by default
+KIND_BY_TAG = {cls.tag: cls for cls in (GenesisTx, SupplyEnergyTx, NegotiationMsg, CTPTx, ERCTx)}
 
 MINEABLE_TAGS = frozenset({TAG_GENESIS, TAG_SUPPLY, TAG_ERC})
 
@@ -511,15 +516,15 @@ def _id_of(body: bytes, signature: Signature) -> HashDigest:
     return hash_bytes(body + _lp(_SIGN.encode(signature)))
 
 
-def encode_canonical(tx: Transaction) -> bytes:
-    """Full wire bytes: tag || t_id || remaining fields || signature."""
-    body = encode_declared(tx)
-    return body[:1] + _lp(_T_ID.encode(tx.t_id)) + body[1:] + _lp(_SIGN.encode(tx.sign))
+def encode_canonical(record: Declared) -> bytes:
+    """Full wire bytes: the tag, then every field of the record's frame."""
+    encoders = record._frame_encoders
+    return record._tag_byte + b"".join([_lp(encode(get(record))) for get, encode in encoders])
 
 
-def signing_digest(tx: Transaction) -> HashDigest:
+def signing_digest(record: Declared) -> HashDigest:
     """Hash the signature commits to: the encoding without id or signature."""
-    return hash_bytes(encode_declared(tx))
+    return hash_bytes(encode_declared(record))
 
 
 def compute_t_id(tx: Transaction) -> HashDigest:
@@ -540,18 +545,22 @@ def decode_hex(text: str) -> Transaction:
     return decode_canonical(raw)
 
 
-def decode_canonical(data: bytes) -> Transaction:
-    """Parse wire bytes back into a transaction; raises DecodeError."""
+def decode_canonical(data: bytes, kinds: Mapping[int, type] = KIND_BY_TAG) -> Declared:
+    """Parse ``encode_canonical`` bytes back into the record of the kind
+    ``kinds`` maps their tag to, a transaction by default; raises DecodeError."""
     if not data:
         raise DecodeError("empty buffer")
-    cls = _KIND_BY_TAG.get(data[0])
+    cls = kinds.get(data[0])
     if cls is None:
-        raise DecodeError(f"unknown transaction tag {data[0]}")
+        raise DecodeError(f"unknown tag {data[0]}")
     r = _Reader(data, 1)
-    values = {"t_id": _T_ID.decode(r.field())}
-    for field in cls.wire:
-        _decode_into(values, field, r.field())
-    values["sign"] = _SIGN.decode(r.field())
+    values = {}
+    for field in cls._frame:
+        value = field.decode(r.field())
+        if len(field.names) == 1:
+            values[field.names[0]] = value
+        else:
+            values.update(zip(field.names, value))
     r.done()
     return cls(**values)
 
@@ -560,43 +569,44 @@ def decode_canonical(data: bytes) -> Transaction:
 # construction
 
 
-def _signed(cls, keypair: KeyPair, *body) -> Transaction:
-    """A ``cls`` with the given body fields, signed by ``keypair``.
+def signed(record: Declared, keypair: KeyPair) -> Declared:
+    """``record`` signed by ``keypair``, with its id if it has one: the one
+    builder of a signed record. ``record`` holds every other field.
 
     Raises ValueError for a value its codec or its ``rule_fault`` refuses.
     """
-    tx = cls(b"", *body, b"")
-    fault = tx.rule_fault()
+    fault = record.rule_fault()
     if fault is not None:
         raise ValueError(fault)
-    tx = replace(tx, sign=sign(keypair, signing_digest(tx)))
-    return replace(tx, t_id=compute_t_id(tx))
+    record = replace(record, sign=sign(keypair, signing_digest(record)))
+    if record._has_id:
+        record = replace(record, t_id=compute_t_id(record))
+    return record
 
 
 def make_genesis(method: int, evidence: bytes, keypair: KeyPair) -> GenesisTx:
-    return _signed(GenesisTx, keypair, method, evidence, keypair.public)
+    return signed(GenesisTx(b"", method, evidence, keypair.public, b""), keypair)
 
 
 def make_supply_energy(
     p_t_id: HashDigest, energy_amount: int, energy_price: int, negotiable: bool, keypair: KeyPair
 ) -> SupplyEnergyTx:
-    return _signed(
-        SupplyEnergyTx, keypair, p_t_id, energy_amount, energy_price, negotiable, keypair.public
-    )
+    tx = SupplyEnergyTx(b"", p_t_id, energy_amount, energy_price, negotiable, keypair.public, b"")
+    return signed(tx, keypair)
 
 
 def make_negotiation(
     dest_energy_account_pk: PublicKey, price: int, status: int, round: int, keypair: KeyPair
 ) -> NegotiationMsg:
-    return _signed(
-        NegotiationMsg, keypair, dest_energy_account_pk, price, status, round, keypair.public
-    )
+    msg = NegotiationMsg(b"", dest_energy_account_pk, price, status, round, keypair.public, b"")
+    return signed(msg, keypair)
 
 
 def make_ctp(
     time_stamp: int, expiry_time: int, price: int, contract_hash: HashDigest, keypair: KeyPair
 ) -> CTPTx:
-    return _signed(CTPTx, keypair, time_stamp, expiry_time, price, contract_hash, keypair.public)
+    ctp = CTPTx(b"", time_stamp, expiry_time, price, contract_hash, keypair.public, b"")
+    return signed(ctp, keypair)
 
 
 def make_erc(
@@ -610,19 +620,21 @@ def make_erc(
     merkle_hashes: MerkleProof,
     keypair: KeyPair,
 ) -> ERCTx:
-    return _signed(
-        ERCTx, keypair, time_stamp, ctp_id, price, coe_root, coe_vm_sign, coe_vm_cert,
-        coe_pk, merkle_hashes, keypair.public,
+    erc = ERCTx(
+        b"", time_stamp, ctp_id, price, coe_root, coe_vm_sign, coe_vm_cert, coe_pk,
+        merkle_hashes, keypair.public, b"",
     )
+    return signed(erc, keypair)
 
 
 # ---------------------------------------------------------------------------
 # validation
 
 
-def check_id(tx: Transaction) -> Tuple[Optional[bytes], Optional[str]]:
-    """Whether every field is in its domain and ``t_id`` is the hash of the
-    signed encoding; the signature itself is not checked.
+def check_id(record: Declared) -> Tuple[Optional[bytes], Optional[str]]:
+    """Whether ``record`` is a signed record with every field in its domain
+    and, if it has an id, ``t_id`` the hash of the signed encoding; the
+    signature itself is not checked.
 
     Returns (the unsigned encoding, None), or (None, reason). A matching id
     binds every field and the signature bytes, so a caller can settle what
@@ -630,22 +642,24 @@ def check_id(tx: Transaction) -> Tuple[Optional[bytes], Optional[str]]:
     Never raises.
     """
     try:
-        body = encode_declared(tx)
-        if _id_of(body, tx.sign) != _T_ID.encode(tx.t_id):
+        body = encode_declared(record)
+        if record.signer is None:
+            return None, f"malformed: {type(record).__name__} is not signed"
+        if record._has_id and _id_of(body, record.sign) != _T_ID.encode(record.t_id):
             return None, "t_id mismatch"
-    except Exception as exc:  # a wrong-typed or out-of-range field
+    except Exception as exc:  # a wrong-typed or out-of-range field, or not a record
         return None, f"malformed: {exc}"
     return body, None
 
 
-def check_id_and_signature(tx: Transaction) -> Tuple[bool, Optional[str]]:
-    """``check_id``, then whether ``sign`` verifies over the unsigned
-    encoding, building that encoding once; returns (ok, reason)."""
-    body, reason = check_id(tx)
+def check_id_and_signature(record: Declared) -> Tuple[bool, Optional[str]]:
+    """The one check of a signed record: ``check_id``, then whether ``sign``
+    verifies under the record's ``signer`` over the unsigned encoding,
+    building that encoding once; returns (ok, reason) and never raises."""
+    body, reason = check_id(record)
     if body is None:
         return False, reason
-    signer = tx.sender_pk if isinstance(tx, NegotiationMsg) else tx.pk
-    if not verify(signer, hash_bytes(body), tx.sign):
+    if not verify(getattr(record, record.signer), hash_bytes(body), record.sign):
         return False, "bad signature"
     return True, None
 

@@ -12,6 +12,7 @@ from gridtrade.arb import (
     JoinMessage,
     MAX_X,
     Mesh,
+    TRAFFIC_WINDOW,
     build_dht,
     make_join,
     rebalance,
@@ -345,15 +346,15 @@ class TestRebalanceMonteCarlo:
 
 class TestLoadWindow:
     def test_window_drops_old_traffic(self):
-        node = BackboneNode("b0", offer_limit=5, window=10)
+        node = BackboneNode("b0", offer_limit=5)
         pk = bytes(64)
-        for t in range(20):
+        for t in range(2 * TRAFFIC_WINDOW):
             node.note_traffic(pk, t)
-        assert node.window_load() == 10
-        assert node.handled == 20
+        assert node.window_load() == TRAFFIC_WINDOW
+        assert node.handled == 2 * TRAFFIC_WINDOW
 
     def test_histogram_granularity(self):
-        node = BackboneNode("b0", offer_limit=5, window=100)
+        node = BackboneNode("b0", offer_limit=5)
         node.note_traffic(b"\x01\x02" + bytes(62), 0)
         node.note_traffic(b"\x01\x03" + bytes(62), 0)
         node.note_traffic(b"\x01\x02" + bytes(62), 1)

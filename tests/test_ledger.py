@@ -781,11 +781,12 @@ class TestClaims:
         assert not result.accepted and result.reason.startswith(expected)
 
     def test_signed_bytes_of_an_in_range_claim(self, trade):
+        # the claim's tag, then its fields framed as in every signed record
         claim = trade.claim
-        kwh = (10).to_bytes(8, "big")
-        assert claim._body() == b"".join(
-            [b"\x20", claim.ctp_id, claim.contract_hash, claim.producer_pk, kwh]
-        )
+        values = [claim.ctp_id, claim.contract_hash, claim.producer_pk, (10).to_bytes(8, "big")]
+        unsigned = b"\x20" + b"".join(len(v).to_bytes(4, "big") + v for v in values)
+        assert signing_digest(claim) == hash_bytes(unsigned)
+        assert verify(claim.producer_pk, hash_bytes(unsigned), claim.sign)
 
 
 def _mk_miner(rig, seed: int) -> Miner:

@@ -25,10 +25,13 @@ from gridtrade.meter import (
 )
 from gridtrade.transactions import (
     DecodeError,
-    decode_fields,
-    encode_fields,
+    check_id_and_signature,
+    decode_canonical,
+    encode_canonical,
     make_ctp,
 )
+
+from framing import decode_fields, encode_fields
 
 
 def fresh_meter(manufacturer, seed: int) -> SmartMeter:
@@ -44,13 +47,18 @@ def _overlong_first_field(data: bytes) -> bytes:
 
 def _replace_field(data: bytes, length: int, value: bytes) -> bytes:
     """Re-frame a four-field meter message with each ``length``-byte field replaced."""
-    fields = decode_fields(data, data[0], 4)
+    fields = decode_fields(data, 4)
     return encode_fields(data[0], [value if len(f) == length else f for f in fields])
+
+
+def _decode_as(message, data: bytes):
+    """``data`` decoded as a message of ``message``'s kind, the only kind it may name."""
+    return decode_canonical(data, {message.tag: type(message)})
 
 
 # how each malformed encoding is made from a good one, and the error it gets
 MALFORMED = {
-    "wrong tag": (lambda data: bytes([data[0] ^ 0xFF]) + data[1:], "expected tag"),
+    "wrong tag": (lambda data: bytes([data[0] ^ 0xFF]) + data[1:], "unknown tag"),
     "truncated length prefix": (lambda data: data[:3], "truncated length prefix"),
     "field runs past end": (lambda data: data[:-3], "runs past end"),
     "trailing bytes": (lambda data: data + b"\x00", "trailing bytes"),
@@ -131,6 +139,19 @@ class TestEndorsement:
         hijacked = replace(vr, requester_mpk=other.public)
         with pytest.raises(MeterError):
             verifier.process_verification_request(hijacked, rig.manufacturer.public)
+
+    @pytest.mark.parametrize("as_root", ["bytes", None, 7], ids=repr)
+    def test_root_that_is_not_a_ciphertext_is_refused(self, rig, as_root):
+        # it raised AttributeError once the certificate check passed
+        requester = fresh_meter(rig.manufacturer, 62)
+        verifier = fresh_meter(rig.manufacturer, 63)
+        vr = requester.make_verification_request(requester.generate_key_pool(2), verifier.public)
+        if as_root == "bytes":
+            as_root = vr.encrypted_root.to_bytes()
+        with pytest.raises(MeterError, match="bad request signature"):
+            verifier.process_verification_request(
+                replace(vr, encrypted_root=as_root), rig.manufacturer.public
+            )
 
     def test_request_encrypted_to_other_meter_fails(self, rig):
         requester = fresh_meter(rig.manufacturer, 15)
@@ -378,20 +399,18 @@ class TestWireEncodings:
             requester.make_verification_request(pool, verifier.public),
             rig.manufacturer.public,
         )
-        again = CoE.from_bytes(coe.to_bytes())
+        again = _decode_as(coe, encode_canonical(coe))
         assert again == coe
         assert again.verify(rig.manufacturer.public)
 
     def test_verification_request_roundtrip(self, rig):
-        from gridtrade.meter import VerificationRequest
-
         requester = fresh_meter(rig.manufacturer, 42)
         verifier = fresh_meter(rig.manufacturer, 43)
         pool = requester.generate_key_pool(2)
         vr = requester.make_verification_request(pool, verifier.public)
-        again = VerificationRequest.from_bytes(vr.to_bytes())
+        again = _decode_as(vr, encode_canonical(vr))
         assert again == vr
-        assert again.verify_signature()
+        assert check_id_and_signature(again) == (True, None)
 
     def test_truncation_rejected(self, rig):
         import pytest
@@ -401,7 +420,7 @@ class TestWireEncodings:
         pool = requester.generate_key_pool(2)
         vr = requester.make_verification_request(pool, verifier.public)
         with pytest.raises(ValueError):
-            type(vr).from_bytes(vr.to_bytes()[:-3])
+            _decode_as(vr, encode_canonical(vr)[:-3])
 
     @pytest.mark.parametrize("kind", ["request", "endorsement"])
     @pytest.mark.parametrize("defect", sorted(MALFORMED))
@@ -415,7 +434,7 @@ class TestWireEncodings:
             message = verifier.process_verification_request(message, rig.manufacturer.public)
         mangle, error = MALFORMED[defect]
         with pytest.raises(DecodeError, match=error):
-            type(message).from_bytes(mangle(message.to_bytes()))
+            _decode_as(message, mangle(encode_canonical(message)))
 
     @pytest.mark.parametrize(
         "kind,index,name,size",
@@ -436,12 +455,12 @@ class TestWireEncodings:
         )
         if kind == "endorsement":
             message = verifier.process_verification_request(message, rig.manufacturer.public)
-        data = message.to_bytes()
-        fields = decode_fields(data, data[0], 4)
+        data = encode_canonical(message)
+        fields = decode_fields(data, 4)
         assert len(fields[index]) == size
         fields[index] = bytes(size + delta)
         with pytest.raises(DecodeError, match=f"{name} must be {size} bytes, got {size + delta}"):
-            type(message).from_bytes(encode_fields(data[0], fields))
+            _decode_as(message, encode_fields(data[0], fields))
 
     def test_malformed_ciphertext_is_a_decode_error(self, rig):
         requester = fresh_meter(rig.manufacturer, 48)
@@ -450,9 +469,9 @@ class TestWireEncodings:
             requester.generate_key_pool(2), verifier.public
         )
         ciphertext = vr.encrypted_root.to_bytes()
-        mangled = _replace_field(vr.to_bytes(), len(ciphertext), ciphertext[:-1])
+        mangled = _replace_field(encode_canonical(vr), len(ciphertext), ciphertext[:-1])
         with pytest.raises(DecodeError, match="ciphertext length mismatch"):
-            type(vr).from_bytes(mangled)
+            _decode_as(vr, mangled)
 
 
 class TestLedgerIntegration:

@@ -6,6 +6,14 @@ restates the expiry rule. This reads each ``src/`` module with the stdlib
 ``ast`` and allows such a comparison only in the function that owns the
 rule (``GenesisTx.rule_fault`` also checks, without a signature, that its
 evidence names the account key).
+
+Likewise a call to the bare name ``verify`` or ``sign`` restates a
+signature rule: every signed record is signed by ``transactions.signed``
+and checked by ``transactions.check_id_and_signature``, a block by
+``Miner.mine`` and ``Block.verify_miner_signature``, and a certificate or
+endorsement by the ``crypto`` rules. A meter's endorsement signs the raw
+pool root, which receipts carry on the chain, so the verifier signs it
+where it endorses.
 """
 
 import ast
@@ -22,19 +30,32 @@ OWNERS = {
     "expiry_time": {"transactions.CTPTx.expired"},
 }
 
+# bare function name -> the functions (module.qualname) that may call it
+CALLERS = {
+    "verify": {
+        "crypto.ca_verify",
+        "crypto.ca_signed",
+        "transactions.check_id_and_signature",
+        "ledger.Block.verify_miner_signature",
+    },
+    "sign": {
+        "crypto.issue_certificate",
+        "transactions.signed",
+        "ledger.Miner.mine",
+        "meter.SmartMeter.process_verification_request",
+    },
+}
 
-def rule_comparisons(source: str, module: str) -> list:
-    """(attribute, enclosing module.qualname) of each comparison in ``source``
-    that reads an attribute named in ``OWNERS``."""
+
+def _scoped(source: str, module: str, names_in) -> list:
+    """(name, enclosing module.qualname) of each name ``names_in(node)``
+    yields for a node of ``source``."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}"
-        if isinstance(node, ast.Compare):
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Attribute) and sub.attr in OWNERS:
-                    found.append((sub.attr, scope))
+        found.extend((name, scope) for name in names_in(node))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -42,8 +63,38 @@ def rule_comparisons(source: str, module: str) -> list:
     return found
 
 
+def _compared_attributes(node) -> list:
+    if not isinstance(node, ast.Compare):
+        return []
+    return [
+        sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute) and sub.attr in OWNERS
+    ]
+
+
+def _called_names(node) -> list:
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in CALLERS:
+        return [node.func.id]
+    return []
+
+
+def rule_comparisons(source: str, module: str) -> list:
+    """(attribute, enclosing module.qualname) of each comparison in ``source``
+    that reads an attribute named in ``OWNERS``."""
+    return _scoped(source, module, _compared_attributes)
+
+
+def signature_calls(source: str, module: str) -> list:
+    """(name, enclosing module.qualname) of each call in ``source`` of a bare
+    name in ``CALLERS``."""
+    return _scoped(source, module, _called_names)
+
+
 def misplaced(source: str, module: str) -> list:
     return [(a, where) for a, where in rule_comparisons(source, module) if where not in OWNERS[a]]
+
+
+def misplaced_calls(source: str, module: str) -> list:
+    return [(n, where) for n, where in signature_calls(source, module) if where not in CALLERS[n]]
 
 
 def _module_name(path: Path) -> str:
@@ -87,3 +138,40 @@ def test_every_owner_holds_its_rule():
         for _, where in rule_comparisons(path.read_text(), _module_name(path))
     }
     assert held == set().union(*OWNERS.values())
+
+
+def test_the_call_check_finds_what_it_looks_for():
+    source = (
+        "def signed(record, keypair):\n"
+        "    return sign(keypair, digest(record))\n"
+        "class JoinMessage:\n"
+        "    def verify_signature(self):\n"
+        "        return verify(self.pk, self._payload(), self.sign)\n"
+        "def make_join(keypair, endpoint):\n"
+        "    return JoinMessage(keypair.public, endpoint, sign(keypair, endpoint))\n"
+        "def other(keypair, x):\n"
+        "    return keypair.sign(x) and crypto.verify(x)\n"
+    )
+    assert signature_calls(source, "transactions") == [
+        ("sign", "transactions.signed"),
+        ("verify", "transactions.JoinMessage.verify_signature"),
+        ("sign", "transactions.make_join"),
+    ]
+    assert misplaced_calls(source, "transactions") == [
+        ("verify", "transactions.JoinMessage.verify_signature"),
+        ("sign", "transactions.make_join"),
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_no_signature_rule_is_restated(path):
+    assert misplaced_calls(path.read_text(), _module_name(path)) == []
+
+
+def test_every_caller_holds_its_call():
+    held = {
+        where
+        for path in MODULES
+        for _, where in signature_calls(path.read_text(), _module_name(path))
+    }
+    assert held == set().union(*CALLERS.values())

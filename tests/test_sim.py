@@ -54,11 +54,12 @@ from gridtrade.transactions import (
     compute_contract_hash,
     compute_t_id,
     encode_canonical,
-    encode_fields,
     make_ctp,
     make_negotiation,
     make_supply_energy,
 )
+
+from framing import encode_fields
 
 
 class TestConfig:

@@ -246,6 +246,15 @@ class TestDomainRules:
             encode_canonical(tx)
         assert check_structure(tx)[0] is False
 
+    @pytest.mark.parametrize("value", [None, 7, b"proof", [b"hash"]], ids=repr)
+    def test_object_field_refuses_a_value_of_another_kind(self, value):
+        # ``value.to_bytes()`` raised AttributeError instead of the ValueError
+        # every field raises
+        erc = replace(sample_txs(Random(8), KEYS[0])[-1], merkle_hashes=value)
+        with pytest.raises(ValueError, match="merkle_hashes must be MerkleProof"):
+            encode_canonical(erc)
+        assert check_structure(erc)[0] is False
+
 
 class TestWireDeclaration:
     @pytest.mark.parametrize("cls", [GenesisTx, SupplyEnergyTx, NegotiationMsg, CTPTx, ERCTx])
