@@ -320,16 +320,12 @@ def make_producer_claim(
 def check_claim_signature(claim) -> Result:
     """Accepted iff ``claim`` is a ProducerClaim signed by the key it names.
 
-    Total: any other value, or a field outside its domain, is a rejection.
+    Total: any other value is a rejection, and a claim is judged, reasons
+    included, by ``check_id_and_signature``.
     """
     if not isinstance(claim, ProducerClaim):
         return Result(False, "malformed claim: not a producer claim")
-    ok, reason = check_id_and_signature(claim)
-    if ok:
-        return Result(True)
-    if reason == "bad signature":
-        return Result(False, "bad claim signature")
-    return Result(False, reason.replace("malformed", "malformed claim", 1))
+    return Result(*check_id_and_signature(claim))
 
 
 @dataclass(frozen=True)
@@ -383,16 +379,13 @@ class Block:
         r.done()
         return Block(height, prev_hash, ctp_hash, timestamp, miner_pk, miner_sign, txs)
 
-    def signing_digest(self) -> HashDigest:
-        return hash_bytes(self._unsigned())
-
     def block_hash(self) -> HashDigest:
         return hash_bytes(self.to_bytes())
 
     def verify_miner_signature(self, unsigned: Optional[bytes] = None) -> bool:
-        """The one block-signature check: ``miner_pk`` signed this block's
-        unsigned encoding. A caller that has made it (``_unsigned()``) passes
-        it, so it is not made twice."""
+        """The one block-signature check: ``miner_pk`` signed the hash of this
+        block's unsigned encoding, as ``Miner.mine`` does. A caller that has
+        made that encoding (``_unsigned()``) passes it, so it is not made twice."""
         if unsigned is None:
             unsigned = self._unsigned()
         return verify(self.miner_pk, hash_bytes(unsigned), self.miner_sign)
@@ -795,7 +788,7 @@ class Miner:
             miner_sign=b"",
             txs=packed,
         )
-        block = replace(block, miner_sign=sign(self.keypair, block.signing_digest()))
+        block = replace(block, miner_sign=sign(self.keypair, hash_bytes(block._unsigned())))
         self.blocks_this_period += 1
         self.mined_periods.append(now // self.consensus_period)
         return block

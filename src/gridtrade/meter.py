@@ -196,8 +196,8 @@ class SmartMeter:
         """Verifier side: check the requester is a real meter, sign the root.
 
         Raises MeterError for a requester key its manufacturer did not
-        certify, a bad signature or a field outside its domain, or ciphertext
-        not addressed to this meter.
+        certify, a bad signature or a field outside its domain, ciphertext
+        not addressed to this meter, or a root that is not a digest.
         """
         if not ca_verify(vr.requester_cert, manufacturer_ca_pk, vr.requester_mpk):
             raise MeterError("not a meter")
@@ -207,6 +207,8 @@ class SmartMeter:
             root = asym_decrypt(self.identity.keypair, vr.encrypted_root)
         except DecryptionError as exc:
             raise MeterError("cannot decrypt root") from exc
+        if len(root) != DIGEST_LEN:
+            raise MeterError("root is not a digest")
         return CoE(
             root=root,
             vm_signature=sign(self.identity.keypair, root),

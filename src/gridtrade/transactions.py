@@ -243,25 +243,24 @@ class Declared:
     """A record whose byte layout is declared once and bound at class
     creation, so encoding builds no getters or closures per call.
 
-    One frame serves every record: the tag byte, then ``t_id`` if the record
-    has one, the ``wire`` fields, then ``sign`` if it has one, each field
-    length-prefixed. ``encode_canonical`` writes it and ``decode_canonical``
-    reads it. ``encode_declared`` is the tag and the ``wire`` fields alone:
-    a signed record's signature covers its hash, and an id hashes it with
-    the signature. A signed record names the field that holds its signing
-    key in ``signer``.
+    One frame serves every record: the tag byte, then ``t_id`` if the class
+    is made with ``has_id=True``, the ``wire`` fields, then ``sign`` if it
+    names the field with its signing key in ``signer``; each field
+    length-prefixed. ``encode_canonical`` writes the frame and
+    ``decode_canonical`` reads it; ``encode_declared`` is the tag and the
+    ``wire`` fields alone.
     """
 
     tag: int
     wire: Tuple[Field, ...]
+    has_id: bool = False
     signer: Optional[str] = None
 
-    def __init_subclass__(cls, **kwargs):
+    def __init_subclass__(cls, has_id: bool = False, **kwargs):
         super().__init_subclass__(**kwargs)
-        names = cls.__dict__.get("__annotations__", {})
-        cls._has_id = "t_id" in names
-        head = (_T_ID,) if cls._has_id else ()
-        tail = (_SIGN,) if "sign" in names else ()
+        cls.has_id = has_id
+        head = (_T_ID,) if has_id else ()
+        tail = (_SIGN,) if cls.signer is not None else ()
         cls._frame = head + cls.wire + tail
         cls._tag_byte = bytes([cls.tag])
         cls._encoders = tuple((field.get, field.encode) for field in cls.wire)
@@ -278,7 +277,7 @@ def encode_declared(obj: Declared) -> bytes:
 
 
 @dataclass(frozen=True)
-class GenesisTx(Declared):
+class GenesisTx(Declared, has_id=True):
     """Opens an energy account.
 
     ``method`` selects the evidence kind: a claimed coin-burn amount
@@ -314,7 +313,7 @@ class GenesisTx(Declared):
 
 
 @dataclass(frozen=True)
-class SupplyEnergyTx(Declared):
+class SupplyEnergyTx(Declared, has_id=True):
     """Adds ``energy_amount`` kWh at ``energy_price`` per kWh to an account.
 
     ``p_t_id`` chains to the account's previous transaction (the genesis id
@@ -347,7 +346,7 @@ class SupplyEnergyTx(Declared):
 
 
 @dataclass(frozen=True)
-class NegotiationMsg(Declared):
+class NegotiationMsg(Declared, has_id=True):
     """One step of off-chain price haggling, never stored in a block.
 
     ``status`` 1 accepts the counterparty's last price, 0 carries a new
@@ -381,7 +380,7 @@ class NegotiationMsg(Declared):
 
 
 @dataclass(frozen=True)
-class CTPTx(Declared):
+class CTPTx(Declared, has_id=True):
     """Commit-to-pay: pending payment of ``price`` held until expiry.
 
     Never mined; lives in each miner's pending database. ``contract_hash``
@@ -420,7 +419,7 @@ class CTPTx(Declared):
 
 
 @dataclass(frozen=True)
-class ERCTx(Declared):
+class ERCTx(Declared, has_id=True):
     """Energy receipt confirmation emitted by the consumer's meter.
 
     Signed with a one-time key whose public half is a leaf of the
@@ -522,8 +521,16 @@ def encode_canonical(record: Declared) -> bytes:
     return record._tag_byte + b"".join([_lp(encode(get(record))) for get, encode in encoders])
 
 
+def signed_message(record: Declared, body: bytes) -> bytes:
+    """What ``record``'s signature covers, given its ``encode_declared`` bytes:
+    their hash for a transaction, as the chain keeps it; else the bytes, which
+    hold the ``signer`` key, so are never 32 bytes long like the raw pool root
+    a meter's identity key signs, and no endorsement passes for a record."""
+    return hash_bytes(body) if record.has_id else body
+
+
 def signing_digest(record: Declared) -> HashDigest:
-    """Hash the signature commits to: the encoding without id or signature."""
+    """Hash a transaction's signature covers: its encoding without id or signature."""
     return hash_bytes(encode_declared(record))
 
 
@@ -578,8 +585,8 @@ def signed(record: Declared, keypair: KeyPair) -> Declared:
     fault = record.rule_fault()
     if fault is not None:
         raise ValueError(fault)
-    record = replace(record, sign=sign(keypair, signing_digest(record)))
-    if record._has_id:
+    record = replace(record, sign=sign(keypair, signed_message(record, encode_declared(record))))
+    if record.has_id:
         record = replace(record, t_id=compute_t_id(record))
     return record
 
@@ -645,7 +652,7 @@ def check_id(record: Declared) -> Tuple[Optional[bytes], Optional[str]]:
         body = encode_declared(record)
         if record.signer is None:
             return None, f"malformed: {type(record).__name__} is not signed"
-        if record._has_id and _id_of(body, record.sign) != _T_ID.encode(record.t_id):
+        if record.has_id and _id_of(body, record.sign) != _T_ID.encode(record.t_id):
             return None, "t_id mismatch"
     except Exception as exc:  # a wrong-typed or out-of-range field, or not a record
         return None, f"malformed: {exc}"
@@ -654,12 +661,12 @@ def check_id(record: Declared) -> Tuple[Optional[bytes], Optional[str]]:
 
 def check_id_and_signature(record: Declared) -> Tuple[bool, Optional[str]]:
     """The one check of a signed record: ``check_id``, then whether ``sign``
-    verifies under the record's ``signer`` over the unsigned encoding,
-    building that encoding once; returns (ok, reason) and never raises."""
+    verifies under the record's ``signer`` over its ``signed_message``,
+    building the unsigned encoding once; returns (ok, reason) and never raises."""
     body, reason = check_id(record)
     if body is None:
         return False, reason
-    if not verify(getattr(record, record.signer), hash_bytes(body), record.sign):
+    if not verify(getattr(record, record.signer), signed_message(record, body), record.sign):
         return False, "bad signature"
     return True, None
 

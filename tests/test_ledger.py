@@ -41,6 +41,7 @@ from gridtrade.transactions import (
     check_structure,
     compute_t_id,
     encode_canonical,
+    encode_declared,
     make_ctp,
     make_genesis,
     make_supply_energy,
@@ -733,7 +734,7 @@ class TestClaims:
             energy_kwh=10,
             sign=sign(outsider, b"junk"),
         )
-        assert ledger.submit_claim(bad_sig).reason == "bad claim signature"
+        assert ledger.submit_claim(bad_sig).reason == "bad signature"
         unknown = make_producer_claim(
             hash_bytes(b"missing"), trade.ctp.contract_hash, 10, trade.producer
         )
@@ -765,7 +766,7 @@ class TestClaims:
             sign=bytes(64),
         )
         result = trade.rig.ledger.submit_claim(claim)
-        assert not result.accepted and result.reason.startswith("malformed claim")
+        assert result == Result(False, f"malformed: energy_kwh {energy_kwh} out of u64 range")
         with pytest.raises(ValueError):
             make_producer_claim(
                 trade.ctp.t_id, trade.ctp.contract_hash, energy_kwh, trade.producer
@@ -777,16 +778,19 @@ class TestClaims:
     )
     def test_wrong_typed_field_is_rejected(self, trade, name, value):
         result = trade.rig.ledger.submit_claim(replace(trade.claim, **{name: value}))
-        expected = "bad claim signature" if name == "sign" else "malformed claim"
-        assert not result.accepted and result.reason.startswith(expected)
+        if name == "sign":
+            assert result == Result(False, "bad signature")
+        else:
+            assert not result.accepted and result.reason.startswith(f"malformed: {name} must be ")
 
     def test_signed_bytes_of_an_in_range_claim(self, trade):
-        # the claim's tag, then its fields framed as in every signed record
+        # the claim's tag, then its fields framed as in every signed record;
+        # a record without an id is signed over these bytes, not their hash
         claim = trade.claim
         values = [claim.ctp_id, claim.contract_hash, claim.producer_pk, (10).to_bytes(8, "big")]
         unsigned = b"\x20" + b"".join(len(v).to_bytes(4, "big") + v for v in values)
-        assert signing_digest(claim) == hash_bytes(unsigned)
-        assert verify(claim.producer_pk, hash_bytes(unsigned), claim.sign)
+        assert encode_declared(claim) == unsigned
+        assert verify(claim.producer_pk, unsigned, claim.sign)
 
 
 def _mk_miner(rig, seed: int) -> Miner:
@@ -900,7 +904,7 @@ class TestBlockApplication:
         evil_supply = make_supply_energy(hash_bytes(b"fake"), 10, 1, True, trade.producer)
         tampered = replace(block, txs=block.txs + (evil_supply,))
         tampered = replace(
-            tampered, miner_sign=sign(miner_a.keypair, tampered.signing_digest())
+            tampered, miner_sign=sign(miner_a.keypair, hash_bytes(tampered._unsigned()))
         )
         ledger = miner_b.ledger
         before = _ledger_state(ledger)
@@ -986,7 +990,7 @@ class TestBlockApplication:
         newcomer = KeyPair.generate(rig.rng)
         evil = make_supply_energy(hash_bytes(b"fake"), 10, 1, True, newcomer)
         bad = replace(block, txs=(rig.certified_genesis(newcomer), evil))
-        return replace(bad, miner_sign=sign(miner.keypair, bad.signing_digest()))
+        return replace(bad, miner_sign=sign(miner.keypair, hash_bytes(bad._unsigned())))
 
     def test_invalid_rival_keeps_the_tip_and_a_valid_one_still_swaps(self, trade):
         rig = trade.rig

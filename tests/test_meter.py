@@ -5,12 +5,14 @@ from random import Random
 
 import pytest
 
+from gridtrade.arb import JoinMessage, Mesh
 from gridtrade.crypto import (
     CERTIFICATE_LEN,
     MAX_FIELD_LEN,
     SIGNATURE_LEN,
     Certificate,
     KeyPair,
+    asym_encrypt,
     ca_verify,
     hash_bytes,
     issue_certificate,
@@ -21,6 +23,7 @@ from gridtrade.meter import (
     CoE,
     MeterError,
     SmartMeter,
+    VerificationRequest,
     provision_meter,
 )
 from gridtrade.transactions import (
@@ -28,7 +31,10 @@ from gridtrade.transactions import (
     check_id_and_signature,
     decode_canonical,
     encode_canonical,
+    encode_declared,
     make_ctp,
+    signed,
+    signing_digest,
 )
 
 from framing import decode_fields, encode_fields
@@ -177,6 +183,56 @@ class TestEndorsement:
         assert coe1.vm_pk != coe2.vm_pk
         assert coe1.verify(rig.manufacturer.public)
         assert coe2.verify(rig.manufacturer.public)
+
+
+class TestEndorsementIsNoRecordSignature:
+    """A verifier signs, with its identity key, whatever root a certified
+    meter encrypts to it. Nothing it signs that way may pass as its
+    signature on a join or a verification request."""
+
+    def _endorse(self, rig, attacker: SmartMeter, verifier: SmartMeter, root: bytes) -> CoE:
+        request = VerificationRequest(
+            asym_encrypt(verifier.public, root, attacker.rng),
+            attacker.public,
+            attacker.identity.manufacturer_cert,
+            b"",
+        )
+        request = signed(request, attacker.identity.keypair)
+        return verifier.process_verification_request(request, rig.manufacturer.public)
+
+    def test_endorsed_hash_of_a_join_is_not_a_join(self, rig):
+        attacker = fresh_meter(rig.manufacturer, 64)
+        victim = fresh_meter(rig.manufacturer, 65)
+        join = JoinMessage(victim.public, "attacker-node", b"")
+        coe = self._endorse(rig, attacker, victim, signing_digest(join))
+        mesh = Mesh(["b0", "b1"], 1, offer_limit=5)
+        owner = mesh.table.owner_of(victim.public)
+        forged = replace(join, sign=coe.vm_signature)
+        assert mesh.join(owner, forged) == (False, "impersonation")
+        assert victim.public not in mesh.nodes[owner].members
+
+    def test_endorsed_hash_of_a_request_is_not_a_request(self, rig):
+        attacker = fresh_meter(rig.manufacturer, 66)
+        victim = fresh_meter(rig.manufacturer, 67)
+        target = fresh_meter(rig.manufacturer, 68)
+        request = VerificationRequest(
+            asym_encrypt(target.public, hash_bytes(b"pool"), attacker.rng),
+            victim.public,
+            victim.identity.manufacturer_cert,
+            b"",
+        )
+        coe = self._endorse(rig, attacker, victim, signing_digest(request))
+        forged = replace(request, sign=coe.vm_signature)
+        with pytest.raises(MeterError, match="bad request signature"):
+            target.process_verification_request(forged, rig.manufacturer.public)
+
+    def test_a_root_that_is_not_a_digest_is_not_endorsed(self, rig):
+        # a record's own encoding as the root: its verifier must not sign it
+        attacker = fresh_meter(rig.manufacturer, 69)
+        victim = fresh_meter(rig.manufacturer, 70)
+        join = JoinMessage(victim.public, "attacker-node", b"")
+        with pytest.raises(MeterError, match="root is not a digest"):
+            self._endorse(rig, attacker, victim, encode_declared(join))
 
 
 class TestInstallEndorsement:

@@ -1448,7 +1448,7 @@ class TestCli:
             "ctp": lambda: make_ctp(1, 500, 100, hash_bytes(b"contract"), keypair),
         }[kind]()
         block = Block(0, GENESIS_PREV, bytes(32), 0, keypair.public, b"", (tx,))
-        block = replace(block, miner_sign=sign(keypair, block.signing_digest()))
+        block = replace(block, miner_sign=sign(keypair, hash_bytes(block._unsigned())))
         chain = Blockchain()
         chain.append(block)
         path = tmp_path / f"{kind}.dump"

@@ -5,7 +5,10 @@ from random import Random
 
 import pytest
 
+from gridtrade.arb import JoinMessage
 from gridtrade.crypto import (
+    DIGEST_LEN,
+    PUBLIC_KEY_LEN,
     KeyPair,
     MerkleProof,
     hash_bytes,
@@ -13,6 +16,8 @@ from gridtrade.crypto import (
     merkle_build,
     merkle_prove,
 )
+from gridtrade.ledger import ProducerClaim
+from gridtrade.meter import CoE, VerificationRequest
 from gridtrade.transactions import (
     CTPTx,
     ContractTerms,
@@ -256,6 +261,13 @@ class TestDomainRules:
         assert check_structure(erc)[0] is False
 
 
+# every declared record kind in the package
+DECLARED = [
+    GenesisTx, SupplyEnergyTx, NegotiationMsg, CTPTx, ERCTx, ContractTerms,
+    ProducerClaim, JoinMessage, CoE, VerificationRequest,
+]
+
+
 class TestWireDeclaration:
     @pytest.mark.parametrize("cls", [GenesisTx, SupplyEnergyTx, NegotiationMsg, CTPTx, ERCTx])
     def test_declaration_names_the_fields_between_id_and_signature(self, cls):
@@ -263,6 +275,23 @@ class TestWireDeclaration:
         names = [f.name for f in fields(cls)]
         assert names[0] == "t_id" and names[-1] == "sign"
         assert declared == names[1:-1]
+
+    @pytest.mark.parametrize("cls", DECLARED, ids=lambda cls: cls.__name__)
+    def test_frame_holds_every_field_in_order(self, cls):
+        # the id heads the frame of a record with one, and the signature ends
+        # the frame of a signed record
+        frame = cls._frame
+        assert (frame[0].names == ("t_id",)) == cls.has_id
+        assert (frame[-1].names == ("sign",)) == (cls.signer is not None)
+        assert [name for field in frame for name in field.names] == [f.name for f in fields(cls)]
+
+    @pytest.mark.parametrize(
+        "cls", [cls for cls in DECLARED if cls.signer and not cls.has_id], ids=lambda cls: cls.__name__
+    )
+    def test_a_record_signed_unhashed_is_longer_than_a_digest(self, cls):
+        # so no such signature passes for a verifier meter's over a raw root
+        (key,) = [field for field in cls.wire if field.names == (cls.signer,)]
+        assert key.size == PUBLIC_KEY_LEN > DIGEST_LEN
 
 
 class TestCheckId:
