@@ -523,15 +523,15 @@ def encode_canonical(record: Declared) -> bytes:
 
 def signed_message(record: Declared, body: bytes) -> bytes:
     """What ``record``'s signature covers, given its ``encode_declared`` bytes:
-    their hash for a transaction, as the chain keeps it; else the bytes, which
-    hold the ``signer`` key, so are never 32 bytes long like the raw pool root
-    a meter's identity key signs, and no endorsement passes for a record."""
-    return hash_bytes(body) if record.has_id else body
+    a transaction's ``signing_digest``, as the chain keeps it; else the bytes,
+    which hold the ``signer`` key, so are never 32 bytes long like the raw pool
+    root a meter's identity key signs, and no endorsement passes for a record."""
+    return signing_digest(record, body) if record.has_id else body
 
 
-def signing_digest(record: Declared) -> HashDigest:
-    """Hash a transaction's signature covers: its encoding without id or signature."""
-    return hash_bytes(encode_declared(record))
+def signing_digest(record: Declared, body: Optional[bytes] = None) -> HashDigest:
+    """Hash a transaction's signature covers: of ``encode_declared``, ``body`` if given."""
+    return hash_bytes(encode_declared(record) if body is None else body)
 
 
 def compute_t_id(tx: Transaction) -> HashDigest:
