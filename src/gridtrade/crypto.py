@@ -235,7 +235,11 @@ class Certificate:
     signature: Signature
 
     def to_bytes(self) -> bytes:
-        return self.subject_pk + self.issuer_pk + self.signature
+        parts = (self.subject_pk, self.issuer_pk, self.signature)
+        sizes = (PUBLIC_KEY_LEN, PUBLIC_KEY_LEN, SIGNATURE_LEN)
+        if not all(isinstance(part, bytes) and len(part) == n for part, n in zip(parts, sizes)):
+            raise ValueError("certificate keys and signature must be bytes of their lengths")
+        return b"".join(parts)
 
     @staticmethod
     def from_bytes(data: bytes) -> "Certificate":
@@ -371,10 +375,12 @@ class MerkleProof:
         # leaf_index (4B big-endian) || count (1B) || side (1B) + digest (32B) each
         if len(self.siblings) > 255:
             raise ValueError("proof too long to serialize")
-        if not 0 <= self.leaf_index < 1 << 32:
-            raise ValueError(f"leaf index {self.leaf_index} out of u32 range")
+        if type(self.leaf_index) is not int or not 0 <= self.leaf_index < 1 << 32:
+            raise ValueError(f"leaf index {self.leaf_index!r} out of u32 range")
         out = [self.leaf_index.to_bytes(4, "big"), bytes([len(self.siblings)])]
         for digest, side in self.siblings:
+            if side not in (LEFT, RIGHT) or type(digest) is not bytes or len(digest) != DIGEST_LEN:
+                raise ValueError(f"malformed sibling ({digest!r}, {side!r})")
             out.append(bytes([side]))
             out.append(digest)
         return b"".join(out)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import cached_property
 from operator import itemgetter
 from random import Random
 from typing import Dict, List, Optional, Tuple
@@ -344,7 +345,11 @@ class SettlementRecord:
 
 @dataclass(frozen=True)
 class Block:
-    """Mined history unit; ``ctp_hash`` mirrors the miner's pending DB."""
+    """Mined history unit; ``ctp_hash`` mirrors the miner's pending DB.
+
+    Frozen, so its ``unsigned`` encoding and ``block_hash`` are made once, on
+    first use, and gossip shares one object among the miners. ``Miner.mine``
+    signs ``signing_digest`` and ``verify_miner_signature`` checks it."""
 
     height: int
     prev_hash: HashDigest
@@ -354,7 +359,9 @@ class Block:
     miner_sign: Signature
     txs: tuple  # of mineable transactions
 
-    def _unsigned(self) -> bytes:
+    # not fields, so ==, hash, repr and ``replace`` ignore them
+    @cached_property
+    def unsigned(self) -> bytes:
         parts = [
             self.height.to_bytes(8, "big"),
             self.prev_hash,
@@ -367,7 +374,7 @@ class Block:
         return b"".join(parts)
 
     def to_bytes(self) -> bytes:
-        return self._unsigned() + self.miner_sign
+        return self.unsigned + self.miner_sign
 
     @staticmethod
     def from_bytes(data: bytes) -> "Block":
@@ -379,16 +386,18 @@ class Block:
         r.done()
         return Block(height, prev_hash, ctp_hash, timestamp, miner_pk, miner_sign, txs)
 
+    @cached_property
     def block_hash(self) -> HashDigest:
         return hash_bytes(self.to_bytes())
 
-    def verify_miner_signature(self, unsigned: Optional[bytes] = None) -> bool:
-        """The one block-signature check: ``miner_pk`` signed the hash of this
-        block's unsigned encoding, as ``Miner.mine`` does. A caller that has
-        made that encoding (``_unsigned()``) passes it, so it is not made twice."""
-        if unsigned is None:
-            unsigned = self._unsigned()
-        return verify(self.miner_pk, hash_bytes(unsigned), self.miner_sign)
+    @property
+    def signing_digest(self) -> HashDigest:
+        """What the miner signs: the hash of the unsigned encoding."""
+        return hash_bytes(self.unsigned)
+
+    def verify_miner_signature(self) -> bool:
+        """The one block-signature check: ``miner_pk`` signed ``signing_digest``."""
+        return verify(self.miner_pk, self.signing_digest, self.miner_sign)
 
 
 GENESIS_PREV = b"\x00" * DIGEST_LEN
@@ -410,7 +419,7 @@ class Blockchain:
 
     @property
     def tip_hash(self) -> HashDigest:
-        return self.blocks[-1].block_hash() if self.blocks else GENESIS_PREV
+        return self.blocks[-1].block_hash if self.blocks else GENESIS_PREV
 
     def append(self, block: Block) -> None:
         self.blocks.append(block)
@@ -445,9 +454,6 @@ class LedgerConfig:
     burn_threshold: int
     distributor_ca_pk: PublicKey
     manufacturer_ca_pk: PublicKey
-
-
-VALIDATE_ERC_STEPS = ("a", "b", "c", "d", "e")
 
 
 class Ledger:
@@ -788,7 +794,7 @@ class Miner:
             miner_sign=b"",
             txs=packed,
         )
-        block = replace(block, miner_sign=sign(self.keypair, hash_bytes(block._unsigned())))
+        block = replace(block, miner_sign=sign(self.keypair, block.signing_digest))
         self.blocks_this_period += 1
         self.mined_periods.append(now // self.consensus_period)
         return block
@@ -811,7 +817,7 @@ class Miner:
         """
         chain = self.chain
         try:
-            unsigned = block._unsigned()
+            block.unsigned  # made here, so a block that cannot be encoded is malformed
             extends = block.height == chain.height and block.prev_hash == chain.tip_hash
             rival = (
                 not extends
@@ -825,7 +831,7 @@ class Miner:
             return ApplyOutcome(False, f"malformed block: {exc}")
         if not (extends or rival):
             return ApplyOutcome(False, "does not extend tip")
-        if not block.verify_miner_signature(unsigned):
+        if not block.verify_miner_signature():
             return ApplyOutcome(False, "bad miner signature")
         if extends:
             return self._apply(block)

@@ -110,7 +110,7 @@ def _cmd_replay(args) -> int:
             f"[{kind_summary}] {status}"
         )
         ok = ok and not problems
-        prev = block.block_hash()
+        prev = block.block_hash
     print(f"{len(chain.blocks)} blocks: {'valid' if ok else 'INVALID'}")
     return 0 if ok else 1
 

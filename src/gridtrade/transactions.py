@@ -18,7 +18,9 @@ order, each field as a 4-byte big-endian length prefix plus value bytes.
 The same bytes serve as wire format, block storage format, and signing
 input. The transaction id is the hash of the signed encoding (tag, body
 fields, signature; the id field itself is excluded), and the signature
-covers the hash of the unsigned encoding (tag plus body fields).
+covers the hash of the unsigned encoding (tag plus body fields). These two
+rules are ``compute_t_id`` and ``signing_digest``; each takes the unsigned
+encoding from a caller that has made it.
 
 The layout lives in one place: each message class lists its body fields
 (everything between ``t_id`` and ``sign``) in wire order in its ``wire``
@@ -33,8 +35,9 @@ at its own time stamp) are each class's ``rule_fault``, shared by
 Every signed record is declared the same way and names its signing key in
 ``signer``: the five transactions, ``ledger.ProducerClaim``,
 ``arb.JoinMessage`` and ``meter.VerificationRequest``. ``signed`` builds
-and ``check_id_and_signature`` checks each one. The meter's ``CoE`` is
-declared too, so routed meter messages decode through ``decode_canonical``.
+and ``check_id_and_signature`` checks each one over its ``signed_message``,
+and each encodes the record once. The meter's ``CoE`` is declared too, so
+routed meter messages decode through ``decode_canonical``.
 
 The framing lives in ``crypto`` (re-exported here): ``_lp`` writes a
 field, ``_Reader`` reads fields and fixed-width values and raises
@@ -189,7 +192,8 @@ class FlagField(EnumField):
 
 
 class ObjectField(Field):
-    """A value in its own ``to_bytes`` form, read back by ``kind.from_bytes``."""
+    """A value in its own ``to_bytes`` form, read back by ``kind.from_bytes``;
+    ``to_bytes`` raises ValueError for a value that would not read back."""
 
     def __init__(self, name: str, kind: type):
         super().__init__(name)
@@ -219,16 +223,21 @@ class TextField(Field):
 
 class AttestationField(Field):
     """The receipt's attestation: tree root, verifier signature over it and
-    the verifier's certificate, concatenated into one field."""
+    the verifier's certificate, concatenated into one field, each part in
+    the domain of its own codec."""
 
     size = DIGEST_LEN + SIGNATURE_LEN + CERTIFICATE_LEN
 
+    def __init__(self, root: str, vm_sign: str, cert: str):
+        super().__init__(root, vm_sign, cert)
+        self.parts = (
+            BytesField(root, DIGEST_LEN),
+            BytesField(vm_sign, SIGNATURE_LEN),
+            ObjectField(cert, Certificate),
+        )
+
     def encode(self, value: Tuple[HashDigest, Signature, Certificate]) -> bytes:
-        root, vm_sign, cert = value
-        raw = root + vm_sign + cert.to_bytes()
-        if len(root) != DIGEST_LEN or len(vm_sign) != SIGNATURE_LEN or len(raw) != self.size:
-            raise ValueError(f"malformed {self.label}")
-        return raw
+        return b"".join([part.encode(v) for part, v in zip(self.parts, value)])
 
     def parse(self, raw: bytes) -> Tuple[HashDigest, Signature, Certificate]:
         cut = DIGEST_LEN + SIGNATURE_LEN
@@ -511,10 +520,6 @@ def contract_terms(
 # encoding
 
 
-def _id_of(body: bytes, signature: Signature) -> HashDigest:
-    return hash_bytes(body + _lp(_SIGN.encode(signature)))
-
-
 def encode_canonical(record: Declared) -> bytes:
     """Full wire bytes: the tag, then every field of the record's frame."""
     encoders = record._frame_encoders
@@ -534,22 +539,11 @@ def signing_digest(record: Declared, body: Optional[bytes] = None) -> HashDigest
     return hash_bytes(encode_declared(record) if body is None else body)
 
 
-def compute_t_id(tx: Transaction) -> HashDigest:
-    """Transaction id: hash of the signed encoding (id field excluded)."""
-    return _id_of(encode_declared(tx), tx.sign)
-
-
-def encode_hex(tx: Transaction) -> str:
-    """Hex dump of the canonical encoding, for golden tests and logs."""
-    return encode_canonical(tx).hex()
-
-
-def decode_hex(text: str) -> Transaction:
-    try:
-        raw = bytes.fromhex(text.strip())
-    except ValueError as exc:
-        raise DecodeError(f"bad hex: {exc}") from exc
-    return decode_canonical(raw)
+def compute_t_id(tx: Transaction, body: Optional[bytes] = None) -> HashDigest:
+    """The one id rule: the hash of the signed encoding (id field excluded),
+    that is of ``encode_declared``, ``body`` if given, then ``sign``."""
+    body = encode_declared(tx) if body is None else body
+    return hash_bytes(body + _lp(_SIGN.encode(tx.sign)))
 
 
 def decode_canonical(data: bytes, kinds: Mapping[int, type] = KIND_BY_TAG) -> Declared:
@@ -585,9 +579,10 @@ def signed(record: Declared, keypair: KeyPair) -> Declared:
     fault = record.rule_fault()
     if fault is not None:
         raise ValueError(fault)
-    record = replace(record, sign=sign(keypair, signed_message(record, encode_declared(record))))
+    body = encode_declared(record)  # neither ``sign`` nor ``t_id``, so made once
+    record = replace(record, sign=sign(keypair, signed_message(record, body)))
     if record.has_id:
-        record = replace(record, t_id=compute_t_id(record))
+        record = replace(record, t_id=compute_t_id(record, body))
     return record
 
 
@@ -652,7 +647,7 @@ def check_id(record: Declared) -> Tuple[Optional[bytes], Optional[str]]:
         body = encode_declared(record)
         if record.signer is None:
             return None, f"malformed: {type(record).__name__} is not signed"
-        if record.has_id and _id_of(body, record.sign) != _T_ID.encode(record.t_id):
+        if record.has_id and compute_t_id(record, body) != _T_ID.encode(record.t_id):
             return None, "t_id mismatch"
     except Exception as exc:  # a wrong-typed or out-of-range field, or not a record
         return None, f"malformed: {exc}"
@@ -688,12 +683,3 @@ def check_structure(tx: Transaction) -> Tuple[bool, Optional[str]]:
         return True, None
     except Exception as exc:  # malformed field contents must not crash a validator
         return False, f"malformed: {exc}"
-
-
-def check_encoded(data: bytes) -> Tuple[bool, Optional[str]]:
-    """check_structure over raw bytes; decode failures surface as False."""
-    try:
-        tx = decode_canonical(data)
-    except DecodeError as exc:
-        return False, f"decode: {exc}"
-    return check_structure(tx)

@@ -904,7 +904,7 @@ class TestBlockApplication:
         evil_supply = make_supply_energy(hash_bytes(b"fake"), 10, 1, True, trade.producer)
         tampered = replace(block, txs=block.txs + (evil_supply,))
         tampered = replace(
-            tampered, miner_sign=sign(miner_a.keypair, hash_bytes(tampered._unsigned()))
+            tampered, miner_sign=sign(miner_a.keypair, tampered.signing_digest)
         )
         ledger = miner_b.ledger
         before = _ledger_state(ledger)
@@ -990,7 +990,7 @@ class TestBlockApplication:
         newcomer = KeyPair.generate(rig.rng)
         evil = make_supply_energy(hash_bytes(b"fake"), 10, 1, True, newcomer)
         bad = replace(block, txs=(rig.certified_genesis(newcomer), evil))
-        return replace(bad, miner_sign=sign(miner.keypair, hash_bytes(bad._unsigned())))
+        return replace(bad, miner_sign=sign(miner.keypair, bad.signing_digest))
 
     def test_invalid_rival_keeps_the_tip_and_a_valid_one_still_swaps(self, trade):
         rig = trade.rig
@@ -1198,8 +1198,8 @@ class TestChainDump:
         assert miner.receive_block(block).applied
         data = miner.chain.dump_bytes()
         loaded = Blockchain.load_bytes(data)
-        assert [b.block_hash() for b in loaded.blocks] == [
-            b.block_hash() for b in miner.chain.blocks
+        assert [b.block_hash for b in loaded.blocks] == [
+            b.block_hash for b in miner.chain.blocks
         ]
         with pytest.raises(ValueError):
             Blockchain.load_bytes(b"garbage")

@@ -30,7 +30,6 @@ from gridtrade.transactions import (
     SupplyEnergyTx,
     TAG_GENESIS,
     TAG_NEGOTIATION,
-    check_encoded,
     check_id,
     check_id_and_signature,
     check_structure,
@@ -89,6 +88,34 @@ def sample_txs(rng: Random, keypair: KeyPair):
         keypair=pool[1],
     )
     return [genesis, supply, negotiation, ctp, erc]
+
+
+# a receipt with one part of its attestation or proof outside that part's domain
+RECEIPT_OUT_OF_DOMAIN = {
+    "cert-as-bytes": lambda erc: replace(erc, coe_vm_cert=erc.coe_vm_cert.to_bytes()),
+    "none-root": lambda erc: replace(erc, coe_root=None),
+    "int-vm-sign": lambda erc: replace(erc, coe_vm_sign=7),
+    "cert-none-subject": lambda erc: replace(
+        erc, coe_vm_cert=replace(erc.coe_vm_cert, subject_pk=None)
+    ),
+    # decoding refuses a certificate that is not 192 bytes, so encoding does too
+    "cert-short-signature": lambda erc: replace(
+        erc, coe_vm_cert=replace(erc.coe_vm_cert, signature=bytes(63))
+    ),
+    "proof-str-side": lambda erc: replace(
+        erc, merkle_hashes=MerkleProof(0, ((erc.merkle_hashes.siblings[0][0], "1"),))
+    ),
+    "proof-none-digest": lambda erc: replace(erc, merkle_hashes=MerkleProof(0, ((None, 1),))),
+}
+
+
+def _accepted(raw: bytes) -> bool:
+    """Whether ``raw`` decodes to a transaction that ``check_structure`` accepts."""
+    try:
+        tx = decode_canonical(raw)
+    except DecodeError:
+        return False
+    return check_structure(tx)[0]
 
 
 class TestEncoding:
@@ -260,6 +287,16 @@ class TestDomainRules:
             encode_canonical(erc)
         assert check_structure(erc)[0] is False
 
+    @pytest.mark.parametrize("name", RECEIPT_OUT_OF_DOMAIN)
+    def test_receipt_part_outside_its_domain(self, name):
+        # all but the short signature raised AttributeError or TypeError
+        # instead of the ValueError every field raises
+        erc = RECEIPT_OUT_OF_DOMAIN[name](sample_txs(Random(8), KEYS[0])[-1])
+        with pytest.raises(ValueError):
+            encode_canonical(erc)
+        ok, reason = check_structure(erc)
+        assert not ok and reason.startswith("malformed: "), reason
+
 
 # every declared record kind in the package
 DECLARED = [
@@ -383,8 +420,8 @@ class TestCheckStructure:
         offset = 1 + (4 + 32) + (4 + 64) + (4 + 8) + 4
         assert raw[offset] == 1
         raw[offset] = 2
-        ok, reason = check_encoded(bytes(raw))
-        assert not ok and reason.startswith("decode:")
+        with pytest.raises(DecodeError):
+            decode_canonical(bytes(raw))
 
     def test_single_bit_mutations_rejected(self):
         # every bit of a signed commitment and supply posting
@@ -396,8 +433,7 @@ class TestCheckStructure:
             for bit in range(len(raw) * 8):
                 mutated = bytearray(raw)
                 mutated[bit // 8] ^= 1 << (bit % 8)
-                ok, _ = check_encoded(bytes(mutated))
-                assert not ok, f"bit {bit} accepted"
+                assert not _accepted(bytes(mutated)), f"bit {bit} accepted"
 
     def test_single_bit_mutations_rejected_erc_sampled(self):
         rng = Random(5)
@@ -406,8 +442,7 @@ class TestCheckStructure:
         for bit in range(0, len(raw) * 8, 7):
             mutated = bytearray(raw)
             mutated[bit // 8] ^= 1 << (bit % 8)
-            ok, _ = check_encoded(bytes(mutated))
-            assert not ok, f"bit {bit} accepted"
+            assert not _accepted(bytes(mutated)), f"bit {bit} accepted"
 
 
 class TestGoldenVectors:
@@ -493,50 +528,34 @@ class TestGoldenVectors:
         )
 
     def test_genesis_golden(self):
-        from gridtrade.transactions import decode_hex, encode_hex
-
         kp = KeyPair.from_seed(bytes(range(32)))
         genesis = make_genesis(GENESIS_COIN_BURN, (500).to_bytes(8, "big"), kp)
-        assert encode_hex(genesis) == self.GENESIS_GOLDEN
-        assert decode_hex(self.GENESIS_GOLDEN) == genesis
+        assert encode_canonical(genesis).hex() == self.GENESIS_GOLDEN
+        assert decode_canonical(bytes.fromhex(self.GENESIS_GOLDEN)) == genesis
 
     def test_negotiation_golden(self):
-        from gridtrade.transactions import decode_hex, encode_hex
-
         kp = KeyPair.from_seed(bytes(range(32)))
         dest = KeyPair.from_seed(bytes(range(1, 33))).public
         msg = make_negotiation(dest, 42, 0, 3, kp)
-        assert encode_hex(msg) == self.NEGOTIATION_GOLDEN
-        assert decode_hex(self.NEGOTIATION_GOLDEN) == msg
+        assert encode_canonical(msg).hex() == self.NEGOTIATION_GOLDEN
+        assert decode_canonical(bytes.fromhex(self.NEGOTIATION_GOLDEN)) == msg
 
     def test_erc_golden(self):
-        from gridtrade.transactions import decode_hex, encode_hex
-
         erc = self._golden_erc()
-        assert encode_hex(erc) == self.ERC_GOLDEN
-        assert decode_hex(self.ERC_GOLDEN) == erc
+        assert encode_canonical(erc).hex() == self.ERC_GOLDEN
+        assert decode_canonical(bytes.fromhex(self.ERC_GOLDEN)) == erc
 
     def test_ctp_golden(self):
-        from gridtrade.transactions import decode_hex, encode_hex
-
         kp = KeyPair.from_seed(bytes(range(32)))
         ctp = make_ctp(10, 110, 60, hash_bytes(b"golden-contract"), kp)
-        assert encode_hex(ctp) == self.CTP_GOLDEN
-        assert decode_hex(self.CTP_GOLDEN) == ctp
+        assert encode_canonical(ctp).hex() == self.CTP_GOLDEN
+        assert decode_canonical(bytes.fromhex(self.CTP_GOLDEN)) == ctp
 
     def test_supply_golden(self):
-        from gridtrade.transactions import decode_hex, encode_hex
-
         kp = KeyPair.from_seed(bytes(range(32)))
         supply = make_supply_energy(hash_bytes(b"golden-parent"), 10, 5, True, kp)
-        assert encode_hex(supply) == self.SUPPLY_GOLDEN
-        assert decode_hex(self.SUPPLY_GOLDEN) == supply
-
-    def test_bad_hex_rejected(self):
-        from gridtrade.transactions import decode_hex
-
-        with pytest.raises(DecodeError):
-            decode_hex("zz")
+        assert encode_canonical(supply).hex() == self.SUPPLY_GOLDEN
+        assert decode_canonical(bytes.fromhex(self.SUPPLY_GOLDEN)) == supply
 
 
 class TestContractHash:
