@@ -291,6 +291,14 @@ class AsymCiphertext:
     payload: bytes  # ephemeral X25519 public key (32B) + sealed box
 
     def to_bytes(self) -> bytes:
+        """``recipient_pk``, then ``payload`` length-prefixed; raises ValueError
+        unless both are ``bytes`` and the key is ``PUBLIC_KEY_LEN`` long, the
+        only values that read back, and immutable, as a record's must be."""
+        if not isinstance(self.recipient_pk, bytes) or len(self.recipient_pk) != PUBLIC_KEY_LEN:
+            raise ValueError(f"ciphertext recipient must be {PUBLIC_KEY_LEN} bytes")
+        if not isinstance(self.payload, bytes):
+            kind = type(self.payload).__name__
+            raise ValueError(f"ciphertext payload must be bytes, got {kind}")
         return self.recipient_pk + _lp(self.payload)
 
     @staticmethod
@@ -372,15 +380,22 @@ class MerkleProof:
         return len(self.siblings)
 
     def to_bytes(self) -> bytes:
-        # leaf_index (4B big-endian) || count (1B) || side (1B) + digest (32B) each
-        if len(self.siblings) > 255:
-            raise ValueError("proof too long to serialize")
+        """leaf_index (4B big-endian) || count (1B) || side (1B) + digest (32B)
+        each; raises ValueError for any other shape, a list of siblings too,
+        since a record's values must be immutable."""
+        if not isinstance(self.siblings, tuple) or len(self.siblings) > 255:
+            raise ValueError("proof siblings must be a tuple of at most 255 pairs")
         if type(self.leaf_index) is not int or not 0 <= self.leaf_index < 1 << 32:
             raise ValueError(f"leaf index {self.leaf_index!r} out of u32 range")
         out = [self.leaf_index.to_bytes(4, "big"), bytes([len(self.siblings)])]
-        for digest, side in self.siblings:
-            if side not in (LEFT, RIGHT) or type(digest) is not bytes or len(digest) != DIGEST_LEN:
-                raise ValueError(f"malformed sibling ({digest!r}, {side!r})")
+        for sibling in self.siblings:
+            if not isinstance(sibling, tuple) or len(sibling) != 2:
+                raise ValueError(f"malformed sibling {sibling!r}")
+            digest, side = sibling
+            if type(side) is not int or side not in (LEFT, RIGHT):
+                raise ValueError(f"malformed sibling side {side!r}")
+            if type(digest) is not bytes or len(digest) != DIGEST_LEN:
+                raise ValueError(f"malformed sibling digest {digest!r}")
             out.append(bytes([side]))
             out.append(digest)
         return b"".join(out)

@@ -347,9 +347,10 @@ class SettlementRecord:
 class Block:
     """Mined history unit; ``ctp_hash`` mirrors the miner's pending DB.
 
-    Frozen, so its ``unsigned`` encoding and ``block_hash`` are made once, on
-    first use, and gossip shares one object among the miners. ``Miner.mine``
-    signs ``signing_digest`` and ``verify_miner_signature`` checks it."""
+    Frozen, so its ``unsigned`` encoding, ``signing_digest`` and
+    ``block_hash`` are made once, on first use, and gossip shares one object
+    among the miners, which all read them. ``Miner.mine`` signs
+    ``signing_digest`` and ``verify_miner_signature`` checks it."""
 
     height: int
     prev_hash: HashDigest
@@ -390,7 +391,7 @@ class Block:
     def block_hash(self) -> HashDigest:
         return hash_bytes(self.to_bytes())
 
-    @property
+    @cached_property
     def signing_digest(self) -> HashDigest:
         """What the miner signs: the hash of the unsigned encoding."""
         return hash_bytes(self.unsigned)
@@ -703,18 +704,6 @@ class Ledger:
                 return Result(False, "unclaimed receipt")
             return self.settle(tx, claim.producer_pk)
         return Result(False, f"transaction kind {tx.kind} cannot be mined")
-
-    def state_digest(self) -> HashDigest:
-        """Digest over accounts and pending commitments, for replay checks."""
-        parts = []
-        for pk in sorted(self.accounts):
-            acct = self.accounts[pk]
-            parts.append(pk)
-            parts.append(acct.coin_balance.to_bytes(8, "big"))
-            parts.append(acct.energy_balance.to_bytes(8, "big"))
-            parts.append(acct.last_tx_id or b"\x00" * 32)
-        parts.append(self.ctp_db.digest())
-        return hash_bytes(b"".join(parts))
 
 
 # ---------------------------------------------------------------------------

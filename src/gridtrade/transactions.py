@@ -35,9 +35,14 @@ at its own time stamp) are each class's ``rule_fault``, shared by
 Every signed record is declared the same way and names its signing key in
 ``signer``: the five transactions, ``ledger.ProducerClaim``,
 ``arb.JoinMessage`` and ``meter.VerificationRequest``. ``signed`` builds
-and ``check_id_and_signature`` checks each one over its ``signed_message``,
-and each encodes the record once. The meter's ``CoE`` is declared too, so
-routed meter messages decode through ``decode_canonical``.
+and ``check_id_and_signature`` checks each one over its ``signed_message``.
+A record object is encoded, its id hashed and its signature judged at most
+once: ``signed`` leaves its unsigned bytes on the record it returns, and
+``check_id`` and ``check_id_and_signature`` keep their answers on the
+record, so every miner and buyer that reads one shared object reads them.
+``signed`` leaves no verdict: a record it signed under a key other than its
+``signer`` still meets the real check. The meter's ``CoE`` is declared too,
+so routed meter messages decode through ``decode_canonical``.
 
 The framing lives in ``crypto`` (re-exported here): ``_lp`` writes a
 field, ``_Reader`` reads fields and fixed-width values and raises
@@ -48,6 +53,7 @@ frame with ``_lp``; they, Merkle proofs and certificates read via ``_Reader``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from operator import attrgetter
 from typing import Mapping, Optional, Tuple, Union
 
@@ -256,8 +262,15 @@ class Declared:
     is made with ``has_id=True``, the ``wire`` fields, then ``sign`` if it
     names the field with its signing key in ``signer``; each field
     length-prefixed. ``encode_canonical`` writes the frame and
-    ``decode_canonical`` reads it; ``encode_declared`` is the tag and the
-    ``wire`` fields alone.
+    ``decode_canonical`` reads it; ``unsigned`` (``encode_declared``) is the
+    tag and the ``wire`` fields alone.
+
+    Records are frozen and every value a codec accepts is immutable, so
+    what is derived from a record's fields cannot go stale: its ``unsigned``
+    bytes, ``check_id``'s answer and ``check_id_and_signature``'s verdict are
+    each made on first use and kept on the object for every later reader.
+    They are not fields, so ``==``, ``hash``, ``repr`` and ``replace`` ignore
+    them, and a ``replace``d copy derives its own.
     """
 
     tag: int
@@ -275,14 +288,21 @@ class Declared:
         cls._encoders = tuple((field.get, field.encode) for field in cls.wire)
         cls._frame_encoders = tuple((field.get, field.encode) for field in cls._frame)
 
+    @cached_property
+    def unsigned(self) -> bytes:
+        """Tag byte, then every ``wire`` field length-prefixed; raises
+        ValueError for a value outside its field's domain."""
+        fields = [_lp(encode(get(self))) for get, encode in self._encoders]
+        return self._tag_byte + b"".join(fields)
+
     def rule_fault(self) -> Optional[str]:
         """Why the values break a rule the field codecs do not cover, or None."""
         return None
 
 
 def encode_declared(obj: Declared) -> bytes:
-    """Tag byte, then every declared field length-prefixed."""
-    return obj._tag_byte + b"".join([_lp(encode(get(obj))) for get, encode in obj._encoders])
+    """Tag byte, then every declared field length-prefixed: ``obj.unsigned``."""
+    return obj.unsigned
 
 
 @dataclass(frozen=True)
@@ -583,6 +603,7 @@ def signed(record: Declared, keypair: KeyPair) -> Declared:
     record = replace(record, sign=sign(keypair, signed_message(record, body)))
     if record.has_id:
         record = replace(record, t_id=compute_t_id(record, body))
+    vars(record)["unsigned"] = body  # ``replace`` made a new object; give it the bytes
     return record
 
 
@@ -641,29 +662,46 @@ def check_id(record: Declared) -> Tuple[Optional[bytes], Optional[str]]:
     Returns (the unsigned encoding, None), or (None, reason). A matching id
     binds every field and the signature bytes, so a caller can settle what
     depends on the fields alone before it pays for ``check_id_and_signature``.
-    Never raises.
+    The answer is kept on the record, so each record object hashes its id
+    at most once; a value that is not a record keeps nothing. Never raises.
     """
-    try:
-        body = encode_declared(record)
-        if record.signer is None:
-            return None, f"malformed: {type(record).__name__} is not signed"
-        if record.has_id and compute_t_id(record, body) != _T_ID.encode(record.t_id):
-            return None, "t_id mismatch"
-    except Exception as exc:  # a wrong-typed or out-of-range field, or not a record
-        return None, f"malformed: {exc}"
-    return body, None
+    facts = vars(record) if isinstance(record, Declared) else {}
+    answer = facts.get("_id_check")
+    if answer is None:
+        try:
+            body = encode_declared(record)
+            if record.signer is None:
+                answer = None, f"malformed: {type(record).__name__} is not signed"
+            elif record.has_id and compute_t_id(record, body) != _T_ID.encode(record.t_id):
+                answer = None, "t_id mismatch"
+            else:
+                answer = body, None
+        except Exception as exc:  # a wrong-typed or out-of-range field, or not a record
+            answer = None, f"malformed: {exc}"
+        facts["_id_check"] = answer
+    return answer
 
 
 def check_id_and_signature(record: Declared) -> Tuple[bool, Optional[str]]:
     """The one check of a signed record: ``check_id``, then whether ``sign``
-    verifies under the record's ``signer`` over its ``signed_message``,
-    building the unsigned encoding once; returns (ok, reason) and never raises."""
-    body, reason = check_id(record)
-    if body is None:
-        return False, reason
-    if not verify(getattr(record, record.signer), signed_message(record, body), record.sign):
-        return False, "bad signature"
-    return True, None
+    verifies under the record's ``signer`` over its ``signed_message``;
+    returns (ok, reason) and never raises. The verdict is kept on the
+    record, so every later check of the same object reads it."""
+    facts = vars(record) if isinstance(record, Declared) else {}
+    verdict = facts.get("_verdict")
+    if verdict is None:
+        body, reason = check_id(record)
+        if body is None:
+            verdict = False, reason
+        elif not verify(getattr(record, record.signer), signed_message(record, body), record.sign):
+            verdict = False, "bad signature"
+        else:
+            verdict = True, None
+        # no id binds the signature of a claim, join or request, and ``verify``
+        # takes a bytearray, whose bytes can change after the check
+        if body is None or isinstance(record.sign, bytes):
+            facts["_verdict"] = verdict
+    return verdict
 
 
 def check_structure(tx: Transaction) -> Tuple[bool, Optional[str]]:

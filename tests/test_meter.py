@@ -10,8 +10,10 @@ from gridtrade.crypto import (
     CERTIFICATE_LEN,
     MAX_FIELD_LEN,
     SIGNATURE_LEN,
+    AsymCiphertext,
     Certificate,
     KeyPair,
+    MerkleProof,
     asym_encrypt,
     ca_verify,
     hash_bytes,
@@ -29,6 +31,7 @@ from gridtrade.meter import (
 from gridtrade.transactions import (
     DecodeError,
     check_id_and_signature,
+    check_structure,
     decode_canonical,
     encode_canonical,
     encode_declared,
@@ -544,3 +547,36 @@ class TestLedgerIntegration:
             vm_cert=erc.coe_vm_cert,
         )
         assert coe.verify(trade.rig.manufacturer.public)
+
+
+# a Merkle proof or ciphertext outside its codec's domain: each raised
+# TypeError, returned a bytearray or encoded a list, which a record would
+# then keep as bytes that a later change to the list or bytearray outdates
+OUT_OF_DOMAIN = {
+    "proof-none-siblings": MerkleProof(0, None),
+    "proof-none-sibling": MerkleProof(0, (None,)),
+    "proof-list-siblings": MerkleProof(0, [(bytes(32), 1)]),
+    "proof-list-sibling": MerkleProof(0, ([bytes(32), 1],)),
+    "proof-float-side": MerkleProof(0, ((bytes(32), 1.0),)),
+    "ciphertext-none-key": AsymCiphertext(None, bytes(60)),
+    "ciphertext-bytearray-key": AsymCiphertext(bytearray(64), bytes(60)),
+    "ciphertext-short-key": AsymCiphertext(bytes(63), bytes(60)),
+    "ciphertext-none-payload": AsymCiphertext(bytes(64), None),
+    "ciphertext-bytearray-payload": AsymCiphertext(bytes(64), bytearray(60)),
+}
+
+
+@pytest.mark.parametrize("value", OUT_OF_DOMAIN.values(), ids=OUT_OF_DOMAIN.keys())
+def test_codec_values_outside_their_domain(trade, value):
+    with pytest.raises(ValueError):
+        value.to_bytes()
+    if isinstance(value, MerkleProof):
+        ok, reason = check_structure(replace(trade.completed_erc(), merkle_hashes=value))
+        assert not ok and reason.startswith("malformed: ")
+    else:
+        requester = trade.consumer_meter
+        vr = requester.make_verification_request(requester.pool, trade.verifier_meter.public)
+        with pytest.raises(MeterError, match="bad request signature"):
+            trade.verifier_meter.process_verification_request(
+                replace(vr, encrypted_root=value), trade.rig.manufacturer.public
+            )

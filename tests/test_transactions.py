@@ -42,6 +42,7 @@ from gridtrade.transactions import (
     make_genesis,
     make_negotiation,
     make_supply_energy,
+    signed,
     signing_digest,
 )
 
@@ -109,13 +110,25 @@ RECEIPT_OUT_OF_DOMAIN = {
 }
 
 
+def _judged_alike(record):
+    """``check_structure``'s verdict on ``record``, asserting that the same
+    object checked again, a fresh ``replace`` copy and a fresh decode of its
+    bytes get it too: each record object keeps what its first check found."""
+    verdict = check_structure(record)
+    assert check_structure(record) == verdict
+    assert check_structure(replace(record)) == verdict
+    assert check_structure(decode_canonical(encode_canonical(record))) == verdict
+    assert check_id(record) == check_id(replace(record))
+    return verdict
+
+
 def _accepted(raw: bytes) -> bool:
     """Whether ``raw`` decodes to a transaction that ``check_structure`` accepts."""
     try:
         tx = decode_canonical(raw)
     except DecodeError:
         return False
-    return check_structure(tx)[0]
+    return _judged_alike(tx)[0]
 
 
 class TestEncoding:
@@ -375,6 +388,57 @@ class TestCheckId:
             assert body is None and reason.startswith("malformed:")
 
 
+class TestCheckedOnce:
+    """A record object keeps its bytes, id check and verdict, and no copy,
+    decode or differently signed record inherits them."""
+
+    def test_a_record_signed_under_a_key_it_does_not_name_is_refused(self):
+        # ``signed`` must leave no verdict: the key it signs under is not the signer
+        unsigned = [
+            CTPTx(b"", 10, 110, 60, hash_bytes(b"c"), KEYS[0].public, b""),
+            ProducerClaim(hash_bytes(b"ctp"), hash_bytes(b"c"), KEYS[0].public, 10, b""),
+            JoinMessage(KEYS[0].public, "node-0", b""),
+        ]
+        for record in unsigned:
+            forged = signed(record, KEYS[1])
+            assert check_id(forged)[1] is None
+            assert check_id_and_signature(forged) == (False, "bad signature")
+            assert check_id_and_signature(forged) == (False, "bad signature")
+            assert check_id_and_signature(signed(record, KEYS[0])) == (True, None)
+
+    def test_a_tampered_copy_of_a_checked_record_gets_its_own_verdict(self):
+        ctp = make_ctp(10, 110, 60, hash_bytes(b"c"), KEYS[0])
+        assert check_id_and_signature(ctp) == (True, None)
+        tampered = replace(ctp, price=61)
+        assert check_id(tampered) == (None, "t_id mismatch")
+        assert check_id_and_signature(tampered) == (False, "t_id mismatch")
+        forged = replace(ctp, sign=bytes([ctp.sign[0] ^ 1]) + ctp.sign[1:])
+        forged = replace(forged, t_id=compute_t_id(forged))
+        assert check_id_and_signature(forged) == (False, "bad signature")
+        # and a refused record's copy with the fields put back passes again
+        assert check_id_and_signature(replace(tampered, price=60)) == (True, None)
+        assert check_id_and_signature(ctp) == (True, None)
+
+    def test_a_signature_held_in_a_bytearray_is_checked_each_time(self):
+        # no id binds a claim's signature, and ``verify`` takes a bytearray,
+        # so a kept verdict could outlive a change to its bytes
+        claim = signed(
+            ProducerClaim(hash_bytes(b"ctp"), hash_bytes(b"c"), KEYS[0].public, 10, b""), KEYS[0]
+        )
+        held = replace(claim, sign=bytearray(claim.sign))
+        assert check_id_and_signature(held) == (True, None)
+        held.sign[0] ^= 1
+        assert check_id_and_signature(held) == (False, "bad signature")
+        held.sign[0] ^= 1
+        assert check_id_and_signature(held) == (True, None)
+
+    def test_a_record_that_is_not_signed_is_refused_each_time(self):
+        terms = ContractTerms(1, 1, 1, bytes(32))
+        for _ in range(2):
+            verdict = check_id_and_signature(terms)
+            assert verdict == (False, "malformed: ContractTerms is not signed")
+
+
 class TestCheckStructure:
     def test_fresh_transactions_pass(self):
         rng = Random(3)
@@ -532,6 +596,7 @@ class TestGoldenVectors:
         genesis = make_genesis(GENESIS_COIN_BURN, (500).to_bytes(8, "big"), kp)
         assert encode_canonical(genesis).hex() == self.GENESIS_GOLDEN
         assert decode_canonical(bytes.fromhex(self.GENESIS_GOLDEN)) == genesis
+        assert _judged_alike(genesis) == (True, None)
 
     def test_negotiation_golden(self):
         kp = KeyPair.from_seed(bytes(range(32)))
@@ -539,23 +604,27 @@ class TestGoldenVectors:
         msg = make_negotiation(dest, 42, 0, 3, kp)
         assert encode_canonical(msg).hex() == self.NEGOTIATION_GOLDEN
         assert decode_canonical(bytes.fromhex(self.NEGOTIATION_GOLDEN)) == msg
+        assert _judged_alike(msg) == (True, None)
 
     def test_erc_golden(self):
         erc = self._golden_erc()
         assert encode_canonical(erc).hex() == self.ERC_GOLDEN
         assert decode_canonical(bytes.fromhex(self.ERC_GOLDEN)) == erc
+        assert _judged_alike(erc) == (True, None)
 
     def test_ctp_golden(self):
         kp = KeyPair.from_seed(bytes(range(32)))
         ctp = make_ctp(10, 110, 60, hash_bytes(b"golden-contract"), kp)
         assert encode_canonical(ctp).hex() == self.CTP_GOLDEN
         assert decode_canonical(bytes.fromhex(self.CTP_GOLDEN)) == ctp
+        assert _judged_alike(ctp) == (True, None)
 
     def test_supply_golden(self):
         kp = KeyPair.from_seed(bytes(range(32)))
         supply = make_supply_energy(hash_bytes(b"golden-parent"), 10, 5, True, kp)
         assert encode_canonical(supply).hex() == self.SUPPLY_GOLDEN
         assert decode_canonical(bytes.fromhex(self.SUPPLY_GOLDEN)) == supply
+        assert _judged_alike(supply) == (True, None)
 
 
 class TestContractHash:
