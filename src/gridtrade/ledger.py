@@ -97,6 +97,9 @@ class AccountState:
     energy_balance: int = 0
     last_tx_id: Optional[HashDigest] = None  # None until a genesis is applied
 
+    def copy(self) -> "AccountState":
+        return AccountState(self.coin_balance, self.energy_balance, self.last_tx_id)
+
     @property
     def has_energy_account(self) -> bool:
         return self.last_tx_id is not None
@@ -350,7 +353,10 @@ class Block:
     Frozen, so its ``unsigned`` encoding, ``signing_digest`` and
     ``block_hash`` are made once, on first use, and gossip shares one object
     among the miners, which all read them. ``Miner.mine`` signs
-    ``signing_digest`` and ``verify_miner_signature`` checks it."""
+    ``signing_digest`` and ``verify_miner_signature`` checks it, and keeps
+    its answer on the block for every later miner, unless ``miner_pk`` or
+    ``miner_sign`` is not ``bytes``: ``verify`` takes a bytearray, whose
+    bytes can change after the check."""
 
     height: int
     prev_hash: HashDigest
@@ -398,7 +404,13 @@ class Block:
 
     def verify_miner_signature(self) -> bool:
         """The one block-signature check: ``miner_pk`` signed ``signing_digest``."""
-        return verify(self.miner_pk, self.signing_digest, self.miner_sign)
+        facts = vars(self)
+        ok = facts.get("_signature_ok")
+        if ok is None:
+            ok = verify(self.miner_pk, self.signing_digest, self.miner_sign)
+            if isinstance(self.miner_pk, bytes) and isinstance(self.miner_sign, bytes):
+                facts["_signature_ok"] = ok
+        return ok
 
 
 GENESIS_PREV = b"\x00" * DIGEST_LEN
@@ -476,7 +488,7 @@ class Ledger:
 
     def clone(self) -> "Ledger":
         other = Ledger(self.config)
-        other.accounts = {pk: replace(acct) for pk, acct in self.accounts.items()}
+        other.accounts = {pk: acct.copy() for pk, acct in self.accounts.items()}
         # so the copy can roll back too, and counts on from the same history
         other._journal = Journal(self._journal, self._journal.changes)
         other.ctp_db = self.ctp_db.clone(other._journal)
@@ -857,12 +869,13 @@ class Miner:
         ledger.rollback(0)
         # a commitment pending before the tip that current has not settled
         # was swept since: only a block settles, and the tip is the newest
+        pending = current.ctp_db.entries
         for ctp_id in list(ledger.ctp_db.entries):
-            if ctp_id not in current.ctp_db and ctp_id not in current.settlements:
+            if ctp_id not in pending and ctp_id not in current.settlements:
                 ledger.ctp_db.remove(ctp_id)
         # what the copy lacks now, current took in after the tip
-        for ctp_id, (tx, admitted_at) in current.ctp_db.entries.items():
-            if ctp_id not in ledger.ctp_db:
+        for ctp_id, (tx, admitted_at) in pending.items():
+            if ctp_id not in ledger.ctp_db.entries:
                 ledger.submit_ctp(tx, admitted_at)
         for ctp_id, claim in current.ctp_db.claims.items():
             if ctp_id not in ledger.ctp_db.claims:

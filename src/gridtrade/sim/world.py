@@ -8,17 +8,18 @@ prefix widens from ``Mesh.maybe_widen``.
 
 Time is integer ticks; one tick is one network hop. Each tick runs fixed
 phases: consensus-period bookkeeping, expiry sweeps, message deliveries,
-meter joins (tick 0 only), actor steps, mining wakeups, then end-of-tick
-digest journaling, the mesh's widening check, and invariant checks. All
-randomness comes from labeled child RNGs of the scenario seed, so two runs
-with the same config are bit-identical.
+meter joins (tick 0 only), actor steps, mining wakeups, then the mesh's
+widening check and the end-of-tick checks (digest journaling and invariant
+checks). All randomness comes from labeled child RNGs of the scenario seed,
+so two runs with the same config are bit-identical.
 
-The invariant checks recount a miner's pending commitments from
-``entries`` on each tick that miner's ledger changed: a new ledger object
-(a tip swap), or a move in its journal's change count. Every ledger change
-is journaled, so on any other tick the state is the one last recounted,
-and the kept result is counted again. The counters therefore grow exactly
-as a recount on every tick would make them grow.
+The end-of-tick checks journal a miner's pending-DB digest and recount
+its pending commitments from ``entries`` on each tick that miner's ledger
+changed: a new ledger object (a tip swap), or a move in its journal's
+change count. Every ledger change is journaled, so on any other tick the
+state is the one last recounted, and the kept result is counted again. The
+counters therefore grow exactly as a recount on every tick would make them
+grow, and the digest journal holds what journaling every tick would.
 
 Every message travels exactly one tick. Sends append to one outbox, and
 each tick's delivery phase swaps it for an empty one before handing the
@@ -335,8 +336,6 @@ class World:
             for actor in self.miner_actors:
                 if actor.miner.next_mine_at == now:
                     actor.mine(now)
-            for actor in self.miner_actors:
-                actor.miner.record_tick_digest(now)
             if self.mesh.maybe_widen(now):
                 self.metrics.bump("rebalances")
             self._tick_checks(now)
@@ -346,14 +345,17 @@ class World:
     # -- end-of-tick work ---------------------------------------------------------
 
     def _tick_checks(self, now: int) -> None:
-        """Count invariant breaches at tick end: one ``safety_violations``
-        per payer whose pending total exceeds its coin, on each miner, and
-        one ``conservation_violations`` when miner 0's coin total moved.
+        """Journal each miner's end-of-tick pending-DB digest, and count
+        invariant breaches: one ``safety_violations`` per payer whose
+        pending total exceeds its coin, on each miner, and one
+        ``conservation_violations`` when miner 0's coin total moved.
 
-        A miner's ledger is recounted only when it is a different object
-        or its change count moved since the last recount. Every change is
+        Both are done for a miner only when its ledger is a different object
+        or its change count moved since they were last done. Every change is
         journaled and counted, so otherwise its state is the one last
-        recounted, and the kept result is the one a recount would give.
+        recounted: the kept result is the one a recount would give, and its
+        digest is the one last journaled, which ``record_tick_digest`` would
+        not journal again.
         """
         recounted = self._recounted
         metrics = self.metrics
@@ -361,6 +363,7 @@ class World:
             ledger = actor.miner.ledger
             kept = recounted[index]
             if kept[0] is not ledger or kept[1] != ledger.changes:
+                actor.miner.record_tick_digest(now)
                 kept = recounted[index] = (ledger, ledger.changes, *self._recount(ledger))
             _, _, coin_moved, unsafe = kept
             if index == 0 and coin_moved:

@@ -559,11 +559,15 @@ def signing_digest(record: Declared, body: Optional[bytes] = None) -> HashDigest
     return hash_bytes(encode_declared(record) if body is None else body)
 
 
-def compute_t_id(tx: Transaction, body: Optional[bytes] = None) -> HashDigest:
+def compute_t_id(
+    tx: Transaction, body: Optional[bytes] = None, signature: Optional[Signature] = None
+) -> HashDigest:
     """The one id rule: the hash of the signed encoding (id field excluded),
-    that is of ``encode_declared``, ``body`` if given, then ``sign``."""
+    that is of ``encode_declared``, ``body`` if given, then ``sign``,
+    ``signature`` if given."""
     body = encode_declared(tx) if body is None else body
-    return hash_bytes(body + _lp(_SIGN.encode(tx.sign)))
+    signature = tx.sign if signature is None else signature
+    return hash_bytes(body + _lp(_SIGN.encode(signature)))
 
 
 def decode_canonical(data: bytes, kinds: Mapping[int, type] = KIND_BY_TAG) -> Declared:
@@ -594,15 +598,18 @@ def signed(record: Declared, keypair: KeyPair) -> Declared:
     """``record`` signed by ``keypair``, with its id if it has one: the one
     builder of a signed record. ``record`` holds every other field.
 
+    The record is encoded once, for both its signature and its id, and
+    built once, with ``sign`` and ``t_id`` in one ``replace``.
+
     Raises ValueError for a value its codec or its ``rule_fault`` refuses.
     """
     fault = record.rule_fault()
     if fault is not None:
         raise ValueError(fault)
     body = encode_declared(record)  # neither ``sign`` nor ``t_id``, so made once
-    record = replace(record, sign=sign(keypair, signed_message(record, body)))
-    if record.has_id:
-        record = replace(record, t_id=compute_t_id(record, body))
+    signature = sign(keypair, signed_message(record, body))
+    ids = {"t_id": compute_t_id(record, body, signature)} if record.has_id else {}
+    record = replace(record, sign=signature, **ids)
     vars(record)["unsigned"] = body  # ``replace`` made a new object; give it the bytes
     return record
 
@@ -655,9 +662,9 @@ def make_erc(
 
 
 def check_id(record: Declared) -> Tuple[Optional[bytes], Optional[str]]:
-    """Whether ``record`` is a signed record with every field in its domain
-    and, if it has an id, ``t_id`` the hash of the signed encoding; the
-    signature itself is not checked.
+    """Whether ``record`` is a signed record with every field in its domain,
+    ``sign`` included, and, if it has an id, ``t_id`` the hash of the signed
+    encoding; the signature itself is not checked.
 
     Returns (the unsigned encoding, None), or (None, reason). A matching id
     binds every field and the signature bytes, so a caller can settle what
@@ -675,6 +682,7 @@ def check_id(record: Declared) -> Tuple[Optional[bytes], Optional[str]]:
             elif record.has_id and compute_t_id(record, body) != _T_ID.encode(record.t_id):
                 answer = None, "t_id mismatch"
             else:
+                _SIGN.encode(record.sign)  # a claim, join or request has no id to encode it
                 answer = body, None
         except Exception as exc:  # a wrong-typed or out-of-range field, or not a record
             answer = None, f"malformed: {exc}"
@@ -697,10 +705,7 @@ def check_id_and_signature(record: Declared) -> Tuple[bool, Optional[str]]:
             verdict = False, "bad signature"
         else:
             verdict = True, None
-        # no id binds the signature of a claim, join or request, and ``verify``
-        # takes a bytearray, whose bytes can change after the check
-        if body is None or isinstance(record.sign, bytes):
-            facts["_verdict"] = verdict
+        facts["_verdict"] = verdict  # ``check_id`` lets only ``bytes`` reach ``verify``
     return verdict
 
 

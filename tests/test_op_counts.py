@@ -8,6 +8,7 @@ from a profile hook. Nothing under ``src/`` counts for these tests.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import importlib.util
 import os
@@ -217,8 +218,9 @@ def test_calls_per_routed_message(chatter_calls):
     # 22.98 while every delivery fed the traffic window, each hop ran in two
     # frames and each ping bumped its counter through Metrics.bump; 19.13
     # while each miner re-encoded and rehashed the tip block for every block;
-    # 19.09 while every check of a signed record re-encoded it
-    assert sum(calls.values()) / routed <= 19.08
+    # 19.09 while every check of a signed record re-encoded it; 19.08 while
+    # every miner journaled its pending-DB digest on every tick
+    assert sum(calls.values()) / routed <= 18.96
 
 
 def test_chatter_skips_ping_decoding_and_empty_duties(chatter_calls):
@@ -369,21 +371,39 @@ BLOCK_WORKLOADS = {
 
 # upper bounds on calls over one ``World.run`` of each workload, the world's
 # build excluded; in comments, the counts while every reader of a shared
-# record re-encoded it, rehashed its id and rebuilt its verify-memo key
+# record re-encoded it, rehashed its id and rebuilt its verify-memo key,
+# then (``verify`` and ``replace``) while every miner re-checked each block,
+# ``signed`` built each record twice and a tip swap copied each account
+# through ``replace``
 RUN_CALLS = {
     # ``compute_t_id``: twice for each of the 640 commitments, in ``signed``
     # and at the first miner's check (4,245)
-    "ctp-burst": {"hash_bytes": 3694, "compute_t_id": 2 * 640},  # 8,343
-    "honest-n32": {"hash_bytes": 4654, "verify": 4484},  # 10,840 and 9,016
+    "ctp-burst": {
+        "hash_bytes": 3694,  # 8,343
+        "compute_t_id": 2 * 640,
+        "verify": 422,  # 2,106, then 1,782
+        "replace": 1016,  # 4,376
+    },
+    "honest-n32": {
+        "hash_bytes": 4654,  # 10,840
+        "verify": 3124,  # 9,016, then 4,484
+        "replace": 1185,  # 9,849
+    },
 }
+
+# upper bounds on ``Miner.record_tick_digest`` calls over one run: a miner
+# journals its digest only on a tick its ledger changed, not on each of
+# the 7,500 miner-ticks
+TICK_DIGESTS = {"ctp-burst": 100, "honest-n32": 702}
 
 
 @pytest.fixture(scope="module", params=sorted(BLOCK_WORKLOADS))
 def block_work(request):
     """Block encodings and hashes made, and ``make_ctp`` calls with the
     ``encode_declared`` calls inside them, over one run of a workload; the
-    calls of the functions ``RUN_CALLS`` names made inside ``World.run``; and
-    the workload's name and the run's result."""
+    calls of the functions ``RUN_CALLS`` names and of
+    ``Miner.record_tick_digest`` made inside ``World.run``; and the
+    workload's name and the run's result."""
     counted = Counter()
     running = []
     original_make_ctp = transactions.make_ctp
@@ -416,9 +436,11 @@ def block_work(request):
         _rebind(mp, transactions, "encode_declared", encode_declared)
         _rebind(mp, transactions, "make_ctp", make_ctp)
         for module, name in [
-            (crypto, "hash_bytes"), (crypto, "verify"), (transactions, "compute_t_id")
+            (crypto, "hash_bytes"), (crypto, "verify"), (transactions, "compute_t_id"),
+            (dataclasses, "replace"),
         ]:
             _rebind(mp, module, name, _before(getattr(module, name), note_in_run(name)))
+        _wrap(mp, Miner, "record_tick_digest", note_in_run("record_tick_digest"))
         mp.setattr(World, "run", run)
         result = run_scenario(BLOCK_WORKLOADS[request.param])
     assert result.passed
@@ -449,9 +471,15 @@ def test_make_ctp_encodes_the_commitment_once(block_work):
 
 
 def test_shared_records_are_checked_once(block_work):
-    # every miner reads the same commitment object and every buyer the same
-    # claim, and each keeps its bytes, id check and verdict for the next
+    # every miner reads the same commitment, claim and block object, and each
+    # keeps its bytes, id check and verdict for the next; ``signed`` builds a
+    # record once, and a tip swap copies accounts without ``replace``
     workload, counted, _ = block_work
     for name, most in RUN_CALLS[workload].items():
         assert 0 < counted[name] <= most, name
+
+
+def test_digests_are_journaled_only_on_ticks_a_ledger_changed(block_work):
+    workload, counted, _ = block_work
+    assert 0 < counted["record_tick_digest"] <= TICK_DIGESTS[workload]
 

@@ -23,7 +23,9 @@ the bytes by the cached property ``Declared.unsigned`` and by
 ``check_id_and_signature`` alone. A write of this kind is a cached property,
 a write through ``vars(...)``, ``__dict__``, ``setattr`` or
 ``object.__setattr__``, or a keyed write of a fact's name; blocks and key
-pairs keep their own facts the same way, each in one place too.
+pairs keep their own facts the same way, each in one place too: a block's
+signature verdict only in ``Block.verify_miner_signature``, the one caller
+of ``verify`` for blocks.
 """
 
 import ast
@@ -66,6 +68,7 @@ WRITERS = {
     },
     "_id_check": {"transactions.check_id"},
     "_verdict": {"transactions.check_id_and_signature"},
+    "_signature_ok": {"ledger.Block.verify_miner_signature"},  # a block's verdict
     "signing_digest": {"ledger.Block.signing_digest"},
     "block_hash": {"ledger.Block.block_hash"},
     "_ed_private": {"crypto.KeyPair._ed_private", "crypto.KeyPair.from_seed"},

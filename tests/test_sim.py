@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridtrade import ledger as ledger_module
 from gridtrade.arb import make_join
 from gridtrade.crypto import KeyPair, hash_bytes, issue_certificate, sign
 from gridtrade.ledger import (
@@ -637,6 +638,46 @@ class TestGatedTickChecks:
         assert expected == [1, 1]
 
 
+def _pending_digest(ledger) -> bytes:
+    """The pending-DB digest recomputed from ``entries``: each id, then its
+    commitment's canonical encoding, in id order."""
+    entries = ledger.ctp_db.entries
+    return hash_bytes(
+        b"".join(ctp_id + encode_canonical(entries[ctp_id][0]) for ctp_id in sorted(entries))
+    )
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        preset("none", seed=1),
+        preset("double_spend", seed=1),
+        preset("none", seed=2, message_loss_rate=0.05),
+    ],
+    ids=["none", "double_spend", "none-lossy"],
+)
+def test_tick_end_digests_match_a_recount_on_every_tick(config, monkeypatch):
+    # digests are journaled only on ticks a ledger changed; what each miner
+    # reads for a tick, then and at the end of the run, is the digest of its
+    # pending commitments at the end of that tick
+    world = World(config)
+    gated = world._tick_checks
+    expected = []
+
+    def checks(now):
+        gated(now)
+        digests = [_pending_digest(actor.miner.ledger) for actor in world.miner_actors]
+        assert [actor.miner.digest_as_of(now) for actor in world.miner_actors] == digests
+        expected.append(digests)
+
+    monkeypatch.setattr(world, "_tick_checks", checks)
+    world.run()
+    assert len(expected) == config.ticks
+    for now, digests in enumerate(expected):
+        assert [actor.miner.digest_as_of(now) for actor in world.miner_actors] == digests
+    assert len({digest for digests in expected for digest in digests}) > 1
+
+
 class TestMalformedRoutedPayload:
     """A routed envelope that does not decode is counted and dropped."""
 
@@ -981,6 +1022,67 @@ class TestMalformedBlock:
         for actor in world.producer_actors + world.consumer_actors:
             actor.on_message(BlockGossip(bad), 1)
         assert world.consumer_actors[0].offers == {}
+
+
+class TestBlockVerdict:
+    """A block keeps its signature verdict, so every miner after the first
+    reads it, and no copy or mutable field lets it outlive what it judged."""
+
+    def _mined(self):
+        world = World(preset("none", seed=1))
+        miner = world.miner_actors[1].miner
+        miner.start_period(0, Random(0))
+        block = miner.mine(0)
+        flipped = bytes([block.miner_sign[0] ^ 1]) + block.miner_sign[1:]
+        return world, block, replace(block, miner_sign=flipped)
+
+    def test_every_miner_after_the_first_reads_it(self, monkeypatch):
+        world, block, _ = self._mined()
+        calls = Counter()
+        original = ledger_module.verify
+        monkeypatch.setattr(
+            ledger_module, "verify", lambda *args: calls.update(["verify"]) or original(*args)
+        )
+        assert all(actor.miner.receive_block(block).applied for actor in world.miner_actors)
+        assert calls["verify"] == 1
+
+    @pytest.mark.parametrize("field", ["miner_sign", "miner_pk"])
+    def test_a_bytearray_field_keeps_none(self, field):
+        # ``verify`` takes a bytearray, whose bytes can change after a check
+        _, block, _ = self._mined()
+        held = replace(block, **{field: bytearray(getattr(block, field))})
+        assert held.verify_miner_signature()
+        getattr(held, field)[0] ^= 1
+        assert not held.verify_miner_signature()
+        getattr(held, field)[0] ^= 1
+        assert held.verify_miner_signature()
+
+    def test_a_replaced_block_gets_its_own(self):
+        _, block, forged = self._mined()
+        assert block.verify_miner_signature()
+        assert not forged.verify_miner_signature()
+        assert not forged.verify_miner_signature()
+        assert replace(forged, miner_sign=block.miner_sign).verify_miner_signature()
+        other = sign(KeyPair.generate(Random(9)), block.signing_digest)
+        assert not replace(block, miner_sign=other).verify_miner_signature()
+        assert block.verify_miner_signature()
+
+    def test_a_bad_signature_is_refused_by_every_miner(self):
+        world, block, forged = self._mined()
+        for actor in world.miner_actors:
+            outcome = actor.miner.receive_block(forged)
+            assert (outcome.applied, outcome.reason) == (False, "bad miner signature")
+            assert actor.miner.chain.height == 0
+        assert all(actor.miner.receive_block(block).applied for actor in world.miner_actors)
+
+    @pytest.mark.parametrize("make", MALFORMED_BLOCKS, ids=MALFORMED_BLOCK_IDS)
+    def test_a_malformed_copy_of_a_checked_block_is_refused(self, make):
+        world, block, _ = self._mined()
+        assert block.verify_miner_signature()
+        bad = make(block)
+        for actor in world.miner_actors:
+            outcome = actor.miner.receive_block(bad)
+            assert not outcome.applied and outcome.reason.startswith("malformed block: ")
 
 
 def test_gossiped_receipt_with_certificate_bytes_is_refused_at_step_c():

@@ -9,6 +9,7 @@ from gridtrade.arb import JoinMessage
 from gridtrade.crypto import (
     DIGEST_LEN,
     PUBLIC_KEY_LEN,
+    AsymCiphertext,
     KeyPair,
     MerkleProof,
     hash_bytes,
@@ -388,6 +389,42 @@ class TestCheckId:
             assert body is None and reason.startswith("malformed:")
 
 
+def signed_records():
+    """One signed record of each kind: the five transactions, then a claim,
+    a join and a verification request, which have no id."""
+    key, ca = KEYS[0], KEYS[3]
+    unsigned = [
+        ProducerClaim(hash_bytes(b"ctp"), hash_bytes(b"c"), key.public, 10, b""),
+        JoinMessage(key.public, "node-0", b""),
+        VerificationRequest(
+            AsymCiphertext(KEYS[1].public, bytes(60)), key.public,
+            issue_certificate(ca, key.public), b"",
+        ),
+    ]
+    return [*sample_txs(Random(9), key), *(signed(record, key) for record in unsigned)]
+
+
+SIGNED_RECORDS = signed_records()
+
+
+@pytest.mark.parametrize("record", SIGNED_RECORDS, ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize(
+    "value",
+    [None, "s" * 64, [0] * 64, b"\x00" * 63, "bytearray"],
+    ids=["none", "str", "list", "63-bytes", "bytearray"],
+)
+def test_check_id_refuses_a_signature_outside_its_domain(record, value):
+    # a claim, join or request has no id to encode its ``sign``: one of these
+    # was refused only as "bad signature", and a bytearray passed ``check_id``
+    assert check_id_and_signature(record) == (True, None)
+    if value == "bytearray":
+        value = bytearray(record.sign)
+    bad = replace(record, sign=value)
+    body, reason = check_id(bad)
+    assert body is None and reason.startswith("malformed: sign must be "), reason
+    assert check_id_and_signature(bad) == (False, reason)
+
+
 class TestCheckedOnce:
     """A record object keeps its bytes, id check and verdict, and no copy,
     decode or differently signed record inherits them."""
@@ -419,18 +456,20 @@ class TestCheckedOnce:
         assert check_id_and_signature(replace(tampered, price=60)) == (True, None)
         assert check_id_and_signature(ctp) == (True, None)
 
-    def test_a_signature_held_in_a_bytearray_is_checked_each_time(self):
-        # no id binds a claim's signature, and ``verify`` takes a bytearray,
-        # so a kept verdict could outlive a change to its bytes
+    def test_a_signature_held_in_a_bytearray_is_refused(self):
+        # ``verify`` takes a bytearray, so a kept verdict could outlive a change
+        # to its bytes; ``check_id`` refuses it, and the refusal holds for any bytes.
+        # It passed, and was checked afresh each time, while no id encoded a
+        # claim's signature and nothing else checked its domain
         claim = signed(
             ProducerClaim(hash_bytes(b"ctp"), hash_bytes(b"c"), KEYS[0].public, 10, b""), KEYS[0]
         )
         held = replace(claim, sign=bytearray(claim.sign))
-        assert check_id_and_signature(held) == (True, None)
+        refused = (False, "malformed: sign must be bytes, got bytearray")
+        assert check_id_and_signature(held) == refused
         held.sign[0] ^= 1
-        assert check_id_and_signature(held) == (False, "bad signature")
-        held.sign[0] ^= 1
-        assert check_id_and_signature(held) == (True, None)
+        assert check_id_and_signature(held) == refused
+        assert check_id_and_signature(claim) == (True, None)
 
     def test_a_record_that_is_not_signed_is_refused_each_time(self):
         terms = ContractTerms(1, 1, 1, bytes(32))
