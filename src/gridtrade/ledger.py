@@ -73,7 +73,6 @@ from .transactions import (
     check_id_and_signature,
     check_structure,
     decode_canonical,
-    encode_canonical,
     signed,
 )
 
@@ -153,7 +152,6 @@ class CTPDatabase:
     it. Alongside them the database keeps state derived from the entries,
     so that reads do no work proportional to the database size:
 
-    - ``_encoded``: each entry's canonical encoding, made once on insert;
     - ``_pending``: each payer's running sum of pending prices;
     - ``_digest``: the last computed digest, or None once anything changed;
     - ``_next_expiry``: no entry expires before it, so a sweep at an
@@ -164,16 +162,16 @@ class CTPDatabase:
     state included, to its ledger's ``Journal`` as ``ctp_db`` records, so
     every change moves the journal's ``changes`` count. After each, the
     keys of ``claims`` are a subset of the keys of ``entries``, because
-    ``remove`` drops an entry's claim with it; ``_encoded`` has exactly the
-    keys of ``entries``, each ``_pending`` value equals the sum over
-    ``entries`` for that payer, and a non-None ``_digest`` equals the
-    digest recomputed from ``entries``. ``clone`` copies all of it.
+    ``remove`` drops an entry's claim with it; each ``_pending`` value
+    equals the sum over ``entries`` for that payer, and a non-None
+    ``_digest`` equals the digest recomputed from ``entries``. ``clone``
+    copies all of it. Each entry's encoding is the commitment's own
+    ``canonical``, made once per object and shared by every miner.
     """
 
     def __init__(self, journal: Optional[Journal] = None):
         self.entries: Dict[HashDigest, Tuple[CTPTx, int]] = {}
         self.claims: Dict[HashDigest, ProducerClaim] = {}
-        self._encoded: Dict[HashDigest, bytes] = {}
         self._pending: Dict[PublicKey, int] = {}
         self._digest: Optional[HashDigest] = None
         self._next_expiry: float = _NEVER
@@ -190,19 +188,16 @@ class CTPDatabase:
         return entry[0] if entry else None
 
     def insert(self, tx: CTPTx, now: int) -> None:
-        encoded = encode_canonical(tx)
         self.remove(tx.t_id)
         old = (self._pending.get(tx.pk), self._next_expiry, self._digest)
         self._journal.append(("ctp_db", CTPDatabase._uninsert, tx, *old))
         self.entries[tx.t_id] = (tx, now)
-        self._encoded[tx.t_id] = encoded
         self._pending[tx.pk] = self._pending.get(tx.pk, 0) + tx.price
         self._next_expiry = min(self._next_expiry, tx.expiry_time)
         self._digest = None
 
     def _uninsert(self, tx: CTPTx, pending: Optional[int], next_expiry: float, digest) -> None:
         del self.entries[tx.t_id]  # the newest entry, so the order of the rest holds
-        del self._encoded[tx.t_id]
         self._pending[tx.pk] = pending
         if pending is None:
             del self._pending[tx.pk]
@@ -218,19 +213,17 @@ class CTPDatabase:
         claimed = None
         if ctp_id in self.claims:
             claimed = (list(self.claims).index(ctp_id), self.claims.pop(ctp_id))
-        encoded = self._encoded.pop(ctp_id)
-        undo = (CTPDatabase._unremove, position, entry, encoded, claimed, self._digest)
+        undo = (CTPDatabase._unremove, position, entry, claimed, self._digest)
         self._journal.append(("ctp_db", *undo))
         self._pending[tx.pk] -= tx.price
         self._digest = None  # _next_expiry stays a valid lower bound
 
-    def _unremove(self, position: int, entry, encoded: bytes, claimed, digest) -> None:
+    def _unremove(self, position: int, entry, claimed, digest) -> None:
         tx = entry[0]
         _insert_at(self.entries, position, tx.t_id, entry)
         if claimed is not None:
             claim_position, claim = claimed
             _insert_at(self.claims, claim_position, tx.t_id, claim)
-        self._encoded[tx.t_id] = encoded
         self._pending[tx.pk] += tx.price
         self._digest = digest
 
@@ -265,9 +258,9 @@ class CTPDatabase:
         computed at most once per change to the database.
         """
         if self._digest is None:
-            encoded = self._encoded
+            entries = self.entries
             self._digest = hash_bytes(
-                b"".join(ctp_id + encoded[ctp_id] for ctp_id in sorted(encoded))
+                b"".join(ctp_id + entries[ctp_id][0].canonical for ctp_id in sorted(entries))
             )
         return self._digest
 
@@ -275,7 +268,6 @@ class CTPDatabase:
         other = CTPDatabase(journal)
         other.entries = dict(self.entries)
         other.claims = dict(self.claims)
-        other._encoded = dict(self._encoded)
         other._pending = dict(self._pending)
         other._digest = self._digest
         other._next_expiry = self._next_expiry
@@ -346,17 +338,21 @@ class SettlementRecord:
 # blocks
 
 
+# a block's bytes fields and their lengths
+_BLOCK_BYTES = (("prev_hash", DIGEST_LEN), ("ctp_hash", DIGEST_LEN), ("miner_pk", PUBLIC_KEY_LEN))
+
+
 @dataclass(frozen=True)
 class Block:
     """Mined history unit; ``ctp_hash`` mirrors the miner's pending DB.
 
-    Frozen, so its ``unsigned`` encoding, ``signing_digest`` and
-    ``block_hash`` are made once, on first use, and gossip shares one object
-    among the miners, which all read them. ``Miner.mine`` signs
-    ``signing_digest`` and ``verify_miner_signature`` checks it, and keeps
-    its answer on the block for every later miner, unless ``miner_pk`` or
-    ``miner_sign`` is not ``bytes``: ``verify`` takes a bytearray, whose
-    bytes can change after the check."""
+    Frozen, and ``unsigned`` and ``to_bytes`` raise ValueError for any field
+    but ``bytes`` of its length, an exact ``int`` or a tuple of records, so
+    what is derived from a block cannot go stale: its ``unsigned`` encoding,
+    ``signing_digest``, ``block_hash`` and ``signature_ok`` are cached
+    properties, made on first use and read by every miner gossip hands the
+    same object. ``Miner.mine`` signs ``signing_digest`` and
+    ``signature_ok`` is the one check of it."""
 
     height: int
     prev_hash: HashDigest
@@ -369,6 +365,14 @@ class Block:
     # not fields, so ==, hash, repr and ``replace`` ignore them
     @cached_property
     def unsigned(self) -> bytes:
+        if type(self.height) is not int or type(self.timestamp) is not int:  # nor a bool
+            raise ValueError("height and timestamp must be ints")
+        for name, size in _BLOCK_BYTES:
+            value = getattr(self, name)
+            if type(value) is not bytes or len(value) != size:  # a bytearray can change
+                raise ValueError(f"{name} must be {size} bytes")
+        if type(self.txs) is not tuple:
+            raise ValueError(f"txs must be a tuple, got {type(self.txs).__name__}")
         parts = [
             self.height.to_bytes(8, "big"),
             self.prev_hash,
@@ -377,10 +381,12 @@ class Block:
             self.miner_pk,
             len(self.txs).to_bytes(4, "big"),
         ]
-        parts.extend(_lp(encode_canonical(tx)) for tx in self.txs)
+        parts.extend(_lp(tx.canonical) for tx in self.txs)
         return b"".join(parts)
 
     def to_bytes(self) -> bytes:
+        if type(self.miner_sign) is not bytes or len(self.miner_sign) != SIGNATURE_LEN:
+            raise ValueError(f"miner_sign must be {SIGNATURE_LEN} bytes")
         return self.unsigned + self.miner_sign
 
     @staticmethod
@@ -402,15 +408,11 @@ class Block:
         """What the miner signs: the hash of the unsigned encoding."""
         return hash_bytes(self.unsigned)
 
-    def verify_miner_signature(self) -> bool:
+    @cached_property
+    def signature_ok(self) -> bool:
         """The one block-signature check: ``miner_pk`` signed ``signing_digest``."""
-        facts = vars(self)
-        ok = facts.get("_signature_ok")
-        if ok is None:
-            ok = verify(self.miner_pk, self.signing_digest, self.miner_sign)
-            if isinstance(self.miner_pk, bytes) and isinstance(self.miner_sign, bytes):
-                facts["_signature_ok"] = ok
-        return ok
+        self.to_bytes()  # refuses a ``miner_sign`` outside its domain
+        return verify(self.miner_pk, self.signing_digest, self.miner_sign)
 
 
 GENESIS_PREV = b"\x00" * DIGEST_LEN
@@ -812,9 +814,10 @@ class Miner:
 
         Check order: the encoding, then height, parent and tiebreak, and the
         miner signature last, only for a block that would be applied or
-        swapped in. A block refused by a header check is refused whatever
-        its signature, so the order changes no decision, only the reason
-        given for a block with a bad signature that also fails a header check.
+        swapped in (a ``miner_sign`` outside its domain is malformed there).
+        A block refused by a header check is refused whatever its signature,
+        so the order changes no decision, only the reason given for a block
+        with a bad signature that also fails a header check.
         """
         chain = self.chain
         try:
@@ -828,12 +831,12 @@ class Miner:
             )
             if rival and not block.miner_pk < chain.blocks[-1].miner_pk:
                 return ApplyOutcome(False, "lost tiebreak")
+            if not (extends or rival):
+                return ApplyOutcome(False, "does not extend tip")
+            if not block.signature_ok:
+                return ApplyOutcome(False, "bad miner signature")
         except Exception as exc:  # a field or transaction that cannot be encoded or compared
             return ApplyOutcome(False, f"malformed block: {exc}")
-        if not (extends or rival):
-            return ApplyOutcome(False, "does not extend tip")
-        if not block.verify_miner_signature():
-            return ApplyOutcome(False, "bad miner signature")
         if extends:
             return self._apply(block)
         # an equal-height rival with the lower key replaces the tip

@@ -16,7 +16,7 @@ from random import Random
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..arb import JoinMessage, make_join
-from ..crypto import PUBLIC_KEY_LEN, KeyPair, hash_bytes
+from ..crypto import KeyPair, hash_bytes
 from ..ledger import Block, Miner, check_claim_signature, make_producer_claim
 from ..meter import CoE, MeterError, SmartMeter, VerificationRequest
 from ..transactions import (
@@ -830,15 +830,9 @@ class ConsumerActor(Actor, MeterMixin):
     def _on_mined_tx(self, tx) -> None:
         if isinstance(tx, SupplyEnergyTx):
             # blocks reach traders unchecked, and a later trade step would raise
-            # on a supply whose fields are outside their declared domains
-            typed = (type(tx.t_id), type(tx.pk), type(tx.energy_amount), type(tx.energy_price))
-            if (
-                typed == (bytes, bytes, int, int)
-                and len(tx.pk) == PUBLIC_KEY_LEN
-                and 0 < tx.energy_amount < 1 << 64
-                and 0 <= tx.energy_price < 1 << 64
-                and tx.t_id not in self.offers  # the first sighting wins
-            ):
+            # on a supply whose fields are outside their declared domains; the
+            # miners that applied it kept the verdict on this same object
+            if check_structure(tx)[0] and tx.t_id not in self.offers:  # the first sighting wins
                 self.offers[tx.t_id] = tx
                 insort(self.offer_keys, tx.t_id)
         elif isinstance(tx, ERCTx):

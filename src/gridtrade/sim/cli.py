@@ -93,7 +93,7 @@ def _cmd_replay(args) -> int:
             problems.append("height")
         if block.prev_hash != prev:
             problems.append("link")
-        if not block.verify_miner_signature():
+        if not block.signature_ok:
             problems.append("miner-sign")
         if not all(check_id_and_signature(tx)[0] for tx in block.txs):
             problems.append("tx")

@@ -19,30 +19,31 @@ The same bytes serve as wire format, block storage format, and signing
 input. The transaction id is the hash of the signed encoding (tag, body
 fields, signature; the id field itself is excluded), and the signature
 covers the hash of the unsigned encoding (tag plus body fields). These two
-rules are ``compute_t_id`` and ``signing_digest``; each takes the unsigned
-encoding from a caller that has made it.
+rules are ``compute_t_id`` and ``signing_digest``; each reads the record's
+kept ``unsigned`` encoding.
 
 The layout lives in one place: each message class lists its body fields
 (everything between ``t_id`` and ``sign``) in wire order in its ``wire``
 attribute, and each field's codec owns that field's value domain (fixed
-length, u64 range, allowed enum values). ``encode_canonical``,
-``signing_digest``, ``compute_t_id`` and ``decode_canonical`` all read the
-declaration, so encoding and decoding refuse the same values. Rules the
-codecs cannot express (a positive price, a commitment not ``CTPTx.expired``
-at its own time stamp) are each class's ``rule_fault``, shared by
-``check_structure`` and the builder ``signed``.
+length, u64 range, allowed enum values). ``Declared.unsigned`` encodes the
+declaration, ``Declared.canonical`` frames it with the id and signature,
+and ``decode_canonical`` reads it back, so encoding and decoding refuse the
+same values. Rules the codecs cannot express (a positive price, a
+commitment not ``CTPTx.expired`` at its own time stamp) are each class's
+``rule_fault``, shared by ``check_structure`` and the builder ``signed``.
 
 Every signed record is declared the same way and names its signing key in
 ``signer``: the five transactions, ``ledger.ProducerClaim``,
 ``arb.JoinMessage`` and ``meter.VerificationRequest``. ``signed`` builds
 and ``check_id_and_signature`` checks each one over its ``signed_message``.
-A record object is encoded, its id hashed and its signature judged at most
-once: ``signed`` leaves its unsigned bytes on the record it returns, and
-``check_id`` and ``check_id_and_signature`` keep their answers on the
-record, so every miner and buyer that reads one shared object reads them.
-``signed`` leaves no verdict: a record it signed under a key other than its
-``signer`` still meets the real check. The meter's ``CoE`` is declared too,
-so routed meter messages decode through ``decode_canonical``.
+A record object is encoded, framed, its id hashed and its signature judged
+at most once: each is a cached property of the record (``unsigned``,
+``canonical``, ``id_check``, ``verdict``), and ``signed`` leaves the
+unsigned bytes it signed on the record it returns, so every miner and
+buyer that reads one shared object reads them. ``signed`` leaves no
+verdict: a record it signed under a key other than its ``signer`` still
+meets the real check. The meter's ``CoE`` is declared too, so routed meter
+messages decode through ``decode_canonical``.
 
 The framing lives in ``crypto`` (re-exported here): ``_lp`` writes a
 field, ``_Reader`` reads fields and fixed-width values and raises
@@ -261,16 +262,16 @@ class Declared:
     One frame serves every record: the tag byte, then ``t_id`` if the class
     is made with ``has_id=True``, the ``wire`` fields, then ``sign`` if it
     names the field with its signing key in ``signer``; each field
-    length-prefixed. ``encode_canonical`` writes the frame and
-    ``decode_canonical`` reads it; ``unsigned`` (``encode_declared``) is the
-    tag and the ``wire`` fields alone.
+    length-prefixed. ``canonical`` is the frame and ``decode_canonical``
+    reads it; ``unsigned`` is the tag and the ``wire`` fields alone.
 
     Records are frozen and every value a codec accepts is immutable, so
-    what is derived from a record's fields cannot go stale: its ``unsigned``
-    bytes, ``check_id``'s answer and ``check_id_and_signature``'s verdict are
-    each made on first use and kept on the object for every later reader.
-    They are not fields, so ``==``, ``hash``, ``repr`` and ``replace`` ignore
-    them, and a ``replace``d copy derives its own.
+    what is derived from a record's fields cannot go stale. Each derived
+    fact is a cached property, made on first use and kept on the object for
+    every later reader: ``unsigned``, ``canonical`` (built from
+    ``unsigned``), ``id_check`` and ``verdict``. They are not fields, so
+    ``==``, ``hash``, ``repr`` and ``replace`` ignore them, and a
+    ``replace``d copy derives its own.
     """
 
     tag: int
@@ -286,7 +287,6 @@ class Declared:
         cls._frame = head + cls.wire + tail
         cls._tag_byte = bytes([cls.tag])
         cls._encoders = tuple((field.get, field.encode) for field in cls.wire)
-        cls._frame_encoders = tuple((field.get, field.encode) for field in cls._frame)
 
     @cached_property
     def unsigned(self) -> bytes:
@@ -295,14 +295,48 @@ class Declared:
         fields = [_lp(encode(get(self))) for get, encode in self._encoders]
         return self._tag_byte + b"".join(fields)
 
+    @cached_property
+    def canonical(self) -> bytes:
+        """Full wire bytes, the frame: the tag, ``t_id`` if the record has
+        one, the ``wire`` fields of ``unsigned``, then ``sign`` if it has a
+        signer; raises ValueError for a value outside its field's domain."""
+        head = _lp(_T_ID.encode(self.t_id)) if self.has_id else b""
+        unsigned = self.unsigned
+        tail = _lp(_SIGN.encode(self.sign)) if self.signer is not None else b""
+        return unsigned[:1] + head + unsigned[1:] + tail
+
+    @cached_property
+    def id_check(self) -> Tuple[Optional[bytes], Optional[str]]:
+        """(``unsigned``, None) if the record is signed, every field is in its
+        domain, ``sign`` included, and ``t_id``, if it has one, is the id of
+        its signed encoding; else (None, reason). The signature itself is not
+        checked, but a matching id binds every field and the signature bytes."""
+        try:
+            body = self.unsigned
+            if self.signer is None:
+                return None, f"malformed: {type(self).__name__} is not signed"
+            if self.has_id and compute_t_id(self) != _T_ID.encode(self.t_id):
+                return None, "t_id mismatch"
+            _SIGN.encode(self.sign)  # a claim, join or request has no id to encode it
+            return body, None
+        except Exception as exc:  # a wrong-typed or out-of-range field
+            return None, f"malformed: {exc}"
+
+    @cached_property
+    def verdict(self) -> Tuple[bool, Optional[str]]:
+        """(ok, reason): ``id_check``, then whether ``sign`` verifies under the
+        record's ``signer`` over its ``signed_message``."""
+        body, reason = self.id_check
+        if body is None:
+            return False, reason
+        # ``id_check`` lets only ``bytes`` reach ``verify``, so the verdict cannot go stale
+        if not verify(getattr(self, self.signer), signed_message(self), self.sign):
+            return False, "bad signature"
+        return True, None
+
     def rule_fault(self) -> Optional[str]:
         """Why the values break a rule the field codecs do not cover, or None."""
         return None
-
-
-def encode_declared(obj: Declared) -> bytes:
-    """Tag byte, then every declared field length-prefixed: ``obj.unsigned``."""
-    return obj.unsigned
 
 
 @dataclass(frozen=True)
@@ -513,7 +547,7 @@ class ContractTerms(Declared):
     )
 
     def __post_init__(self):
-        encode_declared(self)  # refuses any value the contract hash cannot cover
+        self.unsigned  # refuses any value the contract hash cannot cover
 
 
 def compute_contract_hash(terms: ContractTerms) -> HashDigest:
@@ -523,7 +557,7 @@ def compute_contract_hash(terms: ContractTerms) -> HashDigest:
             f"total_price {terms.total_price} != "
             f"{terms.energy_amount} * {terms.unit_price}"
         )
-    return hash_bytes(encode_declared(terms))
+    return hash_bytes(terms.unsigned)
 
 
 def contract_terms(
@@ -541,33 +575,28 @@ def contract_terms(
 
 
 def encode_canonical(record: Declared) -> bytes:
-    """Full wire bytes: the tag, then every field of the record's frame."""
-    encoders = record._frame_encoders
-    return record._tag_byte + b"".join([_lp(encode(get(record))) for get, encode in encoders])
+    """Full wire bytes: the record's frame, ``record.canonical``."""
+    return record.canonical
 
 
-def signed_message(record: Declared, body: bytes) -> bytes:
-    """What ``record``'s signature covers, given its ``encode_declared`` bytes:
-    a transaction's ``signing_digest``, as the chain keeps it; else the bytes,
-    which hold the ``signer`` key, so are never 32 bytes long like the raw pool
-    root a meter's identity key signs, and no endorsement passes for a record."""
-    return signing_digest(record, body) if record.has_id else body
+def signed_message(record: Declared) -> bytes:
+    """What ``record``'s signature covers: a transaction's ``signing_digest``,
+    as the chain keeps it; else its ``unsigned`` bytes, which hold the
+    ``signer`` key, so are never 32 bytes long like the raw pool root a
+    meter's identity key signs, and no endorsement passes for a record."""
+    return signing_digest(record) if record.has_id else record.unsigned
 
 
-def signing_digest(record: Declared, body: Optional[bytes] = None) -> HashDigest:
-    """Hash a transaction's signature covers: of ``encode_declared``, ``body`` if given."""
-    return hash_bytes(encode_declared(record) if body is None else body)
+def signing_digest(record: Declared) -> HashDigest:
+    """Hash a transaction's signature covers: of its ``unsigned`` bytes."""
+    return hash_bytes(record.unsigned)
 
 
-def compute_t_id(
-    tx: Transaction, body: Optional[bytes] = None, signature: Optional[Signature] = None
-) -> HashDigest:
+def compute_t_id(tx: Transaction, signature: Optional[Signature] = None) -> HashDigest:
     """The one id rule: the hash of the signed encoding (id field excluded),
-    that is of ``encode_declared``, ``body`` if given, then ``sign``,
-    ``signature`` if given."""
-    body = encode_declared(tx) if body is None else body
+    that is of ``unsigned``, then ``sign``, ``signature`` if given."""
     signature = tx.sign if signature is None else signature
-    return hash_bytes(body + _lp(_SIGN.encode(signature)))
+    return hash_bytes(tx.unsigned + _lp(_SIGN.encode(signature)))
 
 
 def decode_canonical(data: bytes, kinds: Mapping[int, type] = KIND_BY_TAG) -> Declared:
@@ -606,12 +635,11 @@ def signed(record: Declared, keypair: KeyPair) -> Declared:
     fault = record.rule_fault()
     if fault is not None:
         raise ValueError(fault)
-    body = encode_declared(record)  # neither ``sign`` nor ``t_id``, so made once
-    signature = sign(keypair, signed_message(record, body))
-    ids = {"t_id": compute_t_id(record, body, signature)} if record.has_id else {}
-    record = replace(record, sign=signature, **ids)
-    vars(record)["unsigned"] = body  # ``replace`` made a new object; give it the bytes
-    return record
+    signature = sign(keypair, signed_message(record))
+    ids = {"t_id": compute_t_id(record, signature)} if record.has_id else {}
+    built = replace(record, sign=signature, **ids)
+    vars(built)["unsigned"] = record.unsigned  # neither ``sign`` nor ``t_id``, so made once
+    return built
 
 
 def make_genesis(method: int, evidence: bytes, keypair: KeyPair) -> GenesisTx:
@@ -662,51 +690,19 @@ def make_erc(
 
 
 def check_id(record: Declared) -> Tuple[Optional[bytes], Optional[str]]:
-    """Whether ``record`` is a signed record with every field in its domain,
-    ``sign`` included, and, if it has an id, ``t_id`` the hash of the signed
-    encoding; the signature itself is not checked.
-
-    Returns (the unsigned encoding, None), or (None, reason). A matching id
-    binds every field and the signature bytes, so a caller can settle what
-    depends on the fields alone before it pays for ``check_id_and_signature``.
-    The answer is kept on the record, so each record object hashes its id
-    at most once; a value that is not a record keeps nothing. Never raises.
-    """
-    facts = vars(record) if isinstance(record, Declared) else {}
-    answer = facts.get("_id_check")
-    if answer is None:
-        try:
-            body = encode_declared(record)
-            if record.signer is None:
-                answer = None, f"malformed: {type(record).__name__} is not signed"
-            elif record.has_id and compute_t_id(record, body) != _T_ID.encode(record.t_id):
-                answer = None, "t_id mismatch"
-            else:
-                _SIGN.encode(record.sign)  # a claim, join or request has no id to encode it
-                answer = body, None
-        except Exception as exc:  # a wrong-typed or out-of-range field, or not a record
-            answer = None, f"malformed: {exc}"
-        facts["_id_check"] = answer
-    return answer
+    """``record.id_check``, for any value; never raises. A caller can settle
+    what depends on the fields alone before it pays for the signature."""
+    if not isinstance(record, Declared):
+        return None, f"malformed: {type(record).__name__} is not a record"
+    return record.id_check
 
 
 def check_id_and_signature(record: Declared) -> Tuple[bool, Optional[str]]:
-    """The one check of a signed record: ``check_id``, then whether ``sign``
-    verifies under the record's ``signer`` over its ``signed_message``;
-    returns (ok, reason) and never raises. The verdict is kept on the
-    record, so every later check of the same object reads it."""
-    facts = vars(record) if isinstance(record, Declared) else {}
-    verdict = facts.get("_verdict")
-    if verdict is None:
-        body, reason = check_id(record)
-        if body is None:
-            verdict = False, reason
-        elif not verify(getattr(record, record.signer), signed_message(record, body), record.sign):
-            verdict = False, "bad signature"
-        else:
-            verdict = True, None
-        facts["_verdict"] = verdict  # ``check_id`` lets only ``bytes`` reach ``verify``
-    return verdict
+    """The one check of a signed record, ``record.verdict``, for any value;
+    returns (ok, reason) and never raises."""
+    if not isinstance(record, Declared):
+        return False, check_id(record)[1]
+    return record.verdict
 
 
 def check_structure(tx: Transaction) -> Tuple[bool, Optional[str]]:

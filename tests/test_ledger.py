@@ -41,7 +41,6 @@ from gridtrade.transactions import (
     check_structure,
     compute_t_id,
     encode_canonical,
-    encode_declared,
     make_ctp,
     make_genesis,
     make_supply_energy,
@@ -500,7 +499,6 @@ def _fields(ledger: Ledger):
         list(ledger.accounts.items()),
         list(db.entries.items()),
         list(ledger.ctp_db.claims.items()),
-        db._encoded,
         db._pending,
         db._digest,
         db._next_expiry,
@@ -817,7 +815,7 @@ class TestClaims:
         claim = trade.claim
         values = [claim.ctp_id, claim.contract_hash, claim.producer_pk, (10).to_bytes(8, "big")]
         unsigned = b"\x20" + b"".join(len(v).to_bytes(4, "big") + v for v in values)
-        assert encode_declared(claim) == unsigned
+        assert claim.unsigned == unsigned
         assert verify(claim.producer_pk, unsigned, claim.sign)
 
 
@@ -890,7 +888,7 @@ class TestMining:
         block = miner.mine(4)
         assert block is not None and block.txs == ()
         assert block.ctp_hash == miner.ledger.ctp_db.digest()
-        assert block.verify_miner_signature()
+        assert block.signature_ok
 
 
 class TestBlockApplication:

@@ -34,7 +34,6 @@ from gridtrade.transactions import (
     check_structure,
     decode_canonical,
     encode_canonical,
-    encode_declared,
     make_ctp,
     signed,
     signing_digest,
@@ -235,7 +234,7 @@ class TestEndorsementIsNoRecordSignature:
         victim = fresh_meter(rig.manufacturer, 70)
         join = JoinMessage(victim.public, "attacker-node", b"")
         with pytest.raises(MeterError, match="root is not a digest"):
-            self._endorse(rig, attacker, victim, encode_declared(join))
+            self._endorse(rig, attacker, victim, join.unsigned)
 
 
 class TestInstallEndorsement:

@@ -399,9 +399,9 @@ TICK_DIGESTS = {"ctp-burst": 100, "honest-n32": 702}
 
 @pytest.fixture(scope="module", params=sorted(BLOCK_WORKLOADS))
 def block_work(request):
-    """Block encodings and hashes made, and ``make_ctp`` calls with the
-    ``encode_declared`` calls inside them, over one run of a workload; the
-    calls of the functions ``RUN_CALLS`` names and of
+    """Block encodings and hashes and record frames made, and ``make_ctp``
+    calls with the ``Declared.unsigned`` computations inside them, over one
+    run of a workload; the calls of the functions ``RUN_CALLS`` names and of
     ``Miner.record_tick_digest`` made inside ``World.run``; and the
     workload's name and the run's result."""
     counted = Counter()
@@ -410,10 +410,10 @@ def block_work(request):
     original_run = World.run
 
     def make_ctp(*args, **kwargs):
-        before = counted["encode_declared"]
+        before = counted["unsigned"]
         ctp = original_make_ctp(*args, **kwargs)
         counted["make_ctp"] += 1
-        counted["encode_declared_in_make_ctp"] += counted["encode_declared"] - before
+        counted["unsigned_in_make_ctp"] += counted["unsigned"] - before
         return ctp
 
     def run(world):
@@ -429,11 +429,11 @@ def block_work(request):
     def note_in_run(key):
         return lambda *args: running and counted.update([key])
 
-    encode_declared = _before(transactions.encode_declared, note("encode_declared"))
     with pytest.MonkeyPatch.context() as mp:
         _count_property(mp, Block, "unsigned", note("encodings"))
         _count_property(mp, Block, "block_hash", note("hashes"))
-        _rebind(mp, transactions, "encode_declared", encode_declared)
+        _count_property(mp, transactions.Declared, "unsigned", note("unsigned"))
+        _count_property(mp, transactions.Declared, "canonical", note("canonical"))
         _rebind(mp, transactions, "make_ctp", make_ctp)
         for module, name in [
             (crypto, "hash_bytes"), (crypto, "verify"), (transactions, "compute_t_id"),
@@ -467,7 +467,7 @@ def test_make_ctp_encodes_the_commitment_once(block_work):
     # twice while the id rule re-encoded what the signature had encoded
     _, counted, _ = block_work
     assert counted["make_ctp"] > 0
-    assert counted["encode_declared_in_make_ctp"] == counted["make_ctp"]
+    assert counted["unsigned_in_make_ctp"] == counted["make_ctp"]
 
 
 def test_shared_records_are_checked_once(block_work):
@@ -483,3 +483,13 @@ def test_digests_are_journaled_only_on_ticks_a_ledger_changed(block_work):
     workload, counted, _ = block_work
     assert 0 < counted["record_tick_digest"] <= TICK_DIGESTS[workload]
 
+
+# upper bounds on record frames (``Declared.canonical``) built over one run
+# of each workload: 405 and 1,144 while every miner framed each commitment it
+# admitted, and a block re-framed the records it carries
+FRAMES = {"ctp-burst": 81, "honest-n32": 568}
+
+
+def test_each_record_is_framed_once(block_work):
+    workload, counted, _ = block_work
+    assert 0 < counted["canonical"] <= FRAMES[workload]

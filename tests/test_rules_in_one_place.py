@@ -9,23 +9,21 @@ evidence names the account key).
 
 Likewise a call to the bare name ``verify`` or ``sign`` restates a
 signature rule: every signed record is signed by ``transactions.signed``
-and checked by ``transactions.check_id_and_signature``, a block by
-``Miner.mine`` and ``Block.verify_miner_signature``, and a certificate or
+and judged by its ``Declared.verdict``, a block signed by ``Miner.mine``
+and judged by its ``Block.signature_ok``, and a certificate or
 endorsement by the ``crypto`` rules. A meter's endorsement signs the raw
 pool root, which receipts carry on the chain, so the verifier signs it
 where it endorses.
 
-A signed record keeps what its first reader derived from it: its unsigned
-bytes, its id check and its signature verdict. Each such fact is written in
-one place, so no other code can leave a record a verdict it did not earn:
-the bytes by the cached property ``Declared.unsigned`` and by
-``transactions.signed``, the id check by ``check_id`` and the verdict by
-``check_id_and_signature`` alone. A write of this kind is a cached property,
-a write through ``vars(...)``, ``__dict__``, ``setattr`` or
-``object.__setattr__``, or a keyed write of a fact's name; blocks and key
-pairs keep their own facts the same way, each in one place too: a block's
-signature verdict only in ``Block.verify_miner_signature``, the one caller
-of ``verify`` for blocks.
+A frozen record, block or key pair keeps what its first reader derived
+from it (its bytes, its id check, its signature verdict) as cached
+properties, each made by its own getter, so no other code can leave an
+object a verdict it did not earn. Only two functions write into an
+instance dict by hand, each for the keys it names in ``DICT_WRITERS``:
+``transactions.signed`` leaves the bytes it signed on the record it
+builds, and ``crypto.KeyPair.from_seed`` the key it built. Any other use
+of ``vars(...)`` or ``__dict__``, through an alias or a read included, and
+any call of ``setattr`` or ``__setattr__``, is refused.
 """
 
 import ast
@@ -47,8 +45,8 @@ CALLERS = {
     "verify": {
         "crypto.ca_verify",
         "crypto.ca_signed",
-        "transactions.check_id_and_signature",
-        "ledger.Block.verify_miner_signature",
+        "transactions.Declared.verdict",
+        "ledger.Block.signature_ok",
     },
     "sign": {
         "crypto.issue_certificate",
@@ -59,26 +57,17 @@ CALLERS = {
 }
 
 
-# name of a fact kept on an object -> the functions (module.qualname) that may write it
-WRITERS = {
-    "unsigned": {
-        "transactions.Declared.unsigned",
-        "transactions.signed",
-        "ledger.Block.unsigned",  # a block's own bytes
-    },
-    "_id_check": {"transactions.check_id"},
-    "_verdict": {"transactions.check_id_and_signature"},
-    "_signature_ok": {"ledger.Block.verify_miner_signature"},  # a block's verdict
-    "signing_digest": {"ledger.Block.signing_digest"},
-    "block_hash": {"ledger.Block.block_hash"},
-    "_ed_private": {"crypto.KeyPair._ed_private", "crypto.KeyPair.from_seed"},
-    "_owns_public": {"crypto.KeyPair._owns_public", "crypto.KeyPair.from_seed"},
+# the functions (module.qualname) that may write into an instance dict -> the
+# keys each may write there
+DICT_WRITERS = {
+    "transactions.signed": {"unsigned"},
+    "crypto.KeyPair.from_seed": {"_ed_private", "_owns_public"},
 }
 
 
-def _scoped(source: str, module: str, names_in) -> list:
+def _scoped(source, module: str, names_in) -> list:
     """(name, enclosing module.qualname) of each name ``names_in(node)``
-    yields for a node of ``source``."""
+    yields for a node of ``source``, a text or its parsed tree."""
     found = []
 
     def visit(node, scope):
@@ -88,7 +77,7 @@ def _scoped(source: str, module: str, names_in) -> list:
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
-    visit(ast.parse(source), module)
+    visit(ast.parse(source) if isinstance(source, str) else source, module)
     return found
 
 
@@ -113,52 +102,41 @@ def _is_instance_dict(node) -> bool:
     return isinstance(node, ast.Attribute) and node.attr == "__dict__"
 
 
-def _written_facts(node) -> list:
-    """Names of the facts ``node`` writes onto an object: a cached property's
-    name, a constant key written into ``vars(...)`` or ``__dict__`` or named
-    in ``WRITERS``, or the name given to ``setattr`` or ``object.__setattr__``;
-    any other write through an instance dict is ``"?"``."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return [
-            node.name
-            for d in node.decorator_list
-            if (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)) == "cached_property"
-        ]
-    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-        found = []
-        for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
-            if not isinstance(target, ast.Subscript):
-                continue
-            key = target.slice
-            name = key.value if isinstance(key, ast.Constant) else None
-            if _is_instance_dict(target.value):
-                found.append(name if isinstance(name, str) else "?")
-            elif name in WRITERS:
-                found.append(name)
-        return found
-    if isinstance(node, ast.Call):
-        func = node.func
-        if isinstance(func, ast.Attribute) and _is_instance_dict(func.value):
-            if func.attr in ("update", "setdefault", "__setitem__"):
-                return ["?"]
-        setter = (isinstance(func, ast.Name) and func.id == "setattr") or (
-            isinstance(func, ast.Attribute) and func.attr == "__setattr__"
-        )
-        if setter and len(node.args) >= 2:
-            name = node.args[1]
-            return [name.value if isinstance(name, ast.Constant) else "?"]
-    return []
+def dict_writes(source: str, module: str) -> list:
+    """(key, enclosing module.qualname) of each use in ``source`` of an
+    instance dict or a setter: the constant key of a write ``vars(obj)[key]
+    = ...`` or ``obj.__dict__[key] = ...``, the constant name given to
+    ``setattr`` or ``__setattr__``, and ``"?"`` for any other use, such as
+    an alias ``facts = vars(obj)`` or a read."""
+    tree = ast.parse(source)
+    keyed = {
+        id(node.value): node.slice.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.ctx, ast.Store)
+        and _is_instance_dict(node.value)
+        and isinstance(node.slice, ast.Constant)
+    }
 
+    def used(node) -> list:
+        if _is_instance_dict(node):
+            return [keyed.get(id(node), "?")]
+        if isinstance(node, ast.Call):
+            func = node.func
+            setter = (isinstance(func, ast.Name) and func.id == "setattr") or (
+                isinstance(func, ast.Attribute) and func.attr == "__setattr__"
+            )
+            if setter:
+                name = node.args[1] if len(node.args) >= 2 else None
+                return [name.value if isinstance(name, ast.Constant) else "?"]
+        return []
 
-def fact_writes(source: str, module: str) -> list:
-    """(fact name, enclosing module.qualname) of each write in ``source`` of a
-    fact kept on an object; a cached property's scope is the property itself."""
-    return _scoped(source, module, _written_facts)
+    return _scoped(tree, module, used)
 
 
 def misplaced_writes(source: str, module: str) -> list:
-    writes = fact_writes(source, module)
-    return [(n, where) for n, where in writes if where not in WRITERS.get(n, ())]
+    writes = dict_writes(source, module)
+    return [(key, where) for key, where in writes if key not in DICT_WRITERS.get(where, ())]
 
 
 def rule_comparisons(source: str, module: str) -> list:
@@ -265,42 +243,43 @@ def test_the_write_check_finds_what_it_looks_for():
     source = (
         "class Declared:\n"
         "    @cached_property\n"
-        "    def unsigned(self):\n"
-        "        return b''\n"
-        "    @functools.cached_property\n"
-        "    def _verdict(self):\n"
+        "    def verdict(self):\n"
         "        return True, None\n"
         "def signed(record, keypair):\n"
         "    vars(record)['unsigned'] = b''\n"
+        "    vars(record)['verdict'] = True, None\n"
         "def check_id_and_signature(record):\n"
         "    facts = vars(record)\n"
-        "    facts['_verdict'] = True, None\n"
+        "    facts['verdict'] = True, None\n"
         "def seed(record, key, counters):\n"
-        "    record.__dict__['_verdict'] = True, None\n"
+        "    record.__dict__['verdict'] = True, None\n"
         "    vars(record)[key] = 1\n"
-        "    vars(record).update(_verdict=(True, None))\n"
-        "    object.__setattr__(record, '_id_check', (b'', None))\n"
+        "    vars(record).update(verdict=(True, None))\n"
+        "    object.__setattr__(record, 'id_check', (b'', None))\n"
         "    setattr(record, 'unsigned', b'')\n"
+        "    return vars(record).get('verdict')\n"
         "    counters['settled'] += 1\n"
     )
-    assert fact_writes(source, "transactions") == [
-        ("unsigned", "transactions.Declared.unsigned"),
-        ("_verdict", "transactions.Declared._verdict"),
+    assert dict_writes(source, "transactions") == [
         ("unsigned", "transactions.signed"),
-        ("_verdict", "transactions.check_id_and_signature"),
-        ("_verdict", "transactions.seed"),
+        ("verdict", "transactions.signed"),
+        ("?", "transactions.check_id_and_signature"),
+        ("verdict", "transactions.seed"),
         ("?", "transactions.seed"),
         ("?", "transactions.seed"),
-        ("_id_check", "transactions.seed"),
+        ("id_check", "transactions.seed"),
         ("unsigned", "transactions.seed"),
+        ("?", "transactions.seed"),
     ]
     assert misplaced_writes(source, "transactions") == [
-        ("_verdict", "transactions.Declared._verdict"),
-        ("_verdict", "transactions.seed"),
+        ("verdict", "transactions.signed"),
+        ("?", "transactions.check_id_and_signature"),
+        ("verdict", "transactions.seed"),
         ("?", "transactions.seed"),
         ("?", "transactions.seed"),
-        ("_id_check", "transactions.seed"),
+        ("id_check", "transactions.seed"),
         ("unsigned", "transactions.seed"),
+        ("?", "transactions.seed"),
     ]
 
 
@@ -311,6 +290,8 @@ def test_no_fact_is_written_elsewhere(path):
 
 def test_every_writer_holds_its_write():
     held = {
-        where for path in MODULES for _, where in fact_writes(path.read_text(), _module_name(path))
+        (where, key)
+        for path in MODULES
+        for key, where in dict_writes(path.read_text(), _module_name(path))
     }
-    assert held == set().union(*WRITERS.values())
+    assert held == {(where, key) for where, keys in DICT_WRITERS.items() for key in keys}

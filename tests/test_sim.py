@@ -52,6 +52,7 @@ from gridtrade.sim.world import World
 from gridtrade.transactions import (
     ContractTerms,
     ERCTx,
+    check_structure,
     compute_contract_hash,
     compute_t_id,
     encode_canonical,
@@ -989,8 +990,23 @@ MALFORMED_BLOCKS = [
     lambda b: replace(b, miner_pk=None),
     lambda b: replace(b, prev_hash=None),
     lambda b: None,
+    # a header value a block's encoding refuses: each encodes alike or not at
+    # all, and a bytearray could change after the block's hash is kept
+    lambda b: replace(b, txs=list(b.txs)),
+    lambda b: replace(b, height=False),
+    lambda b: replace(b, timestamp=True),
+    lambda b: replace(b, prev_hash=bytearray(b.prev_hash)),
+    lambda b: replace(b, ctp_hash=bytearray(b.ctp_hash)),
+    lambda b: replace(b, ctp_hash=b.ctp_hash[1:]),
+    lambda b: replace(b, miner_pk=b.miner_pk[:32]),
+    lambda b: replace(b, miner_sign=bytearray(b.miner_sign)),
+    lambda b: replace(b, miner_sign=b.miner_sign[1:]),
 ]
-MALFORMED_BLOCK_IDS = ["str-height", "none-txs", "int-tx", "none-miner-pk", "none-prev", "none"]
+MALFORMED_BLOCK_IDS = [
+    "str-height", "none-txs", "int-tx", "none-miner-pk", "none-prev", "none", "list-txs",
+    "bool-height", "bool-timestamp", "bytearray-prev", "bytearray-ctp-hash", "short-ctp-hash",
+    "short-miner-pk", "bytearray-sign", "short-sign",
+]
 
 
 class TestMalformedBlock:
@@ -1048,24 +1064,29 @@ class TestBlockVerdict:
 
     @pytest.mark.parametrize("field", ["miner_sign", "miner_pk"])
     def test_a_bytearray_field_keeps_none(self, field):
-        # ``verify`` takes a bytearray, whose bytes can change after a check
-        _, block, _ = self._mined()
+        # ``verify`` takes a bytearray, whose bytes can change after a check:
+        # the block is refused every time, whatever its bytes, so no verdict
+        # is kept; it was checked afresh each time while nothing refused it
+        world, block, _ = self._mined()
         held = replace(block, **{field: bytearray(getattr(block, field))})
-        assert held.verify_miner_signature()
-        getattr(held, field)[0] ^= 1
-        assert not held.verify_miner_signature()
-        getattr(held, field)[0] ^= 1
-        assert held.verify_miner_signature()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"{field} must be "):
+                held.signature_ok
+            assert "signature_ok" not in vars(held)
+            getattr(held, field)[0] ^= 1
+        for actor in world.miner_actors:
+            outcome = actor.miner.receive_block(held)
+            assert not outcome.applied and outcome.reason.startswith("malformed block: ")
 
     def test_a_replaced_block_gets_its_own(self):
         _, block, forged = self._mined()
-        assert block.verify_miner_signature()
-        assert not forged.verify_miner_signature()
-        assert not forged.verify_miner_signature()
-        assert replace(forged, miner_sign=block.miner_sign).verify_miner_signature()
+        assert block.signature_ok
+        assert not forged.signature_ok
+        assert not forged.signature_ok
+        assert replace(forged, miner_sign=block.miner_sign).signature_ok
         other = sign(KeyPair.generate(Random(9)), block.signing_digest)
-        assert not replace(block, miner_sign=other).verify_miner_signature()
-        assert block.verify_miner_signature()
+        assert not replace(block, miner_sign=other).signature_ok
+        assert block.signature_ok
 
     def test_a_bad_signature_is_refused_by_every_miner(self):
         world, block, forged = self._mined()
@@ -1078,7 +1099,7 @@ class TestBlockVerdict:
     @pytest.mark.parametrize("make", MALFORMED_BLOCKS, ids=MALFORMED_BLOCK_IDS)
     def test_a_malformed_copy_of_a_checked_block_is_refused(self, make):
         world, block, _ = self._mined()
-        assert block.verify_miner_signature()
+        assert block.signature_ok
         bad = make(block)
         for actor in world.miner_actors:
             outcome = actor.miner.receive_block(bad)
@@ -1115,8 +1136,9 @@ def _dummy_erc(ctp_id) -> ERCTx:
 
 class TestTraderIntake:
     """Traders read a gossiped block's transactions unchecked, so a mined
-    transaction with a field of the wrong type, or outside its domain, must
-    neither raise on arrival nor be stored for a later step to raise on."""
+    transaction with a field of the wrong type, or outside its domain, or
+    with a bad id or signature, must neither raise on arrival nor be stored
+    for a later step to raise on."""
 
     def _world_and_block(self, *txs):
         world = World(preset("none", seed=1))
@@ -1141,11 +1163,12 @@ class TestTraderIntake:
             ("energy_amount", 1 << 64),
             ("energy_price", -10),
             ("energy_price", 1 << 64),
+            ("energy_price", 11),  # in its domain, so only the id is wrong
         ],
         ids=[
             "list-id", "str-id", "list-pk", "none-pk", "none-amount", "bool-amount",
             "str-price", "float-price", "short-pk", "zero-amount", "negative-amount",
-            "u64-amount", "negative-price", "u64-price",
+            "u64-amount", "negative-price", "u64-price", "bad-id",
         ],
     )
     def test_supply_outside_its_domain_is_skipped(self, field, value):
@@ -1158,6 +1181,19 @@ class TestTraderIntake:
         assert consumer.offer_keys == [good.t_id]
         consumer._start_trade(100)  # the next scan sees only the good offer
         assert consumer.attempt is not None and consumer.attempt.offer.t_id == good.t_id
+
+    def test_supply_with_a_bad_signature_is_skipped(self):
+        # every field in its domain and the id matching, so only the
+        # signature check refuses it
+        seller = KeyPair.generate(Random(3))
+        good = make_supply_energy(hash_bytes(b"genesis"), 10, 10, True, seller)
+        bad = replace(good, energy_price=11)
+        bad = replace(bad, t_id=compute_t_id(bad))
+        assert check_structure(bad) == (False, "bad signature")
+        world, block = self._world_and_block(bad, good)
+        consumer = world.consumer_actors[0]
+        consumer.on_message(BlockGossip(block), 1)
+        assert consumer.offers == {good.t_id: good} and consumer.offer_keys == [good.t_id]
 
     @pytest.mark.parametrize(
         "field, value",
