@@ -10,10 +10,11 @@ still in flight when the table widens can take one more backbone hop,
 because the backbone it was forwarded to may no longer own the key.
 ``Mesh.next_hop`` is the one routing decision every backbone makes.
 
-Each table memoizes its owner lookups by routing prefix, so each prefix
-costs one bisect per table: the memo holds at most min(distinct keys,
-256**x) entries. A table is never changed once built; widening installs a
-new table, whose memo starts empty.
+Each table memoizes its owner lookups by the whole key, so a repeated key
+costs one dict lookup and each distinct key one slice and bisect per
+table: the memo holds one entry per distinct key looked up on that table.
+A table is never changed once built; widening installs a new table, whose
+memo starts empty.
 
 Widening ``x`` rebuilds the table at finer granularity, cut along the
 load histogram of the overloaded window: observed traffic spreads evenly
@@ -78,7 +79,7 @@ class DHTTable:
     x: int
     bounds: Tuple[int, ...]
     owners: Tuple[str, ...]
-    # routing prefix -> owner, filled by ``owner_of``
+    # whole key -> owner, filled by ``owner_of``
     _owner_memo: Dict[bytes, str] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -92,11 +93,14 @@ class DHTTable:
         return self.owners[idx]
 
     def owner_of(self, pk: PublicKey) -> str:
-        prefix = pk[: self.x]
-        owner = self._owner_memo.get(prefix)
+        """Owner of ``pk``; a key that is not ``bytes`` raises TypeError and
+        leaves the memo as it was."""
+        owner = self._owner_memo.get(pk)
         if owner is None:
-            owner = self._owner_memo[prefix] = self.owner_of_value(
-                int.from_bytes(prefix, "big")
+            if not isinstance(pk, bytes):
+                raise TypeError(f"a routing key is bytes, not {type(pk).__name__}")
+            owner = self._owner_memo[pk] = self.owner_of_value(
+                int.from_bytes(pk[: self.x], "big")
             )
         return owner
 
@@ -300,9 +304,12 @@ class Mesh:
             node.note_traffic(dest_pk, now)
         else:
             node.handled += 1
-        round_counter = negotiation_round(payload)
-        if round_counter is not None and round_counter > node.offer_limit:
-            return "drop", "offer limit exceeded"
+        # only a negotiation carries a round: a bytes payload with any other
+        # tag byte is not read further
+        if not isinstance(payload, bytes) or payload[:1] == _NEGOTIATION_PREFIX:
+            round_counter = negotiation_round(payload)
+            if round_counter is not None and round_counter > node.offer_limit:
+                return "drop", "offer limit exceeded"
         endpoint = node.members.get(dest_pk)
         if endpoint is None:
             return "drop", "undeliverable"

@@ -46,13 +46,14 @@ from .messages import (
     TAG_PING,
     TxGossip,
     decode_routed_payload,
+    encode_routed_payload,
 )
 
 
 NEGOTIATION_TIMEOUT = 40  # ticks a buyer gives an attempt to reach a commitment
 FLOOD_OFFERS = 50  # negotiation messages the flooding consumer sends
 FORGERY_ATTEMPTS = 50  # forged receipts the forger sends
-_LOAD_PING = Ping(b"load")  # every chatter ping; a Ping is immutable, so one is shared
+_LOAD_PING = encode_routed_payload(Ping(b"load"))  # every chatter ping, framed once
 
 
 class Actor:
@@ -584,6 +585,8 @@ class ConsumerActor(Actor, MeterMixin):
         self.behavior = behavior
         step_name, self.max_trades = CONSUMER_BEHAVIORS[behavior]
         self._behavior_step = getattr(self, step_name)
+        if meter is None:  # nothing to set up and no receipts to pump: one call a tick
+            self.step = self._behavior_step
         self.start_delay = start_delay
         self.offer_preference = offer_preference
         self.sibling_pks = sibling_pks or set()

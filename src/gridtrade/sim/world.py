@@ -234,11 +234,16 @@ class World:
         self.send(dest, JoinRequest(join=join, reply_to=actor.id))
 
     def send_routed(self, actor: Actor, from_pk: PublicKey, dest_pk: PublicKey, payload) -> None:
+        """Hand ``payload`` to the backbone that owns ``from_pk``, bound for
+        ``dest_pk``. ``payload`` is a routable record, or its frame as
+        ``encode_routed_payload`` built it, which travels as it is: the
+        chatter load frames its one ping once."""
         entry = self.mesh.table.owner_of(from_pk)
         counters = self.metrics.counters  # the hot path skips Metrics.bump
         counters["messages_routed"] = counters.get("messages_routed", 0) + 1
-        env = Routed(dest_pk, encode_routed_payload(payload), [actor.id])
-        self.send(entry, env)
+        if not isinstance(payload, bytes):
+            payload = encode_routed_payload(payload)
+        self.send(entry, Routed(dest_pk, payload, [actor.id]))
 
     def broadcast_tx(self, tx) -> None:
         """Send a transaction to every miner. Traders read mined

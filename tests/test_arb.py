@@ -209,7 +209,7 @@ def fresh_bisect(table: DHTTable, pk: bytes) -> str:
 
 
 class TestOwnerMemo:
-    """``owner_of`` memoizes by routing prefix on each table instance."""
+    """``owner_of`` memoizes by the whole key on each table instance."""
 
     def test_memo_matches_bisect_across_widening(self):
         rng = Random(13)
@@ -222,7 +222,7 @@ class TestOwnerMemo:
         for _ in range(2):  # the second pass answers from the memo
             for pk in members:
                 assert old.owner_of(pk) == fresh_bisect(old, pk)
-        assert set(old._owner_memo) == {pk[:1] for pk in members}
+        assert set(old._owner_memo) == set(members)
         histogram = {}
         for pk in members:
             value = routing_value(pk, 2)
@@ -235,9 +235,18 @@ class TestOwnerMemo:
                 owner = new.owner_of(pk)
                 assert owner == fresh_bisect(new, pk)
                 assert pk in mesh.nodes[owner].members
-        assert set(new._owner_memo) == {pk[:2] for pk in members}
+        assert set(new._owner_memo) == set(members)
         # lookups on the old table still answer for the old granularity
         assert all(old.owner_of(pk) == fresh_bisect(old, pk) for pk in members)
+
+    @pytest.mark.parametrize("key", ["s" * 64, None], ids=["str", "None"])
+    def test_a_refused_key_leaves_the_memo_alone(self, key):
+        table = build_dht(["b0", "b1", "b2"], 1)
+        table.owner_of(bytes(64))
+        before = dict(table._owner_memo)
+        with pytest.raises(TypeError):
+            table.owner_of(key)
+        assert table._owner_memo == before
 
     def test_memo_leaves_equality_and_hash_alone(self):
         table = build_dht(["b0", "b1", "b2"], 1)

@@ -3,13 +3,15 @@
 Most counts come from wrapping a function for the length of one scenario
 run, mostly of ``preset("none", seed=1)``, the way ``bench/tracer.py``
 traces layers from outside the program; the calls per routed message come
-from a profile hook. Nothing under ``src/`` counts for these tests.
+from a profile hook, and the interpreter opcodes from a trace hook.
+Nothing under ``src/`` counts for these tests.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import importlib.util
 import os
 import sys
@@ -50,6 +52,43 @@ def _rebind(monkeypatch, module, name, replacement):
         if holder is not None and holder.__name__.startswith("gridtrade"):
             if getattr(holder, name, None) is original:
                 monkeypatch.setattr(holder, name, replacement)
+
+
+def _count_opcodes(monkeypatch, config):
+    """(interpreter opcodes executed inside ``World.run`` of ``config``, the
+    run's metrics).
+
+    An untraced run of the same config comes first, so that first-time
+    imports and the ABC caches behind ``isinstance`` are filled outside the
+    count; the counted world is then built on a fresh verify memo. The
+    garbage collector is off during the count, so no finalizer of an object
+    another test left behind runs inside it."""
+    World(config).run()
+    monkeypatch.setattr(crypto, "_verify_memo", {})
+    world = World(config)
+    count = 0
+
+    def trace_opcodes(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return trace_opcodes
+
+    def trace_calls(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return trace_opcodes
+
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    sys.settrace(trace_calls)
+    try:
+        metrics = world.run()
+    finally:
+        sys.settrace(None)
+        if was_enabled:
+            gc.enable()
+    return count, metrics
 
 
 def _count_property(monkeypatch, owner, name, before):
@@ -219,23 +258,69 @@ def test_calls_per_routed_message(chatter_calls):
     # frames and each ping bumped its counter through Metrics.bump; 19.13
     # while each miner re-encoded and rehashed the tip block for every block;
     # 19.09 while every check of a signed record re-encoded it; 19.08 while
-    # every miner journaled its pending-DB digest on every tick
-    assert sum(calls.values()) / routed <= 18.96
+    # every miner journaled its pending-DB digest on every tick; 18.95 while
+    # every hop read the round off each payload, each ping was framed anew
+    # and a meterless consumer's step ran in two frames
+    assert sum(calls.values()) / routed <= 15.95
 
 
 def test_chatter_skips_ping_decoding_and_empty_duties(chatter_calls):
-    # each delivered ping was decoded, and every producer and consumer step
-    # ran these duties over an empty list or dict; the names are unique in
-    # the package
+    # each delivered ping was decoded, every producer and consumer step ran
+    # these duties over an empty list or dict, every hop that owned a ping
+    # looked for a negotiation round in it (18,982 calls) and each ping was
+    # framed anew (19,040 calls); the names are unique in the package
     calls, _ = chatter_calls
     assert calls["_on_routed"] > 10000
-    for name in ("decode_routed_payload", "_deliver", "_pump_meter_receipts"):
+    for name in (
+        "decode_routed_payload", "_deliver", "_pump_meter_receipts",
+        "negotiation_round", "encode_routed_payload",
+    ):
         assert calls[name] == 0, name
+    # a meterless consumer's step is its behaviour step: only the 16
+    # producers run ``step`` on each of the 600 ticks (28,800 calls while
+    # each chatter node's step called its behaviour step)
+    assert calls["_chatter_step"] == 32 * 600
+    assert calls["step"] == 16 * 600
     # the window is fed only until the table widens to MAX_X, at tick 13:
     # 18,982 calls while every delivery fed it
     assert calls["note_traffic"] == 228
     # 19,121 while every ping was counted through Metrics.bump
     assert calls["bump"] <= 100
+
+
+# Interpreter opcodes executed over one ``World.run``, as upper bounds: per
+# settlement on ``preset("none", seed=1)``, and per routed message on the
+# chatter load of the benchmark's routing workload, 200 ticks long. In
+# comments, the counts while owners were memoized by routing prefix, every
+# hop that owned a message read a negotiation round off it, each ping was
+# framed anew and a meterless consumer's step ran in two frames.
+OPCODES_PER_SETTLEMENT = 286947  # 286,993.25
+OPCODES_PER_ROUTED = 603.52  # 660.75
+
+_needs_cpython_311 = pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the opcode pins are counts of CPython 3.11 bytecode; another "
+    "interpreter or version compiles the same source to other opcodes",
+)
+
+
+@_needs_cpython_311
+def test_opcodes_per_settlement(monkeypatch):
+    opcodes, metrics = _count_opcodes(monkeypatch, preset("none", seed=1))
+    assert metrics.get("settlements") == 4
+    assert opcodes / 4 <= OPCODES_PER_SETTLEMENT
+
+
+@_needs_cpython_311
+def test_opcodes_per_routed_message(monkeypatch):
+    opcodes, metrics = _count_opcodes(
+        monkeypatch,
+        preset(
+            "routing_overload", seed=1, producers=16, chatter_nodes=32, backbones=8, ticks=200
+        ),
+    )
+    assert metrics.get("messages_routed") == 6240
+    assert opcodes / 6240 <= OPCODES_PER_ROUTED
 
 
 def test_tracer_targets_resolve():
@@ -320,35 +405,45 @@ def test_trade_attempts_on_honest_n32():
 
 
 @pytest.mark.parametrize(
-    "config",
+    "config, signs",
     [
         # 185 while only verify filled the memo (191 while every check verified first)
-        preset("none", seed=1),
+        (preset("none", seed=1), 191),
         # the benchmark's ctp-burst workload: 422 while only verify filled the
         # memo; 1,015 while miners verified each commitment before its balance
         # check, and producers on arrival
-        preset(
-            "double_spend", seed=1, consumers=32, double_spend_ctps=20, miners=5,
-            ticks=1500, ctp_default_ttl=1400,
+        (
+            preset(
+                "double_spend", seed=1, consumers=32, double_spend_ctps=20, miners=5,
+                ticks=1500, ctp_default_ttl=1400,
+            ),
+            1017,
         ),
         # the benchmark's honest-n32 workload: 1,296 while only verify filled the memo
-        preset("none", seed=1, producers=32, consumers=32, miners=5, backbones=4, ticks=1500),
+        (
+            preset("none", seed=1, producers=32, consumers=32, miners=5, backbones=4, ticks=1500),
+            1345,
+        ),
     ],
     ids=["none", "ctp-burst", "honest-n32"],
 )
-def test_real_signature_verifies(config):
+def test_real_signature_verifies(config, signs):
     # sign records each signature it makes in the verify memo, and the memo
     # answers a repeated check, so count its misses: each builds an Ed25519
-    # public key and runs the real check
+    # public key and runs the real check. Each ``sign`` call is one real
+    # Ed25519 signature; both are C-level work that the opcode pins do not
+    # see, and neither count depends on the interpreter's version
     counted = Counter()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(crypto, "_verify_memo", {})
+        _rebind(mp, crypto, "sign", _before(crypto.sign, lambda *args: counted.update(["sign"])))
         _wrap(
             mp, crypto.Ed25519PublicKey, "from_public_bytes",
             lambda key: counted.update(["verify"]), static=True,
         )
         assert run_scenario(config).passed
         assert counted["verify"] == 0
+        assert 0 < counted["sign"] <= signs
         # the hook does count: a signature no one made meets the real check
         signer = KeyPair.generate(Random(0))
         forged = bytearray(crypto.sign(signer, b"m"))
