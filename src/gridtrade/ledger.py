@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import itemgetter
 from random import Random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .crypto import (
     DIGEST_LEN,
@@ -352,7 +352,8 @@ class Block:
     ``signing_digest``, ``block_hash`` and ``signature_ok`` are cached
     properties, made on first use and read by every miner gossip hands the
     same object. ``Miner.mine`` signs ``signing_digest`` and
-    ``signature_ok`` is the one check of it."""
+    ``signature_ok`` is the one check of it. ``trader_index`` is what
+    traders read of the block, made once for all of them."""
 
     height: int
     prev_hash: HashDigest
@@ -413,6 +414,29 @@ class Block:
         """The one block-signature check: ``miner_pk`` signed ``signing_digest``."""
         self.to_bytes()  # refuses a ``miner_sign`` outside its domain
         return verify(self.miner_pk, self.signing_digest, self.miner_sign)
+
+    @cached_property
+    def trader_index(self) -> Tuple[Tuple[SupplyEnergyTx, ...], FrozenSet[bytes]]:
+        """(the supplies that pass ``check_structure``, in block order; the
+        ``ctp_id`` of each receipt), like a BIP 158 block filter: a buyer
+        reads its offers and whether its commitment settled from these
+        instead of the transactions. Traders read blocks that no miner has
+        checked, so this never raises: a ``txs`` that is not a tuple, an
+        entry that is not a record, and a ``ctp_id`` that is not ``bytes``
+        give nothing."""
+        txs = self.txs
+        if not isinstance(txs, tuple):
+            return _NOTHING_FOR_TRADERS
+        supplies = tuple(
+            tx for tx in txs if isinstance(tx, SupplyEnergyTx) and check_structure(tx)[0]
+        )
+        settled = frozenset(
+            tx.ctp_id for tx in txs if isinstance(tx, ERCTx) and type(tx.ctp_id) is bytes
+        )
+        return (supplies, settled) if supplies or settled else _NOTHING_FOR_TRADERS
+
+
+_NOTHING_FOR_TRADERS: Tuple[tuple, FrozenSet[bytes]] = ((), frozenset())
 
 
 GENESIS_PREV = b"\x00" * DIGEST_LEN

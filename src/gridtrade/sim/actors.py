@@ -1,11 +1,15 @@
 """Simulated network participants.
 
 Actors are plain state machines. The world delivers messages to
-``on_message`` and calls ``step`` once per tick in a fixed order, so a run
-is fully determined by the scenario seed. Actors never share mutable
-state; everything crosses through world messaging (energy pulses, the one
-physical channel, go straight to the destination meter object, standing in
-for the grid connection).
+``on_message`` and calls ``step`` once per tick, in a fixed order, on each
+trader that is ``awake``, so a run is fully determined by the scenario
+seed. A trader falls asleep only in a state that nothing but a delivered
+message can end, where every step would do nothing, and the message that
+ends it wakes it; so no tick has to wake a trader, and whether it sleeps
+cannot change a run. Actors never share mutable state; everything crosses
+through world messaging (energy pulses, the one physical channel, go
+straight to the destination meter object, standing in for the grid
+connection).
 """
 
 from __future__ import annotations
@@ -57,6 +61,8 @@ _LOAD_PING = encode_routed_payload(Ping(b"load"))  # every chatter ping, framed 
 
 
 class Actor:
+    awake = True  # stepped on each tick while true; see the module docstring
+
     def __init__(self, actor_id: str, world):
         self.id = actor_id
         self.world = world
@@ -194,7 +200,8 @@ class OfferState:
     negotiable: bool
     start_tick: int
     # new -> awaiting_genesis -> genesis_mined -> posted; "posted" is final,
-    # since consumers read the offer off the mined supply transaction
+    # since consumers read the offer off the mined supply transaction, and
+    # "awaiting_genesis" ends only when a block brings the genesis
     stage: str = "new"
     genesis_id: Optional[bytes] = None
     reserved: bool = False
@@ -313,6 +320,15 @@ class ProducerActor(Actor, MeterMixin):
     "silent" never claims nor delivers after the commitment arrives, and
     "forger" claims, skips delivery, and floods forged receipts built from
     material harvested off the public chain.
+
+    A producer sleeps once every offer is posted or waits for its genesis,
+    no delivery runs and its meter holds no contract. The block that brings
+    a genesis wakes it, and so does a commitment it accepts for delivery.
+    The forger never sleeps, and neither does a prosumer's producer: its
+    consumer registers contracts on the meter the producer owns and pumps,
+    and waking the producer from there would have one actor write
+    another's state. A producer reads a gossiped block only while an offer
+    waits for its genesis, or while the forger has no receipt to replay.
     """
 
     def __init__(
@@ -324,6 +340,7 @@ class ProducerActor(Actor, MeterMixin):
         rng: Random,
         offers: List[OfferState],
         behavior: str = "honest",
+        shares_meter: bool = False,
     ):
         super().__init__(actor_id, world)
         if behavior not in PRODUCER_BEHAVIORS:
@@ -332,6 +349,11 @@ class ProducerActor(Actor, MeterMixin):
         self.owns_meter = owns_meter
         self.offers = offers
         self.behavior = behavior
+        self._may_sleep = behavior != "forger" and not shares_meter
+        # the offers not yet posted, in offer order, and how many of them
+        # wait for their genesis; every offer starts new
+        self._unposted = list(offers)
+        self._awaiting_genesis = 0
         self.contracts: Dict[bytes, PendingContract] = {}
         self.deliveries: List[ActiveDelivery] = []
         # (offer account pk, sender pk) -> negotiation messages received
@@ -345,12 +367,14 @@ class ProducerActor(Actor, MeterMixin):
     # -- lifecycle ---------------------------------------------------------
 
     def step(self, now: int) -> None:
-        for offer in self.offers:
+        posted = False
+        for offer in self._unposted:
             if offer.stage == "new" and now >= offer.start_tick:
                 cert = self.world.distributor_certificate(offer.keypair.public)
                 genesis = make_genesis(GENESIS_CERTIFICATE, cert.to_bytes(), offer.keypair)
                 offer.genesis_id = genesis.t_id
                 offer.stage = "awaiting_genesis"
+                self._awaiting_genesis += 1
                 self.world.broadcast_tx(genesis)
                 self.world.send_join(self, make_join(offer.keypair, self.id))
             elif offer.stage == "genesis_mined":
@@ -362,8 +386,11 @@ class ProducerActor(Actor, MeterMixin):
                     offer.keypair,
                 )
                 offer.stage = "posted"
+                posted = True
                 self.world.metrics.bump("offers_posted")
                 self.world.broadcast_tx(supply)
+        if posted:
+            self._unposted = [offer for offer in self._unposted if offer.stage != "posted"]
         # each duty runs only when it has something to loop over
         if self.deliveries:
             self._deliver(now)
@@ -371,6 +398,13 @@ class ProducerActor(Actor, MeterMixin):
             self._forge_step(now)
         if self.meter is not None and self.meter.contracts:
             self._pump_meter_receipts(now)
+        if (
+            self._may_sleep
+            and len(self._unposted) == self._awaiting_genesis  # no offer is new
+            and not self.deliveries
+            and not (self.meter is not None and self.meter.contracts)
+        ):
+            self.awake = False
 
     def _deliver(self, now: int) -> None:
         still: List[ActiveDelivery] = []
@@ -388,14 +422,17 @@ class ProducerActor(Actor, MeterMixin):
         if isinstance(payload, Routed):
             self._on_routed(payload, now)
         elif isinstance(payload, BlockGossip):
-            for tx in _mined_txs(payload):
-                self._on_mined_tx(tx)
+            if self._awaiting_genesis or (self.behavior == "forger" and self.harvested is None):
+                for tx in _mined_txs(payload):
+                    self._on_mined_tx(tx)
 
     def _on_mined_tx(self, tx) -> None:
         if isinstance(tx, GenesisTx):
-            for offer in self.offers:
+            for offer in self._unposted:
                 if offer.stage == "awaiting_genesis" and offer.genesis_id == tx.t_id:
                     offer.stage = "genesis_mined"
+                    self._awaiting_genesis -= 1
+                    self.awake = True  # to post the offer
         elif isinstance(tx, ERCTx) and self.behavior == "forger":
             if self.harvested is None and tx.pk != self.forge_keypair.public:
                 self.harvested = tx
@@ -492,6 +529,7 @@ class ProducerActor(Actor, MeterMixin):
                     remaining=pending.terms.energy_amount,
                 )
             )
+            self.awake = True  # to deliver
 
     # -- receipt forging -------------------------------------------------------
 
@@ -562,6 +600,14 @@ class ConsumerActor(Actor, MeterMixin):
 
     Every session is one ``TradeAttempt`` on one mined offer, and each offer
     gets one attempt, however it ends.
+
+    A buyer reads a gossiped block through its ``trader_index``: the checked
+    supplies it adds to its book, and the commitments the block's receipts
+    settle. A trading consumer with no attempt sleeps when its meter holds
+    no contract and either it has made its trades or its last scan of the
+    book found no offer it could try; a new offer wakes it while it can
+    still trade. The double spender sleeps for good once its burst is
+    sent; the flooder and the chatter never sleep.
     """
 
     def __init__(
@@ -650,9 +696,13 @@ class ConsumerActor(Actor, MeterMixin):
     def _trade_step(self, now: int) -> None:
         attempt = self.attempt
         if attempt is None:
-            if self.trades_done >= self.max_trades or now < self.start_delay:
-                return
-            self._start_trade(now)
+            if self.trades_done >= self.max_trades:
+                self._rest()
+            elif now >= self.start_delay:
+                self._start_trade(now)
+                idle = (len(self.offer_keys), len(self.tried))
+                if self.attempt is None and self._idle_book == idle:
+                    self._rest()  # until a new offer grows the book
             return
         if attempt.state == "committed":
             if attempt.ctp is not None and (attempt.settled or attempt.ctp.expired(now)):
@@ -683,6 +733,12 @@ class ConsumerActor(Actor, MeterMixin):
         if candidates:
             # spread concurrent buyers over the book so they rarely chase one offer
             self._join(candidates[self.offer_preference % len(candidates)], now)
+
+    def _rest(self) -> None:
+        """Sleep, unless the meter holds a contract: the pump emits or drops
+        its receipt as ticks pass."""
+        if self.meter is None or not self.meter.contracts:
+            self.awake = False
 
     def _join(self, offer: SupplyEnergyTx, now: int) -> None:
         """Open the attempt on ``offer`` under a fresh session key."""
@@ -790,6 +846,7 @@ class ConsumerActor(Actor, MeterMixin):
             self.sent_ctps.append(ctp)
             self.world.metrics.bump("ctp_broadcast")
             self.world.broadcast_tx(ctp)
+        self.awake = False  # the burst is all it does
 
     def _flood_step(self, now: int) -> None:
         attempt = self.attempt
@@ -819,26 +876,33 @@ class ConsumerActor(Actor, MeterMixin):
     def on_message(self, payload, now: int) -> None:
         if isinstance(payload, Routed):
             self._on_routed(payload, now)
+        elif isinstance(payload, BlockGossip):
+            block = payload.block
+            if not isinstance(block, Block):
+                return
+            supplies, settled = block.trader_index
+            for supply in supplies:
+                self._add_offer(supply)
+            attempt = self.attempt
+            if settled and attempt is not None and attempt.ctp is not None:
+                if attempt.ctp.t_id in settled:
+                    attempt.settled = True
         elif isinstance(payload, JoinAck):
             self.on_join_ack(payload, now)
-        elif isinstance(payload, BlockGossip):
-            for tx in _mined_txs(payload):
-                self._on_mined_tx(tx)
         elif isinstance(payload, ClaimGossip):
             # a claim follows a commitment to the offer, so the offer has sold;
             # only its account key can sign one, and anything else is dropped
             if check_claim_signature(payload.claim):
                 self.sold.add(payload.claim.producer_pk)
 
-    def _on_mined_tx(self, tx) -> None:
-        if isinstance(tx, SupplyEnergyTx):
-            # blocks reach traders unchecked, and a later trade step would raise
-            # on a supply whose fields are outside their declared domains; the
-            # miners that applied it kept the verdict on this same object
-            if check_structure(tx)[0] and tx.t_id not in self.offers:  # the first sighting wins
-                self.offers[tx.t_id] = tx
-                insort(self.offer_keys, tx.t_id)
-        elif isinstance(tx, ERCTx):
-            attempt = self.attempt
-            if attempt is not None and attempt.ctp is not None and tx.ctp_id == attempt.ctp.t_id:
-                attempt.settled = True
+    def _add_offer(self, supply: SupplyEnergyTx) -> None:
+        """Put a mined supply in the book; the first sighting wins. Blocks
+        reach traders unchecked, and a later trade step would raise on a
+        supply whose fields are outside their declared domains, so only a
+        supply that passed ``check_structure`` in its block's
+        ``trader_index`` comes here."""
+        if supply.t_id not in self.offers:
+            self.offers[supply.t_id] = supply
+            insort(self.offer_keys, supply.t_id)
+            if self.trades_done < self.max_trades:
+                self.awake = True  # to scan the grown book

@@ -8,10 +8,20 @@ prefix widens from ``Mesh.maybe_widen``.
 
 Time is integer ticks; one tick is one network hop. Each tick runs fixed
 phases: consensus-period bookkeeping, expiry sweeps, message deliveries,
-meter joins (tick 0 only), actor steps, mining wakeups, then the mesh's
-widening check and the end-of-tick checks (digest journaling and invariant
-checks). All randomness comes from labeled child RNGs of the scenario seed,
-so two runs with the same config are bit-identical.
+meter joins (tick 0 only), the steps of the traders that are awake, mining
+wakeups, then the mesh's widening check and the end-of-tick checks (digest
+journaling and invariant checks). All randomness comes from labeled child
+RNGs of the scenario seed, so two runs with the same config are
+bit-identical.
+
+A trader sleeps (``Actor.awake`` false) only in a state that nothing but
+a delivered message can end, in which every step would do nothing: a
+producer whose offers are all posted or waiting for their genesis, with
+nothing to deliver; a buyer with no attempt and no contract on its meter
+that has made its trades or found no offer to try; the double spender
+after its burst. The delivery that ends such a state sets ``awake`` again,
+so the loop keeps no schedule, steps the awake traders in the fixed
+order, and skipping a sleeper changes nothing a run records.
 
 The end-of-tick checks journal a miner's pending-DB digest and recount
 its pending commitments from ``entries`` on each tick that miner's ledger
@@ -35,6 +45,7 @@ run is ``delivery_meter``, since the simulator stands in for the grid.
 from __future__ import annotations
 
 from collections import Counter
+from operator import attrgetter
 from random import Random
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -68,6 +79,7 @@ BURN_THRESHOLD = 100  # least coin a coin-burn genesis must burn
 INITIAL_BALANCE = 1000  # coin each consumer account starts with
 SUPPLY_KWH = 10  # energy in each supply offer
 SUPPLY_UNIT_PRICE = 10  # posted price per kWh of each supply offer
+_awake = attrgetter("awake")
 
 
 def child_rng(seed: int, label: str) -> Random:
@@ -130,7 +142,9 @@ class World:
             producers.append(self._make_producer(f"producer-{i}", i, attack.producer(i)))
         for i in range(cfg.prosumers):
             producers.append(
-                self._make_producer(f"prosumer-{i}.producer", cfg.producers + i, "honest")
+                self._make_producer(
+                    f"prosumer-{i}.producer", cfg.producers + i, "honest", shares_meter=True
+                )
             )
 
         consumer_count = getattr(cfg, attack.consumer_count)
@@ -156,7 +170,9 @@ class World:
             a.id for a in self.step_actors
         ]
 
-    def _make_producer(self, actor_id: str, index: int, behavior: str) -> ProducerActor:
+    def _make_producer(
+        self, actor_id: str, index: int, behavior: str, shares_meter: bool = False
+    ) -> ProducerActor:
         cfg = self.config
         rng = child_rng(cfg.seed, f"producer/{index}")
         meter = SmartMeter(
@@ -179,7 +195,8 @@ class World:
                 )
             )
         return ProducerActor(
-            actor_id, self, meter, owns_meter=True, rng=rng, offers=offers, behavior=behavior
+            actor_id, self, meter, owns_meter=True, rng=rng, offers=offers, behavior=behavior,
+            shares_meter=shares_meter,
         )
 
     def _make_consumer(
@@ -336,7 +353,7 @@ class World:
                 for actor in self.step_actors:
                     if actor.owns_meter:
                         self.send_join(actor, make_join(actor.meter.identity.keypair, actor.id))
-            for actor in self.step_actors:
+            for actor in filter(_awake, self.step_actors):  # filtered in C, in order
                 actor.step(now)
             for actor in self.miner_actors:
                 if actor.miner.next_mine_at == now:

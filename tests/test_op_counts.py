@@ -25,7 +25,7 @@ from gridtrade import crypto, transactions
 from gridtrade.crypto import KeyPair
 from gridtrade.ledger import Block, Blockchain, Ledger, Miner
 from gridtrade.sim import World, preset, run_scenario
-from gridtrade.sim.actors import ConsumerActor
+from gridtrade.sim.actors import ConsumerActor, ProducerActor
 
 
 def _before(original, before):
@@ -146,7 +146,24 @@ def counts():
         original_init_consumer(actor, *args, **kwargs)
         actor.offer_keys = ScannedBook()
 
+    def consumer_step(actor, now):
+        # idle: set up, with no attempt and no contract on its meter, and
+        # either done trading or holding a book its last scan found nothing in
+        if (
+            actor._init_state == "done"
+            and actor.attempt is None
+            and not actor.meter.contracts
+            and (
+                actor.trades_done >= actor.max_trades
+                or now >= actor.start_delay
+                and actor._idle_book == (len(actor.offer_keys), len(actor.tried))
+            )
+        ):
+            counted["idle_consumer_steps"] += 1
+        original_consumer_step(actor, now)
+
     original_init_consumer = ConsumerActor.__init__
+    original_consumer_step = ConsumerActor.step
     original_start_trade = ConsumerActor._start_trade
     original_receive_block = Miner.receive_block
     with pytest.MonkeyPatch.context() as mp:
@@ -159,6 +176,7 @@ def counts():
         _wrap(mp, Ledger, "available_balance", note_balance)
         mp.setattr(ConsumerActor, "_start_trade", start_trade)
         mp.setattr(ConsumerActor, "__init__", init_consumer)
+        mp.setattr(ConsumerActor, "step", consumer_step)
         _wrap(mp, Ledger, "clone", lambda ledger: counted.update(["ledger_clone"]))
         mp.setattr(Miner, "receive_block", receive_block)
         _wrap(mp, World, "_recount", lambda world, ledger: counted.update(["recounts"]))
@@ -188,9 +206,13 @@ def test_ledger_is_copied_only_for_a_tip_swap(counts):
 
 
 def test_idle_consumers_do_not_rescan_the_offer_book(counts):
+    # an idle consumer sleeps until a new offer grows its book (1,659 idle
+    # steps while every consumer was stepped on every tick, and 1,338
+    # ``_start_trade`` calls)
+    assert counts["idle_consumer_steps"] == 0
+    assert 0 < counts["start_trade"] <= 7
     # a scan that finds no untried offer is not repeated until the book or
-    # the tried set grows; every call used to scan (1,338 calls)
-    assert counts["start_trade"] > 1000
+    # the tried set grows
     assert counts["book_scans"] <= 11
 
 
@@ -276,11 +298,12 @@ def test_chatter_skips_ping_decoding_and_empty_duties(chatter_calls):
         "negotiation_round", "encode_routed_payload",
     ):
         assert calls[name] == 0, name
-    # a meterless consumer's step is its behaviour step: only the 16
-    # producers run ``step`` on each of the 600 ticks (28,800 calls while
-    # each chatter node's step called its behaviour step)
+    # a meterless consumer's step is its behaviour step (28,800 ``step``
+    # calls while each chatter node's step called it), and a producer with
+    # no offer to post sleeps after its first step (9,600 calls while the 16
+    # producers were stepped on each of the 600 ticks)
     assert calls["_chatter_step"] == 32 * 600
-    assert calls["step"] == 16 * 600
+    assert 0 < calls["step"] <= 16
     # the window is fed only until the table widens to MAX_X, at tick 13:
     # 18,982 calls while every delivery fed it
     assert calls["note_traffic"] == 228
@@ -289,13 +312,16 @@ def test_chatter_skips_ping_decoding_and_empty_duties(chatter_calls):
 
 
 # Interpreter opcodes executed over one ``World.run``, as upper bounds: per
-# settlement on ``preset("none", seed=1)``, and per routed message on the
-# chatter load of the benchmark's routing workload, 200 ticks long. In
-# comments, the counts while owners were memoized by routing prefix, every
-# hop that owned a message read a negotiation round off it, each ping was
-# framed anew and a meterless consumer's step ran in two frames.
-OPCODES_PER_SETTLEMENT = 286947  # 286,993.25
-OPCODES_PER_ROUTED = 603.52  # 660.75
+# settlement on ``preset("none", seed=1)`` and on the benchmark's honest-n32
+# workload, and per routed message on the chatter load of the benchmark's
+# routing workload, 200 ticks long. In comments, the counts while every
+# trader was stepped on every tick and walked every block's transactions;
+# before that, while owners were memoized by routing prefix, every hop that
+# owned a message read a negotiation round off it, each ping was framed anew
+# and a meterless consumer's step ran in two frames.
+OPCODES_PER_SETTLEMENT = 235016  # 286,946.75; 286,993.25
+OPCODES_PER_SETTLEMENT_HONEST_N32 = 160110  # 251,020.16
+OPCODES_PER_ROUTED = 586.80  # 603.52; 660.75
 
 _needs_cpython_311 = pytest.mark.skipif(
     sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
@@ -311,6 +337,17 @@ def test_opcodes_per_settlement(monkeypatch):
     assert opcodes / 4 <= OPCODES_PER_SETTLEMENT
 
 
+@pytest.mark.slow  # traces about 11M opcodes
+@_needs_cpython_311
+def test_opcodes_per_settlement_on_honest_n32(monkeypatch):
+    opcodes, metrics = _count_opcodes(
+        monkeypatch,
+        preset("none", seed=1, producers=32, consumers=32, miners=5, backbones=4, ticks=1500),
+    )
+    assert metrics.get("settlements") == 64
+    assert opcodes / 64 <= OPCODES_PER_SETTLEMENT_HONEST_N32
+
+
 @_needs_cpython_311
 def test_opcodes_per_routed_message(monkeypatch):
     opcodes, metrics = _count_opcodes(
@@ -321,6 +358,27 @@ def test_opcodes_per_routed_message(monkeypatch):
     )
     assert metrics.get("messages_routed") == 6240
     assert opcodes / 6240 <= OPCODES_PER_ROUTED
+
+
+def test_trader_work_per_settlement_at_n128():
+    # the scale sweep's n = 128 world (ROADMAP item 11), with upper bounds on
+    # trader steps and on mined transactions traders read, per settlement:
+    # those a producer walks and the supplies a consumer takes from each
+    # block's index. 1,500 steps and 911 reads while every trader was
+    # stepped on every tick and walked every block's transactions
+    counted = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        for owner in (ProducerActor, ConsumerActor):
+            _wrap(mp, owner, "step", lambda *args: counted.update(["steps"]))
+        _wrap(mp, ProducerActor, "_on_mined_tx", lambda *args: counted.update(["reads"]))
+        _wrap(mp, ConsumerActor, "_add_offer", lambda *args: counted.update(["reads"]))
+        result = run_scenario(
+            preset("none", seed=1, producers=128, consumers=128, miners=5, backbones=4, ticks=1500)
+        )
+    assert result.passed
+    assert result.metrics.get("settlements") == 256
+    assert counted["steps"] / 256 <= 476.47
+    assert counted["reads"] / 256 <= 179.18
 
 
 def test_tracer_targets_resolve():
@@ -494,7 +552,8 @@ TICK_DIGESTS = {"ctp-burst": 100, "honest-n32": 702}
 
 @pytest.fixture(scope="module", params=sorted(BLOCK_WORKLOADS))
 def block_work(request):
-    """Block encodings and hashes and record frames made, and ``make_ctp``
+    """Block encodings, hashes and trader indexes and record frames made,
+    and ``make_ctp``
     calls with the ``Declared.unsigned`` computations inside them, over one
     run of a workload; the calls of the functions ``RUN_CALLS`` names and of
     ``Miner.record_tick_digest`` made inside ``World.run``; and the
@@ -524,7 +583,9 @@ def block_work(request):
     def note_in_run(key):
         return lambda *args: running and counted.update([key])
 
+    indexed = []
     with pytest.MonkeyPatch.context() as mp:
+        _count_property(mp, Block, "trader_index", indexed.append)
         _count_property(mp, Block, "unsigned", note("encodings"))
         _count_property(mp, Block, "block_hash", note("hashes"))
         _count_property(mp, transactions.Declared, "unsigned", note("unsigned"))
@@ -539,6 +600,8 @@ def block_work(request):
         mp.setattr(World, "run", run)
         result = run_scenario(BLOCK_WORKLOADS[request.param])
     assert result.passed
+    counted["indexed"] = len(indexed)
+    counted["indexed_blocks"] = len({id(block) for block in indexed})  # all still held
     return request.param, counted, result
 
 
@@ -556,6 +619,14 @@ def test_each_chain_block_is_hashed_at_most_once(block_work):
     # every call
     _, counted, result = block_work
     assert 0 < counted["hashes"] <= result.metrics.get("chain_height")
+
+
+def test_each_block_is_indexed_once_for_all_traders(block_work):
+    # every trader that receives a block reads the index its first reader
+    # made, where each walked the block's transactions
+    _, counted, result = block_work
+    mined = result.metrics.get("blocks_mined")
+    assert 0 < counted["indexed"] == counted["indexed_blocks"] <= mined
 
 
 def test_make_ctp_encodes_the_commitment_once(block_work):

@@ -888,12 +888,12 @@ class TestIdleOfferScan:
             for i in range(3)
         ]
         for tx in supplies[:2]:
-            consumer._on_mined_tx(tx)
+            consumer._add_offer(tx)
         consumer.tried.update(consumer.offers)
         consumer._start_trade(20)
         consumer._start_trade(21)
         assert scans == [2] and consumer.attempt is None
-        consumer._on_mined_tx(supplies[2])
+        consumer._add_offer(supplies[2])
         consumer._start_trade(22)
         assert scans == [2, 3]
         assert consumer.attempt.offer.t_id == supplies[2].t_id
@@ -933,7 +933,7 @@ class TestClaimGossip:
         supply = make_supply_energy(
             hash_bytes(b"genesis"), offer.amount, offer.posted_price, True, offer.keypair
         )
-        consumer._on_mined_tx(supply)
+        consumer._add_offer(supply)
         claim = make_producer_claim(
             hash_bytes(b"ctp"), hash_bytes(b"contract"), offer.amount, offer.keypair
         )
@@ -1008,6 +1008,41 @@ MALFORMED_BLOCK_IDS = [
     "short-miner-pk", "bytearray-sign", "short-sign",
 ]
 
+# the commitment of the buyer's attempt in ``TestMalformedBlock``
+_ATTEMPT_CTP = make_ctp(0, 300, 100, hash_bytes(b"contract"), KeyPair.generate(Random(6)))
+
+
+def _mined_supply(**fields):
+    supply = make_supply_energy(hash_bytes(b"genesis"), 10, 10, True, KeyPair.generate(Random(5)))
+    return replace(supply, **fields)
+
+
+def _receipt(ctp_id):
+    """A receipt naming ``ctp_id``; traders read receipts unchecked."""
+    return ERCTx(
+        bytes(32), 0, ctp_id, 100, bytes(32), bytes(64), None, bytes(32), None, bytes(32),
+        bytes(64),
+    )
+
+
+# blocks whose header encodes, holding what a trader must skip: a supply
+# outside its domain, a receipt whose ``ctp_id`` is not bytes (the attempt's
+# id in another type), and entries that are not records
+MALFORMED_TRADER_BLOCKS = [
+    lambda b: replace(b, txs=(_mined_supply(energy_amount=-1),)),
+    lambda b: replace(b, txs=(_mined_supply(energy_price=1 << 64),)),
+    lambda b: replace(b, txs=(_mined_supply(negotiable=None),)),
+    lambda b: replace(b, txs=(_mined_supply(pk=bytearray(32)),)),
+    lambda b: replace(b, txs=(_receipt(list(_ATTEMPT_CTP.t_id)),)),
+    lambda b: replace(b, txs=(_receipt(bytearray(_ATTEMPT_CTP.t_id)),)),
+    lambda b: replace(b, txs=(_receipt(None),)),
+    lambda b: replace(b, txs=(None, "tx", b"tx", _ATTEMPT_CTP)),
+]
+MALFORMED_TRADER_BLOCK_IDS = [
+    "negative-supply", "u64-price", "none-negotiable", "bytearray-supply-pk",
+    "list-ctp-id", "bytearray-ctp-id", "none-ctp-id", "not-records",
+]
+
 
 class TestMalformedBlock:
     """A gossiped value that is not a well-formed block is refused by every
@@ -1032,12 +1067,38 @@ class TestMalformedBlock:
         # the block it was made from extends every miner's tip
         assert all(actor.miner.receive_block(block).applied for actor in world.miner_actors)
 
-    @pytest.mark.parametrize("make", MALFORMED_BLOCKS, ids=MALFORMED_BLOCK_IDS)
+    def _buyer_in_attempt(self, world):
+        consumer = world.consumer_actors[0]
+        consumer.attempt = TradeAttempt(
+            _mined_supply(), KeyPair.generate(Random(7)), "committed", 0, ctp=_ATTEMPT_CTP
+        )
+        return consumer
+
+    @pytest.mark.parametrize(
+        "make",
+        MALFORMED_BLOCKS + MALFORMED_TRADER_BLOCKS,
+        ids=MALFORMED_BLOCK_IDS + MALFORMED_TRADER_BLOCK_IDS,
+    )
     def test_traders_skip_it(self, make):
         world, _, bad = self._malformed(make)
+        for producer in world.producer_actors:  # each walks blocks for a genesis it awaits
+            producer.step(4)
+            assert producer._awaiting_genesis > 0
+        buyer = self._buyer_in_attempt(world)
         for actor in world.producer_actors + world.consumer_actors:
             actor.on_message(BlockGossip(bad), 1)
-        assert world.consumer_actors[0].offers == {}
+        assert all(consumer.offers == {} for consumer in world.consumer_actors)
+        assert not buyer.attempt.settled
+
+    def test_a_well_formed_block_reaches_traders(self):
+        # the control for the test above: the same blocks with the fields in
+        # their domains add the supply and settle the attempt
+        world, block, _ = self._malformed(lambda b: b)
+        buyer = self._buyer_in_attempt(world)
+        supply = _mined_supply()
+        buyer.on_message(BlockGossip(replace(block, txs=(supply, _receipt(_ATTEMPT_CTP.t_id)))), 1)
+        assert buyer.offers == {supply.t_id: supply}
+        assert buyer.attempt.settled
 
 
 class TestBlockVerdict:
