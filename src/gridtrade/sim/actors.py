@@ -62,6 +62,9 @@ _LOAD_PING = encode_routed_payload(Ping(b"load"))  # every chatter ping, framed 
 
 class Actor:
     awake = True  # stepped on each tick while true; see the module docstring
+    # sent copies of gossiped blocks and claims; false for an actor whose
+    # handler for them changes nothing any code reads
+    reads_gossip = True
 
     def __init__(self, actor_id: str, world):
         self.id = actor_id
@@ -561,18 +564,21 @@ class ProducerActor(Actor, MeterMixin):
 # once it runs out would tie the two
 MAX_TRADES = 8
 
-# behaviour -> (a consumer's duty once set up, the trades it makes). A consumer
-# that trades has a meter; each malicious trader makes one trade. The duty is
-# bound once in ``__init__``, so ``step`` does not compare the behaviour
-# string on every tick.
+# behaviour -> (a consumer's duty once set up, the trades it makes, whether it
+# reads gossiped blocks and claims). A consumer that trades has a meter; each
+# malicious trader makes one trade. The duty is bound once in ``__init__``, so
+# ``step`` does not compare the behaviour string on every tick. The double
+# spender and the chatter never read their book, the sold set or an attempt,
+# and make no trade a new offer could wake them for, so they are sent no
+# gossip; the flooder joins on the first offer a block brings.
 CONSUMER_BEHAVIORS = {
-    "honest": ("_trade_step", MAX_TRADES),
-    "no_ctp": ("_trade_step", 1),
-    "bad_hash": ("_trade_step", 1),
-    "silent": ("_trade_step", 1),
-    "double_spend": ("_double_spend_step", 0),
-    "flood": ("_flood_step", 0),
-    "chatter": ("_chatter_step", 0),
+    "honest": ("_trade_step", MAX_TRADES, True),
+    "no_ctp": ("_trade_step", 1, True),
+    "bad_hash": ("_trade_step", 1, True),
+    "silent": ("_trade_step", 1, True),
+    "double_spend": ("_double_spend_step", 0, False),
+    "flood": ("_flood_step", 0, True),
+    "chatter": ("_chatter_step", 0, False),
 }
 
 
@@ -629,7 +635,7 @@ class ConsumerActor(Actor, MeterMixin):
         self.owns_meter = owns_meter
         self.rng = rng
         self.behavior = behavior
-        step_name, self.max_trades = CONSUMER_BEHAVIORS[behavior]
+        step_name, self.max_trades, self.reads_gossip = CONSUMER_BEHAVIORS[behavior]
         self._behavior_step = getattr(self, step_name)
         if meter is None:  # nothing to set up and no receipts to pump: one call a tick
             self.step = self._behavior_step

@@ -31,10 +31,21 @@ state is the one last recounted, and the kept result is counted again. The
 counters therefore grow exactly as a recount on every tick would make them
 grow, and the digest journal holds what journaling every tick would.
 
-Every message travels exactly one tick. Sends append to one outbox, and
-each tick's delivery phase swaps it for an empty one before handing the
-old one out in append order. So whatever a delivery sends lands in the
-next tick, and messages arrive in (send tick, send order).
+Every message travels exactly one tick. A send appends one entry to one
+outbox, and so does a broadcast: one entry holds the broadcast's
+``Copies``, the actors of its audience that read it, in audience order.
+Each tick's delivery phase swaps the outbox for an empty one before
+handing the old one out in append order, a broadcast's copies one after
+another. So whatever a delivery sends lands in the next tick, and
+messages arrive in (send tick, send order). An actor declares in
+``reads_gossip`` whether it reads gossiped blocks and claims; one that
+does not is sent no copy, as its handler would change nothing any code
+reads.
+
+Under loss, ``_lost`` draws each message's fate, and each broadcast copy's
+in audience order, a copy to an actor that does not read it included; a
+lost message or copy counts in ``messages_lost``. So a run draws and
+loses exactly what a send per copy would.
 
 Verdicts read the protocol's own records once the run ends; ``World``
 keeps no copy. ``contracts`` derives each contract from the traders' records
@@ -47,7 +58,7 @@ from __future__ import annotations
 from collections import Counter
 from operator import attrgetter
 from random import Random
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..arb import Mesh, make_join
 from ..crypto import Certificate, KeyPair, PublicKey, hash_bytes, issue_certificate
@@ -82,6 +93,25 @@ SUPPLY_UNIT_PRICE = 10  # posted price per kWh of each supply offer
 _awake = attrgetter("awake")
 
 
+class Copies(tuple):
+    """The actors one broadcast reaches, in audience order. The outbox holds
+    it in place of a destination id, and it hashes by identity, so the
+    delivery loop's id lookup misses it without hashing each actor."""
+
+    __slots__ = ()
+    __hash__ = object.__hash__
+
+
+class Audience(NamedTuple):
+    addressed: Tuple[Actor, ...]  # every actor a broadcast goes to, in order
+    readers: Copies  # those of them that read it
+
+
+def _audience(actors) -> Audience:
+    actors = tuple(actors)
+    return Audience(actors, Copies(actor for actor in actors if actor.reads_gossip))
+
+
 def child_rng(seed: int, label: str) -> Random:
     """Independent deterministic stream for one actor or purpose."""
     digest = hash_bytes(f"{seed}/{label}".encode())
@@ -94,8 +124,9 @@ class World:
         self.config = config
         self.metrics = Metrics()
         self.now = 0
-        # (destination actor id, payload) in send order, delivered next tick
-        self._outbox: List[Tuple[str, object]] = []
+        # (destination actor id, or a broadcast's Copies, payload) in send
+        # order, delivered next tick
+        self._outbox: List[Tuple[object, object]] = []
         self.actors: Dict[str, Actor] = {}
         self.miner_actors: List[MinerActor] = []
         self.step_actors: List[Actor] = []
@@ -166,9 +197,9 @@ class World:
 
         self.meter_directory.sort()  # complete now; the pickers choose from it sorted
         self.initial_total_coin = self.miner_actors[0].miner.ledger.total_coin()
-        self.network_actor_ids = [m.id for m in self.miner_actors] + [
-            a.id for a in self.step_actors
-        ]
+        self._tx_audience = _audience(self.miner_actors)
+        self._claim_audience = _audience([*self.miner_actors, *consumers])
+        self._block_audience = _audience([*self.miner_actors, *self.step_actors])
 
     def _make_producer(
         self, actor_id: str, index: int, behavior: str, shares_meter: bool = False
@@ -230,14 +261,21 @@ class World:
     # -- messaging ------------------------------------------------------------
 
     def send(self, dest_id: str, payload: object) -> None:
-        loss_rate = self._loss_rate
-        if loss_rate > 0.0 and self._loss_rng.random() < loss_rate:
-            self.metrics.bump("messages_lost")
+        if self._loss_rate > 0.0 and self._lost():
             return
         self._outbox.append((dest_id, payload))
 
+    def _lost(self) -> bool:
+        """Draw whether one message or broadcast copy is lost, and count it
+        in ``messages_lost`` if it is. Called only under loss."""
+        if self._loss_rng.random() < self._loss_rate:
+            self.metrics.bump("messages_lost")
+            return True
+        return False
+
     def deliver_due(self, now: int) -> None:
         """Hand every message sent before this call to its actor, in send
+        order, and each broadcast's copies to its readers, in audience
         order; what they send in turn waits for the next call."""
         due, self._outbox = self._outbox, []
         actors = self.actors
@@ -245,6 +283,9 @@ class World:
             target = actors.get(dest)
             if target is not None:
                 target.on_message(payload, now)
+            elif type(dest) is Copies:
+                for reader in dest:
+                    reader.on_message(payload, now)
 
     def send_join(self, actor: Actor, join) -> None:
         dest = self.mesh.table.owner_of(join.pk)
@@ -262,25 +303,30 @@ class World:
             payload = encode_routed_payload(payload)
         self.send(entry, Routed(dest_pk, payload, [actor.id]))
 
+    def _multicast(self, audience: Audience, payload) -> None:
+        """Put one broadcast in the outbox, for its audience's readers.
+        Under loss every copy draws its fate in audience order, as a send
+        would, and only a reader's surviving copy is kept."""
+        readers = audience.readers
+        if self._loss_rate > 0.0:
+            readers = Copies(
+                [actor for actor in audience.addressed if not self._lost() and actor.reads_gossip]
+            )
+        self._outbox.append((readers, payload))
+
     def broadcast_tx(self, tx) -> None:
         """Send a transaction to every miner. Traders read mined
         transactions from blocks, and a commitment reaches its producer
         routed to the offer."""
-        gossip = TxGossip(tx)
-        for actor in self.miner_actors:
-            self.send(actor.id, gossip)
+        self._multicast(self._tx_audience, TxGossip(tx))
 
     def broadcast_claim(self, claim) -> None:
         """Send a producer's claim to miners, which settle by it, and to
         buyers, which stop trying for the offer it names."""
-        gossip = ClaimGossip(claim)
-        for actor in (*self.miner_actors, *self.consumer_actors):
-            self.send(actor.id, gossip)
+        self._multicast(self._claim_audience, ClaimGossip(claim))
 
     def broadcast_block(self, block) -> None:
-        gossip = BlockGossip(block)
-        for dest in self.network_actor_ids:
-            self.send(dest, gossip)
+        self._multicast(self._block_audience, BlockGossip(block))
 
     # -- registries -------------------------------------------------------------
 
@@ -417,7 +463,7 @@ class World:
             self.metrics.bump("settlements", settled)
         routed = self.metrics.get("messages_routed")
         if routed:  # what flooding each one to every other participant would send
-            others = len(self.network_actor_ids) - 1
+            others = len(self._block_audience.addressed) - 1
             self.metrics.bump("naive_broadcast_messages", routed * others)
         for node_id in sorted(self.mesh.nodes):
             self.metrics.per_backbone_load[node_id] = self.mesh.nodes[node_id].handled

@@ -197,6 +197,36 @@ def test_lossy_run_matches_golden(attack, seed, loss):
     assert _digests(result) == LOSSY_GOLDEN[(attack, seed, loss)]
 
 
+# The three benchmark workloads at seed 1 under 5% loss, recorded while every
+# broadcast copy was a send of its own. Every copy draws its loss in audience
+# order, a copy to an actor that does not read it too, so these see any
+# change to the order or number of loss draws at a scale the presets above
+# do not reach.
+# workload -> (preset, overrides, (sha256 of chain_dump, sha256 of metrics.render_kv()))
+LOSSY_WORKLOAD_GOLDEN = {
+    "honest-n32": ("none", HONEST_N32, (
+        "bc8a03d3775bb0589267928d2007f4ba2cb93a70d6bcf079439e1239720caf34",
+        "3e67feb2f5194d48275eb3662caa7b7d84dba0d2de366f02d49f61286ff6f8f5",
+    )),
+    "routing-chatter": ("routing_overload", ROUTING_CHATTER, (
+        "871a4746cc1723a2e45635d1aeee6caee2702748cca58fa9c1c842cfa14a5799",
+        "e66033384bbed4f4df69753767e90a4d7af7dc7ba414982c9f155c3b0359f521",
+    )),
+    "ctp-burst": ("double_spend", CTP_BURST, (
+        "24858be46a60e451d675aac608ea642b9b95a23895b23b76059779069235fb8a",
+        "388542957523e9d4b1c4776f804d568da787d59d2fb7adc2e24ac803f709bd9c",
+    )),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(LOSSY_WORKLOAD_GOLDEN))
+def test_lossy_workload_matches_golden(workload):
+    attack, overrides, golden = LOSSY_WORKLOAD_GOLDEN[workload]
+    result = run_scenario(preset(attack, seed=1, message_loss_rate=0.05, **overrides))
+    assert result.metrics.get("messages_lost") > 0
+    assert _digests(result) == golden
+
+
 # Every preset at seeds 1 and 2 with four times its producers, consumers and
 # chatter nodes, five miners and four backbones. The presets use at most three
 # actors of each role, so these runs are the ones that reach the higher

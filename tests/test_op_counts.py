@@ -25,7 +25,8 @@ from gridtrade import crypto, transactions
 from gridtrade.crypto import KeyPair
 from gridtrade.ledger import Block, Blockchain, Ledger, Miner
 from gridtrade.sim import World, preset, run_scenario
-from gridtrade.sim.actors import ConsumerActor, ProducerActor
+from gridtrade.sim.actors import BackboneActor, ConsumerActor, MinerActor, ProducerActor
+from gridtrade.sim.world import Copies
 
 
 def _before(original, before):
@@ -282,8 +283,10 @@ def test_calls_per_routed_message(chatter_calls):
     # 19.09 while every check of a signed record re-encoded it; 19.08 while
     # every miner journaled its pending-DB digest on every tick; 18.95 while
     # every hop read the round off each payload, each ping was framed anew
-    # and a meterless consumer's step ran in two frames
-    assert sum(calls.values()) / routed <= 15.95
+    # and a meterless consumer's step ran in two frames; 15.30 while every
+    # broadcast copy was a send of its own and every chatter node was sent
+    # every block
+    assert sum(calls.values()) / routed <= 15.04
 
 
 def test_chatter_skips_ping_decoding_and_empty_duties(chatter_calls):
@@ -311,6 +314,30 @@ def test_chatter_skips_ping_decoding_and_empty_duties(chatter_calls):
     assert calls["bump"] <= 100
 
 
+def test_no_chatter_node_is_sent_a_block():
+    # the chatter load of the benchmark's routing workload, 600 ticks long:
+    # a chatter node reads no gossip, so it gets no copy of the 1,920 it was
+    # sent while every block went to every participant
+    received = Counter()
+    world = World(
+        preset(
+            "routing_overload", seed=1, producers=16, chatter_nodes=32, backbones=8, ticks=600
+        )
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        for owner in (ProducerActor, ConsumerActor):
+            _wrap(
+                mp, owner, "on_message",
+                lambda actor, payload, now: received.update(
+                    [(actor.behavior, type(payload).__name__)]
+                ),
+            )
+        world.run()
+    assert world.metrics.get("blocks_mined") > 0
+    assert received["honest", "BlockGossip"] == 16 * world.metrics.get("blocks_mined")
+    assert received["chatter", "BlockGossip"] == 0
+
+
 # Interpreter opcodes executed over one ``World.run``, as upper bounds: per
 # settlement on ``preset("none", seed=1)`` and on the benchmark's honest-n32
 # workload, and per routed message on the chatter load of the benchmark's
@@ -318,10 +345,11 @@ def test_chatter_skips_ping_decoding_and_empty_duties(chatter_calls):
 # trader was stepped on every tick and walked every block's transactions;
 # before that, while owners were memoized by routing prefix, every hop that
 # owned a message read a negotiation round off it, each ping was framed anew
-# and a meterless consumer's step ran in two frames.
-OPCODES_PER_SETTLEMENT = 235016  # 286,946.75; 286,993.25
-OPCODES_PER_SETTLEMENT_HONEST_N32 = 160110  # 251,020.16
-OPCODES_PER_ROUTED = 586.80  # 603.52; 660.75
+# and a meterless consumer's step ran in two frames. The first count in each
+# comment is the one while every broadcast copy was a send of its own.
+OPCODES_PER_SETTLEMENT = 227037  # 235,015.25; 286,946.75; 286,993.25
+OPCODES_PER_SETTLEMENT_HONEST_N32 = 142937  # 160,109.91; 251,020.16
+OPCODES_PER_ROUTED = 570.06  # 586.80; 603.52; 660.75
 
 _needs_cpython_311 = pytest.mark.skipif(
     sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
@@ -556,8 +584,10 @@ def block_work(request):
     and ``make_ctp``
     calls with the ``Declared.unsigned`` computations inside them, over one
     run of a workload; the calls of the functions ``RUN_CALLS`` names and of
-    ``Miner.record_tick_digest`` made inside ``World.run``; and the
-    workload's name and the run's result."""
+    ``Miner.record_tick_digest`` made inside ``World.run``; the outbox
+    entries, the messages they carry (one per unicast entry, one per copy
+    of a broadcast) and the deliveries (``on_message`` calls, per actor
+    class) of the run; and the workload's name and the run's result."""
     counted = Counter()
     running = []
     original_make_ctp = transactions.make_ctp
@@ -576,6 +606,18 @@ def block_work(request):
             return original_run(world)
         finally:
             running.pop()
+            tally(world._outbox)  # sent on the last tick, never delivered
+
+    def tally(entries):
+        for dest, _ in entries:
+            counted["outbox_entries"] += 1
+            counted["carried"] += len(dest) if isinstance(dest, Copies) else 1
+
+    def deliver_due(world, now):
+        tally(world._outbox)
+        return original_deliver_due(world, now)
+
+    original_deliver_due = World.deliver_due
 
     def note(key):
         return lambda *args: counted.update([key])
@@ -598,6 +640,9 @@ def block_work(request):
             _rebind(mp, module, name, _before(getattr(module, name), note_in_run(name)))
         _wrap(mp, Miner, "record_tick_digest", note_in_run("record_tick_digest"))
         mp.setattr(World, "run", run)
+        mp.setattr(World, "deliver_due", deliver_due)
+        for owner in (MinerActor, BackboneActor, ProducerActor, ConsumerActor):
+            _wrap(mp, owner, "on_message", note(f"{owner.__name__}.on_message"))
         result = run_scenario(BLOCK_WORKLOADS[request.param])
     assert result.passed
     counted["indexed"] = len(indexed)
@@ -623,10 +668,13 @@ def test_each_chain_block_is_hashed_at_most_once(block_work):
 
 def test_each_block_is_indexed_once_for_all_traders(block_work):
     # every trader that receives a block reads the index its first reader
-    # made, where each walked the block's transactions
-    _, counted, result = block_work
+    # made, where each walked the block's transactions; on ctp-burst every
+    # consumer is a double spender, which reads no gossip, so no block is
+    # indexed (one per mined block while each was sent every block)
+    workload, counted, result = block_work
     mined = result.metrics.get("blocks_mined")
-    assert 0 < counted["indexed"] == counted["indexed_blocks"] <= mined
+    assert counted["indexed"] == counted["indexed_blocks"] <= mined
+    assert (counted["indexed"] > 0) == (workload == "honest-n32")
 
 
 def test_make_ctp_encodes_the_commitment_once(block_work):
@@ -659,3 +707,24 @@ FRAMES = {"ctp-burst": 81, "honest-n32": 568}
 def test_each_record_is_framed_once(block_work):
     workload, counted, _ = block_work
     assert 0 < counted["canonical"] <= FRAMES[workload]
+
+
+def test_each_broadcast_is_one_outbox_entry(block_work):
+    # a broadcast is one outbox entry whose copies go only to the actors
+    # that read them. On ctp-burst, 17,452 entries and deliveries (17,414
+    # delivered) while every copy was a send of its own, 11,968 of them
+    # blocks to the double spenders; on honest-n32 every actor sent gossip
+    # reads it, so the 31,027 messages carried stay as they were
+    workload, counted, _ = block_work
+    deliveries = sum(
+        counted[f"{owner.__name__}.on_message"]
+        for owner in (MinerActor, BackboneActor, ProducerActor, ConsumerActor)
+    )
+    if workload == "ctp-burst":
+        assert 0 < counted["outbox_entries"] <= 1017
+        assert 0 < deliveries <= 5446
+        assert counted["ConsumerActor.on_message"] == 0
+    else:
+        assert counted["carried"] == 31027
+        assert 0 < counted["outbox_entries"] <= 2159
+        assert deliveries == 30958

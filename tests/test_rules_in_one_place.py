@@ -24,6 +24,11 @@ instance dict by hand, each for the keys it names in ``DICT_WRITERS``:
 builds, and ``crypto.KeyPair.from_seed`` the key it built. Any other use
 of ``vars(...)`` or ``__dict__``, through an alias or a read included, and
 any call of ``setattr`` or ``__setattr__``, is refused.
+
+The simulator's loss rule is one function too: ``World._lost`` draws each
+message's and each broadcast copy's fate from the loss stream, so a read
+of ``_loss_rng`` anywhere else, or a ``getattr`` that names it, is refused;
+another draw would shift every later loss of a lossy run.
 """
 
 import ast
@@ -65,6 +70,10 @@ DICT_WRITERS = {
 }
 
 
+# private attribute -> the functions (module.qualname) that may read it
+READERS = {"_loss_rng": {"sim.world.World._lost"}}
+
+
 def _scoped(source, module: str, names_in) -> list:
     """(name, enclosing module.qualname) of each name ``names_in(node)``
     yields for a node of ``source``, a text or its parsed tree."""
@@ -92,6 +101,18 @@ def _compared_attributes(node) -> list:
 def _called_names(node) -> list:
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in CALLERS:
         return [node.func.id]
+    return []
+
+
+def _read_attributes(node) -> list:
+    """The names in ``READERS`` that ``node`` reads: as a loaded attribute,
+    or as the constant name given to ``getattr``."""
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return [node.attr] if node.attr in READERS else []
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "getattr":
+        name = node.args[1] if len(node.args) >= 2 else None
+        if isinstance(name, ast.Constant) and name.value in READERS:
+            return [name.value]
     return []
 
 
@@ -149,6 +170,16 @@ def signature_calls(source: str, module: str) -> list:
     """(name, enclosing module.qualname) of each call in ``source`` of a bare
     name in ``CALLERS``."""
     return _scoped(source, module, _called_names)
+
+
+def attribute_reads(source: str, module: str) -> list:
+    """(name, enclosing module.qualname) of each read in ``source`` of an
+    attribute named in ``READERS``."""
+    return _scoped(source, module, _read_attributes)
+
+
+def misplaced_reads(source: str, module: str) -> list:
+    return [(a, where) for a, where in attribute_reads(source, module) if where not in READERS[a]]
 
 
 def misplaced(source: str, module: str) -> list:
@@ -295,3 +326,39 @@ def test_every_writer_holds_its_write():
         for key, where in dict_writes(path.read_text(), _module_name(path))
     }
     assert held == {(where, key) for where, keys in DICT_WRITERS.items() for key in keys}
+
+
+def test_the_read_check_finds_what_it_looks_for():
+    source = (
+        "class World:\n"
+        "    def __init__(self, seed):\n"
+        "        self._loss_rng = Random(seed)\n"
+        "    def _lost(self):\n"
+        "        return self._loss_rng.random() < self._loss_rate\n"
+        "    def broadcast(self, audience):\n"
+        "        rng = self._loss_rng\n"
+        "        return getattr(self, '_loss_rng').random(), getattr(self, 'now')\n"
+    )
+    assert attribute_reads(source, "sim.world") == [
+        ("_loss_rng", "sim.world.World._lost"),
+        ("_loss_rng", "sim.world.World.broadcast"),
+        ("_loss_rng", "sim.world.World.broadcast"),
+    ]
+    assert misplaced_reads(source, "sim.world") == [
+        ("_loss_rng", "sim.world.World.broadcast"),
+        ("_loss_rng", "sim.world.World.broadcast"),
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_the_loss_stream_is_read_in_one_place(path):
+    assert misplaced_reads(path.read_text(), _module_name(path)) == []
+
+
+def test_every_reader_holds_its_read():
+    held = {
+        where
+        for path in MODULES
+        for _, where in attribute_reads(path.read_text(), _module_name(path))
+    }
+    assert held == set().union(*READERS.values())

@@ -322,18 +322,24 @@ class TestScenarios:
                 trials["stale"] += sum(tx.t_id in on_chain for tx in miner.mempool.values())
             return mine(miner, now)
 
-        sends = Counter()
-        send = World.send
+        # messages carried: each unicast send, and each copy of a broadcast,
+        # by kind and by the class of the actor it goes to
+        carried = Counter()
+        send, multicast = World.send, World._multicast
 
         def counting_send(world, dest_id, payload):
-            sends["all"] += 1
-            reader = type(world.actors.get(dest_id)).__name__
-            if isinstance(payload, (TxGossip, ClaimGossip)):
-                sends[type(payload).__name__, reader] += 1
+            carried["all"] += 1
             return send(world, dest_id, payload)
+
+        def counting_multicast(world, audience, payload):
+            for reader in audience.readers:  # no loss: every copy is kept
+                carried["all"] += 1
+                carried[type(payload).__name__, type(reader).__name__] += 1
+            return multicast(world, audience, payload)
 
         monkeypatch.setattr(Miner, "mine", counting_mine)
         monkeypatch.setattr(World, "send", counting_send)
+        monkeypatch.setattr(World, "_multicast", counting_multicast)
         config = preset(
             "none", producers=128, consumers=128, miners=5, backbones=4, ticks=1500, seed=1
         )
@@ -343,11 +349,12 @@ class TestScenarios:
         assert result.metrics.get("settlements") == 256
         # 1,720 sends per settlement while every transaction and claim went to
         # every participant; now gossip reaches only the actors that read it
-        assert sends["all"] / 256 <= 557
-        assert sends["TxGossip", "MinerActor"] > 0 and sends["ClaimGossip", "ConsumerActor"] > 0
+        assert carried["all"] / 256 <= 557
+        assert carried["TxGossip", "MinerActor"] > 0
+        assert carried["ClaimGossip", "ConsumerActor"] > 0
         for reader in ("ProducerActor", "ConsumerActor"):
-            assert sends["TxGossip", reader] == 0, reader
-        assert sends["ClaimGossip", "ProducerActor"] == 0
+            assert carried["TxGossip", reader] == 0, reader
+        assert carried["ClaimGossip", "ProducerActor"] == 0
         # 22,032 stale trial-applies while a tip swap put back what the rival
         # block had mined too; every mined transaction leaves every mempool
         assert trials["entries"] > 0
@@ -490,6 +497,83 @@ class TestDeliveryOrder:
             world.send(f"relay-{relay}", next(ids))
         _deliver_all(world)
         assert log == _fifo_order(plan)
+
+
+class TestBroadcastCopies:
+    """A broadcast is one outbox entry, delivered only to the actors that
+    read gossip; under loss it must draw, lose and deliver exactly what one
+    send per copy to its whole audience did."""
+
+    @staticmethod
+    def _run(per_copy: bool):
+        """Broadcasts of each kind, with unicast sends between them, on a
+        world at 50% loss whose chatter nodes read no gossip. Each handler
+        only logs (tick, actor id, payload), and a reader that gets the
+        claim ``"ping"`` answers with a transaction broadcast of its own.
+        ``per_copy`` sends each copy to every actor addressed, in audience
+        order, as ``World`` did before a broadcast was one entry."""
+        world = World(preset("routing_overload", seed=3, message_loss_rate=0.5))
+        miners, consumers = world.miner_actors, world.consumer_actors
+        audiences = {
+            TxGossip: miners,
+            ClaimGossip: [*miners, *consumers],
+            BlockGossip: [*miners, *world.producer_actors, *consumers],
+        }
+        broadcasts = {
+            TxGossip: world.broadcast_tx,
+            ClaimGossip: world.broadcast_claim,
+            BlockGossip: world.broadcast_block,
+        }
+
+        def broadcast(kind, value):
+            if not per_copy:
+                broadcasts[kind](value)
+                return
+            gossip = kind(value)
+            for actor in audiences[kind]:
+                world.send(actor.id, gossip)
+
+        log = []
+
+        def logging_handler(actor):
+            def on_message(payload, now):
+                log.append((now, actor.id, payload))
+                if actor.reads_gossip and payload == ClaimGossip("ping"):
+                    broadcast(TxGossip, f"reply from {actor.id}")
+
+            return on_message
+
+        for actor in world.actors.values():
+            actor.on_message = logging_handler(actor)
+        for now in range(3):
+            for i in range(8):
+                for kind in (TxGossip, ClaimGossip, BlockGossip):
+                    broadcast(kind, f"{kind.__name__} {now}/{i}")
+                world.send(world.producer_actors[i % 6].id, f"unicast {now}/{i}")
+            broadcast(ClaimGossip, "ping")
+            world.deliver_due(now)
+        world.deliver_due(3)
+        assert not world._outbox
+        return world, log
+
+    def test_a_broadcast_draws_loses_and_delivers_as_a_send_per_copy(self):
+        world, log = self._run(per_copy=False)
+        reference, reference_log = self._run(per_copy=True)
+        assert world._loss_rng.getstate() == reference._loss_rng.getstate()
+        lost = world.metrics.get("messages_lost")
+        assert lost == reference.metrics.get("messages_lost") > 0
+        readers = {a.id for a in world.actors.values() if a.reads_gossip}
+        assert {a.behavior for a in world.consumer_actors} == {"chatter"}
+        assert not readers & {a.id for a in world.consumer_actors}
+        # the readers get the same copies in the same order, and nothing else
+        # gets any; the reference's chatter nodes got some that are not kept
+        assert log == [entry for entry in reference_log if entry[1] in readers]
+        assert len(log) < len(reference_log)
+        replies = [(now, payload) for now, _, payload in log if "reply" in str(payload)]
+        pings = [now for now, _, payload in log if payload == ClaimGossip("ping")]
+        assert replies and pings
+        # a copy sent while a broadcast is delivered waits for the next tick
+        assert {now for now, _ in replies} <= {now + 1 for now in pings}
 
 
 class TestSimulatedRouting:
