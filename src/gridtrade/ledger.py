@@ -352,7 +352,7 @@ class Block:
     ``signing_digest``, ``block_hash`` and ``signature_ok`` are cached
     properties, made on first use and read by every miner gossip hands the
     same object. ``Miner.mine`` signs ``signing_digest`` and
-    ``signature_ok`` is the one check of it. ``trader_index`` is what
+    ``signature_ok`` is the one check of it. ``trader_index`` is all that
     traders read of the block, made once for all of them."""
 
     height: int
@@ -416,27 +416,30 @@ class Block:
         return verify(self.miner_pk, self.signing_digest, self.miner_sign)
 
     @cached_property
-    def trader_index(self) -> Tuple[Tuple[SupplyEnergyTx, ...], FrozenSet[bytes]]:
-        """(the supplies that pass ``check_structure``, in block order; the
-        ``ctp_id`` of each receipt), like a BIP 158 block filter: a buyer
-        reads its offers and whether its commitment settled from these
-        instead of the transactions. Traders read blocks that no miner has
-        checked, so this never raises: a ``txs`` that is not a tuple, an
-        entry that is not a record, and a ``ctp_id`` that is not ``bytes``
-        give nothing."""
+    def trader_index(self) -> Tuple[tuple, FrozenSet[bytes], FrozenSet[bytes], tuple]:
+        """(the supplies that pass ``check_structure``; the ``ctp_id`` of each
+        receipt; the ``t_id`` of each genesis; the receipts), tuples in block
+        order, like a BIP 158 block filter: all that traders read of a block.
+        Traders read blocks that no miner has checked, so this never raises:
+        a ``txs`` that is not a tuple, an entry that is not a record, and an
+        id that is not ``bytes`` give nothing."""
         txs = self.txs
-        if not isinstance(txs, tuple):
+        if not isinstance(txs, tuple) or not txs:  # most blocks are heartbeats
             return _NOTHING_FOR_TRADERS
-        supplies = tuple(
-            tx for tx in txs if isinstance(tx, SupplyEnergyTx) and check_structure(tx)[0]
-        )
-        settled = frozenset(
-            tx.ctp_id for tx in txs if isinstance(tx, ERCTx) and type(tx.ctp_id) is bytes
-        )
-        return (supplies, settled) if supplies or settled else _NOTHING_FOR_TRADERS
+        supplies, settled, geneses, receipts = [], set(), set(), []
+        for tx in txs:
+            if isinstance(tx, SupplyEnergyTx) and check_structure(tx)[0]:
+                supplies.append(tx)
+            elif isinstance(tx, ERCTx):
+                receipts.append(tx)
+                if type(tx.ctp_id) is bytes:
+                    settled.add(tx.ctp_id)
+            elif isinstance(tx, GenesisTx) and type(tx.t_id) is bytes:
+                geneses.add(tx.t_id)
+        return (tuple(supplies), frozenset(settled), frozenset(geneses), tuple(receipts))
 
 
-_NOTHING_FOR_TRADERS: Tuple[tuple, FrozenSet[bytes]] = ((), frozenset())
+_NOTHING_FOR_TRADERS = ((), frozenset(), frozenset(), ())
 
 
 GENESIS_PREV = b"\x00" * DIGEST_LEN

@@ -224,16 +224,6 @@ class ActiveDelivery:
     remaining: int
 
 
-def _mined_txs(gossip: BlockGossip) -> tuple:
-    """The transactions of a gossiped block, or none when the value is not
-    a block with a tuple of them. Traders read mined transactions without
-    validating blocks, which is the miners' work; this keeps a malformed
-    value from raising, and ``_on_mined_tx`` ignores what is not a
-    transaction."""
-    block = gossip.block
-    return block.txs if isinstance(block, Block) and isinstance(block.txs, tuple) else ()
-
-
 class MeterMixin:
     """Shared duties: unwrapping routed envelopes, VR traffic, receipts."""
 
@@ -330,8 +320,9 @@ class ProducerActor(Actor, MeterMixin):
     The forger never sleeps, and neither does a prosumer's producer: its
     consumer registers contracts on the meter the producer owns and pumps,
     and waking the producer from there would have one actor write
-    another's state. A producer reads a gossiped block only while an offer
-    waits for its genesis, or while the forger has no receipt to replay.
+    another's state. A producer reads a gossiped block through its
+    ``trader_index``, as a buyer does, and only while an offer waits for its
+    genesis or the forger has no genuine receipt to replay.
     """
 
     def __init__(
@@ -426,19 +417,22 @@ class ProducerActor(Actor, MeterMixin):
             self._on_routed(payload, now)
         elif isinstance(payload, BlockGossip):
             if self._awaiting_genesis or (self.behavior == "forger" and self.harvested is None):
-                for tx in _mined_txs(payload):
-                    self._on_mined_tx(tx)
-
-    def _on_mined_tx(self, tx) -> None:
-        if isinstance(tx, GenesisTx):
-            for offer in self._unposted:
-                if offer.stage == "awaiting_genesis" and offer.genesis_id == tx.t_id:
-                    offer.stage = "genesis_mined"
-                    self._awaiting_genesis -= 1
-                    self.awake = True  # to post the offer
-        elif isinstance(tx, ERCTx) and self.behavior == "forger":
-            if self.harvested is None and tx.pk != self.forge_keypair.public:
-                self.harvested = tx
+                block = payload.block
+                if not isinstance(block, Block):
+                    return
+                _, _, geneses, receipts = block.trader_index
+                if geneses:
+                    for offer in self._unposted:
+                        if offer.stage == "awaiting_genesis" and offer.genesis_id in geneses:
+                            offer.stage = "genesis_mined"
+                            self._awaiting_genesis -= 1
+                            self.awake = True  # to post the offer
+                if receipts and self.behavior == "forger" and self.harvested is None:
+                    # a receipt outside its domain would make every forgery raise
+                    own = self.forge_keypair.public
+                    self.harvested = next(
+                        (r for r in receipts if r.pk != own and check_structure(r)[0]), None
+                    )
 
     def _find_offer(self, account_pk: bytes) -> Optional[OfferState]:
         for offer in self.offers:
@@ -886,7 +880,7 @@ class ConsumerActor(Actor, MeterMixin):
             block = payload.block
             if not isinstance(block, Block):
                 return
-            supplies, settled = block.trader_index
+            supplies, settled, _, _ = block.trader_index
             for supply in supplies:
                 self._add_offer(supply)
             attempt = self.attempt

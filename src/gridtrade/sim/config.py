@@ -84,7 +84,8 @@ ATTACKS: Dict[str, Attack] = {
         "traffic hot-spot triggers prefix widening; load shares recorded",
         dict(producers=6, consumers=0, miners=2, backbones=4, ticks=300, chatter_nodes=6,
              supplies_per_producer=0),
-        ((lambda c: c.chatter_nodes < 1, "routing_overload needs chatter nodes"),),
+        ((lambda c: c.chatter_nodes < 1, "routing_overload needs chatter nodes"),
+         (lambda c: c.backbones < 2, "routing_overload needs backbones >= 2")),
         consumer=lambda i: "chatter",
         consumer_count="chatter_nodes",
     ),

@@ -341,14 +341,16 @@ def test_no_chatter_node_is_sent_a_block():
 # Interpreter opcodes executed over one ``World.run``, as upper bounds: per
 # settlement on ``preset("none", seed=1)`` and on the benchmark's honest-n32
 # workload, and per routed message on the chatter load of the benchmark's
-# routing workload, 200 ticks long. In comments, the counts while every
-# trader was stepped on every tick and walked every block's transactions;
-# before that, while owners were memoized by routing prefix, every hop that
-# owned a message read a negotiation round off it, each ping was framed anew
-# and a meterless consumer's step ran in two frames. The first count in each
-# comment is the one while every broadcast copy was a send of its own.
-OPCODES_PER_SETTLEMENT = 227037  # 235,015.25; 286,946.75; 286,993.25
-OPCODES_PER_SETTLEMENT_HONEST_N32 = 142937  # 160,109.91; 251,020.16
+# routing workload, 200 ticks long. In comments, earlier counts, newest
+# first: in the settlement pins, while a producer walked the transactions of
+# each block it read; then, in every pin, while every broadcast copy was a
+# send of its own; while every trader was stepped on every tick and walked
+# every block's transactions; and before that, while owners were memoized
+# by routing prefix, every hop that owned a message read a negotiation round
+# off it, each ping was framed anew and a meterless consumer's step ran in
+# two frames.
+OPCODES_PER_SETTLEMENT = 226149  # 227,037; 235,015.25; 286,946.75; 286,993.25
+OPCODES_PER_SETTLEMENT_HONEST_N32 = 142692  # 142,936.84; 160,109.91; 251,020.16
 OPCODES_PER_ROUTED = 570.06  # 586.80; 603.52; 660.75
 
 _needs_cpython_311 = pytest.mark.skipif(
@@ -390,15 +392,33 @@ def test_opcodes_per_routed_message(monkeypatch):
 
 def test_trader_work_per_settlement_at_n128():
     # the scale sweep's n = 128 world (ROADMAP item 11), with upper bounds on
-    # trader steps and on mined transactions traders read, per settlement:
-    # those a producer walks and the supplies a consumer takes from each
-    # block's index. 1,500 steps and 911 reads while every trader was
-    # stepped on every tick and walked every block's transactions
+    # trader steps and on what traders read of blocks, per settlement: each
+    # block whose index a producer reads and each supply a consumer takes
+    # from a block's index. 1,500 steps and 911 reads while every trader was
+    # stepped on every tick and walked every block's transactions; 179.18
+    # reads while a producer walked the transactions of each block it read
     counted = Counter()
+    in_producer = []
+    index = vars(Block)["trader_index"]
+
+    def read_index(block):
+        if in_producer:
+            counted["reads"] += 1
+        return index.__get__(block, Block)
+
+    def producer_message(actor, payload, now):
+        in_producer.append(True)
+        try:
+            original_producer_message(actor, payload, now)
+        finally:
+            in_producer.pop()
+
+    original_producer_message = ProducerActor.on_message
     with pytest.MonkeyPatch.context() as mp:
         for owner in (ProducerActor, ConsumerActor):
             _wrap(mp, owner, "step", lambda *args: counted.update(["steps"]))
-        _wrap(mp, ProducerActor, "_on_mined_tx", lambda *args: counted.update(["reads"]))
+        mp.setattr(Block, "trader_index", property(read_index))  # counts every read
+        mp.setattr(ProducerActor, "on_message", producer_message)
         _wrap(mp, ConsumerActor, "_add_offer", lambda *args: counted.update(["reads"]))
         result = run_scenario(
             preset("none", seed=1, producers=128, consumers=128, miners=5, backbones=4, ticks=1500)
@@ -406,7 +426,7 @@ def test_trader_work_per_settlement_at_n128():
     assert result.passed
     assert result.metrics.get("settlements") == 256
     assert counted["steps"] / 256 <= 476.47
-    assert counted["reads"] / 256 <= 179.18
+    assert counted["reads"] / 256 <= 161.85
 
 
 def test_tracer_targets_resolve():

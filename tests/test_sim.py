@@ -1,5 +1,6 @@
 """Simulator: configuration, scenario runs, determinism, and the CLI."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -52,6 +53,8 @@ from gridtrade.sim.world import World
 from gridtrade.transactions import (
     ContractTerms,
     ERCTx,
+    GENESIS_CERTIFICATE,
+    GenesisTx,
     check_structure,
     compute_contract_hash,
     compute_t_id,
@@ -225,6 +228,7 @@ class TestAttackRecords:
                 "negotiation_flood needs a target producer and a flooding consumer",
             ),
             ("routing_overload", dict(chatter_nodes=0), "routing_overload needs chatter nodes"),
+            ("routing_overload", dict(backbones=1), "routing_overload needs backbones >= 2"),
         ],
     )
     def test_check_messages(self, attack, overrides, message):
@@ -1109,9 +1113,25 @@ def _receipt(ctp_id):
     )
 
 
+@functools.cache
+def _awaited_genesis_id():
+    """The genesis id the first offer of ``preset("none", seed=1)``'s first
+    producer awaits once stepped at tick 4, as ``TestMalformedBlock`` steps
+    it."""
+    producer = World(preset("none", seed=1)).producer_actors[0]
+    producer.step(4)
+    return producer.offers[0].genesis_id
+
+
+def _genesis(t_id):
+    """A genesis with id ``t_id``; producers read geneses unchecked."""
+    return GenesisTx(t_id, GENESIS_CERTIFICATE, b"", bytes(32), bytes(64))
+
+
 # blocks whose header encodes, holding what a trader must skip: a supply
-# outside its domain, a receipt whose ``ctp_id`` is not bytes (the attempt's
-# id in another type), and entries that are not records
+# outside its domain, a receipt whose ``ctp_id`` or a genesis whose ``t_id``
+# is not bytes (the attempt's or the awaited id in another type), and
+# entries that are not records
 MALFORMED_TRADER_BLOCKS = [
     lambda b: replace(b, txs=(_mined_supply(energy_amount=-1),)),
     lambda b: replace(b, txs=(_mined_supply(energy_price=1 << 64),)),
@@ -1120,11 +1140,15 @@ MALFORMED_TRADER_BLOCKS = [
     lambda b: replace(b, txs=(_receipt(list(_ATTEMPT_CTP.t_id)),)),
     lambda b: replace(b, txs=(_receipt(bytearray(_ATTEMPT_CTP.t_id)),)),
     lambda b: replace(b, txs=(_receipt(None),)),
+    lambda b: replace(b, txs=(_genesis(bytearray(_awaited_genesis_id())),)),
+    lambda b: replace(b, txs=(_genesis(list(_awaited_genesis_id())),)),
+    lambda b: replace(b, txs=(_genesis(None),)),
     lambda b: replace(b, txs=(None, "tx", b"tx", _ATTEMPT_CTP)),
 ]
 MALFORMED_TRADER_BLOCK_IDS = [
     "negative-supply", "u64-price", "none-negotiable", "bytearray-supply-pk",
-    "list-ctp-id", "bytearray-ctp-id", "none-ctp-id", "not-records",
+    "list-ctp-id", "bytearray-ctp-id", "none-ctp-id", "bytearray-genesis-id",
+    "list-genesis-id", "none-genesis-id", "not-records",
 ]
 
 
@@ -1158,6 +1182,18 @@ class TestMalformedBlock:
         )
         return consumer
 
+    @staticmethod
+    def _awaiting_producers(world):
+        """Each producer stepped at tick 4, so that it awaits its geneses,
+        and what a block may change of it."""
+        for producer in world.producer_actors:
+            producer.step(4)
+            assert producer._awaiting_genesis > 0
+        return [
+            (p._awaiting_genesis, p.awake, [offer.stage for offer in p.offers])
+            for p in world.producer_actors
+        ]
+
     @pytest.mark.parametrize(
         "make",
         MALFORMED_BLOCKS + MALFORMED_TRADER_BLOCKS,
@@ -1165,24 +1201,45 @@ class TestMalformedBlock:
     )
     def test_traders_skip_it(self, make):
         world, _, bad = self._malformed(make)
-        for producer in world.producer_actors:  # each walks blocks for a genesis it awaits
-            producer.step(4)
-            assert producer._awaiting_genesis > 0
+        awaiting = self._awaiting_producers(world)  # each reads blocks for its geneses
         buyer = self._buyer_in_attempt(world)
         for actor in world.producer_actors + world.consumer_actors:
             actor.on_message(BlockGossip(bad), 1)
         assert all(consumer.offers == {} for consumer in world.consumer_actors)
         assert not buyer.attempt.settled
+        assert self._awaiting_producers(world) == awaiting
 
     def test_a_well_formed_block_reaches_traders(self):
         # the control for the test above: the same blocks with the fields in
-        # their domains add the supply and settle the attempt
+        # their domains add the supply, settle the attempt and mine the
+        # awaited genesis
         world, block, _ = self._malformed(lambda b: b)
+        (awaited, _, stages), *_ = self._awaiting_producers(world)
         buyer = self._buyer_in_attempt(world)
         supply = _mined_supply()
-        buyer.on_message(BlockGossip(replace(block, txs=(supply, _receipt(_ATTEMPT_CTP.t_id)))), 1)
+        txs = (supply, _receipt(_ATTEMPT_CTP.t_id), _genesis(_awaited_genesis_id()))
+        producer = world.producer_actors[0]
+        for actor in (producer, buyer):
+            actor.on_message(BlockGossip(replace(block, txs=txs)), 1)
         assert buyer.offers == {supply.t_id: supply}
         assert buyer.attempt.settled
+        assert stages[0] == "awaiting_genesis"
+        assert producer.offers[0].stage == "genesis_mined"
+        assert producer._awaiting_genesis == awaited - 1 and producer.awake
+
+    def test_the_forger_harvests_only_a_genuine_receipt(self, trade):
+        # replaying a receipt outside its domain makes every forgery raise
+        # ("coe_root must be bytes"), which would stop the run
+        _, block, _ = self._malformed(lambda b: b)
+        forger = World(preset("coe_forgery", seed=1)).producer_actors[0]
+        assert forger.behavior == "forger"
+        bad = replace(_receipt(bytes(32)), coe_root=None)
+        forger.on_message(BlockGossip(replace(block, txs=(bad,))), 1)
+        assert forger.harvested is None
+        genuine = trade.completed_erc()
+        assert check_structure(genuine)[0]
+        forger.on_message(BlockGossip(replace(block, txs=(bad, genuine))), 2)
+        assert forger.harvested is genuine
 
 
 class TestBlockVerdict:
