@@ -24,7 +24,8 @@ which callers surface as a metric rather than an error. The widening rule
 is ``Mesh.maybe_widen``, which the simulator asks once per tick: the
 busiest backbone's window past ``OVERLOAD_THRESHOLD`` widens ``x`` by one
 byte, at most to ``MAX_X``. The traffic window feeds nothing but that
-rule, so a backbone keeps it only while the table is narrower.
+rule, so a backbone keeps it only while the table is narrower, and the
+rule reads the windows again only once one of them was fed.
 """
 
 from __future__ import annotations
@@ -279,6 +280,8 @@ class Mesh:
         }
         # one record per widening ``maybe_widen`` made, in order
         self.widenings: List[dict] = []
+        # whether ``next_hop`` has fed a window since ``maybe_widen`` last read them
+        self._windows_grew = False
 
     def join(self, node_id: str, msg: JoinMessage) -> Tuple[bool, Optional[str]]:
         return self.nodes[node_id].join(msg, self.table)
@@ -302,6 +305,7 @@ class Mesh:
         node = self.nodes[node_id]
         if table.x < MAX_X:  # the window is read only to decide a widening
             node.note_traffic(dest_pk, now)
+            self._windows_grew = True
         else:
             node.handled += 1
         # only a negotiation carries a round: a bytes payload with any other
@@ -343,9 +347,14 @@ class Mesh:
         holds more than ``OVERLOAD_THRESHOLD`` messages and the table is
         narrower than ``MAX_X``; the lowest node id wins a tie. A widening
         is cut along the windows' traffic, recorded in ``widenings``, and
-        starts every window afresh. Returns whether the table widened."""
-        if self.table.x >= MAX_X:
+        starts every window afresh. Returns whether the table widened.
+
+        Windows change only where ``next_hop`` feeds them, so while none
+        was fed since the last call they hold what that call read, and the
+        answer is the same: False."""
+        if self.table.x >= MAX_X or not self._windows_grew:
             return False
+        self._windows_grew = False
         nodes = self.nodes
         hot_id, hot_load = None, -1
         for node_id in sorted(nodes):

@@ -420,6 +420,8 @@ class Block:
         """(the supplies that pass ``check_structure``; the ``ctp_id`` of each
         receipt; the ``t_id`` of each genesis; the receipts), tuples in block
         order, like a BIP 158 block filter: all that traders read of a block.
+        A block that holds nothing for traders gets the shared
+        ``_NOTHING_FOR_TRADERS``, so a reader can tell it by identity.
         Traders read blocks that no miner has checked, so this never raises:
         a ``txs`` that is not a tuple, an entry that is not a record, and an
         id that is not ``bytes`` give nothing."""
@@ -436,6 +438,8 @@ class Block:
                     settled.add(tx.ctp_id)
             elif isinstance(tx, GenesisTx) and type(tx.t_id) is bytes:
                 geneses.add(tx.t_id)
+        if not (supplies or geneses or receipts):  # ``settled`` is empty without receipts
+            return _NOTHING_FOR_TRADERS
         return (tuple(supplies), frozenset(settled), frozenset(geneses), tuple(receipts))
 
 

@@ -3,10 +3,11 @@
 Actors are plain state machines. The world delivers messages to
 ``on_message`` and calls ``step`` once per tick, in a fixed order, on each
 trader that is ``awake``, so a run is fully determined by the scenario
-seed. A trader falls asleep only in a state that nothing but a delivered
-message can end, where every step would do nothing, and the message that
-ends it wakes it; so no tick has to wake a trader, and whether it sleeps
-cannot change a run. Actors never share mutable state; everything crosses
+seed. A trader falls asleep only in a state where every step would do
+nothing until a delivered message ends it, and that message wakes it; the
+one tick that wakes a trader is a buyer's start tick, at which the world
+wakes it. So whether a trader sleeps cannot change a run. Actors never
+share mutable state; everything crosses
 through world messaging (energy pulses, the one physical channel, go
 straight to the destination meter object, standing in for the grid
 connection).
@@ -603,11 +604,13 @@ class ConsumerActor(Actor, MeterMixin):
 
     A buyer reads a gossiped block through its ``trader_index``: the checked
     supplies it adds to its book, and the commitments the block's receipts
-    settle. A trading consumer with no attempt sleeps when its meter holds
-    no contract and either it has made its trades or its last scan of the
-    book found no offer it could try; a new offer wakes it while it can
-    still trade. The double spender sleeps for good once its burst is
-    sent; the flooder and the chatter never sleep.
+    settle; it is sent no block whose index holds nothing. A trading
+    consumer with no attempt sleeps when its meter holds no contract and it
+    has made its trades, its last scan of the book found no offer it could
+    try, or it is set up before ``start_delay``; a new offer wakes it while
+    it can still trade, and the world wakes it at ``start_delay``. The
+    double spender sleeps for good once its burst is sent; the flooder and
+    the chatter never sleep.
     """
 
     def __init__(
@@ -696,9 +699,9 @@ class ConsumerActor(Actor, MeterMixin):
     def _trade_step(self, now: int) -> None:
         attempt = self.attempt
         if attempt is None:
-            if self.trades_done >= self.max_trades:
-                self._rest()
-            elif now >= self.start_delay:
+            if self.trades_done >= self.max_trades or now < self.start_delay:
+                self._rest()  # the world wakes a buyer at its start tick
+            else:
                 self._start_trade(now)
                 idle = (len(self.offer_keys), len(self.tried))
                 if self.attempt is None and self._idle_book == idle:

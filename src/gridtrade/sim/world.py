@@ -8,20 +8,24 @@ prefix widens from ``Mesh.maybe_widen``.
 
 Time is integer ticks; one tick is one network hop. Each tick runs fixed
 phases: consensus-period bookkeeping, expiry sweeps, message deliveries,
-meter joins (tick 0 only), the steps of the traders that are awake, mining
-wakeups, then the mesh's widening check and the end-of-tick checks (digest
-journaling and invariant checks). All randomness comes from labeled child
-RNGs of the scenario seed, so two runs with the same config are
-bit-identical.
+meter joins (tick 0 only), the wakeups of buyers whose start tick it is,
+the steps of the traders that are awake, mining wakeups, then the mesh's
+widening check and the end-of-tick checks (digest journaling and invariant
+checks). All randomness comes from labeled child RNGs of the scenario
+seed, so two runs with the same config are bit-identical.
 
-A trader sleeps (``Actor.awake`` false) only in a state that nothing but
-a delivered message can end, in which every step would do nothing: a
-producer whose offers are all posted or waiting for their genesis, with
-nothing to deliver; a buyer with no attempt and no contract on its meter
-that has made its trades or found no offer to try; the double spender
-after its burst. The delivery that ends such a state sets ``awake`` again,
-so the loop keeps no schedule, steps the awake traders in the fixed
-order, and skipping a sleeper changes nothing a run records.
+A trader sleeps (``Actor.awake`` false) only in a state in which every
+step would do nothing until a delivered message, or its start tick, ends
+it: a producer whose offers are all posted or waiting for their genesis,
+with nothing to deliver; a buyer with no attempt and no contract on its
+meter that has made its trades, found no offer to try or is set up before
+its start tick; the double spender after its burst. The delivery that ends
+such a state sets ``awake`` again. The loop keeps one schedule: the
+trading consumers, sorted by start tick at build, of which it wakes each
+at its start tick with one comparison per tick; a consumer that sleeps for
+good, as the double spender does, is not on it. So the loop steps the
+awake traders in the fixed order, and skipping a sleeper changes nothing
+a run records.
 
 The end-of-tick checks journal a miner's pending-DB digest and recount
 its pending commitments from ``entries`` on each tick that miner's ledger
@@ -29,7 +33,9 @@ changed: a new ledger object (a tip swap), or a move in its journal's
 change count. Every ledger change is journaled, so on any other tick the
 state is the one last recounted, and the kept result is counted again. The
 counters therefore grow exactly as a recount on every tick would make them
-grow, and the digest journal holds what journaling every tick would.
+grow, and the digest journal holds what journaling every tick would. Only
+the reference miner's coin total feeds a counter, so only its coin is
+summed; every miner's payers are recounted.
 
 Every message travels exactly one tick. A send appends one entry to one
 outbox, and so does a broadcast: one entry holds the broadcast's
@@ -40,11 +46,13 @@ another. So whatever a delivery sends lands in the next tick, and
 messages arrive in (send tick, send order). An actor declares in
 ``reads_gossip`` whether it reads gossiped blocks and claims; one that
 does not is sent no copy, as its handler would change nothing any code
-reads.
+reads. For the same reason a ``Block`` whose ``trader_index`` holds
+nothing for traders, as every heartbeat's does, is delivered to the
+miners only; it is addressed to the same actors as any block.
 
 Under loss, ``_lost`` draws each message's fate, and each broadcast copy's
-in audience order, a copy to an actor that does not read it included; a
-lost message or copy counts in ``messages_lost``. So a run draws and
+in audience order, a copy to an actor that is not delivered it included;
+a lost message or copy counts in ``messages_lost``. So a run draws and
 loses exactly what a send per copy would.
 
 Verdicts read the protocol's own records once the run ends; ``World``
@@ -58,11 +66,11 @@ from __future__ import annotations
 from collections import Counter
 from operator import attrgetter
 from random import Random
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from ..arb import Mesh, make_join
 from ..crypto import Certificate, KeyPair, PublicKey, hash_bytes, issue_certificate
-from ..ledger import Ledger, LedgerConfig, Miner
+from ..ledger import _NOTHING_FOR_TRADERS, Block, Ledger, LedgerConfig, Miner
 from ..meter import SmartMeter, provision_meter
 from .actors import (
     CONSUMER_BEHAVIORS,
@@ -104,12 +112,16 @@ class Copies(tuple):
 
 class Audience(NamedTuple):
     addressed: Tuple[Actor, ...]  # every actor a broadcast goes to, in order
-    readers: Copies  # those of them that read it
+    readers: Copies  # those of them it is delivered to
+    reader_set: FrozenSet[Actor]  # the same, for the membership test under loss
 
 
-def _audience(actors) -> Audience:
+def _audience(actors, reads=attrgetter("reads_gossip")) -> Audience:
+    """The audience of a broadcast to ``actors``, delivered to those that
+    ``reads`` picks, by default the actors that read gossip."""
     actors = tuple(actors)
-    return Audience(actors, Copies(actor for actor in actors if actor.reads_gossip))
+    readers = Copies(actor for actor in actors if reads(actor))
+    return Audience(actors, readers, frozenset(readers))
 
 
 def child_rng(seed: int, label: str) -> Random:
@@ -200,6 +212,16 @@ class World:
         self._tx_audience = _audience(self.miner_actors)
         self._claim_audience = _audience([*self.miner_actors, *consumers])
         self._block_audience = _audience([*self.miner_actors, *self.step_actors])
+        # a block with nothing for traders: addressed alike, read by miners only
+        self._heartbeat_audience = _audience(
+            self._block_audience.addressed, self._tx_audience.reader_set.__contains__
+        )
+        # the consumers that trade, latest start tick first: one set up before
+        # its start tick sleeps until ``run`` wakes it then
+        self._starts = sorted(
+            (c for c in consumers if CONSUMER_BEHAVIORS[c.behavior][0] == "_trade_step"),
+            key=attrgetter("start_delay"), reverse=True,
+        )
 
     def _make_producer(
         self, actor_id: str, index: int, behavior: str, shares_meter: bool = False
@@ -309,8 +331,9 @@ class World:
         would, and only a reader's surviving copy is kept."""
         readers = audience.readers
         if self._loss_rate > 0.0:
+            reader_set = audience.reader_set
             readers = Copies(
-                [actor for actor in audience.addressed if not self._lost() and actor.reads_gossip]
+                [actor for actor in audience.addressed if not self._lost() and actor in reader_set]
             )
         self._outbox.append((readers, payload))
 
@@ -326,7 +349,18 @@ class World:
         self._multicast(self._claim_audience, ClaimGossip(claim))
 
     def broadcast_block(self, block) -> None:
-        self._multicast(self._block_audience, BlockGossip(block))
+        """Send a block to every miner, and to the traders that read gossip
+        unless it is a ``Block`` whose ``trader_index`` holds nothing for
+        them, as a heartbeat's does: their handlers would change nothing.
+        Either way it is addressed to the same actors, so it draws the same
+        losses."""
+        audience = self._block_audience
+        # a heartbeat's empty ``txs`` answers without building its index
+        if isinstance(block, Block) and (
+            block.txs == () or block.trader_index is _NOTHING_FOR_TRADERS
+        ):
+            audience = self._heartbeat_audience
+        self._multicast(audience, BlockGossip(block))
 
     # -- registries -------------------------------------------------------------
 
@@ -385,6 +419,7 @@ class World:
 
     def run(self) -> Metrics:
         cfg = self.config
+        next_start = self._starts[-1].start_delay if self._starts else None
         for now in range(cfg.ticks):
             self.now = now
             if now % cfg.consensus_period == 0:
@@ -399,6 +434,8 @@ class World:
                 for actor in self.step_actors:
                     if actor.owns_meter:
                         self.send_join(actor, make_join(actor.meter.identity.keypair, actor.id))
+            if now == next_start:
+                next_start = self._wake_starters(now)
             for actor in filter(_awake, self.step_actors):  # filtered in C, in order
                 actor.step(now)
             for actor in self.miner_actors:
@@ -410,13 +447,22 @@ class World:
         self._finalize()
         return self.metrics
 
+    def _wake_starters(self, now: int) -> Optional[int]:
+        """Wake each buyer whose start tick is ``now``; return the next
+        buyer's start tick, or None when none is left."""
+        starts = self._starts
+        while starts and starts[-1].start_delay <= now:
+            starts.pop().awake = True
+        return starts[-1].start_delay if starts else None
+
     # -- end-of-tick work ---------------------------------------------------------
 
     def _tick_checks(self, now: int) -> None:
         """Journal each miner's end-of-tick pending-DB digest, and count
         invariant breaches: one ``safety_violations`` per payer whose
         pending total exceeds its coin, on each miner, and one
-        ``conservation_violations`` when miner 0's coin total moved.
+        ``conservation_violations`` when miner 0's coin total moved; no
+        other miner's coin total is read, so none is summed.
 
         Both are done for a miner only when its ledger is a different object
         or its change count moved since they were last done. Every change is
@@ -432,22 +478,24 @@ class World:
             kept = recounted[index]
             if kept[0] is not ledger or kept[1] != ledger.changes:
                 actor.miner.record_tick_digest(now)
-                kept = recounted[index] = (ledger, ledger.changes, *self._recount(ledger))
+                recount = self._recount(ledger, actor.reference)
+                kept = recounted[index] = (ledger, ledger.changes, *recount)
             _, _, coin_moved, unsafe = kept
-            if index == 0 and coin_moved:
+            if coin_moved:
                 metrics.bump("conservation_violations")
             if unsafe:
                 metrics.bump("safety_violations", unsafe)
 
-    def _recount(self, ledger: Ledger) -> Tuple[bool, int]:
-        """(coin total differs from the start?, payers committed past their
-        coin), counted afresh from the pending ``entries``, not from the
-        database's running totals, which this checks."""
+    def _recount(self, ledger: Ledger, reference: bool) -> Tuple[bool, int]:
+        """(the reference ledger's coin total differs from the start?, payers
+        committed past their coin), the payers counted afresh from the
+        pending ``entries``, not from the database's running totals, which
+        this checks."""
         per_pk: Dict[PublicKey, int] = {}
         for tx, _ in ledger.ctp_db.entries.values():
             per_pk[tx.pk] = per_pk.get(tx.pk, 0) + tx.price
         unsafe = sum(pending > ledger.coin_balance(pk) for pk, pending in per_pk.items())
-        return ledger.total_coin() != self.initial_total_coin, unsafe
+        return reference and ledger.total_coin() != self.initial_total_coin, unsafe
 
     def _finalize(self) -> None:
         reference = self.miner_actors[0]

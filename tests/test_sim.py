@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridtrade import ledger as ledger_module
-from gridtrade.arb import make_join
+from gridtrade.arb import Mesh, make_join
 from gridtrade.crypto import KeyPair, hash_bytes, issue_certificate, sign
 from gridtrade.ledger import (
     GENESIS_PREV,
@@ -505,19 +505,23 @@ class TestDeliveryOrder:
 
 class TestBroadcastCopies:
     """A broadcast is one outbox entry, delivered only to the actors that
-    read gossip; under loss it must draw, lose and deliver exactly what one
-    send per copy to its whole audience did."""
+    read gossip, and a heartbeat block only to the miners; under loss it
+    must draw, lose and deliver exactly what one send per copy to its whole
+    audience did."""
 
     @staticmethod
     def _run(per_copy: bool):
-        """Broadcasts of each kind, with unicast sends between them, on a
-        world at 50% loss whose chatter nodes read no gossip. Each handler
-        only logs (tick, actor id, payload), and a reader that gets the
-        claim ``"ping"`` answers with a transaction broadcast of its own.
-        ``per_copy`` sends each copy to every actor addressed, in audience
-        order, as ``World`` did before a broadcast was one entry."""
+        """Broadcasts of each kind and a real heartbeat block, with unicast
+        sends between them, on a world at 50% loss whose chatter nodes read
+        no gossip. Each handler only logs (tick, actor id, payload), and a
+        reader that gets the claim ``"ping"`` answers with a transaction
+        broadcast of its own. ``per_copy`` sends each copy to every actor
+        addressed, in audience order, as ``World`` did before a broadcast
+        was one entry. Returns the world, the log and the heartbeat."""
         world = World(preset("routing_overload", seed=3, message_loss_rate=0.5))
         miners, consumers = world.miner_actors, world.consumer_actors
+        miners[0].miner.start_period(0, Random(0))
+        heartbeat = miners[0].miner.mine(0)
         audiences = {
             TxGossip: miners,
             ClaimGossip: [*miners, *consumers],
@@ -553,31 +557,63 @@ class TestBroadcastCopies:
             for i in range(8):
                 for kind in (TxGossip, ClaimGossip, BlockGossip):
                     broadcast(kind, f"{kind.__name__} {now}/{i}")
+                broadcast(BlockGossip, heartbeat)
                 world.send(world.producer_actors[i % 6].id, f"unicast {now}/{i}")
             broadcast(ClaimGossip, "ping")
             world.deliver_due(now)
         world.deliver_due(3)
         assert not world._outbox
-        return world, log
+        return world, log, heartbeat
 
     def test_a_broadcast_draws_loses_and_delivers_as_a_send_per_copy(self):
-        world, log = self._run(per_copy=False)
-        reference, reference_log = self._run(per_copy=True)
+        world, log, heartbeat = self._run(per_copy=False)
+        reference, reference_log, _ = self._run(per_copy=True)
+        assert heartbeat.txs == ()
         assert world._loss_rng.getstate() == reference._loss_rng.getstate()
         lost = world.metrics.get("messages_lost")
         assert lost == reference.metrics.get("messages_lost") > 0
         readers = {a.id for a in world.actors.values() if a.reads_gossip}
+        miners = {a.id for a in world.miner_actors}
         assert {a.behavior for a in world.consumer_actors} == {"chatter"}
         assert not readers & {a.id for a in world.consumer_actors}
+        assert readers > miners  # the producers read gossip
+
+        def kept(entry):
+            _, actor_id, payload = entry
+            return actor_id in (miners if payload == BlockGossip(heartbeat) else readers)
+
         # the readers get the same copies in the same order, and nothing else
-        # gets any; the reference's chatter nodes got some that are not kept
-        assert log == [entry for entry in reference_log if entry[1] in readers]
+        # gets any; the heartbeat reaches the miners alone. The reference's
+        # chatter nodes and producers got some that are not kept
+        assert log == [entry for entry in reference_log if kept(entry)]
         assert len(log) < len(reference_log)
+        got_heartbeat = {actor_id for _, actor_id, p in log if p == BlockGossip(heartbeat)}
+        assert got_heartbeat and got_heartbeat <= miners
+        assert {a for _, a, p in reference_log if p == BlockGossip(heartbeat)} > miners
         replies = [(now, payload) for now, _, payload in log if "reply" in str(payload)]
         pings = [now for now, _, payload in log if payload == ClaimGossip("ping")]
         assert replies and pings
         # a copy sent while a broadcast is delivered waits for the next tick
         assert {now for now, _ in replies} <= {now + 1 for now in pings}
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(seed=1), dict(seed=2), dict(seed=1, producers=16, chatter_nodes=32, backbones=8, ticks=600)],
+    ids=["seed-1", "seed-2", "routing-chatter-600"],
+)
+def test_the_widening_check_skips_only_unchanged_windows(overrides, monkeypatch):
+    # ``maybe_widen`` answers at once while no window grew since it last read
+    # them; held open, so that it reads every window on every tick, it makes
+    # the same widenings on the same ticks
+    config = preset("routing_overload", **overrides)
+    gated = run_scenario(config)
+    always = property(lambda mesh: True, lambda mesh, value: None)
+    monkeypatch.setattr(Mesh, "_windows_grew", always, raising=False)
+    opened = run_scenario(config)
+    assert gated.world.mesh.widenings
+    assert opened.world.mesh.widenings == gated.world.mesh.widenings
+    assert opened.metrics.render_kv() == gated.metrics.render_kv()
 
 
 class TestSimulatedRouting:
@@ -1240,6 +1276,47 @@ class TestMalformedBlock:
         assert check_structure(genuine)[0]
         forger.on_message(BlockGossip(replace(block, txs=(bad, genuine))), 2)
         assert forger.harvested is genuine
+
+
+class TestBlockAudience:
+    """A ``Block`` whose ``trader_index`` holds nothing for traders, as a
+    heartbeat's does, is delivered to the miners only; one with a supply, a
+    receipt or a genesis reaches every actor that reads gossip, in audience
+    order. Both are addressed to the same actors."""
+
+    @staticmethod
+    def _delivered(txs):
+        """The world and the ids of the actors a block holding ``txs`` is
+        delivered to, in order, on a world with a prosumer."""
+        world = World(preset("none", seed=1, prosumers=1))
+        miner = world.miner_actors[1].miner
+        miner.start_period(0, Random(0))
+        block = replace(miner.mine(0), txs=txs)
+        got = []
+        for actor in world.actors.values():
+            actor.on_message = lambda payload, now, actor=actor: got.append(actor.id)
+        world.broadcast_block(block)
+        world.deliver_due(1)
+        return world, got
+
+    @pytest.mark.parametrize(
+        "txs", [(), (None, "tx", b"tx", _ATTEMPT_CTP)], ids=["heartbeat", "not-records"]
+    )
+    def test_a_block_with_nothing_for_traders_reaches_only_miners(self, txs):
+        world, got = self._delivered(txs)
+        assert got == [actor.id for actor in world.miner_actors]
+        assert world._heartbeat_audience.addressed == world._block_audience.addressed
+
+    @pytest.mark.parametrize(
+        "tx",
+        [_mined_supply(), _receipt(_ATTEMPT_CTP.t_id), _genesis(bytes(32))],
+        ids=["supply", "receipt", "genesis"],
+    )
+    def test_a_block_for_traders_reaches_every_reader_in_audience_order(self, tx):
+        world, got = self._delivered((tx,))
+        audience = [*world.miner_actors, *world.producer_actors, *world.consumer_actors]
+        assert got == [actor.id for actor in audience if actor.reads_gossip]
+        assert set(got) >= {actor.id for actor in world.step_actors}  # every trader reads
 
 
 class TestBlockVerdict:

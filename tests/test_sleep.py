@@ -20,16 +20,22 @@ from gridtrade.sim.world import World
 from gridtrade.transactions import GenesisTx, contract_terms, make_ctp, make_supply_energy
 
 # (attack, overrides): every preset at two seeds, a lossy run, a prosumer
-# run and a run whose meters exhaust their key pools
+# run, a run whose meters exhaust their key pools, the scale sweep's n = 128
+# world and the malicious-consumer preset at four times its population
 RUNS = [
     *[(attack, dict(seed=seed)) for attack in sorted(ATTACKS) for seed in (1, 2)],
     ("none", dict(seed=1, message_loss_rate=0.05)),
     ("none", dict(seed=1, prosumers=2)),
     ("none", dict(seed=1, producers=6, consumers=2, ticks=1500, key_pool_size=2)),
+    pytest.param(
+        "none", dict(seed=1, producers=128, consumers=128, miners=5, backbones=4, ticks=1500),
+        marks=pytest.mark.slow,
+    ),
+    ("malicious_consumer", dict(seed=1, producers=12, consumers=12)),
 ]
 RUN_IDS = [
     *[f"{attack}-{seed}" for attack in sorted(ATTACKS) for seed in (1, 2)],
-    "none-loss", "none-prosumers", "none-key-pool-2",
+    "none-loss", "none-prosumers", "none-key-pool-2", "none-n128", "malicious_consumer-x4",
 ]
 
 
@@ -190,6 +196,38 @@ def test_a_prosumers_producer_is_stepped_while_its_meter_holds_a_contract(monkey
     # its consumer registers contracts on the meter it pumps, and does not
     # wake it, so it never sleeps
     assert stepped == set(range(world.config.ticks))
+
+
+def test_a_buyer_is_woken_at_its_start_tick_without_a_message():
+    # set up from the start and deaf to every message, a buyer sleeps after
+    # its first step until the world wakes it at its start tick, where its
+    # scan of the empty book finds nothing
+    world = World(preset("none", seed=1, ticks=200))
+    buyer = world.consumer_actors[1]
+    buyer._init_state = "done"
+    steps = []
+    step = buyer.step
+    buyer.step = lambda now: steps.append(now) or step(now)
+    buyer.on_message = lambda payload, now: None
+    world.run()
+    assert 0 < buyer.start_delay < world.config.ticks
+    assert steps == [0, buyer.start_delay]
+    assert not buyer.awake
+
+
+def test_no_double_spender_is_woken():
+    # four spenders start at ticks 15, 27, 39 and 51; each sleeps for good
+    # after its burst at tick 30, so none is woken at its start tick
+    world = World(preset("double_spend", seed=1, consumers=4))
+    steps = {}
+    for spender in world.consumer_actors:
+        steps[spender.id] = []
+        burst_step = spender.step
+        spender.step = lambda now, s=steps[spender.id], b=burst_step: s.append(now) or b(now)
+    world.run()
+    assert max(spender.start_delay for spender in world.consumer_actors) > 30
+    assert all(ticks == list(range(31)) for ticks in steps.values())
+    assert not any(spender.awake for spender in world.consumer_actors)
 
 
 def test_a_double_spender_sleeps_for_good_after_its_burst():
